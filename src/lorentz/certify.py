@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 
 from .inertia import Inertia, inertia, is_lorentzian_signature
 from .mconvex import PointSet, is_m_convex_set
-from .poly import Exponent, HomogPoly, RationalLike, as_fraction, simplex
+from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, derive_terms,
+                   simplex)
 
 NEGATIVE_COEFFICIENT = "negative_coefficient"
 SUPPORT_NOT_M_CONVEX = "support_not_m_convex"
@@ -187,19 +188,7 @@ def _int_terms(f: HomogPoly) -> dict[Exponent, int]:
     return {e: int(c * scale) for e, c in f.terms.items()}
 
 
-def _derive_int(terms: dict[Exponent, int], alpha: Exponent) -> dict[Exponent, int]:
-    out: dict[Exponent, int] = {}
-    for e, c in terms.items():
-        if any(k < ak for k, ak in zip(e, alpha)):
-            continue
-        mult = 1
-        for k, ak in zip(e, alpha):
-            for t in range(ak):
-                mult *= k - t
-        out[tuple(k - ak for k, ak in zip(e, alpha))] = c * mult
-    return out
-
-
+# Not HomogPoly.eval: sampled points have many zero coordinates to exit early on.
 def _eval_int(terms: dict[Exponent, int], u: Sequence[int]) -> int:
     total = 0
     for e, c in terms.items():
@@ -237,7 +226,7 @@ def _rayleigh_violation_scaled(fint: dict[Exponent, int], derivs: dict,
         if beta not in values:
             terms = derivs.get(beta)
             if terms is None:
-                terms = _derive_int(fint, beta)
+                terms = derive_terms(fint, beta)
                 derivs[beta] = terms
             values[beta] = _eval_int(terms, u)
         return values[beta]

@@ -25,7 +25,7 @@ from typing import Any, Optional, Sequence
 
 from . import certify, matroids, mconvex, measures, mmatrix, operators
 from .inertia import Inertia
-from .poly import HomogPoly
+from .poly import HomogPoly, first_ulc_failure
 from .serialize import (LoadError, dumps_canonical, function_from_dict,
                         graph_matroid_from_dict, matrix_from_dict,
                         matroid_from_dict, matroid_to_dict, measure_from_dict,
@@ -145,10 +145,20 @@ def _load_matroid(path: str) -> matroids.Matroid:
     return matroid_from_dict(obj)
 
 
-def _certify_into(run: _Run, f: HomogPoly, exhaustive=False, jobs=1) -> int:
-    cert = certify.is_lorentzian(f, exhaustive=exhaustive, jobs=jobs)
-    run.report["result"]["certificate"] = _certificate_payload(cert, run.float_mode)
-    return run.verdict(cert.verdict)
+def _certificate_verdict(run: _Run, cert: certify.Certificate, witness: bool = False) -> int:
+    """Report the certificate and its verdict; a failing certificate is also
+    the witness when ``witness`` is set."""
+    payload = _certificate_payload(cert, run.float_mode)
+    run.report["result"]["certificate"] = payload
+    return run.verdict(cert.verdict, payload if witness and not cert.verdict else None)
+
+
+def _constructed_poly(run: _Run, f: HomogPoly, certify_it: bool, key: str = "poly") -> int:
+    """Report the constructed polynomial, certified when ``certify_it``."""
+    run.report["result"][key] = poly_to_dict(f)
+    if certify_it:
+        return _certificate_verdict(run, certify.is_lorentzian(f))
+    return run.constructed()
 
 
 # -- command handlers --------------------------------------------------------
@@ -157,17 +167,13 @@ def _cmd_check(args) -> int:
     run = _Run(args, [args.poly])
     f = _load_poly(args.poly)
     cert = certify.is_lorentzian(f, exhaustive=args.exhaustive, jobs=args.jobs)
-    run.report["result"]["certificate"] = _certificate_payload(cert, run.float_mode)
-    if not cert.verdict:
-        run.report["witness"] = _certificate_payload(cert, run.float_mode)
-    return run.verdict(cert.verdict)
+    return _certificate_verdict(run, cert, witness=True)
 
 
 def _cmd_strict(args) -> int:
     run = _Run(args, [args.poly])
     cert = certify.is_strictly_lorentzian(_load_poly(args.poly))
-    run.report["result"]["certificate"] = _certificate_payload(cert, run.float_mode)
-    return run.verdict(cert.verdict, None if cert.verdict else _certificate_payload(cert, run.float_mode))
+    return _certificate_verdict(run, cert, witness=True)
 
 
 def _cmd_hodge_riemann(args) -> int:
@@ -224,14 +230,18 @@ def _cmd_genpoly(args) -> int:
     run = _Run(args, [args.function])
     nu = function_from_dict(_load_json(args.function))
     build = mconvex.generating_poly_f if args.kind == "f" else mconvex.generating_poly_g
-    try:
-        f = build(nu, args.q)
-    except ValueError as exc:
-        raise LoadError(str(exc)) from None
-    run.report["result"]["poly"] = poly_to_dict(f)
-    if args.certify:
-        return _certify_into(run, f)
-    return run.constructed()
+    return _constructed_poly(run, build(nu, args.q), args.certify)
+
+
+# Operators that take one polynomial; each maps (f, args) to the new polynomial.
+_POLY_OPERATORS = {
+    "polarize": lambda f, args: operators.polarize(f, args.kappa),
+    "project": lambda f, args: operators.project(f, args.kappa),
+    "normalize": lambda f, args: operators.normalize(f),
+    "multiaffine": lambda f, args: operators.multi_affine_part(f),
+    "exclusion": lambda f, args: operators.exclusion_step(f, args.i, args.j, args.theta),
+    "nuij": lambda f, args: operators.nuij_transform(f, args.theta),
+}
 
 
 def _cmd_operator(args) -> int:
@@ -239,50 +249,21 @@ def _cmd_operator(args) -> int:
     if sub == "symbol":
         run = _Run(args, [args.table])
         table = operator_from_dict(_load_json(args.table))
-        s = operators.symbol(table)
-        run.report["result"]["symbol"] = poly_to_dict(s)
-        if args.certify:
-            return _certify_into(run, s)
-        return run.constructed()
+        return _constructed_poly(run, operators.symbol(table), args.certify, key="symbol")
     if sub == "apply":
         run = _Run(args, [args.table, args.poly])
         table = operator_from_dict(_load_json(args.table))
         f = _load_poly(args.poly)
-        try:
-            g = operators.apply_operator(table, f)
-        except ValueError as exc:
-            raise LoadError(str(exc)) from None
-        run.report["result"]["poly"] = poly_to_dict(g)
-        if args.certify:
-            return _certify_into(run, g)
-        return run.constructed()
+        return _constructed_poly(run, operators.apply_operator(table, f), args.certify)
 
     run = _Run(args, [args.poly])
     f = _load_poly(args.poly)
-    try:
-        if sub == "polarize":
-            out = operators.polarize(f, args.kappa)
-        elif sub == "project":
-            out = operators.project(f, args.kappa)
-        elif sub == "normalize":
-            out = operators.normalize(f)
-        elif sub == "multiaffine":
-            out = operators.multi_affine_part(f)
-        elif sub == "power":
-            out, exact = operators.coefficient_power(f, args.p)
-            run.report["result"]["exact"] = exact
-        elif sub == "exclusion":
-            out = operators.exclusion_step(f, args.i, args.j, args.theta)
-        elif sub == "nuij":
-            out = operators.nuij_transform(f, args.theta)
-        else:  # pragma: no cover
-            raise LoadError(f"unknown operator subverb {sub}")
-    except ValueError as exc:
-        raise LoadError(str(exc)) from None
-    run.report["result"]["poly"] = poly_to_dict(out)
-    if getattr(args, "certify", False):
-        return _certify_into(run, out)
-    return run.constructed()
+    if sub == "power":
+        out, exact = operators.coefficient_power(f, args.p)
+        run.report["result"]["exact"] = exact
+    else:
+        out = _POLY_OPERATORS[sub](f, args)
+    return _constructed_poly(run, out, args.certify)
 
 
 def _cmd_matroid(args) -> int:
@@ -290,11 +271,7 @@ def _cmd_matroid(args) -> int:
     if sub == "zonotope":
         run = _Run(args, [args.input])
         vectors = vectors_from_dict(_load_json(args.input))
-        f = matroids.zonotope_volume_poly(vectors)
-        run.report["result"]["poly"] = poly_to_dict(f)
-        if args.certify:
-            return _certify_into(run, f)
-        return run.constructed()
+        return _constructed_poly(run, matroids.zonotope_volume_poly(vectors), args.certify)
 
     run = _Run(args, [args.input])
     if sub == "validate":
@@ -306,44 +283,32 @@ def _cmd_matroid(args) -> int:
                 m = matroids.matroid_from_bases(obj.get("n"), obj.get("bases") or [])
         except matroids.ExchangeError as exc:
             return run.verdict(False, {"reason": str(exc), "witness": exc.witness})
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:    # main() reports only ValueError
             raise LoadError(str(exc)) from None
         run.report["result"]["matroid"] = matroid_to_dict(m)
         return run.verdict(True)
 
     m = _load_matroid(args.input)
     if sub == "basis-poly":
-        f = matroids.basis_generating_poly(m)
-        run.report["result"]["poly"] = poly_to_dict(f)
-        if args.certify:
-            return _certify_into(run, f)
-        return run.constructed()
+        return _constructed_poly(run, matroids.basis_generating_poly(m), args.certify)
     if sub == "potts":
-        try:
-            f = matroids.potts_poly(m, args.q)
-        except ValueError as exc:
-            raise LoadError(str(exc)) from None
-        run.report["result"]["poly"] = poly_to_dict(f)
-        if args.certify:
-            return _certify_into(run, f)
-        return run.constructed()
+        return _constructed_poly(run, matroids.potts_poly(m, args.q), args.certify)
     if sub == "indep-poly":
-        f = matroids.independent_set_poly(m)
-        run.report["result"]["poly"] = poly_to_dict(f)
-        if args.certify:
-            return _certify_into(run, f)
-        return run.constructed()
+        return _constructed_poly(run, matroids.independent_set_poly(m), args.certify)
     if sub == "mason":
         counts = matroids.independence_counts(m)
-        ok = matroids.mason_check(m)
+        ok = first_ulc_failure(counts, m.n) is None
         run.report["result"]["independence_counts"] = counts
         run.report["result"]["normalized"] = _jsonify(
-            matroids.normalized_independence_sequence(m), run.float_mode)
+            matroids.normalize_counts(counts, m.n), run.float_mode)
         return run.verdict(ok, None if ok else {"counts": counts})
     if sub == "tutte":
         if args.section_q is not None:
             section = matroids.tutte_section(m, args.section_q)
-            seq_ok = _ulc_no_internal_zeros([Fraction(c) for c in section])
+            # ultra log-concave, nonnegative, and without internal zeros
+            nonzero = [k for k, c in enumerate(section) if c]
+            seq_ok = (first_ulc_failure(section, m.n) is None and min(section) >= 0
+                      and nonzero[-1] - nonzero[0] + 1 == len(nonzero))
             run.report["result"]["section"] = _jsonify(section, run.float_mode)
             run.report["result"]["ultra_log_concave"] = seq_ok
             return run.constructed()
@@ -354,29 +319,13 @@ def _cmd_matroid(args) -> int:
     raise LoadError(f"unknown matroid subverb {sub}")  # pragma: no cover
 
 
-def _ulc_no_internal_zeros(seq: list[Fraction]) -> bool:
-    n = len(seq) - 1
-    if any(c < 0 for c in seq):
-        return False
-    from math import comb
-    for k in range(1, n):
-        if seq[k] ** 2 * comb(n, k - 1) * comb(n, k + 1) < seq[k - 1] * seq[k + 1] * comb(n, k) ** 2:
-            return False
-    support = [k for k, c in enumerate(seq) if c != 0]
-    return not support or support == list(range(support[0], support[-1] + 1))
-
-
 def _cmd_mmatrix(args) -> int:
     run = _Run(args, [args.matrix])
     a = matrix_from_dict(_load_json(args.matrix))
     if args.subverb == "recognize":
         ok = mmatrix.is_m_matrix(a)
         return run.verdict(ok)
-    f = mmatrix.char_poly_multivariate(a)
-    run.report["result"]["poly"] = poly_to_dict(f)
-    if args.certify:
-        return _certify_into(run, f)
-    return run.constructed()
+    return _constructed_poly(run, mmatrix.char_poly_multivariate(a), args.certify)
 
 
 def _cmd_measure(args) -> int:
@@ -384,9 +333,7 @@ def _cmd_measure(args) -> int:
     mu = measure_from_dict(_load_json(args.measure), normalize=args.normalize)
     sub = args.subverb
     if sub == "lorentzian":
-        cert = measures.is_lorentzian_measure(mu)
-        run.report["result"]["certificate"] = _certificate_payload(cert, run.float_mode)
-        return run.verdict(cert.verdict)
+        return _certificate_verdict(run, measures.is_lorentzian_measure(mu))
     if sub == "report":
         rep = measures.negative_dependence_report(mu, c=args.c, trials=args.trials,
                                                   seed=args.seed)
@@ -397,13 +344,10 @@ def _cmd_measure(args) -> int:
             witness = {"pairwise_failures": list(rep.pairwise_failures),
                        "ulc_failing_k": rep.ulc_failing_k}
         return run.verdict(exact_ok, witness)
-    try:
-        if sub == "field":
-            out = measures.external_field(mu, args.x)
-        else:
-            out = measures.exclusion_evolution(mu, args.i, args.j, args.theta)
-    except ValueError as exc:
-        raise LoadError(str(exc)) from None
+    if sub == "field":
+        out = measures.external_field(mu, args.x)
+    else:
+        out = measures.exclusion_evolution(mu, args.i, args.j, args.theta)
     run.report["result"]["measure"] = measure_to_dict(out)
     return run.constructed()
 
@@ -567,10 +511,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LoadError as exc:
-        _emit({"command": [args.command], "error": str(exc)}, EXIT_INPUT)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except ValueError as exc:   # LoadError included
         _emit({"command": [args.command], "error": str(exc)}, EXIT_INPUT)
         return EXIT_INPUT
 

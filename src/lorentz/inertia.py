@@ -63,24 +63,29 @@ class Inertia:
         return self.n_plus + self.n_minus + self.n_zero
 
 
-def _integer_scaled(m: SymMatrix) -> list[list[int]]:
-    # Scaling by the positive lcm of denominators leaves all eigenvalue
-    # signs, hence the inertia, unchanged.
+def _integer_scaled(m: SymMatrix) -> tuple[list[list[int]], int]:
+    # The matrix times the positive lcm of its denominators, and that lcm.
+    # Scaling leaves all eigenvalue signs, hence the inertia, unchanged.
     denoms = [x.denominator for row in m.entries for x in row]
     scale = lcm(*denoms) if denoms else 1
-    return [[int(x * scale) for x in row] for row in m.entries]
+    return [[int(x * scale) for x in row] for row in m.entries], scale
 
 
 def char_poly(m: SymMatrix) -> list[Fraction]:
     """Coefficients [c_0=1, c_1, ..., c_n] of det(tI - M) = sum c_k t^(n-k).
 
-    Faddeev-LeVerrier recurrence; every division is by an integer k and is
-    exact in rational arithmetic.
+    Computed on the integer matrix sM, whose coefficients are s^k c_k.
     """
-    n = m.n
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    coeffs = [Fraction(1)]
-    mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    a, scale = _integer_scaled(m)
+    return [Fraction(c, scale ** k) for k, c in enumerate(_char_poly_int(a))]
+
+
+def _char_poly_int(a: list[list[int]]) -> list[int]:
+    # Faddeev-LeVerrier recurrence over the integers; the divisions by k are
+    # exact because the c_k are characteristic polynomial coefficients.
+    n = len(a)
+    coeffs = [1]
+    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         if k > 1:
             # M_k = A*M_{k-1} + c_{k-1} I
@@ -89,28 +94,10 @@ def char_poly(m: SymMatrix) -> list[Fraction]:
             for i in range(n):
                 prod[i][i] += coeffs[-1]
             mk = prod
-        am = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        coeffs.append(Fraction(-1, k) * sum(am[i][i] for i in range(n)))
-    return coeffs
-
-
-def _char_poly_int(a: list[list[int]]) -> list[int]:
-    # Same recurrence over the integers; the divisions by k are exact
-    # because the c_k are characteristic polynomial coefficients.
-    n = len(a)
-    coeffs = [1]
-    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        if k > 1:
-            prod = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-                    for i in range(n)]
-            for i in range(n):
-                prod[i][i] += coeffs[-1]
-            mk = prod
         trace = sum(sum(a[i][t] * mk[t][i] for t in range(n)) for i in range(n))
         q, r = divmod(-trace, k)
-        assert r == 0
+        if r:
+            raise ArithmeticError(f"trace {-trace} not divisible by {k}")
         coeffs.append(q)
     return coeffs
 
@@ -125,7 +112,7 @@ def inertia(m: SymMatrix) -> Inertia:
     n = m.n
     if n == 0:
         return Inertia(0, 0, 0)
-    coeffs = _char_poly_int(_integer_scaled(m))
+    coeffs = _char_poly_int(_integer_scaled(m)[0])
     # multiplicity of the zero eigenvalue = trailing zero coefficients
     n_zero = 0
     while coeffs and coeffs[-1] == 0:
@@ -135,7 +122,8 @@ def inertia(m: SymMatrix) -> Inertia:
     n_plus = _sign_changes(coeffs)
     neg = [c if (len(coeffs) - 1 - k) % 2 == 0 else -c for k, c in enumerate(coeffs)]
     n_minus = _sign_changes(neg)
-    assert n_plus + n_minus + n_zero == n
+    if n_plus + n_minus + n_zero != n:
+        raise ArithmeticError(f"sign counts {n_plus}+{n_minus}+{n_zero} do not sum to {n}")
     return Inertia(n_plus, n_minus, n_zero)
 
 

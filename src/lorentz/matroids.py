@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .mconvex import PointSet, is_matroid_basis_family
 from .mmatrix import bareiss_determinant
-from .poly import Exponent, HomogPoly, RationalLike, as_fraction
+from .poly import Exponent, HomogPoly, RationalLike, as_fraction, first_ulc_failure
 
 
 class ExchangeError(ValueError):
@@ -46,9 +46,11 @@ class Matroid:
     __slots__ = ("n", "bases", "rank_full")
 
     def __init__(self, n: int, basis_masks: Sequence[int]):
+        if not basis_masks:
+            raise ValueError("a matroid needs at least one basis")
         self.n = n
         self.bases = tuple(sorted(set(basis_masks)))
-        self.rank_full = bin(self.bases[0]).count("1") if self.bases else 0
+        self.rank_full = bin(self.bases[0]).count("1")
 
     def __eq__(self, other):
         if not isinstance(other, Matroid):
@@ -88,7 +90,10 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
 
 def rank(m: Matroid, subset: Iterable[int]) -> int:
     """rk(A) = max over bases B of |A and B|."""
-    mask = _mask(subset, m.n)
+    return _rank_mask(m, _mask(subset, m.n))
+
+
+def _rank_mask(m: Matroid, mask: int) -> int:
     return max(bin(mask & b).count("1") for b in m.bases)
 
 
@@ -121,45 +126,29 @@ def potts_poly(m: Matroid, q: RationalLike) -> HomogPoly:
     qf = as_fraction(q)
     if qf <= 0:
         raise ValueError("q must be positive")
-    n = m.n
-    terms: dict[Exponent, Fraction] = {}
-    for mask in range(1 << n):
-        r = max(bin(mask & b).count("1") for b in m.bases)
-        e = [0] * (n + 1)
-        e[0] = n - bin(mask).count("1")
-        for i in range(n):
-            if mask >> i & 1:
-                e[i + 1] = 1
-        terms[tuple(e)] = qf ** (-r)
-    return HomogPoly(n + 1, n, terms)
+    return HomogPoly.homogenized(
+        m.n, {mask: qf ** -_rank_mask(m, mask) for mask in range(1 << m.n)})
 
 
 def independent_set_poly(m: Matroid) -> HomogPoly:
     """sum over independent A of w^A w_0^(n-|A|); degree n in n+1 variables."""
-    n = m.n
-    terms: dict[Exponent, Fraction] = {}
-    for mask in independent_set_masks(m):
-        e = [0] * (n + 1)
-        e[0] = n - bin(mask).count("1")
-        for i in range(n):
-            if mask >> i & 1:
-                e[i + 1] = 1
-        terms[tuple(e)] = Fraction(1)
-    return HomogPoly(n + 1, n, terms)
+    return HomogPoly.homogenized(m.n, {mask: 1 for mask in independent_set_masks(m)})
 
 
 def normalized_independence_sequence(m: Matroid) -> list[Fraction]:
     """I_k / C(n, k) for k = 0..rank; Mason's inequality says it is log-concave."""
-    return [Fraction(ik, math.comb(m.n, k))
-            for k, ik in enumerate(independence_counts(m))]
+    return normalize_counts(independence_counts(m), m.n)
+
+
+def normalize_counts(counts: Sequence[int], n: int) -> list[Fraction]:
+    """counts[k] / C(n, k) for each k."""
+    return [Fraction(c, math.comb(n, k)) for k, c in enumerate(counts)]
 
 
 def mason_check(m: Matroid) -> bool:
     """Exact ultra log-concavity of the independence counts:
     I_k^2 / C(n,k)^2 >= (I_{k+1}/C(n,k+1)) (I_{k-1}/C(n,k-1)) for 0 < k < rank."""
-    seq = normalized_independence_sequence(m)
-    return all(seq[k] * seq[k] >= seq[k - 1] * seq[k + 1]
-               for k in range(1, len(seq) - 1))
+    return first_ulc_failure(independence_counts(m), m.n) is None
 
 
 def tutte(m: Matroid, x: RationalLike, y: RationalLike) -> Fraction:
@@ -168,7 +157,7 @@ def tutte(m: Matroid, x: RationalLike, y: RationalLike) -> Fraction:
     rfull = m.rank_full
     total = Fraction(0)
     for mask in range(1 << m.n):
-        r = max(bin(mask & b).count("1") for b in m.bases)
+        r = _rank_mask(m, mask)
         total += (xf - 1) ** (rfull - r) * (yf - 1) ** (bin(mask).count("1") - r)
     return total
 
@@ -185,8 +174,7 @@ def tutte_section(m: Matroid, q: RationalLike) -> list[Fraction]:
     rfull = m.rank_full
     out = [Fraction(0)] * (m.n + 1)
     for mask in range(1 << m.n):
-        r = max(bin(mask & b).count("1") for b in m.bases)
-        out[bin(mask).count("1")] += qf ** (rfull - r)
+        out[bin(mask).count("1")] += qf ** (rfull - _rank_mask(m, mask))
     return out
 
 

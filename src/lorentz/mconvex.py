@@ -169,19 +169,21 @@ def is_m_convex_function(nu: DiscreteFunction) -> tuple[bool, Optional[FnWitness
     return True, None
 
 
-def _integer_nth_root(x: int, r: int) -> tuple[int, bool]:
-    # floor r-th root and exactness flag, for x >= 0
+def _floor_nth_root(x: int, r: int) -> int:
+    # integer Newton iteration from above; no floats, so any size of x works
     if x < 0:
         raise ValueError("negative radicand")
     if x in (0, 1) or r == 1:
-        return x, True
-    root = round(x ** (1.0 / r))
-    # settle float error by local search
+        return x
+    root = 1 << (-(-x.bit_length() // r))
+    while True:
+        nxt = ((r - 1) * root + x // root ** (r - 1)) // r
+        if nxt >= root:
+            break
+        root = nxt
     while root ** r > x:
         root -= 1
-    while (root + 1) ** r <= x:
-        root += 1
-    return root, root ** r == x
+    return root
 
 
 def rational_power(q: Fraction, e: Fraction) -> Fraction:
@@ -195,9 +197,9 @@ def rational_power(q: Fraction, e: Fraction) -> Fraction:
     p = e.numerator
     if r == 1:
         return q ** p
-    num_root, num_ok = _integer_nth_root(q.numerator, r)
-    den_root, den_ok = _integer_nth_root(q.denominator, r)
-    if not (num_ok and den_ok):
+    num_root = _floor_nth_root(q.numerator, r)
+    den_root = _floor_nth_root(q.denominator, r)
+    if num_root ** r != q.numerator or den_root ** r != q.denominator:
         raise ValueError(f"{q}**(1/{r}) is irrational; supply q as an exact {r}-th power")
     return Fraction(num_root, den_root) ** p
 
@@ -238,10 +240,6 @@ def generating_poly_g(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
 # as i*d + j; the grouping map phi sends e_(i,j) to e_i.  The lift is
 # supported on 0/1 points and takes the value nu(phi(.)) there; the
 # projection takes the minimum over each fiber of phi.
-
-
-def _group_of(nvars: int, degree: int, flat: int) -> int:
-    return flat // degree
 
 
 def polarize_fn(nu: DiscreteFunction) -> DiscreteFunction:
@@ -285,7 +283,7 @@ def project_fn(mu: DiscreteFunction, nvars: int | None = None) -> DiscreteFuncti
         proj = [0] * nvars
         for flat, k in enumerate(p):
             if k:
-                proj[_group_of(mu.nvars, d, flat)] += k
+                proj[flat // d] += k
         key = tuple(proj)
         if key not in out or v < out[key]:
             out[key] = v

@@ -14,12 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from math import lcm
+from typing import Mapping, Optional, Sequence
 
 from .certify import Certificate, is_lorentzian
-from .matroids import Matroid, independent_set_masks
-from .poly import Exponent, HomogPoly, RationalLike, as_fraction
+from .matroids import Matroid, _mask, independent_set_masks
+from .poly import HomogPoly, RationalLike, as_fraction, first_ulc_failure
 
 
 class Measure:
@@ -64,28 +64,9 @@ class Measure:
                 for k, w in sorted(self.weights.items())]
 
 
-def _mask(subset: Iterable[int], n: int) -> int:
-    m = 0
-    for i in subset:
-        i = int(i)
-        if not 0 <= i < n:
-            raise ValueError(f"element {i} out of range")
-        m |= 1 << i
-    return m
-
-
 def partition_homogenized(mu: Measure) -> HomogPoly:
     """w_0^n Z(w_1/w_0, ..., w_n/w_0): degree n in n+1 variables."""
-    n = mu.n
-    terms: dict[Exponent, Fraction] = {}
-    for mask, w in mu.weights.items():
-        e = [0] * (n + 1)
-        e[0] = n - bin(mask).count("1")
-        for i in range(n):
-            if mask >> i & 1:
-                e[i + 1] = 1
-        terms[tuple(e)] = w
-    return HomogPoly(n + 1, n, terms)
+    return HomogPoly.homogenized(mu.n, mu.weights)
 
 
 def is_lorentzian_measure(mu: Measure) -> Certificate:
@@ -159,14 +140,8 @@ def rank_sequence(mu: Measure) -> list[Fraction]:
 
 def is_ulc(mu: Measure) -> tuple[bool, Optional[int]]:
     """Exact ultra log-concavity of the rank sequence over binomials."""
-    seq = rank_sequence(mu)
-    n = mu.n
-    for k in range(1, n):
-        lhs = seq[k] * seq[k] * comb(n, k - 1) * comb(n, k + 1)
-        rhs = seq[k - 1] * seq[k + 1] * comb(n, k) ** 2
-        if lhs < rhs:
-            return False, k
-    return True, None
+    k = first_ulc_failure(rank_sequence(mu), mu.n)
+    return k is None, k
 
 
 def pairwise_bound_failures(mu: Measure, c: RationalLike) -> list[tuple[int, int]]:

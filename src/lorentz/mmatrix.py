@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .poly import Exponent, HomogPoly, RationalLike, as_fraction
+from .poly import HomogPoly, RationalLike, as_fraction
 
 
 class SquareMatrix:
@@ -104,18 +104,9 @@ def char_poly_multivariate(a: SquareMatrix) -> HomogPoly:
     Built from the 2^n principal minors; variable 0 is the homogenizing w_0.
     """
     n = a.n
-    terms: dict[Exponent, Fraction] = {}
-    for mask in range(1 << n):
-        subset = [i for i in range(n) if mask >> i & 1]
-        minor = principal_minor(a, subset)
-        if minor == 0:
-            continue
-        e = [0] * (n + 1)
-        e[0] = n - len(subset)
-        for i in subset:
-            e[i + 1] = 1
-        terms[tuple(e)] = minor
-    return HomogPoly(n + 1, n, terms)
+    return HomogPoly.homogenized(
+        n, {mask: principal_minor(a, [i for i in range(n) if mask >> i & 1])
+            for mask in range(1 << n)})
 
 
 def random_m_matrix(n: int, seed: int, bound: int = 5,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
-from .mconvex import rational_power
+from .mconvex import _floor_nth_root, rational_power
 from .poly import Exponent, HomogPoly, RationalLike, as_fraction, factorial_of, unit
 
 
@@ -123,22 +123,6 @@ def _approx_power(c: Fraction, p: Fraction, bits: int) -> Fraction:
     scaled = (c.numerator ** a * (1 << (b * bits))) // c.denominator ** a
     root = _floor_nth_root(scaled, b)
     return Fraction(root, 1 << bits)
-
-
-def _floor_nth_root(x: int, r: int) -> int:
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x in (0, 1) or r == 1:
-        return x
-    root = 1 << (-(-x.bit_length() // r))
-    while True:
-        nxt = ((r - 1) * root + x // root ** (r - 1)) // r
-        if nxt >= root:
-            break
-        root = nxt
-    while root ** r > x:
-        root -= 1
-    return root
 
 
 def exclusion_step(f: HomogPoly, i: int, j: int, theta: RationalLike) -> HomogPoly:

@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
 
 RationalLike = Fraction | int | str
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -32,10 +34,6 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
-
-
-def exponent_degree(e: Sequence[int]) -> int:
-    return sum(e)
 
 
 def factorial_of(e: Exponent) -> int:
@@ -70,6 +68,38 @@ def simplex(n: int, d: int) -> Iterator[Exponent]:
             prev = b
         e.append(n - 1 + d - 1 - prev)
         yield tuple(e)
+
+
+def derive_terms(terms: Mapping[Exponent, Fraction | int], alpha: Exponent) -> dict:
+    """Terms of d^alpha of the polynomial with the given raw terms.
+
+    Coefficients may be of any numeric type; each is multiplied by an int.
+    """
+    out = {}
+    for e, c in terms.items():
+        if any(k < ak for k, ak in zip(e, alpha)):
+            continue
+        mult = 1
+        for k, ak in zip(e, alpha):
+            # falling factorial k*(k-1)*...*(k-ak+1)
+            for t in range(ak):
+                mult *= k - t
+        out[tuple(k - ak for k, ak in zip(e, alpha))] = c * mult
+    return out
+
+
+def first_ulc_failure(seq: Sequence, n: int) -> Optional[int]:
+    """First k in 1..n-1 with s_k^2 C(n,k-1) C(n,k+1) < s_(k-1) s_(k+1) C(n,k)^2.
+
+    None when the sequence s_0..s_n is ultra log-concave in this sense; a
+    sequence shorter than n+1 counts as padded with zeros.
+    """
+    s = list(seq) + [0] * (n + 1 - len(seq))
+    for k in range(1, n):
+        lhs = s[k] * s[k] * math.comb(n, k - 1) * math.comb(n, k + 1)
+        if lhs < s[k - 1] * s[k + 1] * math.comb(n, k) ** 2:
+            return k
+    return None
 
 
 class HomogPoly:
@@ -115,6 +145,18 @@ class HomogPoly:
     @classmethod
     def zero(cls, nvars: int, degree: int) -> "HomogPoly":
         return cls(nvars, degree, {})
+
+    @classmethod
+    def homogenized(cls, n: int, weights: Mapping[int, RationalLike]) -> "HomogPoly":
+        """sum over subset masks S of weight(S) w^S w_0^(n-|S|): the
+        homogenization of a multi-affine polynomial in w_1..w_n; degree n in
+        n+1 variables, variable 0 being w_0."""
+        terms = {}
+        for mask, w in weights.items():
+            # the n binary digits of the mask, lowest bit first, as 0/1 bytes
+            bits = f"{mask:0{n}b}"[::-1][:n].encode().translate(_BINARY_DIGITS)
+            terms[(n - mask.bit_count(),) + tuple(bits)] = w
+        return cls(n + 1, n, terms)
 
     # -- basic queries ------------------------------------------------
 
@@ -234,17 +276,7 @@ class HomogPoly:
         a = sum(alpha)
         if a > self.degree:
             raise ValueError(f"|alpha|={a} exceeds degree {self.degree}")
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if any(k < ak for k, ak in zip(e, alpha)):
-                continue
-            mult = 1
-            for k, ak in zip(e, alpha):
-                # falling factorial k*(k-1)*...*(k-ak+1)
-                for t in range(ak):
-                    mult *= k - t
-            out[tuple(k - ak for k, ak in zip(e, alpha))] = c * mult
-        return HomogPoly(self.nvars, self.degree - a, out)
+        return HomogPoly(self.nvars, self.degree - a, derive_terms(self.terms, alpha))
 
     def directional_derive(self, a: Sequence[RationalLike]) -> "HomogPoly":
         """sum_i a_i d_i f for a nonnegative direction a."""
@@ -349,14 +381,6 @@ class HomogPoly:
             if all(k == 0 for idx, k in enumerate(e) if idx not in (i, j)):
                 out[e[i]] += c
         return out
-
-
-def total_sum(polys: Iterable[HomogPoly]) -> HomogPoly:
-    it = iter(polys)
-    out = next(it)
-    for p in it:
-        out = out + p
-    return out
 
 
 def validate(p: HomogPoly) -> tuple[bool, str | None]:

@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lorentz
+from lorentz import matroids
 from lorentz.cli import main
 
 CUBIC9 = {"n": 2, "d": 3, "terms": [
@@ -290,3 +297,39 @@ def test_genpoly_irrational_power_rejected(tmp_path, capsys):
     assert code == 2 and "irrational" in rep["error"]
     code, rep = run(capsys, "genpoly", path, "--q", "1/4")
     assert code == 0  # 1/4 is an exact square
+
+
+def test_genpoly_q_beyond_float_range(tmp_path):
+    # half-integer values need the exact square root of q = 10**400
+    halfval = {"n": 2, "d": 2, "values": [
+        {"exp": [2, 0], "num": "1", "den": "2"}, {"exp": [1, 1], "num": "0", "den": "1"},
+        {"exp": [0, 2], "num": "3", "den": "2"}]}
+    path = write(tmp_path, "h.json", halfval)
+    src = str(Path(lorentz.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lorentz.cli", "genpoly", path, "--q", str(10**400)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    rep = json.loads(proc.stdout)
+    terms = {tuple(t["exp"]): t["num"] for t in rep["result"]["poly"]["terms"]}
+    assert terms == {(2, 0): str(10**200 // 2), (1, 1): "1", (0, 2): str(10**600 // 2)}
+
+
+def test_validate_empty_basis_list_is_refuted(tmp_path, capsys):
+    path = write(tmp_path, "empty.json", {"n": 2, "bases": []})
+    code, rep = run(capsys, "matroid", "validate", path)
+    assert code == 1 and "at least one basis" in rep["witness"]["reason"]
+
+
+@pytest.mark.parametrize("section, ok", [
+    ([1, 3, 3, 1], True),
+    ([1, 0, 0, 1], False),      # ultra log-concave, but with internal zeros
+    ([-1, 3, 3, 1], False),     # ultra log-concave, but with a negative entry
+])
+def test_tutte_section_verdict(tmp_path, capsys, monkeypatch, section, ok):
+    monkeypatch.setattr(matroids, "tutte_section",
+                        lambda m, q: [Fraction(c) for c in section])
+    path = write(tmp_path, "free3.json", {"n": 3, "bases": [[0, 1, 2]]})
+    code, rep = run(capsys, "matroid", "tutte", path, "--section-q", "1/2")
+    assert code == 0 and rep["result"]["ultra_log_concave"] is ok

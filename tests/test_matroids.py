@@ -5,8 +5,9 @@ from math import comb
 
 import pytest
 
-from lorentz import (ExchangeError, HomogPoly, PointSet, basis_generating_poly,
-                     cycle_matroid, independence_counts, independent_set_poly,
+from lorentz import (ExchangeError, HomogPoly, Matroid, PointSet,
+                     basis_generating_poly, cycle_matroid,
+                     independence_counts, independent_set_poly,
                      is_lorentzian, is_m_convex_set, mason_check,
                      matroid_from_bases, potts_poly, rank, tutte,
                      tutte_section, uniform_matroid, zonotope_volume_poly)
@@ -31,6 +32,11 @@ def test_matroid_from_bases():
         matroid_from_bases(2, [])
     with pytest.raises(ExchangeError):
         matroid_from_bases(3, [[0], [1, 2]])
+
+
+def test_matroid_needs_a_basis():
+    with pytest.raises(ValueError, match="at least one basis"):
+        Matroid(2, [])
 
 
 def test_rank():

@@ -106,6 +106,13 @@ def test_rational_power():
         rational_power(Fraction(2), Fraction(1, 2))
 
 
+def test_rational_power_beyond_float_range():
+    assert rational_power(Fraction(10**400), Fraction(1, 2)) == 10**200
+    assert rational_power(Fraction(1, 10**600), Fraction(-2, 3)) == 10**400
+    with pytest.raises(ValueError):
+        rational_power(Fraction(10**400 + 1), Fraction(1, 2))
+
+
 def test_polarize_project_roundtrip():
     rng = random.Random(21)
     for _ in range(10):

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lorentz.poly import HomogPoly, euler_pairing, simplex, unit, validate
+from lorentz.poly import (HomogPoly, euler_pairing, first_ulc_failure, simplex,
+                          unit, validate)
 
 from generators import random_fraction, random_homog, random_nonneg_matrix
 
@@ -172,3 +176,37 @@ def test_hessian_relation():
 def test_bivariate_restriction():
     cubic = HomogPoly(2, 3, {(3, 0): 2, (2, 1): 12, (1, 2): 18, (0, 3): 9})
     assert cubic.bivariate_restriction(0, 1) == [9, 18, 12, 2]
+
+
+def _ulc_by_definition(seq, n):
+    # literal definition: (s_k/C(n,k))^2 >= (s_(k-1)/C(n,k-1)) (s_(k+1)/C(n,k+1))
+    s = [Fraction(c, comb(n, k)) for k, c in enumerate(seq)] + [Fraction(0)] * (n + 1 - len(seq))
+    for k in range(1, n):
+        if s[k] * s[k] < s[k - 1] * s[k + 1]:
+            return k
+    return None
+
+
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.one_of(st.just(0), st.integers(-4, 30)), max_size=n + 1))))
+@settings(max_examples=300, deadline=None)
+def test_first_ulc_failure_matches_definition(case):
+    n, seq = case
+    assert first_ulc_failure(seq, n) == _ulc_by_definition(seq, n)
+    assert first_ulc_failure([Fraction(c, 3) for c in seq], n) == _ulc_by_definition(seq, n)
+
+
+def test_first_ulc_failure_examples():
+    assert first_ulc_failure([1, 3, 3, 1], 3) is None
+    assert first_ulc_failure([1, 0, 1], 2) == 1          # internal zero
+    assert first_ulc_failure([1, 0, 0, 1], 3) is None    # only the inequality
+    assert first_ulc_failure([1, 6, 15, 16], 6) is None  # padded with zeros
+    assert first_ulc_failure([1, 1, 3], 2) == 1
+
+
+def test_homogenized():
+    # masks are subsets of {1..n}; variable 0 takes the missing degree
+    f = HomogPoly.homogenized(3, {0b000: 1, 0b101: Fraction(1, 2), 0b111: 0})
+    assert f == HomogPoly(4, 3, {(3, 0, 0, 0): 1, (1, 1, 0, 1): Fraction(1, 2)})
+    assert HomogPoly.homogenized(0, {0: 5}) == HomogPoly(1, 0, {(0,): 5})
