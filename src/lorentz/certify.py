@@ -16,11 +16,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import lcm
-from multiprocessing import Pool
 from typing import Optional, Sequence
 
-from .inertia import Inertia, inertia, is_lorentzian_signature
+from .inertia import Inertia, SymMatrix, inertia
 from .mconvex import PointSet, is_m_convex_set
 from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, derive_terms,
                    simplex)
@@ -73,22 +73,22 @@ def _coefficient_certificate(f: HomogPoly) -> Optional[Certificate]:
     return None
 
 
-def _alpha_failure(f: HomogPoly, alpha: Exponent) -> Optional[Inertia]:
-    sig = inertia(f.quadratic_hessian_after(alpha))
-    return sig if sig.n_plus > 1 else None
+def _support_alphas(f: HomogPoly, cutoff: int) -> list[Exponent]:
+    """The alphas with d^alpha f nonzero and |alpha| <= cutoff, sorted."""
+    seen: set[Exponent] = set()
+    for e in f.terms:
+        for a in product(*(range(k + 1) for k in e)):
+            if sum(a) <= cutoff:
+                seen.add(a)
+    return sorted(seen)
 
 
-def _alpha_failure_star(args) -> tuple[Exponent, Optional[Inertia]]:
-    f, alpha = args
-    return alpha, _alpha_failure(f, alpha)
-
-
-def is_lorentzian(f: HomogPoly, exhaustive: bool = False, jobs: int = 1) -> Certificate:
+def is_lorentzian(f: HomogPoly, exhaustive: bool = False) -> Certificate:
     """Exact Lorentzian certification.
 
-    Short-circuits on the first failing quadratic unless ``exhaustive``;
-    the exhaustive scan collects every failing degree-(d-2) derivative and
-    may run on ``jobs`` worker processes (verdict independent of jobs).
+    Scans the degree-(d-2) alphas under the support in lexicographic order;
+    the others have a zero Hessian and cannot fail.  Short-circuits on the
+    first failing quadratic unless ``exhaustive``, which collects them all.
     """
     if f.is_zero():
         return Certificate(True, is_zero=True)
@@ -100,26 +100,21 @@ def is_lorentzian(f: HomogPoly, exhaustive: bool = False, jobs: int = 1) -> Cert
         return bad
     if f.degree <= 1:
         return Certificate(True)
-    alphas = list(simplex(f.nvars, f.degree - 2))
-    if exhaustive:
-        if jobs > 1:
-            with Pool(jobs) as pool:
-                results = pool.map(_alpha_failure_star, ((f, a) for a in alphas),
-                                   chunksize=max(1, len(alphas) // (4 * jobs)))
-        else:
-            results = [(a, _alpha_failure(f, a)) for a in alphas]
-        failures = [(a, sig) for a, sig in results if sig is not None]
-        if failures:
-            alpha, sig = failures[0]
-            return Certificate(False, failing_alpha=alpha, failing_kind=INERTIA_VIOLATION,
-                               detail={"inertia": sig, "all_failures": failures})
+    failures = []
+    for alpha in _support_alphas(f, f.degree - 2):
+        if sum(alpha) != f.degree - 2:
+            continue
+        sig = inertia(f.quadratic_hessian_after(alpha))
+        if sig.n_plus > 1:
+            failures.append((alpha, sig))
+            if not exhaustive:
+                break
+    if not failures:
         return Certificate(True)
-    for alpha in alphas:
-        sig = _alpha_failure(f, alpha)
-        if sig is not None:
-            return Certificate(False, failing_alpha=alpha, failing_kind=INERTIA_VIOLATION,
-                               detail={"inertia": sig})
-    return Certificate(True)
+    alpha, sig = failures[0]
+    detail = {"inertia": sig, "all_failures": failures} if exhaustive else {"inertia": sig}
+    return Certificate(False, failing_alpha=alpha, failing_kind=INERTIA_VIOLATION,
+                       detail=detail)
 
 
 def is_strictly_lorentzian(f: HomogPoly) -> Certificate:
@@ -135,10 +130,10 @@ def is_strictly_lorentzian(f: HomogPoly) -> Certificate:
     if f.degree <= 1:
         return Certificate(True)
     for alpha in simplex(f.nvars, f.degree - 2):
-        m = f.quadratic_hessian_after(alpha)
-        if not is_lorentzian_signature(m):
+        sig = inertia(f.quadratic_hessian_after(alpha))
+        if sig.n_plus != 1 or sig.n_zero != 0:
             return Certificate(False, failing_alpha=alpha, failing_kind=INERTIA_VIOLATION,
-                               detail={"inertia": inertia(m)})
+                               detail={"inertia": sig})
     return Certificate(True)
 
 
@@ -170,7 +165,6 @@ def hodge_riemann_many(f: HomogPoly,
         rows = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), g in second.items():
             rows[i][j] = rows[j][i] = g.eval(wf)
-        from .inertia import SymMatrix
         out.append(inertia(SymMatrix(rows)))
     return out
 
@@ -180,7 +174,9 @@ def hodge_riemann_many(f: HomogPoly,
 # Both sides of the inequality are homogeneous of the same degree in w and
 # quadratic in the coefficients of f, so scaling f to integer coefficients
 # and w to an integer point changes nothing; the search then runs on plain
-# integers.
+# integers.  Only alpha with d^alpha f nonzero and |alpha| <= d-2 are
+# checked; larger alpha make the left side vanish, so the inequality holds
+# there automatically.
 
 
 def _int_terms(f: HomogPoly) -> dict[Exponent, int]:
@@ -201,19 +197,6 @@ def _eval_int(terms: dict[Exponent, int], u: Sequence[int]) -> int:
                 v *= x ** k
         total += v
     return total
-
-
-def _rayleigh_alphas(f: HomogPoly) -> list[Exponent]:
-    # alpha with d^alpha f nonzero and |alpha| <= d-2; larger alpha make the
-    # left side vanish, so the inequality holds there automatically
-    from itertools import product
-    seen: set[Exponent] = set()
-    cutoff = f.degree - 2
-    for e in f.terms:
-        for a in product(*(range(k + 1) for k in e)):
-            if sum(a) <= cutoff:
-                seen.add(a)
-    return sorted(seen)
 
 
 def _rayleigh_violation_scaled(fint: dict[Exponent, int], derivs: dict,
@@ -258,7 +241,7 @@ def rayleigh_check_at(f: HomogPoly, c: RationalLike,
     den = lcm(*(x.denominator for x in wf)) if wf else 1
     u = [int(x * den) for x in wf]
     fint = _int_terms(f)
-    hit = _rayleigh_violation_scaled(fint, {}, _rayleigh_alphas(f), f.nvars,
+    hit = _rayleigh_violation_scaled(fint, {}, _support_alphas(f, f.degree - 2), f.nvars,
                                      cf.numerator, cf.denominator, u)
     if hit is None:
         return None
@@ -295,7 +278,7 @@ def rayleigh_falsify(f: HomogPoly, c: RationalLike, trials: int,
     rng = random.Random(seed)
     n = f.nvars
     fint = _int_terms(f)
-    alphas = _rayleigh_alphas(f)
+    alphas = _support_alphas(f, f.degree - 2)
     derivs: dict = {}
     for _ in range(trials):
         mask = [rng.randrange(2) for _ in range(n)]

@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -138,8 +137,15 @@ def _load_poly(path: str) -> HomogPoly:
     return poly_from_dict(_load_json(path))
 
 
-def _load_matroid(path: str) -> matroids.Matroid:
+def _load_object(path: str) -> dict:
     obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise LoadError(f"{path}: document root must be a JSON object")
+    return obj
+
+
+def _load_matroid(path: str) -> matroids.Matroid:
+    obj = _load_object(path)
     if "edges" in obj:
         return graph_matroid_from_dict(obj)
     return matroid_from_dict(obj)
@@ -166,7 +172,7 @@ def _constructed_poly(run: _Run, f: HomogPoly, certify_it: bool, key: str = "pol
 def _cmd_check(args) -> int:
     run = _Run(args, [args.poly])
     f = _load_poly(args.poly)
-    cert = certify.is_lorentzian(f, exhaustive=args.exhaustive, jobs=args.jobs)
+    cert = certify.is_lorentzian(f, exhaustive=args.exhaustive)
     return _certificate_verdict(run, cert, witness=True)
 
 
@@ -275,7 +281,7 @@ def _cmd_matroid(args) -> int:
 
     run = _Run(args, [args.input])
     if sub == "validate":
-        obj = _load_json(args.input)
+        obj = _load_object(args.input)
         try:
             if "edges" in obj:
                 m = graph_matroid_from_dict(obj)
@@ -366,7 +372,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    jobs_default = int(os.environ.get("LORENTZ_JOBS", "1"))
     top = argparse.ArgumentParser(
         prog="lorentz",
         description="Exact certification and construction of Lorentzian polynomials.")
@@ -376,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("poly")
     p.add_argument("--exhaustive", action="store_true",
                    help="scan every quadratic instead of stopping at the first failure")
-    p.add_argument("--jobs", type=int, default=jobs_default,
-                   help="worker processes for the exhaustive scan (env LORENTZ_JOBS)")
     _add_common(p)
     p.set_defaults(func=_cmd_check)
 

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +10,16 @@ from lorentz import (HomogPoly, Inertia, hodge_riemann_at, is_lorentzian,
                      is_strictly_lorentzian, log_concavity_probe,
                      rayleigh_check_at, rayleigh_falsify)
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
-                             SUPPORT_NOT_M_CONVEX)
+                             SUPPORT_NOT_M_CONVEX, Certificate,
+                             _coefficient_certificate, _support_alphas,
+                             _support_certificate)
+from lorentz.inertia import inertia
+from lorentz.poly import simplex
+from lorentz.serialize import poly_from_dict
 from generators import (random_lorentzian_input, random_nonneg_matrix,
                         random_positive_fraction)
+
+MANY_FAIL = Path(__file__).parent / "golden" / "inputs" / "many_fail.json"
 
 
 def cubic(theta):
@@ -65,21 +74,70 @@ def test_negative_coefficient():
 
 
 def test_exhaustive_matches_short_circuit():
-    for theta in (9, 10, Fraction(91, 10)):
-        f = cubic(theta)
+    for f in (cubic(9), cubic(10), cubic(Fraction(91, 10)),
+              HomogPoly.linear_form([1, 2, 1]) ** 4):
         a = is_lorentzian(f)
         b = is_lorentzian(f, exhaustive=True)
         assert a.verdict == b.verdict
+    assert is_lorentzian(HomogPoly.linear_form([1, 2, 1]) ** 4, exhaustive=True).verdict
     bad = is_lorentzian(cubic(10), exhaustive=True)
     assert bad.failing_kind == INERTIA_VIOLATION
     assert bad.detail["all_failures"]
 
 
-def test_exhaustive_parallel_jobs():
-    f = HomogPoly.linear_form([1, 2, 1]) ** 4
-    assert is_lorentzian(f, exhaustive=True, jobs=2).verdict
-    bad = cubic(10)
-    assert not is_lorentzian(bad, exhaustive=True, jobs=2).verdict
+def full_simplex_certificate(f, exhaustive):
+    """Reference scan: every alpha of the degree-(d-2) simplex, zero Hessians
+    included, with the same checks before the scan."""
+    if f.is_zero():
+        return Certificate(True, is_zero=True)
+    for pre in (_coefficient_certificate, _support_certificate):
+        bad = pre(f)
+        if bad is not None:
+            return bad
+    if f.degree <= 1:
+        return Certificate(True)
+    failures = []
+    for alpha in simplex(f.nvars, f.degree - 2):
+        sig = inertia(f.quadratic_hessian_after(alpha))
+        if sig.n_plus > 1:
+            failures.append((alpha, sig))
+    if not failures:
+        return Certificate(True)
+    alpha, sig = failures[0]
+    detail = {"inertia": sig, "all_failures": failures} if exhaustive else {"inertia": sig}
+    return Certificate(False, failing_alpha=alpha, failing_kind=INERTIA_VIOLATION,
+                       detail=detail)
+
+
+def scan_inputs():
+    rng = random.Random(43)
+    out = [cubic(9), cubic(10), poly_from_dict(json.loads(MANY_FAIL.read_text()))]
+    for _ in range(40):
+        f = random_lorentzian_input(rng)
+        out.append(f)
+        # one inflated coefficient keeps the support and often breaks the inertia
+        e = rng.choice(sorted(f.terms))
+        out.append(HomogPoly(f.nvars, f.degree, {**f.terms, e: 10 * f.terms[e]}))
+    return out
+
+
+def test_pruned_scan_matches_full_simplex():
+    failing = 0
+    for f in scan_inputs():
+        for exhaustive in (False, True):
+            assert is_lorentzian(f, exhaustive) == full_simplex_certificate(f, exhaustive)
+        failing += not is_lorentzian(f).verdict
+    assert failing >= 3
+
+
+def test_pruned_alphas_are_the_nonzero_hessians():
+    for f in scan_inputs():
+        if f.degree < 2:
+            continue
+        top = f.degree - 2
+        nonzero = [a for a in simplex(f.nvars, top)
+                   if any(x for row in f.quadratic_hessian_after(a).entries for x in row)]
+        assert [a for a in _support_alphas(f, top) if sum(a) == top] == nonzero
 
 
 def test_strictly_lorentzian():

@@ -41,8 +41,9 @@ def write(tmp_path, name, doc):
 def test_check_exit_codes(tmp_path, capsys):
     good = write(tmp_path, "good.json", CUBIC9)
     bad = write(tmp_path, "bad.json", CUBIC10)
-    code, rep = run(capsys, "check", good)
-    assert code == 0 and rep["verdict"] is True
+    for extra in ([], ["--exhaustive"]):
+        code, rep = run(capsys, "check", good, *extra)
+        assert code == 0 and rep["verdict"] is True
     code, rep = run(capsys, "check", bad)
     assert code == 1 and rep["verdict"] is False
     assert rep["witness"]["failing_kind"] == "inertia_violation"
@@ -261,22 +262,6 @@ def rep_value(rep):
     return Fraction(rep["result"]["value"]["rat"])
 
 
-def test_check_jobs_flag(tmp_path, capsys):
-    path = write(tmp_path, "f.json", CUBIC9)
-    code, rep = run(capsys, "check", path, "--exhaustive", "--jobs", "2")
-    assert code == 0 and rep["verdict"] is True
-
-
-def test_jobs_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LORENTZ_JOBS", "2")
-    from lorentz.cli import build_parser
-    args = build_parser().parse_args(["check", "x.json"])
-    assert args.jobs == 2
-    path = write(tmp_path, "f.json", CUBIC9)
-    code, rep = run(capsys, "check", path, "--exhaustive")
-    assert code == 0
-
-
 def test_genpoly_kind_g(tmp_path, capsys):
     nu0 = {"n": 2, "d": 2, "values": [
         {"exp": [2, 0], "num": "0", "den": "1"}, {"exp": [1, 1], "num": "0", "den": "1"},
@@ -314,6 +299,14 @@ def test_genpoly_q_beyond_float_range(tmp_path):
     rep = json.loads(proc.stdout)
     terms = {tuple(t["exp"]): t["num"] for t in rep["result"]["poly"]["terms"]}
     assert terms == {(2, 0): str(10**200 // 2), (1, 1): "1", (0, 2): str(10**600 // 2)}
+
+
+@pytest.mark.parametrize("subverb", ["validate", "basis-poly"])
+@pytest.mark.parametrize("doc", [[1, 2], 5, None])
+def test_matroid_document_not_an_object(tmp_path, capsys, subverb, doc):
+    path = write(tmp_path, "doc.json", doc)
+    code, rep = run(capsys, "matroid", subverb, path)
+    assert code == 2 and "must be a JSON object" in rep["error"]
 
 
 def test_validate_empty_basis_list_is_refuted(tmp_path, capsys):
