@@ -125,6 +125,14 @@ CASES = {
     "strict_cubic9": ["strict", "inputs/cubic9.json"],
     "strict_inertia": ["strict", "inputs/cubic10.json"],
     "strict_missing_coefficient": ["strict", "inputs/q2.json"],
+    "strict_singular": ["strict", "inputs/rank_one_cubic.json"],
+    # witnesses of the exchange check and of singular, zero-diagonal Hessians
+    "mconvex_set_not_m_convex": ["mconvex", "set", "inputs/not_m_convex_domain.json"],
+    "check_exhaustive_zero_diagonal": ["check", "inputs/zero_diag_cubic.json",
+                                       "--exhaustive"],
+    "hodge_riemann_fano_potts": ["hodge-riemann", "inputs/fano_potts.json",
+                                 "--point", "1,1,1,1,1,1,1,1",
+                                 "--point", "1,2,1/2,3,1,1,2,1/7"],
 }
 
 
