@@ -11,8 +11,8 @@ from .certify import (Certificate, RayleighWitness, hodge_riemann_at,
                       hodge_riemann_many,
                       is_lorentzian, is_strictly_lorentzian,
                       log_concavity_probe, rayleigh_check_at, rayleigh_falsify)
-from .inertia import (Inertia, SymMatrix, at_most_one_positive, char_poly,
-                      inertia, is_lorentzian_signature, is_psd)
+from .inertia import (Inertia, SymMatrix, at_most_one_positive, inertia,
+                      is_lorentzian_signature, is_psd)
 from .matroids import (ExchangeError, Matroid, basis_generating_poly,
                        cycle_matroid, independence_counts,
                        independent_set_poly, mason_check, matroid_from_bases,
@@ -40,7 +40,7 @@ __all__ = [
     "Inertia", "Matroid", "Measure", "NegativeDependenceReport",
     "OperatorTable", "PointSet", "RayleighWitness", "SquareMatrix",
     "SymMatrix", "apply_operator", "at_most_one_positive",
-    "basis_generating_poly", "char_poly", "char_poly_multivariate",
+    "basis_generating_poly", "char_poly_multivariate",
     "coefficient_power", "cycle_matroid", "exclusion_evolution",
     "exclusion_step", "external_field", "generating_poly_f",
     "generating_poly_g", "hodge_riemann_at", "hodge_riemann_many", "independence_counts",

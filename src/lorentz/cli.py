@@ -371,8 +371,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="add decimal approximations next to exact rationals")
 
 
+class _Parser(argparse.ArgumentParser):
+    # usage errors are one JSON report on stdout too; --help still exits 0
+    def error(self, message: str):
+        _emit({"command": self.prog.split()[1:], "error": message}, EXIT_INPUT)
+        sys.exit(EXIT_INPUT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="lorentz",
         description="Exact certification and construction of Lorentzian polynomials.")
     sub = top.add_subparsers(dest="command", required=True)

@@ -1,16 +1,19 @@
 """Exact inertia (signature) of rational symmetric matrices.
 
-The inertia is computed from the characteristic polynomial, obtained by the
-Faddeev-LeVerrier recurrence, with positive/negative root counts read off by
-Descartes' rule of signs.  Descartes' rule gives only an upper bound in
-general, but it is exact here: symmetric matrices are real-rooted, and for
-real-rooted polynomials the bound is attained.
+By Sylvester's law of inertia, congruent matrices have the same inertia.
+The matrix is scaled to integers and reduced by symmetric fraction-free
+(Bareiss) elimination: each step pivots on a nonzero diagonal entry, counts
+one positive or one negative eigenvalue by its sign relative to the previous
+pivot, and leaves the Schur complement times that pivot, still in integers.
+Zero rows and columns count as zero eigenvalues and are dropped.  When the
+whole remaining diagonal is zero, the congruence "row and column p += row
+and column q" turns a nonzero a_pq into the pivot 2 a_pq.  O(n^3) integer
+operations in all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -24,14 +27,15 @@ class SymMatrix:
 
     def __init__(self, rows: Sequence[Sequence[RationalLike]]):
         n = len(rows)
-        ent = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+        ent = tuple(tuple(map(as_fraction, row)) for row in rows)
         for row in ent:
             if len(row) != n:
                 raise ValueError("matrix is not square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if ent[i][j] != ent[j][i]:
-                    raise ValueError(f"asymmetric at ({i},{j}): {ent[i][j]} != {ent[j][i]}")
+        # tuple equality skips entries shared by (i, j) and (j, i)
+        if ent != tuple(zip(*ent)):
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if ent[i][j] != ent[j][i])
+            raise ValueError(f"asymmetric at ({i},{j}): {ent[i][j]} != {ent[j][i]}")
         self.n = n
         self.entries = ent
 
@@ -63,68 +67,51 @@ class Inertia:
         return self.n_plus + self.n_minus + self.n_zero
 
 
-def _integer_scaled(m: SymMatrix) -> tuple[list[list[int]], int]:
-    # The matrix times the positive lcm of its denominators, and that lcm.
-    # Scaling leaves all eigenvalue signs, hence the inertia, unchanged.
-    denoms = [x.denominator for row in m.entries for x in row]
-    scale = lcm(*denoms) if denoms else 1
-    return [[int(x * scale) for x in row] for row in m.entries], scale
-
-
-def char_poly(m: SymMatrix) -> list[Fraction]:
-    """Coefficients [c_0=1, c_1, ..., c_n] of det(tI - M) = sum c_k t^(n-k).
-
-    Computed on the integer matrix sM, whose coefficients are s^k c_k.
-    """
-    a, scale = _integer_scaled(m)
-    return [Fraction(c, scale ** k) for k, c in enumerate(_char_poly_int(a))]
-
-
-def _char_poly_int(a: list[list[int]]) -> list[int]:
-    # Faddeev-LeVerrier recurrence over the integers; the divisions by k are
-    # exact because the c_k are characteristic polynomial coefficients.
-    n = len(a)
-    coeffs = [1]
-    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        if k > 1:
-            # M_k = A*M_{k-1} + c_{k-1} I
-            prod = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-                    for i in range(n)]
-            for i in range(n):
-                prod[i][i] += coeffs[-1]
-            mk = prod
-        trace = sum(sum(a[i][t] * mk[t][i] for t in range(n)) for i in range(n))
-        q, r = divmod(-trace, k)
-        if r:
-            raise ArithmeticError(f"trace {-trace} not divisible by {k}")
-        coeffs.append(q)
-    return coeffs
-
-
-def _sign_changes(seq: list[int]) -> int:
-    signs = [1 if x > 0 else -1 for x in seq if x != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def _integer_scaled(m: SymMatrix) -> list[list[int]]:
+    # the matrix times the lcm of its denominators: the same eigenvalue signs
+    scale = lcm(*{x.denominator for row in m.entries for x in row})
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
 
 
 def inertia(m: SymMatrix) -> Inertia:
     """Exact eigenvalue sign counts of a rational symmetric matrix."""
-    n = m.n
-    if n == 0:
-        return Inertia(0, 0, 0)
-    coeffs = _char_poly_int(_integer_scaled(m)[0])
-    # multiplicity of the zero eigenvalue = trailing zero coefficients
-    n_zero = 0
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-        n_zero += 1
-    # p(t) with the zero roots stripped; real-rooted, so Descartes is exact
-    n_plus = _sign_changes(coeffs)
-    neg = [c if (len(coeffs) - 1 - k) % 2 == 0 else -c for k, c in enumerate(coeffs)]
-    n_minus = _sign_changes(neg)
-    if n_plus + n_minus + n_zero != n:
-        raise ArithmeticError(f"sign counts {n_plus}+{n_minus}+{n_zero} do not sum to {n}")
-    return Inertia(n_plus, n_minus, n_zero)
+    a = _integer_scaled(m)
+    live = list(range(m.n))     # the rows and columns not yet eliminated
+    counts = [0, 0, 0]          # n_plus, n_minus, n_zero
+    prev = 1
+    while True:
+        # a zero row and column only adds a zero eigenvalue
+        nonzero = [i for i in live if any(map(a[i].__getitem__, live))]
+        counts[2] += len(live) - len(nonzero)
+        live = nonzero
+        if not live:
+            break
+        p = next((i for i in live if a[i][i]), None)
+        if p is None:
+            # zero diagonal: row and column p += row and column q make a_pp = 2 a_pq
+            p = live[0]
+            q = next(j for j in live if a[p][j])
+            for j in live:
+                a[p][j] += a[q][j]
+            for i in live:
+                a[i][p] += a[i][q]
+        piv = a[p][p]
+        counts[(piv > 0) != (prev > 0)] += 1    # the sign of piv / prev
+        # Bareiss step on the Schur complement of a_pp: each entry is a minor of
+        # the integer matrix (Sylvester's identity), so the division is exact
+        live.remove(p)
+        ap = a[p]
+        for r, i in enumerate(live):
+            ri, rp = a[i], ap[i]
+            for j in live[r:]:
+                x, rem = divmod(piv * ri[j] - rp * ap[j], prev)
+                if rem:
+                    raise ArithmeticError(f"inexact Bareiss division by {prev}")
+                ri[j] = a[j][i] = x
+        prev = piv
+    if sum(counts) != m.n:
+        raise ArithmeticError(f"sign counts {counts} do not sum to {m.n}")
+    return Inertia(*counts)
 
 
 def at_most_one_positive(m: SymMatrix) -> bool:

@@ -90,28 +90,30 @@ class DiscreteFunction:
 def is_m_convex_set(ps: PointSet) -> tuple[bool, Optional[SetWitness]]:
     """Exchange property check; the empty set counts as M-convex.
 
-    On failure returns the violating (alpha, beta, i).
+    On failure returns the violating (alpha, beta, i) that a loop over alpha,
+    then beta, then i, each in the set's iteration order, meets first.
     """
     pts = ps.points
     n = ps.nvars
-    for alpha in pts:
-        for beta in pts:
-            if alpha == beta:
-                continue
-            for i in range(n):
-                if alpha[i] <= beta[i]:
-                    continue
-                ok = False
+    order = list(pts)
+    # below[j][v]: the points beta with beta_j < v, as a bitset over order
+    below = [[sum(1 << k for k, beta in enumerate(order) if beta[j] < v)
+              for v in range(ps.degree + 2)] for j in range(n)]
+    for alpha in order:
+        # bad[i]: the beta with beta_i < alpha_i and beta_j <= alpha_j for every
+        # j with alpha - e_i + e_j in the set, so that no j repairs (alpha, beta, i)
+        bad = [0] * n
+        for i in range(n):
+            if alpha[i]:
+                down = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                bad[i] = below[i][alpha[i]]
                 for j in range(n):
-                    if alpha[j] < beta[j]:
-                        moved = list(alpha)
-                        moved[i] -= 1
-                        moved[j] += 1
-                        if tuple(moved) in pts:
-                            ok = True
-                            break
-                if not ok:
-                    return False, (alpha, beta, i)
+                    if down[:j] + (down[j] + 1,) + down[j + 1:] in pts:
+                        bad[i] &= below[j][alpha[j] + 1]
+        # the first beta in order, then the first i, as the pair loop meets them
+        k = min(((b & -b).bit_length() - 1 for b in bad if b), default=None)
+        if k is not None:
+            return False, (alpha, order[k], next(i for i in range(n) if bad[i] >> k & 1))
     return True, None
 
 

@@ -359,13 +359,17 @@ class HomogPoly:
             raise ValueError("need |alpha| = degree - 2")
         n = self.nvars
         alpha = tuple(alpha)
+        base = factorial_of(alpha)
         rows = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 e = list(alpha)
                 e[i] += 1
                 e[j] += 1
-                rows[i][j] = rows[j][i] = self.normalized_coeff(tuple(e))
+                c = self.terms.get(tuple(e))
+                if c is not None:
+                    # e! is alpha! e_i e_j, or alpha! e_i (e_i - 1) when i == j
+                    rows[i][j] = rows[j][i] = c * (base * e[i] * (e[j] - (i == j)))
         return SymMatrix(rows)
 
     # -- views --------------------------------------------------------

@@ -301,6 +301,32 @@ def test_genpoly_q_beyond_float_range(tmp_path):
     assert terms == {(2, 0): str(10**200 // 2), (1, 1): "1", (0, 2): str(10**600 // 2)}
 
 
+@pytest.mark.parametrize("argv, command, message", [
+    (["check"], ["check"], "the following arguments are required: poly"),
+    (["operator", "polarize", "f.json", "--kappa", "1,x"], ["operator", "polarize"],
+     "argument --kappa: invalid _int_list_arg value: '1,x'"),
+    (["no-such-command"], [], "argument command: invalid choice: 'no-such-command'"),
+    ([], [], "the following arguments are required: command"),
+    (["check", "f.json", "--bogus"], [], "unrecognized arguments: --bogus"),
+])
+def test_usage_error_is_one_json_report(argv, command, message):
+    src = str(Path(lorentz.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "lorentz.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stderr == ""
+    rep = json.loads(proc.stdout)
+    assert set(rep) == {"command", "error"}
+    assert rep["command"] == command and rep["error"].startswith(message)
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lorentz check")
+
+
 @pytest.mark.parametrize("subverb", ["validate", "basis-poly"])
 @pytest.mark.parametrize("doc", [[1, 2], 5, None])
 def test_matroid_document_not_an_object(tmp_path, capsys, subverb, doc):

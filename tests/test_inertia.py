@@ -1,12 +1,18 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from lorentz import char_poly_multivariate, potts_poly, random_m_matrix
+from lorentz.catalog import load
+from lorentz.certify import _support_alphas
 from lorentz.inertia import (Inertia, SymMatrix, at_most_one_positive,
-                             char_poly, inertia, is_lorentzian_signature,
-                             is_psd)
+                             inertia, is_lorentzian_signature, is_psd)
 
+from faddeev_leverrier import char_poly, char_poly_inertia
 from generators import random_nonsingular, random_symmetric
 
 
@@ -95,3 +101,137 @@ def test_float_oracle_agreement():
         assert sig.n_plus == int(np.sum(eigs > 0))
         assert sig.n_minus == int(np.sum(eigs < 0))
         assert sig.n_zero == 0
+
+
+def _numpy_inertia(m: SymMatrix):
+    """Float sign counts, or None when an eigenvalue is too close to 0."""
+    if m.n == 0:
+        return Inertia(0, 0, 0)
+    eigs = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in m.entries]))
+    if np.min(np.abs(eigs)) <= 1e-6:
+        return None
+    return Inertia(int(np.sum(eigs > 0)), int(np.sum(eigs < 0)), 0)
+
+
+def _check_against_oracles(m: SymMatrix) -> Inertia:
+    sig = inertia(m)
+    assert sig == char_poly_inertia(m), m
+    floats = _numpy_inertia(m)
+    if floats is not None:
+        assert sig == floats, m
+    return sig
+
+
+def _low_rank(rng: random.Random, n: int, rank: int, max_den: int = 5) -> list[list[Fraction]]:
+    """sum of rank terms +-v v^T with sparse rational v."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for _ in range(rank):
+        v = [Fraction(rng.randint(-4, 4), rng.randint(1, max_den)) if rng.random() < 0.7
+             else Fraction(0) for _ in range(n)]
+        sign = rng.choice([1, -1])
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] += sign * v[i] * v[j]
+    return rows
+
+
+def test_inertia_matches_char_poly_on_low_rank():
+    rng = random.Random(5)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        sig = _check_against_oracles(SymMatrix(_low_rank(rng, n, rng.randint(0, n))))
+        singular += sig.n_zero > 0
+    assert singular > 100
+
+
+def test_inertia_matches_char_poly_with_zero_diagonal():
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        rows = _low_rank(rng, n, rng.randint(0, n)) if rng.random() < 0.5 else \
+            [list(row) for row in random_symmetric(rng, n).entries]
+        for i in range(n):
+            rows[i][i] = Fraction(0)
+        _check_against_oracles(SymMatrix(rows))
+
+
+def test_congruence_branch():
+    # every diagonal entry zero, so the first pivot comes from a_pq
+    assert inertia(SymMatrix([[0, 3], [3, 0]])) == Inertia(1, 1, 0)
+    assert inertia(SymMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]])) == Inertia(1, 1, 1)
+    # after one pivot the Schur complement has a zero diagonal again
+    m = SymMatrix([[1, 0, 0, 0], [0, 0, 2, 0], [0, 2, 0, 5], [0, 0, 5, 0]])
+    assert inertia(m) == char_poly_inertia(m) == Inertia(2, 1, 1)
+    # the zero-diagonal all-ones matrix J - I has spectrum {n-1, -1, ..., -1}
+    for n in range(2, 11):
+        j_minus_i = SymMatrix([[int(i != j) for j in range(n)] for i in range(n)])
+        assert inertia(j_minus_i) == Inertia(1, n - 1, 0)
+
+
+def test_interleaved_zero_rows():
+    rng = random.Random(7)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        inner = _low_rank(rng, n, rng.randint(1, n))
+        zeros = rng.randint(1, 4)
+        size = n + zeros
+        spots = sorted(rng.sample(range(size), n))
+        rows = [[Fraction(0)] * size for _ in range(size)]
+        for a, i in enumerate(spots):
+            for b, j in enumerate(spots):
+                rows[i][j] = inner[a][b]
+        inner_sig = _check_against_oracles(SymMatrix(inner))
+        assert _check_against_oracles(SymMatrix(rows)) == \
+            Inertia(inner_sig.n_plus, inner_sig.n_minus, inner_sig.n_zero + zeros)
+
+
+def test_large_denominators():
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        rows = _low_rank(rng, n, rng.randint(1, n), max_den=10 ** 12)
+        _check_against_oracles(SymMatrix(rows))
+        big = random_symmetric(rng, n)
+        rows = [[x / (10 ** 30 + 7 * (i + j)) for j, x in enumerate(row)]
+                for i, row in enumerate(big.entries)]
+        _check_against_oracles(SymMatrix(rows))
+
+
+def _quadratic_hessians(f):
+    return [f.quadratic_hessian_after(a) for a in _support_alphas(f, f.degree - 2)
+            if sum(a) == f.degree - 2]
+
+
+@pytest.mark.parametrize("name, f", [
+    ("fano_potts", lambda: potts_poly(load("fano"), Fraction(1, 2))),
+    ("fano_potts_q3", lambda: potts_poly(load("fano"), 3)),
+    ("mmatrix_charpoly", lambda: char_poly_multivariate(random_m_matrix(5, seed=42))),
+    ("mmatrix_charpoly_slack", lambda: char_poly_multivariate(
+        random_m_matrix(6, seed=9001, slack=Fraction(1, 3)))),
+])
+def test_every_hessian_of_benchmark_inputs(name, f):
+    hessians = _quadratic_hessians(f())
+    assert hessians
+    for h in hessians:
+        assert inertia(h) == char_poly_inertia(h), (name, h)
+
+
+_entries = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _symmetric(draw):
+    n = draw(st.integers(0, 7))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.one_of(st.just(Fraction(0)), _entries))
+    return SymMatrix(rows)
+
+
+@given(_symmetric())
+def test_inertia_property_against_char_poly(m):
+    sig = inertia(m)
+    assert sig == char_poly_inertia(m)
+    assert sig.n == m.n

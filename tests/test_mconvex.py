@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lorentz import (DiscreteFunction, HomogPoly, PointSet, generating_poly_f,
                      generating_poly_g, is_lorentzian, is_m_convex_function,
@@ -24,6 +26,48 @@ def test_set_examples():
     assert ok
     ok, _ = is_m_convex_set(PointSet(4, 2, []))
     assert ok  # the empty set is M-convex
+
+
+def _pairwise_exchange(ps: PointSet):
+    """The exchange property by the definition: for each ordered pair and each
+    i with alpha_i > beta_i, try every j with alpha_j < beta_j."""
+    for alpha in ps.points:
+        for beta in ps.points:
+            if alpha == beta:
+                continue
+            for i in range(ps.nvars):
+                if alpha[i] <= beta[i]:
+                    continue
+                if not any(alpha[j] < beta[j] and
+                           tuple(a - (k == i) + (k == j) for k, a in enumerate(alpha))
+                           in ps.points for j in range(ps.nvars)):
+                    return False, (alpha, beta, i)
+    return True, None
+
+
+def test_exchange_check_matches_pairwise_reference():
+    rng = random.Random(11)
+    refuted = 0
+    for _ in range(400):
+        n, d = rng.randint(2, 5), rng.randint(1, 4)
+        keep = rng.uniform(0.2, 0.9)
+        ps = PointSet(n, d, [e for e in simplex(n, d) if rng.random() < keep])
+        expected = _pairwise_exchange(ps)
+        assert is_m_convex_set(ps) == expected, ps
+        refuted += not expected[0]
+    assert refuted > 200
+
+
+@st.composite
+def _point_sets(draw):
+    n, d = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    pts = list(simplex(n, d))
+    return PointSet(n, d, draw(st.lists(st.sampled_from(pts), max_size=len(pts))))
+
+
+@given(_point_sets())
+def test_exchange_check_property(ps):
+    assert is_m_convex_set(ps) == _pairwise_exchange(ps)
 
 
 def test_matroid_basis_family():
