@@ -358,9 +358,9 @@ class HomogPoly:
         if sum(alpha) != self.degree - 2:
             raise ValueError("need |alpha| = degree - 2")
         n = self.nvars
-        alpha = tuple(alpha)
         base = factorial_of(alpha)
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        zero = Fraction(0)      # one object, so SymMatrix's symmetry test skips it
+        rows = [[zero] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 e = list(alpha)

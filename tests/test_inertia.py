@@ -210,7 +210,7 @@ def _quadratic_hessians(f):
     ("mmatrix_charpoly_slack", lambda: char_poly_multivariate(
         random_m_matrix(6, seed=9001, slack=Fraction(1, 3)))),
 ])
-def test_every_hessian_of_benchmark_inputs(name, f):
+def test_every_hessian_of_fano_potts_and_m_matrix_charpolys(name, f):
     hessians = _quadratic_hessians(f())
     assert hessians
     for h in hessians:
