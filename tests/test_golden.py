@@ -133,6 +133,27 @@ CASES = {
     "hodge_riemann_fano_potts": ["hodge-riemann", "inputs/fano_potts.json",
                                  "--point", "1,1,1,1,1,1,1,1",
                                  "--point", "1,2,1/2,3,1,1,2,1/7"],
+    # Rayleigh: refuted at an explicit point, refuted by sampling, not refuted
+    "rayleigh_point_refuted": ["rayleigh", "inputs/zero_diag_cubic.json", "--c", "1",
+                               "--seed", "1", "--point", "0,0,1,0,1,1"],
+    "rayleigh_sampled_refuted": ["rayleigh", "inputs/fano_potts.json", "--c", "1/2",
+                                 "--seed", "2", "--trials", "20"],
+    "rayleigh_searched": ["rayleigh", "inputs/cubic9.json", "--c", "4/3", "--seed", "1",
+                          "--trials", "30", "--point", "1,2"],
+    # M-convex functions, roundtrip, sampled Hodge-Riemann points
+    "mconvex_function": ["mconvex", "function", "inputs/nu_half.json"],
+    "mconvex_function_not_m_convex": ["mconvex", "function",
+                                      "inputs/not_m_convex_domain.json"],
+    "roundtrip_graph": ["roundtrip", "inputs/k4_graph.json"],
+    "hodge_riemann_sampled": ["hodge-riemann", "inputs/cubic10.json", "--points", "3",
+                              "--seed", "1"],
+    "hodge_riemann_sampled_no_seed": ["hodge-riemann", "inputs/cubic10.json",
+                                      "--points", "3"],
+    # input errors: a missing file, invalid JSON, a missing second file
+    "check_missing_file": ["check", "inputs/missing.json"],
+    "check_invalid_json": ["check", "inputs/invalid.json"],
+    "operator_apply_missing_poly": ["operator", "apply", "inputs/table.json",
+                                    "inputs/missing.json"],
 }
 
 
