@@ -16,7 +16,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from typing import Optional, Sequence
 
@@ -73,14 +72,31 @@ def _coefficient_certificate(f: HomogPoly) -> Optional[Certificate]:
     return None
 
 
-def _support_alphas(f: HomogPoly, cutoff: int) -> list[Exponent]:
-    """The alphas with d^alpha f nonzero and |alpha| <= cutoff, sorted."""
-    seen: set[Exponent] = set()
+def _support_alphas(f: HomogPoly) -> list[Exponent]:
+    """The alphas with |alpha| = d-2 and d^alpha f nonzero, sorted: the
+    e - e_i - e_j for the exponents e of f."""
+    top: set[Exponent] = set()
     for e in f.terms:
-        for a in product(*(range(k + 1) for k in e)):
-            if sum(a) <= cutoff:
-                seen.add(a)
-    return sorted(seen)
+        nonzero = [i for i, k in enumerate(e) if k]
+        for x, i in enumerate(nonzero):
+            for j in nonzero[x:]:
+                a = list(e)
+                a[i] -= 1
+                a[j] -= 1
+                if a[i] >= 0:       # i == j needs e_i >= 2
+                    top.add(tuple(a))
+    return sorted(top)
+
+
+def _rayleigh_alphas(f: HomogPoly) -> list[Exponent]:
+    """The alphas with |alpha| <= d-2 and d^alpha f nonzero, sorted: those
+    below the degree-(d-2) ones."""
+    layer = set(_support_alphas(f))
+    below = set(layer)
+    while layer:
+        layer = {a[:i] + (a[i] - 1,) + a[i + 1:] for a in layer for i, k in enumerate(a) if k}
+        below |= layer
+    return sorted(below)
 
 
 def is_lorentzian(f: HomogPoly, exhaustive: bool = False) -> Certificate:
@@ -101,9 +117,7 @@ def is_lorentzian(f: HomogPoly, exhaustive: bool = False) -> Certificate:
     if f.degree <= 1:
         return Certificate(True)
     failures = []
-    for alpha in _support_alphas(f, f.degree - 2):
-        if sum(alpha) != f.degree - 2:
-            continue
+    for alpha in _support_alphas(f):
         sig = inertia(f.quadratic_hessian_after(alpha))
         if sig.n_plus > 1:
             failures.append((alpha, sig))
@@ -241,7 +255,7 @@ def rayleigh_check_at(f: HomogPoly, c: RationalLike,
     den = lcm(*(x.denominator for x in wf)) if wf else 1
     u = [int(x * den) for x in wf]
     fint = _int_terms(f)
-    hit = _rayleigh_violation_scaled(fint, {}, _support_alphas(f, f.degree - 2), f.nvars,
+    hit = _rayleigh_violation_scaled(fint, {}, _rayleigh_alphas(f), f.nvars,
                                      cf.numerator, cf.denominator, u)
     if hit is None:
         return None
@@ -278,7 +292,7 @@ def rayleigh_falsify(f: HomogPoly, c: RationalLike, trials: int,
     rng = random.Random(seed)
     n = f.nvars
     fint = _int_terms(f)
-    alphas = _support_alphas(f, f.degree - 2)
+    alphas = _rayleigh_alphas(f)
     derivs: dict = {}
     for _ in range(trials):
         mask = [rng.randrange(2) for _ in range(n)]

@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import random
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import certify, matroids, mconvex, measures, mmatrix, operators
-from .inertia import Inertia
 from .poly import HomogPoly, first_ulc_failure
 from .serialize import (LoadError, dumps_canonical, function_from_dict,
                         graph_matroid_from_dict, matrix_from_dict,
@@ -73,8 +73,6 @@ def _int_list_arg(text: str) -> list[int]:
 def _jsonify(x: Any, float_mode: bool) -> Any:
     if isinstance(x, Fraction):
         return {"rat": str(x), "float": float(x)} if float_mode else str(x)
-    if isinstance(x, Inertia):
-        return {"n_plus": x.n_plus, "n_minus": x.n_minus, "n_zero": x.n_zero}
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return {k: _jsonify(v, float_mode) for k, v in dataclasses.asdict(x).items()}
     if isinstance(x, dict):
@@ -104,9 +102,9 @@ def _emit(report: dict, code: int) -> int:
 class _Run:
     """Collects the report fields shared by every command."""
 
-    def __init__(self, args: argparse.Namespace, paths: Sequence[str]):
-        self.args = args
+    def __init__(self, args: argparse.Namespace):
         self.t0 = time.perf_counter()
+        paths = [getattr(args, dest) for dest in args.inputs]
         self.report: dict = {
             "command": [args.command] + ([args.subverb] if getattr(args, "subverb", None) else []),
             "inputs": {p: _sha256(p) for p in paths},
@@ -115,7 +113,7 @@ class _Run:
             "witness": None,
             "result": {},
         }
-        self.float_mode = bool(getattr(args, "float", False))
+        self.float_mode = args.float
 
     def finish(self, code: int) -> int:
         self.report["elapsed_ms"] = round((time.perf_counter() - self.t0) * 1000, 3)
@@ -167,23 +165,13 @@ def _constructed_poly(run: _Run, f: HomogPoly, certify_it: bool, key: str = "pol
     return run.constructed()
 
 
-# -- command handlers --------------------------------------------------------
+# -- command handlers ------------------------------------------------------
+#
+# Every handler takes (run, args) and returns the exit code.  Handlers call
+# library functions through their module (``certify.is_lorentzian``) at call
+# time, so code that patches a module attribute reaches every command.
 
-def _cmd_check(args) -> int:
-    run = _Run(args, [args.poly])
-    f = _load_poly(args.poly)
-    cert = certify.is_lorentzian(f, exhaustive=args.exhaustive)
-    return _certificate_verdict(run, cert, witness=True)
-
-
-def _cmd_strict(args) -> int:
-    run = _Run(args, [args.poly])
-    cert = certify.is_strictly_lorentzian(_load_poly(args.poly))
-    return _certificate_verdict(run, cert, witness=True)
-
-
-def _cmd_hodge_riemann(args) -> int:
-    run = _Run(args, [args.poly])
+def _hodge_riemann(run: _Run, args) -> int:
     f = _load_poly(args.poly)
     points = [list(p) for p in args.point or []]
     if args.points:
@@ -205,8 +193,7 @@ def _cmd_hodge_riemann(args) -> int:
     return run.verdict(bad is None, bad)
 
 
-def _cmd_rayleigh(args) -> int:
-    run = _Run(args, [args.poly])
+def _rayleigh(run: _Run, args) -> int:
     f = _load_poly(args.poly)
     for p in args.point or []:
         wit = certify.rayleigh_check_at(f, args.c, p)
@@ -222,154 +209,75 @@ def _cmd_rayleigh(args) -> int:
     return run.verdict(True)
 
 
-def _cmd_mconvex(args) -> int:
-    run = _Run(args, [args.function])
-    nu = function_from_dict(_load_json(args.function))
-    if args.subverb == "set":
-        ok, wit = mconvex.is_m_convex_set(nu.domain())
-    else:
-        ok, wit = mconvex.is_m_convex_function(nu)
-    return run.verdict(ok, wit)
+# ``mconvex`` takes its subverb as a positional choice, not as a subcommand.
+_M_CONVEX = {"set": lambda nu: mconvex.is_m_convex_set(nu.domain()),
+             "function": lambda nu: mconvex.is_m_convex_function(nu)}
 
 
-def _cmd_genpoly(args) -> int:
-    run = _Run(args, [args.function])
-    nu = function_from_dict(_load_json(args.function))
-    build = mconvex.generating_poly_f if args.kind == "f" else mconvex.generating_poly_g
-    return _constructed_poly(run, build(nu, args.q), args.certify)
-
-
-# Operators that take one polynomial; each maps (f, args) to the new polynomial.
-_POLY_OPERATORS = {
-    "polarize": lambda f, args: operators.polarize(f, args.kappa),
-    "project": lambda f, args: operators.project(f, args.kappa),
-    "normalize": lambda f, args: operators.normalize(f),
-    "multiaffine": lambda f, args: operators.multi_affine_part(f),
-    "exclusion": lambda f, args: operators.exclusion_step(f, args.i, args.j, args.theta),
-    "nuij": lambda f, args: operators.nuij_transform(f, args.theta),
-}
-
-
-def _cmd_operator(args) -> int:
-    sub = args.subverb
-    if sub == "symbol":
-        run = _Run(args, [args.table])
-        table = operator_from_dict(_load_json(args.table))
-        return _constructed_poly(run, operators.symbol(table), args.certify, key="symbol")
-    if sub == "apply":
-        run = _Run(args, [args.table, args.poly])
-        table = operator_from_dict(_load_json(args.table))
-        f = _load_poly(args.poly)
-        return _constructed_poly(run, operators.apply_operator(table, f), args.certify)
-
-    run = _Run(args, [args.poly])
-    f = _load_poly(args.poly)
-    if sub == "power":
-        out, exact = operators.coefficient_power(f, args.p)
-        run.report["result"]["exact"] = exact
-    else:
-        out = _POLY_OPERATORS[sub](f, args)
+def _power(run: _Run, args) -> int:
+    out, exact = operators.coefficient_power(_load_poly(args.poly), args.p)
+    run.report["result"]["exact"] = exact
     return _constructed_poly(run, out, args.certify)
 
 
-def _cmd_matroid(args) -> int:
-    sub = args.subverb
-    if sub == "zonotope":
-        run = _Run(args, [args.input])
-        vectors = vectors_from_dict(_load_json(args.input))
-        return _constructed_poly(run, matroids.zonotope_volume_poly(vectors), args.certify)
+def _validate(run: _Run, args) -> int:
+    obj = _load_object(args.input)
+    try:
+        if "edges" in obj:
+            m = graph_matroid_from_dict(obj)
+        else:
+            m = matroids.matroid_from_bases(obj.get("n"), obj.get("bases") or [])
+    except matroids.ExchangeError as exc:
+        return run.verdict(False, {"reason": str(exc), "witness": exc.witness})
+    except TypeError as exc:    # main() reports only ValueError
+        raise LoadError(str(exc)) from None
+    run.report["result"]["matroid"] = matroid_to_dict(m)
+    return run.verdict(True)
 
-    run = _Run(args, [args.input])
-    if sub == "validate":
-        obj = _load_object(args.input)
-        try:
-            if "edges" in obj:
-                m = graph_matroid_from_dict(obj)
-            else:
-                m = matroids.matroid_from_bases(obj.get("n"), obj.get("bases") or [])
-        except matroids.ExchangeError as exc:
-            return run.verdict(False, {"reason": str(exc), "witness": exc.witness})
-        except TypeError as exc:    # main() reports only ValueError
-            raise LoadError(str(exc)) from None
-        run.report["result"]["matroid"] = matroid_to_dict(m)
-        return run.verdict(True)
 
+def _mason(run: _Run, args) -> int:
     m = _load_matroid(args.input)
-    if sub == "basis-poly":
-        return _constructed_poly(run, matroids.basis_generating_poly(m), args.certify)
-    if sub == "potts":
-        return _constructed_poly(run, matroids.potts_poly(m, args.q), args.certify)
-    if sub == "indep-poly":
-        return _constructed_poly(run, matroids.independent_set_poly(m), args.certify)
-    if sub == "mason":
-        counts = matroids.independence_counts(m)
-        ok = first_ulc_failure(counts, m.n) is None
-        run.report["result"]["independence_counts"] = counts
-        run.report["result"]["normalized"] = _jsonify(
-            matroids.normalize_counts(counts, m.n), run.float_mode)
-        return run.verdict(ok, None if ok else {"counts": counts})
-    if sub == "tutte":
-        if args.section_q is not None:
-            section = matroids.tutte_section(m, args.section_q)
-            # ultra log-concave, nonnegative, and without internal zeros
-            nonzero = [k for k, c in enumerate(section) if c]
-            seq_ok = (first_ulc_failure(section, m.n) is None and min(section) >= 0
-                      and nonzero[-1] - nonzero[0] + 1 == len(nonzero))
-            run.report["result"]["section"] = _jsonify(section, run.float_mode)
-            run.report["result"]["ultra_log_concave"] = seq_ok
-            return run.constructed()
-        if args.x is None or args.y is None:
-            raise LoadError("tutte needs --x and --y, or --section-q")
-        value = matroids.tutte(m, args.x, args.y)
-        return run.constructed(value=value)
-    raise LoadError(f"unknown matroid subverb {sub}")  # pragma: no cover
+    counts = matroids.independence_counts(m)
+    ok = first_ulc_failure(counts, m.n) is None
+    run.report["result"]["independence_counts"] = counts
+    run.report["result"]["normalized"] = _jsonify(
+        matroids.normalize_counts(counts, m.n), run.float_mode)
+    return run.verdict(ok, None if ok else {"counts": counts})
 
 
-def _cmd_mmatrix(args) -> int:
-    run = _Run(args, [args.matrix])
-    a = matrix_from_dict(_load_json(args.matrix))
-    if args.subverb == "recognize":
-        ok = mmatrix.is_m_matrix(a)
-        return run.verdict(ok)
-    return _constructed_poly(run, mmatrix.char_poly_multivariate(a), args.certify)
+def _tutte(run: _Run, args) -> int:
+    m = _load_matroid(args.input)
+    if args.section_q is not None:
+        section = matroids.tutte_section(m, args.section_q)
+        # ultra log-concave, nonnegative, and without internal zeros
+        nonzero = [k for k, c in enumerate(section) if c]
+        seq_ok = (first_ulc_failure(section, m.n) is None and min(section) >= 0
+                  and nonzero[-1] - nonzero[0] + 1 == len(nonzero))
+        run.report["result"]["section"] = _jsonify(section, run.float_mode)
+        run.report["result"]["ultra_log_concave"] = seq_ok
+        return run.constructed()
+    if args.x is None or args.y is None:
+        raise LoadError("tutte needs --x and --y, or --section-q")
+    return run.constructed(value=matroids.tutte(m, args.x, args.y))
 
 
-def _cmd_measure(args) -> int:
-    run = _Run(args, [args.measure])
-    mu = measure_from_dict(_load_json(args.measure), normalize=args.normalize)
-    sub = args.subverb
-    if sub == "lorentzian":
-        return _certificate_verdict(run, measures.is_lorentzian_measure(mu))
-    if sub == "report":
-        rep = measures.negative_dependence_report(mu, c=args.c, trials=args.trials,
-                                                  seed=args.seed)
-        run.report["result"]["report"] = _jsonify(rep, run.float_mode)
-        exact_ok = rep.pairwise_holds and rep.ulc_holds
-        witness = None
-        if not exact_ok:
-            witness = {"pairwise_failures": list(rep.pairwise_failures),
-                       "ulc_failing_k": rep.ulc_failing_k}
-        return run.verdict(exact_ok, witness)
-    if sub == "field":
-        out = measures.external_field(mu, args.x)
-    else:
-        out = measures.exclusion_evolution(mu, args.i, args.j, args.theta)
-    run.report["result"]["measure"] = measure_to_dict(out)
-    return run.constructed()
+def _load_measure(args) -> measures.Measure:
+    return measure_from_dict(_load_json(args.measure), normalize=args.normalize)
 
 
-def _cmd_roundtrip(args) -> int:
-    run = _Run(args, [args.input])
-    ok = roundtrip(args.input)
-    return run.verdict(ok)
+def _measure_report(run: _Run, args) -> int:
+    rep = measures.negative_dependence_report(_load_measure(args), c=args.c,
+                                              trials=args.trials, seed=args.seed)
+    run.report["result"]["report"] = _jsonify(rep, run.float_mode)
+    exact_ok = rep.pairwise_holds and rep.ulc_holds
+    witness = None
+    if not exact_ok:
+        witness = {"pairwise_failures": list(rep.pairwise_failures),
+                   "ulc_failing_k": rep.ulc_failing_k}
+    return run.verdict(exact_ok, witness)
 
 
 # -- parser ------------------------------------------------------------------
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--float", action="store_true",
-                   help="add decimal approximations next to exact rationals")
-
 
 class _Parser(argparse.ArgumentParser):
     # usage errors are one JSON report on stdout too; --help still exits 0
@@ -378,149 +286,160 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_INPUT)
 
 
+def _arg(*names, **kw) -> tuple:
+    """One ``add_argument`` call of a leaf command."""
+    return names, kw
+
+
+def _leaf(sub, name: str, handler: Callable[[_Run, Any], int], *args, **parser_kw) -> None:
+    """Declare one leaf command: ``args`` in order, then --float.
+
+    An argument is an ``_arg`` or, for a bare positional, its name.  Every
+    positional without ``choices`` is an input file, whose SHA-256 the report
+    records.  ``handler(run, args)`` writes the report.  ``parser_kw`` (the
+    command's ``help``) goes to ``add_parser``.
+    """
+    p = sub.add_parser(name, **parser_kw)
+    inputs = []
+    for arg in args:
+        names, kw = _arg(arg) if isinstance(arg, str) else arg
+        action = p.add_argument(*names, **kw)
+        if not action.option_strings and action.choices is None:
+            inputs.append(action.dest)
+    p.add_argument("--float", action="store_true",
+                   help="add decimal approximations next to exact rationals")
+    p.set_defaults(handler=handler, inputs=tuple(inputs))
+
+
+_CERTIFY = _arg("--certify", action="store_true")
+
+
+def _construct(sub, name: str, build: Callable[[Any], HomogPoly], *args,
+               key: str = "poly", **parser_kw) -> None:
+    """Declare a leaf that reports the polynomial ``build(args)`` under
+    ``key``, certified when --certify is given."""
+    _leaf(sub, name, lambda run, a: _constructed_poly(run, build(a), a.certify, key),
+          *args, _CERTIFY, **parser_kw)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     top = _Parser(
         prog="lorentz",
         description="Exact certification and construction of Lorentzian polynomials.")
     sub = top.add_subparsers(dest="command", required=True)
+    theta = _arg("--theta", type=_fraction_arg, required=True)
+    exclusion = (_arg("--i", type=int, required=True), _arg("--j", type=int, required=True),
+                 theta)
+    max_den = _arg("--max-den", type=int, default=10)
 
-    p = sub.add_parser("check", help="certify the Lorentzian property")
-    p.add_argument("poly")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="scan every quadratic instead of stopping at the first failure")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check)
+    _leaf(sub, "check", lambda run, a: _certificate_verdict(
+              run, certify.is_lorentzian(_load_poly(a.poly), exhaustive=a.exhaustive),
+              witness=True),
+          "poly", _arg("--exhaustive", action="store_true",
+                       help="scan every quadratic instead of stopping at the first failure"),
+          help="certify the Lorentzian property")
+    _leaf(sub, "strict", lambda run, a: _certificate_verdict(
+              run, certify.is_strictly_lorentzian(_load_poly(a.poly)), witness=True),
+          "poly", help="certify the strictly Lorentzian property")
+    _leaf(sub, "hodge-riemann", _hodge_riemann, "poly",
+          _arg("--point", type=_point_arg, action="append",
+               help="comma-separated rationals; repeatable"),
+          _arg("--points", type=int, default=0, help="number of sampled points"),
+          _arg("--seed", type=int, help="seed for sampled points"), max_den,
+          help="Hessian inertia at positive points")
+    _leaf(sub, "rayleigh", _rayleigh, "poly", _arg("--c", type=_fraction_arg, required=True),
+          _arg("--trials", type=int, default=10000), _arg("--seed", type=int, required=True),
+          _arg("--point", type=_point_arg, action="append",
+               help="explicit points checked before sampling; repeatable"), max_den,
+          help="falsify the c-Rayleigh inequality")
+    _leaf(sub, "mconvex", lambda run, a: run.verdict(
+              *_M_CONVEX[a.subverb](function_from_dict(_load_json(a.function)))),
+          _arg("subverb", choices=list(_M_CONVEX)),
+          _arg("function", help="discrete function JSON (set = its domain)"),
+          help="M-convexity of sets and functions")
+    _construct(sub, "genpoly", lambda a: (
+                   mconvex.generating_poly_f if a.kind == "f" else mconvex.generating_poly_g)(
+                   function_from_dict(_load_json(a.function)), a.q),
+               "function", _arg("--q", type=_fraction_arg, required=True),
+               _arg("--kind", choices=["f", "g"], default="f"),
+               help="generating polynomial of a discrete function")
 
-    p = sub.add_parser("strict", help="certify the strictly Lorentzian property")
-    p.add_argument("poly")
-    _add_common(p)
-    p.set_defaults(func=_cmd_strict)
+    op = sub.add_parser("operator", help="Lorentzian-preserving operators").add_subparsers(
+        dest="subverb", required=True)
+    kappa = _arg("--kappa", type=_int_list_arg, required=True,
+                 help="comma-separated per-variable degree caps")
+    _construct(op, "symbol", lambda a: operators.symbol(operator_from_dict(_load_json(a.table))),
+               "table", key="symbol")
+    _construct(op, "apply", lambda a: operators.apply_operator(
+                   operator_from_dict(_load_json(a.table)), _load_poly(a.poly)),
+               "table", "poly")
+    _construct(op, "polarize", lambda a: operators.polarize(_load_poly(a.poly), a.kappa),
+               "poly", kappa)
+    _construct(op, "project", lambda a: operators.project(_load_poly(a.poly), a.kappa),
+               "poly", kappa)
+    _construct(op, "normalize", lambda a: operators.normalize(_load_poly(a.poly)), "poly")
+    _construct(op, "multiaffine", lambda a: operators.multi_affine_part(_load_poly(a.poly)),
+               "poly")
+    _leaf(op, "power", _power, "poly", _arg("--p", type=_fraction_arg, required=True),
+          _CERTIFY)
+    _construct(op, "exclusion", lambda a: operators.exclusion_step(
+                   _load_poly(a.poly), a.i, a.j, a.theta), "poly", *exclusion)
+    _construct(op, "nuij", lambda a: operators.nuij_transform(_load_poly(a.poly), a.theta),
+               "poly", theta)
 
-    p = sub.add_parser("hodge-riemann", help="Hessian inertia at positive points")
-    p.add_argument("poly")
-    p.add_argument("--point", type=_point_arg, action="append",
-                   help="comma-separated rationals; repeatable")
-    p.add_argument("--points", type=int, default=0, help="number of sampled points")
-    p.add_argument("--seed", type=int, help="seed for sampled points")
-    p.add_argument("--max-den", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(func=_cmd_hodge_riemann)
+    ma = sub.add_parser("matroid", help="matroid constructions").add_subparsers(
+        dest="subverb", required=True)
+    matroid = _arg("input", help="matroid JSON, graph JSON, or vectors JSON (zonotope)")
+    _leaf(ma, "validate", _validate, matroid)
+    _construct(ma, "basis-poly", lambda a: matroids.basis_generating_poly(
+                   _load_matroid(a.input)), matroid)
+    _construct(ma, "potts", lambda a: matroids.potts_poly(_load_matroid(a.input), a.q),
+               matroid, _arg("--q", type=_fraction_arg, required=True))
+    _construct(ma, "indep-poly", lambda a: matroids.independent_set_poly(
+                   _load_matroid(a.input)), matroid)
+    _leaf(ma, "mason", _mason, matroid)
+    _leaf(ma, "tutte", _tutte, matroid, _arg("--x", type=_fraction_arg),
+          _arg("--y", type=_fraction_arg),
+          _arg("--section-q", dest="section_q", type=_fraction_arg))
+    _construct(ma, "zonotope", lambda a: matroids.zonotope_volume_poly(
+                   vectors_from_dict(_load_json(a.input))), matroid)
 
-    p = sub.add_parser("rayleigh", help="falsify the c-Rayleigh inequality")
-    p.add_argument("poly")
-    p.add_argument("--c", type=_fraction_arg, required=True)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--point", type=_point_arg, action="append",
-                   help="explicit points checked before sampling; repeatable")
-    p.add_argument("--max-den", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(func=_cmd_rayleigh)
+    mm = sub.add_parser(
+        "mmatrix", help="M-matrix recognition and characteristic polynomial").add_subparsers(
+        dest="subverb", required=True)
+    _leaf(mm, "recognize", lambda run, a: run.verdict(
+              mmatrix.is_m_matrix(matrix_from_dict(_load_json(a.matrix)))), "matrix")
+    _construct(mm, "charpoly", lambda a: mmatrix.char_poly_multivariate(
+                   matrix_from_dict(_load_json(a.matrix))), "matrix")
 
-    p = sub.add_parser("mconvex", help="M-convexity of sets and functions")
-    p.add_argument("subverb", choices=["set", "function"])
-    p.add_argument("function", help="discrete function JSON (set = its domain)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_mconvex)
+    me = sub.add_parser(
+        "measure", help="discrete measures and negative dependence").add_subparsers(
+        dest="subverb", required=True)
+    normalize = _arg("--normalize", action="store_true",
+                     help="accept unnormalized weights and scale them to total 1")
+    _leaf(me, "lorentzian", lambda run, a: _certificate_verdict(
+              run, measures.is_lorentzian_measure(_load_measure(a))), "measure", normalize)
+    _leaf(me, "report", _measure_report, "measure", normalize,
+          _arg("--c", type=_fraction_arg, default=Fraction(2)),
+          _arg("--trials", type=int, default=10000), _arg("--seed", type=int, required=True))
+    _leaf(me, "field", lambda run, a: run.constructed(measure=measure_to_dict(
+              measures.external_field(_load_measure(a), a.x))),
+          "measure", normalize, _arg("--x", type=_point_arg, required=True))
+    _leaf(me, "exclusion", lambda run, a: run.constructed(measure=measure_to_dict(
+              measures.exclusion_evolution(_load_measure(a), a.i, a.j, a.theta))),
+          "measure", normalize, *exclusion)
 
-    p = sub.add_parser("genpoly", help="generating polynomial of a discrete function")
-    p.add_argument("function")
-    p.add_argument("--q", type=_fraction_arg, required=True)
-    p.add_argument("--kind", choices=["f", "g"], default="f")
-    p.add_argument("--certify", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_genpoly)
-
-    p = sub.add_parser("operator", help="Lorentzian-preserving operators")
-    op_sub = p.add_subparsers(dest="subverb", required=True)
-    q = op_sub.add_parser("symbol")
-    q.add_argument("table")
-    q.add_argument("--certify", action="store_true")
-    _add_common(q)
-    q = op_sub.add_parser("apply")
-    q.add_argument("table")
-    q.add_argument("poly")
-    q.add_argument("--certify", action="store_true")
-    _add_common(q)
-    for name in ["polarize", "project", "normalize", "multiaffine", "power",
-                 "exclusion", "nuij"]:
-        q = op_sub.add_parser(name)
-        q.add_argument("poly")
-        if name in ("polarize", "project"):
-            q.add_argument("--kappa", type=_int_list_arg, required=True,
-                           help="comma-separated per-variable degree caps")
-        if name == "power":
-            q.add_argument("--p", type=_fraction_arg, required=True)
-        if name == "exclusion":
-            q.add_argument("--i", type=int, required=True)
-            q.add_argument("--j", type=int, required=True)
-            q.add_argument("--theta", type=_fraction_arg, required=True)
-        if name == "nuij":
-            q.add_argument("--theta", type=_fraction_arg, required=True)
-        q.add_argument("--certify", action="store_true")
-        _add_common(q)
-    p.set_defaults(func=_cmd_operator)
-
-    p = sub.add_parser("matroid", help="matroid constructions")
-    m_sub = p.add_subparsers(dest="subverb", required=True)
-    for name in ["validate", "basis-poly", "potts", "indep-poly", "mason",
-                 "tutte", "zonotope"]:
-        q = m_sub.add_parser(name)
-        q.add_argument("input", help="matroid JSON, graph JSON, or vectors JSON (zonotope)")
-        if name == "potts":
-            q.add_argument("--q", type=_fraction_arg, required=True)
-        if name == "tutte":
-            q.add_argument("--x", type=_fraction_arg)
-            q.add_argument("--y", type=_fraction_arg)
-            q.add_argument("--section-q", dest="section_q", type=_fraction_arg)
-        if name in ("basis-poly", "potts", "indep-poly", "zonotope"):
-            q.add_argument("--certify", action="store_true")
-        _add_common(q)
-    p.set_defaults(func=_cmd_matroid)
-
-    p = sub.add_parser("mmatrix", help="M-matrix recognition and characteristic polynomial")
-    mm_sub = p.add_subparsers(dest="subverb", required=True)
-    q = mm_sub.add_parser("recognize")
-    q.add_argument("matrix")
-    _add_common(q)
-    q = mm_sub.add_parser("charpoly")
-    q.add_argument("matrix")
-    q.add_argument("--certify", action="store_true")
-    _add_common(q)
-    p.set_defaults(func=_cmd_mmatrix)
-
-    p = sub.add_parser("measure", help="discrete measures and negative dependence")
-    me_sub = p.add_subparsers(dest="subverb", required=True)
-    for name in ["lorentzian", "report", "field", "exclusion"]:
-        q = me_sub.add_parser(name)
-        q.add_argument("measure")
-        q.add_argument("--normalize", action="store_true",
-                       help="accept unnormalized weights and scale them to total 1")
-        if name == "report":
-            q.add_argument("--c", type=_fraction_arg, default=Fraction(2))
-            q.add_argument("--trials", type=int, default=10000)
-            q.add_argument("--seed", type=int, required=True)
-        if name == "field":
-            q.add_argument("--x", type=_point_arg, required=True)
-        if name == "exclusion":
-            q.add_argument("--i", type=int, required=True)
-            q.add_argument("--j", type=int, required=True)
-            q.add_argument("--theta", type=_fraction_arg, required=True)
-        _add_common(q)
-    p.set_defaults(func=_cmd_measure)
-
-    p = sub.add_parser("roundtrip", help="parse -> serialize -> parse identity check")
-    p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(func=_cmd_roundtrip)
-
+    _leaf(sub, "roundtrip", lambda run, a: run.verdict(roundtrip(a.input)), "input",
+          help="parse -> serialize -> parse identity check")
     return top
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.handler(_Run(args), args)
     except ValueError as exc:   # LoadError included
         _emit({"command": [args.command], "error": str(exc)}, EXIT_INPUT)
         return EXIT_INPUT

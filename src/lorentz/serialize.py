@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from .matroids import Matroid, cycle_matroid, matroid_from_bases
 from .mconvex import DiscreteFunction
@@ -28,6 +28,10 @@ class LoadError(ValueError):
 
 
 def _fraction_from_parts(obj: dict, where: str) -> Fraction:
+    for key in ("num", "den"):
+        if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], (int, str))):
+            raise LoadError(f"{where}.{key}: expected a decimal string or an integer, "
+                            f"got {json.dumps(obj[key])}")
     try:
         num = int(obj["num"])
         den = int(obj["den"])
@@ -59,6 +63,18 @@ def _require(obj: Any, key: str, kind: type, where: str):
     return val
 
 
+def _int_tuple(val: Any, where: str, length: Optional[int] = None) -> tuple[int, ...]:
+    """A JSON list of integers (not booleans or floats), of ``length``
+    entries when given, as a tuple."""
+    if not isinstance(val, list) or length is not None and len(val) != length:
+        count = "" if length is None else f"{length} "
+        raise LoadError(f"{where}: expected a list of {count}integers")
+    for k, x in enumerate(val):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise LoadError(f"{where}[{k}]: expected an integer, got {json.dumps(x)}")
+    return tuple(val)
+
+
 # -- polynomials ------------------------------------------------------------
 
 def poly_to_dict(p: HomogPoly) -> dict:
@@ -73,8 +89,9 @@ def poly_from_dict(obj: dict, where: str = "polynomial") -> HomogPoly:
     items = _require(obj, "terms", list, where)
     terms = {}
     for k, t in enumerate(items):
-        exp = tuple(_require(t, "exp", list, f"{where}.terms[{k}]"))
-        terms[exp] = terms.get(exp, Fraction(0)) + _fraction_from_parts(t, f"{where}.terms[{k}]")
+        at = f"{where}.terms[{k}]"
+        exp = _int_tuple(_require(t, "exp", list, at), f"{at}.exp")
+        terms[exp] = terms.get(exp, Fraction(0)) + _fraction_from_parts(t, at)
     try:
         return HomogPoly(n, d, terms)
     except ValueError as exc:
@@ -95,10 +112,11 @@ def function_from_dict(obj: dict, where: str = "function") -> DiscreteFunction:
     items = _require(obj, "values", list, where)
     values = {}
     for k, t in enumerate(items):
-        exp = tuple(_require(t, "exp", list, f"{where}.values[{k}]"))
+        at = f"{where}.values[{k}]"
+        exp = _int_tuple(_require(t, "exp", list, at), f"{at}.exp")
         if exp in values:
-            raise LoadError(f"{where}.values[{k}]: duplicate point {exp}")
-        values[exp] = _fraction_from_parts(t, f"{where}.values[{k}]")
+            raise LoadError(f"{at}: duplicate point {exp}")
+        values[exp] = _fraction_from_parts(t, at)
     try:
         return DiscreteFunction(n, d, values)
     except ValueError as exc:
@@ -113,7 +131,8 @@ def matroid_to_dict(m: Matroid) -> dict:
 
 def matroid_from_dict(obj: dict, where: str = "matroid") -> Matroid:
     n = _require(obj, "n", int, where)
-    bases = _require(obj, "bases", list, where)
+    bases = [_int_tuple(b, f"{where}.bases[{k}]")
+             for k, b in enumerate(_require(obj, "bases", list, where))]
     try:
         return matroid_from_bases(n, bases)
     except ValueError as exc:
@@ -122,7 +141,8 @@ def matroid_from_dict(obj: dict, where: str = "matroid") -> Matroid:
 
 def graph_matroid_from_dict(obj: dict, where: str = "graph") -> Matroid:
     v = _require(obj, "vertices", int, where)
-    edges = _require(obj, "edges", list, where)
+    edges = [_int_tuple(e, f"{where}.edges[{k}]", length=2)
+             for k, e in enumerate(_require(obj, "edges", list, where))]
     try:
         return cycle_matroid(v, edges)
     except ValueError as exc:
@@ -158,10 +178,11 @@ def measure_from_dict(obj: dict, where: str = "measure",
     atoms = _require(obj, "atoms", list, where)
     weights: dict[frozenset, Fraction] = {}
     for k, a in enumerate(atoms):
-        s = frozenset(_require(a, "set", list, f"{where}.atoms[{k}]"))
+        at = f"{where}.atoms[{k}]"
+        s = frozenset(_int_tuple(_require(a, "set", list, at), f"{at}.set"))
         if s in weights:
-            raise LoadError(f"{where}.atoms[{k}]: duplicate atom {sorted(s)}")
-        weights[s] = _fraction_from_parts(a, f"{where}.atoms[{k}]")
+            raise LoadError(f"{at}: duplicate atom {sorted(s)}")
+        weights[s] = _fraction_from_parts(a, at)
     try:
         return Measure(n, weights, normalize=normalize)
     except ValueError as exc:
@@ -177,15 +198,14 @@ def operator_to_dict(t: OperatorTable) -> dict:
 
 
 def operator_from_dict(obj: dict, where: str = "operator") -> OperatorTable:
-    kappa = _require(obj, "kappa", list, where)
+    kappa = _int_tuple(_require(obj, "kappa", list, where), f"{where}.kappa")
     ell = _require(obj, "ell", int, where)
     items = _require(obj, "images", list, where)
     images = {}
     for k, entry in enumerate(items):
-        exp = tuple(_require(entry, "exp", list, f"{where}.images[{k}]"))
-        poly = poly_from_dict(_require(entry, "poly", dict, f"{where}.images[{k}]"),
-                              f"{where}.images[{k}].poly")
-        images[exp] = poly
+        at = f"{where}.images[{k}]"
+        exp = _int_tuple(_require(entry, "exp", list, at), f"{at}.exp")
+        images[exp] = poly_from_dict(_require(entry, "poly", dict, at), f"{at}.poly")
     try:
         return OperatorTable(kappa, ell, images)
     except ValueError as exc:

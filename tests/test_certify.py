@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -11,8 +12,8 @@ from lorentz import (HomogPoly, Inertia, hodge_riemann_at, is_lorentzian,
                      rayleigh_check_at, rayleigh_falsify)
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              SUPPORT_NOT_M_CONVEX, Certificate,
-                             _coefficient_certificate, _support_alphas,
-                             _support_certificate)
+                             _coefficient_certificate, _rayleigh_alphas,
+                             _support_alphas, _support_certificate)
 from lorentz.inertia import inertia
 from lorentz.poly import simplex
 from lorentz.serialize import poly_from_dict
@@ -137,7 +138,17 @@ def test_pruned_alphas_are_the_nonzero_hessians():
         top = f.degree - 2
         nonzero = [a for a in simplex(f.nvars, top)
                    if any(x for row in f.quadratic_hessian_after(a).entries for x in row)]
-        assert [a for a in _support_alphas(f, top) if sum(a) == top] == nonzero
+        assert _support_alphas(f) == nonzero
+
+
+def test_support_alphas_match_sub_exponent_enumeration():
+    # Reference: every sub-exponent of every term, kept when |alpha| <= d-2.
+    for f in scan_inputs():
+        top = f.degree - 2
+        below = sorted({a for e in f.terms for a in product(*(range(k + 1) for k in e))
+                        if sum(a) <= top})
+        assert _rayleigh_alphas(f) == below
+        assert _support_alphas(f) == [a for a in below if sum(a) == top]
 
 
 def test_strictly_lorentzian():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import lorentz
 from lorentz import matroids
-from lorentz.cli import main
+from lorentz.cli import build_parser, main
 
 CUBIC9 = {"n": 2, "d": 3, "terms": [
     {"exp": [3, 0], "num": "2", "den": "1"}, {"exp": [2, 1], "num": "12", "den": "1"},
@@ -352,3 +353,75 @@ def test_tutte_section_verdict(tmp_path, capsys, monkeypatch, section, ok):
     path = write(tmp_path, "free3.json", {"n": 3, "bases": [[0, 1, 2]]})
     code, rep = run(capsys, "matroid", "tutte", path, "--section-q", "1/2")
     assert code == 0 and rep["result"]["ultra_log_concave"] is ok
+
+
+def _term(exp, num="1"):
+    return {"exp": exp, "num": num, "den": "1"}
+
+
+@pytest.mark.parametrize("argv, doc, path", [
+    (["check"], {"n": 2, "d": 2, "terms": [_term([[1], [1]])]}, "polynomial.terms[0].exp[0]"),
+    (["check"], {"n": 2, "d": 2, "terms": [_term([1, 1], [1])]}, "polynomial.terms[0].num"),
+    (["check"], {"n": 2, "d": 2, "terms": [_term([1, 1], 0.5), _term([2, 0])]},
+     "polynomial.terms[0].num"),
+    (["check"], {"n": 2, "d": 2, "terms": [_term([1.5, 1.5])]}, "polynomial.terms[0].exp[0]"),
+    (["check"], {"n": 2, "d": 2, "terms": [_term([True, 1])]}, "polynomial.terms[0].exp[0]"),
+    (["mconvex", "set"], {"n": 2, "d": 2, "values": [_term([2, 0.0])]},
+     "function.values[0].exp[1]"),
+    (["matroid", "basis-poly"], {"n": 2, "bases": [[[0]]]}, "matroid.bases[0][0]"),
+    (["matroid", "basis-poly"], {"n": 2, "bases": [0]}, "matroid.bases[0]"),
+    (["matroid", "basis-poly"], {"vertices": 2, "edges": [[0]]}, "graph.edges[0]"),
+    (["matroid", "basis-poly"], {"vertices": 2, "edges": [0]}, "graph.edges[0]"),
+    (["measure", "lorentzian"], {"n": 2, "atoms": [{"set": [[0]], "num": "1", "den": "1"}]},
+     "measure.atoms[0].set[0]"),
+    (["operator", "symbol"], {"kappa": [[1]], "ell": 0, "images": []}, "operator.kappa[0]"),
+])
+def test_malformed_document_is_one_json_report(tmp_path, capsys, argv, doc, path):
+    code = main([*argv, write(tmp_path, "doc.json", doc)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    rep = json.loads(out)
+    assert set(rep) == {"command", "error"} and rep["error"].startswith(path + ":")
+
+
+def _leaves(parser, words=()):
+    """(command words, parser) of every leaf command under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, (*words, name))
+
+
+def test_command_table(capsys):
+    leaves = list(_leaves(build_parser()))
+    certifying = []
+    for words, parser in leaves:
+        with pytest.raises(SystemExit) as exc:
+            main([*words, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lorentz " + " ".join(words))
+        flags = {s for a in parser._actions for s in a.option_strings}
+        assert "--float" in flags
+        if "--certify" in flags:
+            certifying.append(" ".join(words))
+    assert len(leaves) == 29
+    assert sorted(certifying) == sorted(
+        ["genpoly", "mmatrix charpoly"]
+        + [f"matroid {v}" for v in ("basis-poly", "potts", "indep-poly", "zonotope")]
+        + [f"operator {v}" for v in ("symbol", "apply", "polarize", "project", "normalize",
+                                     "multiaffine", "power", "exclusion", "nuij")])
+
+
+def test_repeated_calls_keep_no_state(tmp_path, capsys):
+    # The parser is built once per process; a second call must not see the
+    # first call's repeatable --point values.
+    path = write(tmp_path, "f.json", CUBIC9)
+    for point in (["1,2", "3,1"], ["1/2,5"]):
+        argv = ["hodge-riemann", path]
+        for p in point:
+            argv += ["--point", p]
+        code, rep = run(capsys, *argv)
+        assert code == 0
+        assert [q["point"] for q in rep["result"]["points"]] == [p.split(",") for p in point]
