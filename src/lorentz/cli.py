@@ -25,11 +25,12 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import certify, matroids, mconvex, measures, mmatrix, operators
 from .poly import HomogPoly, first_ulc_failure
-from .serialize import (LoadError, dumps_canonical, function_from_dict,
-                        graph_matroid_from_dict, matrix_from_dict,
-                        matroid_from_dict, matroid_to_dict, measure_from_dict,
-                        measure_to_dict, operator_from_dict, poly_from_dict,
-                        poly_to_dict, roundtrip, vectors_from_dict)
+from .serialize import (LoadError, _int_tuple, dumps_canonical,
+                        function_from_dict, graph_matroid_from_dict,
+                        matrix_from_dict, matroid_from_dict, matroid_to_dict,
+                        measure_from_dict, measure_to_dict, operator_from_dict,
+                        poly_from_dict, poly_to_dict, roundtrip,
+                        vectors_from_dict)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -226,7 +227,9 @@ def _validate(run: _Run, args) -> int:
         if "edges" in obj:
             m = graph_matroid_from_dict(obj)
         else:
-            m = matroids.matroid_from_bases(obj.get("n"), obj.get("bases") or [])
+            bases = [_int_tuple(b, f"matroid.bases[{k}]")
+                     for k, b in enumerate(obj.get("bases") or [])]
+            m = matroids.matroid_from_bases(obj.get("n"), bases)
     except matroids.ExchangeError as exc:
         return run.verdict(False, {"reason": str(exc), "witness": exc.witness})
     except TypeError as exc:    # main() reports only ValueError

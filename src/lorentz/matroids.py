@@ -2,13 +2,17 @@
 zonotope volume polynomials.
 
 Ground set elements are 0-based indices 0..n-1; subsets are encoded as
-bitmasks internally.  Rank is computed by scanning the basis list, which is
-fine at the desk scale (n up to a dozen or so) this library targets.
+bitmasks internally.  The 2^n subset constructions read a rank table built
+once per call in O(2^n * n) steps: the independent sets are the downward
+closure of the bases, and a dependent set has the largest rank of its
+one-smaller subsets.  A single ``rank`` query scans the basis list.  Both
+suit the desk scale (n up to a dozen or so) this library targets.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -97,13 +101,44 @@ def _rank_mask(m: Matroid, mask: int) -> int:
     return max(bin(mask & b).count("1") for b in m.bases)
 
 
-def _is_independent(m: Matroid, mask: int) -> bool:
-    size = bin(mask).count("1")
-    return any(bin(mask & b).count("1") == size for b in m.bases)
+def _independent_flags(m: Matroid) -> bytearray:
+    """flags[S] is 1 exactly when the mask S is independent: the downward
+    closure of the bases, filled from the largest mask down."""
+    flags = bytearray(1 << m.n)
+    for b in m.bases:
+        flags[b] = 1
+    for mask in range(len(flags) - 1, 0, -1):
+        if flags[mask]:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                flags[mask ^ low] = 1
+                rest ^= low
+    return flags
+
+
+def _rank_table(m: Matroid) -> list[int]:
+    """rank[S] for every mask S: |S| when S is independent, and otherwise the
+    largest rank[S - i] over the elements i of S."""
+    flags = _independent_flags(m)
+    ranks = [0] * len(flags)
+    for mask in range(1, len(flags)):
+        if flags[mask]:
+            ranks[mask] = mask.bit_count()
+        else:
+            best, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                r = ranks[mask ^ low]
+                if r > best:
+                    best = r
+                rest ^= low
+            ranks[mask] = best
+    return ranks
 
 
 def independent_set_masks(m: Matroid) -> list[int]:
-    return [mask for mask in range(1 << m.n) if _is_independent(m, mask)]
+    return [mask for mask, flag in enumerate(_independent_flags(m)) if flag]
 
 
 def independence_counts(m: Matroid) -> list[int]:
@@ -126,8 +161,9 @@ def potts_poly(m: Matroid, q: RationalLike) -> HomogPoly:
     qf = as_fraction(q)
     if qf <= 0:
         raise ValueError("q must be positive")
+    weights = [qf ** -r for r in range(m.rank_full + 1)]
     return HomogPoly.homogenized(
-        m.n, {mask: qf ** -_rank_mask(m, mask) for mask in range(1 << m.n)})
+        m.n, {mask: weights[r] for mask, r in enumerate(_rank_table(m))})
 
 
 def independent_set_poly(m: Matroid) -> HomogPoly:
@@ -151,15 +187,18 @@ def mason_check(m: Matroid) -> bool:
     return first_ulc_failure(independence_counts(m), m.n) is None
 
 
+def _rank_size_counts(m: Matroid) -> Counter:
+    """The number of subsets of each (rank, size)."""
+    return Counter((r, mask.bit_count()) for mask, r in enumerate(_rank_table(m)))
+
+
 def tutte(m: Matroid, x: RationalLike, y: RationalLike) -> Fraction:
     """Subset expansion sum over A of (x-1)^(rk E - rk A) (y-1)^(|A| - rk A)."""
     xf, yf = as_fraction(x), as_fraction(y)
     rfull = m.rank_full
-    total = Fraction(0)
-    for mask in range(1 << m.n):
-        r = _rank_mask(m, mask)
-        total += (xf - 1) ** (rfull - r) * (yf - 1) ** (bin(mask).count("1") - r)
-    return total
+    counts = _rank_size_counts(m)
+    return sum((c * (xf - 1) ** (rfull - r) * (yf - 1) ** (k - r)
+                for (r, k), c in counts.items()), Fraction(0))
 
 
 def tutte_section(m: Matroid, q: RationalLike) -> list[Fraction]:
@@ -173,8 +212,8 @@ def tutte_section(m: Matroid, q: RationalLike) -> list[Fraction]:
         raise ValueError("q must lie in [0, 1]")
     rfull = m.rank_full
     out = [Fraction(0)] * (m.n + 1)
-    for mask in range(1 << m.n):
-        out[bin(mask).count("1")] += qf ** (rfull - _rank_mask(m, mask))
+    for (r, k), c in _rank_size_counts(m).items():
+        out[k] += c * qf ** (rfull - r)
     return out
 
 

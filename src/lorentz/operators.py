@@ -203,9 +203,6 @@ class OperatorTable:
         self.images = clean
         self.nvars_out = m
 
-    def domain_monomials(self) -> list[Exponent]:
-        return sorted(product(*(range(k + 1) for k in self.kappa)))
-
     @classmethod
     def identity(cls, kappa: Sequence[int]) -> "OperatorTable":
         kappa = tuple(int(k) for k in kappa)

@@ -12,6 +12,7 @@ indices throughout.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -281,8 +282,99 @@ def load_document(path: str):
     return kind, _LOADERS[kind](obj, kind)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar_text(x: Any) -> Optional[str]:
+    """The JSON text of a string, number, bool or None; None for the rest."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    return None
+
+
+def _key_text(key: Any) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    text = _scalar_text(key)    # a number, bool or None key becomes its text
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return '"' + text + '"'
+
+
+_INT = {int}
+
+
+def _write(x: Any, out: list, indent: str) -> None:
+    """Append the chunks of ``x`` as ``json.dumps(x, sort_keys=True,
+    indent=2)`` writes them, for a value that starts at ``indent``."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        head = "{\n" + inner
+        for key, v in sorted(x.items()):
+            head += _key_text(key) + ": "
+            text = _scalar_text(v)
+            if text is None:
+                out.append(head)
+                _write(v, out, inner)
+                out.append(sep)
+            else:
+                out.append(head + text + sep)
+            head = ""
+        # the last chunk ends in a separator; the closing line replaces it
+        out[-1] = out[-1][:-len(sep)] + "\n" + indent + "}"
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+        elif set(map(type, x)) == _INT:    # plain ints only: a bool is not written as one
+            out.append("[\n" + inner + sep.join(map(int.__repr__, x)) + "\n" + indent + "]")
+        else:
+            out.append("[\n" + inner)
+            for v in x:
+                text = _scalar_text(v)
+                if text is None:
+                    _write(v, out, inner)
+                    out.append(sep)
+                else:
+                    out.append(text + sep)
+            out[-1] = out[-1][:-len(sep)] + "\n" + indent + "]"
+    else:
+        text = _scalar_text(x)
+        if text is None:
+            raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+        out.append(text)
+
+
 def dumps_canonical(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.
+
+    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+    set; this writer produces the same bytes in about half the time.
+    """
+    out: list[str] = []
+    _write(obj, out, "")
+    out.append("\n")
+    return "".join(out)
 
 
 def roundtrip(path: str) -> bool:

@@ -375,6 +375,10 @@ def _term(exp, num="1"):
     (["measure", "lorentzian"], {"n": 2, "atoms": [{"set": [[0]], "num": "1", "den": "1"}]},
      "measure.atoms[0].set[0]"),
     (["operator", "symbol"], {"kappa": [[1]], "ell": 0, "images": []}, "operator.kappa[0]"),
+    (["matroid", "validate"], {"n": 2, "bases": [[0.5], [1]]}, "matroid.bases[0][0]"),
+    (["matroid", "validate"], {"n": 2, "bases": [[0], ["1"]]}, "matroid.bases[1][0]"),
+    (["matroid", "validate"], {"n": 2, "bases": [[0], [True]]}, "matroid.bases[1][0]"),
+    (["matroid", "validate"], {"n": 2, "bases": [0, 1]}, "matroid.bases[0]"),
 ])
 def test_malformed_document_is_one_json_report(tmp_path, capsys, argv, doc, path):
     code = main([*argv, write(tmp_path, "doc.json", doc)])

@@ -12,7 +12,8 @@ from lorentz import (ExchangeError, HomogPoly, Matroid, PointSet,
                      matroid_from_bases, potts_poly, rank, tutte,
                      tutte_section, uniform_matroid, zonotope_volume_poly)
 from lorentz.catalog import NAMES, all_matroids, load
-from lorentz.matroids import normalized_independence_sequence
+from lorentz.matroids import (_rank_mask, _rank_table, independent_set_masks,
+                              normalized_independence_sequence)
 
 
 def test_catalog_loads():
@@ -217,3 +218,49 @@ def test_potts_certifies_lorentzian_small():
 def test_independent_set_poly_lorentzian():
     for name in ("u12", "u23", "u24", "free3", "loop_u12", "mk4"):
         assert is_lorentzian(independent_set_poly(load(name))).verdict
+
+
+def _random_graph_matroids(count=50, seed=63):
+    """Cycle matroids of seeded random multigraphs, with loops, parallel edges
+    and rank-0 (all-loop) graphs among them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        v = rng.randint(1, 5)
+        edges = [[rng.randrange(v), rng.randrange(v)] for _ in range(rng.randint(1, 8))]
+        out.append((edges, cycle_matroid(v, edges)))
+    assert any(m.rank_full == 0 for _, m in out)
+    assert any(u == w for edges, _ in out for u, w in edges)
+    assert any(len({tuple(sorted(e)) for e in edges}) < len(edges) for edges, _ in out)
+    return [m for _, m in out]
+
+
+def _table_matroids():
+    mats = [uniform_matroid(r, n) for n in range(11) for r in range(n + 1)]
+    mats += [uniform_matroid(3, 12), uniform_matroid(6, 12)]
+    mats += list(all_matroids().values())
+    return mats + _random_graph_matroids()
+
+
+def test_rank_table_matches_basis_scan():
+    # the table and the four subset scans that read it, each against a
+    # reference that scans the basis list for every mask
+    for m in _table_matroids():
+        n, rfull = m.n, m.rank_full
+        ranks = [_rank_mask(m, mask) for mask in range(1 << n)]
+        assert _rank_table(m) == ranks, m
+        sizes = [bin(mask).count("1") for mask in range(1 << n)]
+        assert independent_set_masks(m) == [
+            mask for mask in range(1 << n) if ranks[mask] == sizes[mask]]
+        q = Fraction(2, 3)
+        assert potts_poly(m, q) == HomogPoly(n + 1, n, {
+            (n - sizes[mask],) + tuple(mask >> i & 1 for i in range(n)): q ** -ranks[mask]
+            for mask in range(1 << n)})
+        x, y = Fraction(1, 2), Fraction(0)
+        assert tutte(m, x, y) == sum(
+            (x - 1) ** (rfull - r) * (y - 1) ** (k - r) for r, k in zip(ranks, sizes))
+        for q in (Fraction(0), Fraction(1, 2)):
+            section = [Fraction(0)] * (n + 1)
+            for r, k in zip(ranks, sizes):
+                section[k] += q ** (rfull - r)
+            assert tutte_section(m, q) == section

@@ -1,7 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lorentz import HomogPoly
 from lorentz.catalog import load
@@ -115,3 +118,35 @@ def test_load_document_errors(tmp_path):
 def test_dumps_canonical_is_stable():
     doc = poly_to_dict(HomogPoly(2, 2, {(1, 1): Fraction(1, 2), (2, 0): 3}))
     assert dumps_canonical(doc) == dumps_canonical(json.loads(dumps_canonical(doc)))
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-2 ** 100, max_value=2 ** 100),
+    st.floats(), st.sampled_from([0.0, -0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf]),
+    st.text(), st.text(st.characters(max_codepoint=0x1f)),
+    st.sampled_from(["é", "☃", "\U0001f600", "\ud800", 'quote " and \\ slash']))
+
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.lists(st.integers() | st.booleans()),
+        st.dictionaries(st.text(), children),
+        st.dictionaries(st.integers() | st.booleans(), children)),
+    max_leaves=15)
+
+
+@given(_JSON_TREES)
+def test_dumps_canonical_matches_json_dumps(x):
+    assert dumps_canonical(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    Fraction(1, 2), {"a": [1, Fraction(1, 2)]}, [{"b": Fraction(1)}], {(0, 1): 1}, {1, 2},
+])
+def test_dumps_canonical_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        dumps_canonical(doc)
