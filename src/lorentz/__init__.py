@@ -11,8 +11,7 @@ from .certify import (Certificate, RayleighWitness, hodge_riemann_at,
                       hodge_riemann_many,
                       is_lorentzian, is_strictly_lorentzian,
                       log_concavity_probe, rayleigh_check_at, rayleigh_falsify)
-from .inertia import (Inertia, SymMatrix, at_most_one_positive, inertia,
-                      is_lorentzian_signature, is_psd)
+from .inertia import Inertia, SymMatrix, inertia
 from .matroids import (ExchangeError, Matroid, basis_generating_poly,
                        cycle_matroid, independence_counts,
                        independent_set_poly, mason_check, matroid_from_bases,
@@ -31,7 +30,7 @@ from .mmatrix import (SquareMatrix, char_poly_multivariate, is_m_matrix,
 from .operators import (OperatorTable, apply_operator, coefficient_power,
                         exclusion_step, multi_affine_part, normalize,
                         nuij_transform, polarize, project, symbol)
-from .poly import HomogPoly, simplex, validate
+from .poly import HomogPoly, simplex
 
 __version__ = "0.1.0"
 
@@ -39,20 +38,19 @@ __all__ = [
     "Certificate", "DiscreteFunction", "ExchangeError", "HomogPoly",
     "Inertia", "Matroid", "Measure", "NegativeDependenceReport",
     "OperatorTable", "PointSet", "RayleighWitness", "SquareMatrix",
-    "SymMatrix", "apply_operator", "at_most_one_positive",
-    "basis_generating_poly", "char_poly_multivariate",
-    "coefficient_power", "cycle_matroid", "exclusion_evolution",
-    "exclusion_step", "external_field", "generating_poly_f",
-    "generating_poly_g", "hodge_riemann_at", "hodge_riemann_many", "independence_counts",
-    "independent_set_poly", "inertia", "is_lorentzian",
-    "is_lorentzian_measure", "is_lorentzian_signature",
+    "SymMatrix", "apply_operator", "basis_generating_poly",
+    "char_poly_multivariate", "coefficient_power", "cycle_matroid",
+    "exclusion_evolution", "exclusion_step", "external_field",
+    "generating_poly_f", "generating_poly_g", "hodge_riemann_at",
+    "hodge_riemann_many", "independence_counts", "independent_set_poly",
+    "inertia", "is_lorentzian", "is_lorentzian_measure",
     "is_m_convex_function", "is_m_convex_set", "is_m_matrix",
-    "is_matroid_basis_family", "is_psd", "is_strictly_lorentzian",
+    "is_matroid_basis_family", "is_strictly_lorentzian",
     "log_concavity_probe", "mason_check", "matroid_from_bases",
     "matroid_measures", "multi_affine_part", "negative_dependence_report",
     "normalize", "nuij_transform", "partition_homogenized", "polarize",
-    "polarize_fn", "potts_poly", "principal_minor", "project", "project_fn",
-    "random_m_matrix", "rank", "rayleigh_check_at", "rayleigh_falsify",
-    "regularize", "simplex", "symbol", "tutte", "tutte_section",
-    "uniform_matroid", "validate", "zonotope_volume_poly",
+    "polarize_fn", "potts_poly", "principal_minor", "project",
+    "project_fn", "random_m_matrix", "rank", "rayleigh_check_at",
+    "rayleigh_falsify", "regularize", "simplex", "symbol", "tutte",
+    "tutte_section", "uniform_matroid", "zonotope_volume_poly",
 ]

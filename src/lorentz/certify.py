@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .inertia import Inertia, SymMatrix, inertia
 from .mconvex import PointSet, is_m_convex_set
@@ -143,7 +143,7 @@ def is_strictly_lorentzian(f: HomogPoly) -> Certificate:
                                detail={"coefficient": f.coeff(e)})
     if f.degree <= 1:
         return Certificate(True)
-    for alpha in simplex(f.nvars, f.degree - 2):
+    for alpha in _support_alphas(f):
         sig = inertia(f.quadratic_hessian_after(alpha))
         if sig.n_plus != 1 or sig.n_zero != 0:
             return Certificate(False, failing_alpha=alpha, failing_kind=INERTIA_VIOLATION,
@@ -194,7 +194,7 @@ def hodge_riemann_many(f: HomogPoly,
 
 
 def _int_terms(f: HomogPoly) -> dict[Exponent, int]:
-    scale = lcm(*(c.denominator for c in f.terms.values())) if f.terms else 1
+    scale = lcm(*(c.denominator for c in f.terms.values()))
     return {e: int(c * scale) for e, c in f.terms.items()}
 
 
@@ -244,28 +244,39 @@ def _rayleigh_violation_scaled(fint: dict[Exponent, int], derivs: dict,
 
 
 def rayleigh_check_at(f: HomogPoly, c: RationalLike,
-                      w: Sequence[RationalLike]) -> Optional[RayleighWitness]:
-    """First exact c-Rayleigh violation of f at one nonnegative point, if any."""
+                      points: Iterable[Sequence[RationalLike]]) -> Optional[RayleighWitness]:
+    """First exact c-Rayleigh violation of f over nonnegative points, tried
+    in order, if any.
+
+    The integer terms, the alphas and the derivative cache are built once
+    and shared by every point; each point, of ``f.nvars`` coordinates, is
+    checked when its turn comes.
+    """
     cf = as_fraction(c)
-    wf = [as_fraction(x) for x in w]
-    if any(x < 0 for x in wf):
-        raise ValueError("point must be nonnegative")
     if not f.has_nonnegative_coeffs():
         raise ValueError("f must have nonnegative coefficients")
-    den = lcm(*(x.denominator for x in wf)) if wf else 1
-    u = [int(x * den) for x in wf]
+    n = f.nvars
     fint = _int_terms(f)
-    hit = _rayleigh_violation_scaled(fint, {}, _rayleigh_alphas(f), f.nvars,
-                                     cf.numerator, cf.denominator, u)
-    if hit is None:
-        return None
-    alpha, i, j = hit
-    return _exact_witness(f, cf, alpha, i, j, wf)
+    alphas = _rayleigh_alphas(f)
+    derivs: dict = {}
+    for w in points:
+        wf = [as_fraction(x) for x in w]
+        if len(wf) != n:
+            raise ValueError(f"point has length {len(wf)}, expected {n}")
+        den = lcm(*(x.denominator for x in wf))
+        u = [x.numerator * (den // x.denominator) for x in wf]     # den * w, in integers
+        if any(k < 0 for k in u):
+            raise ValueError("point must be nonnegative")
+        hit = _rayleigh_violation_scaled(fint, derivs, alphas, n, cf.numerator,
+                                         cf.denominator, u)
+        if hit is not None:
+            alpha, i, j = hit
+            return _exact_witness(f, cf, alpha, i, j, wf)
+    return None
 
 
 def _exact_witness(f: HomogPoly, c: Fraction, alpha: Exponent, i: int, j: int,
                    wf: list[Fraction]) -> RayleighWitness:
-    n = f.nvars
     def bump(a, *ks):
         out = list(a)
         for k in ks:
@@ -276,6 +287,18 @@ def _exact_witness(f: HomogPoly, c: Fraction, alpha: Exponent, i: int, j: int,
     return RayleighWitness(alpha, i, j, tuple(wf), lhs, rhs)
 
 
+def _sampled_points(n: int, trials: int, seed: int,
+                    max_den: int) -> Iterator[list[Fraction]]:
+    # a generator: the trials check runs on the first draw, after f's own check
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    rng = random.Random(seed)
+    for _ in range(trials):
+        mask = [rng.randrange(2) for _ in range(n)]
+        yield [Fraction(rng.randint(1, max_den), rng.randint(1, max_den)) if m else Fraction(0)
+               for m in mask]
+
+
 def rayleigh_falsify(f: HomogPoly, c: RationalLike, trials: int,
                      seed: int, max_den: int = 10) -> Optional[RayleighWitness]:
     """Search for an exact c-Rayleigh violation over seeded random points.
@@ -284,28 +307,7 @@ def rayleigh_falsify(f: HomogPoly, c: RationalLike, trials: int,
     random subset of coordinates is zeroed each trial).  Returns the first
     violation found, or None; None certifies nothing.
     """
-    cf = as_fraction(c)
-    if not f.has_nonnegative_coeffs():
-        raise ValueError("f must have nonnegative coefficients")
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    rng = random.Random(seed)
-    n = f.nvars
-    fint = _int_terms(f)
-    alphas = _rayleigh_alphas(f)
-    derivs: dict = {}
-    for _ in range(trials):
-        mask = [rng.randrange(2) for _ in range(n)]
-        wf = [Fraction(rng.randint(1, max_den), rng.randint(1, max_den)) if m else Fraction(0)
-              for m in mask]
-        den = lcm(*(x.denominator for x in wf)) if wf else 1
-        u = [int(x * den) for x in wf]
-        hit = _rayleigh_violation_scaled(fint, derivs, alphas, n,
-                                         cf.numerator, cf.denominator, u)
-        if hit is not None:
-            alpha, i, j = hit
-            return _exact_witness(f, cf, alpha, i, j, wf)
-    return None
+    return rayleigh_check_at(f, c, _sampled_points(f.nvars, trials, seed, max_den))
 
 
 def log_concavity_probe(f: HomogPoly, w: Sequence[RationalLike],

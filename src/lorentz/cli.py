@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import json
 import random
 import sys
 import time
@@ -25,8 +24,8 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import certify, matroids, mconvex, measures, mmatrix, operators
 from .poly import HomogPoly, first_ulc_failure
-from .serialize import (LoadError, _int_tuple, dumps_canonical,
-                        function_from_dict, graph_matroid_from_dict,
+from .serialize import (LoadError, _int_tuple, _require, dumps_canonical,
+                        function_from_dict, graph_matroid_from_dict, load_json,
                         matrix_from_dict, matroid_from_dict, matroid_to_dict,
                         measure_from_dict, measure_to_dict, operator_from_dict,
                         poly_from_dict, poly_to_dict, roundtrip,
@@ -43,17 +42,6 @@ def _sha256(path: str) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
     except FileNotFoundError:
         raise LoadError(f"{path}: no such file") from None
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise LoadError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"{path}: invalid JSON at line {exc.lineno}, "
-                        f"column {exc.colno} (char {exc.pos}): {exc.msg}") from None
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -133,11 +121,11 @@ class _Run:
 
 
 def _load_poly(path: str) -> HomogPoly:
-    return poly_from_dict(_load_json(path))
+    return poly_from_dict(load_json(path))
 
 
 def _load_object(path: str) -> dict:
-    obj = _load_json(path)
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise LoadError(f"{path}: document root must be a JSON object")
     return obj
@@ -196,13 +184,10 @@ def _hodge_riemann(run: _Run, args) -> int:
 
 def _rayleigh(run: _Run, args) -> int:
     f = _load_poly(args.poly)
-    for p in args.point or []:
-        wit = certify.rayleigh_check_at(f, args.c, p)
-        if wit is not None:
-            run.report["result"]["violation"] = _jsonify(wit, run.float_mode)
-            return run.verdict(False, wit)
-    wit = certify.rayleigh_falsify(f, args.c, trials=args.trials, seed=args.seed,
-                                   max_den=args.max_den)
+    wit = certify.rayleigh_check_at(f, args.c, args.point) if args.point else None
+    if wit is None:
+        wit = certify.rayleigh_falsify(f, args.c, trials=args.trials, seed=args.seed,
+                                       max_den=args.max_den)
     if wit is not None:
         run.report["result"]["violation"] = _jsonify(wit, run.float_mode)
         return run.verdict(False, wit)
@@ -227,13 +212,12 @@ def _validate(run: _Run, args) -> int:
         if "edges" in obj:
             m = graph_matroid_from_dict(obj)
         else:
+            n = _require(obj, "n", int, "matroid")
             bases = [_int_tuple(b, f"matroid.bases[{k}]")
                      for k, b in enumerate(obj.get("bases") or [])]
-            m = matroids.matroid_from_bases(obj.get("n"), bases)
+            m = matroids.matroid_from_bases(n, bases)
     except matroids.ExchangeError as exc:
         return run.verdict(False, {"reason": str(exc), "witness": exc.witness})
-    except TypeError as exc:    # main() reports only ValueError
-        raise LoadError(str(exc)) from None
     run.report["result"]["matroid"] = matroid_to_dict(m)
     return run.verdict(True)
 
@@ -265,7 +249,7 @@ def _tutte(run: _Run, args) -> int:
 
 
 def _load_measure(args) -> measures.Measure:
-    return measure_from_dict(_load_json(args.measure), normalize=args.normalize)
+    return measure_from_dict(load_json(args.measure), normalize=args.normalize)
 
 
 def _measure_report(run: _Run, args) -> int:
@@ -358,13 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
                help="explicit points checked before sampling; repeatable"), max_den,
           help="falsify the c-Rayleigh inequality")
     _leaf(sub, "mconvex", lambda run, a: run.verdict(
-              *_M_CONVEX[a.subverb](function_from_dict(_load_json(a.function)))),
+              *_M_CONVEX[a.subverb](function_from_dict(load_json(a.function)))),
           _arg("subverb", choices=list(_M_CONVEX)),
           _arg("function", help="discrete function JSON (set = its domain)"),
           help="M-convexity of sets and functions")
     _construct(sub, "genpoly", lambda a: (
                    mconvex.generating_poly_f if a.kind == "f" else mconvex.generating_poly_g)(
-                   function_from_dict(_load_json(a.function)), a.q),
+                   function_from_dict(load_json(a.function)), a.q),
                "function", _arg("--q", type=_fraction_arg, required=True),
                _arg("--kind", choices=["f", "g"], default="f"),
                help="generating polynomial of a discrete function")
@@ -373,10 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subverb", required=True)
     kappa = _arg("--kappa", type=_int_list_arg, required=True,
                  help="comma-separated per-variable degree caps")
-    _construct(op, "symbol", lambda a: operators.symbol(operator_from_dict(_load_json(a.table))),
+    _construct(op, "symbol", lambda a: operators.symbol(operator_from_dict(load_json(a.table))),
                "table", key="symbol")
     _construct(op, "apply", lambda a: operators.apply_operator(
-                   operator_from_dict(_load_json(a.table)), _load_poly(a.poly)),
+                   operator_from_dict(load_json(a.table)), _load_poly(a.poly)),
                "table", "poly")
     _construct(op, "polarize", lambda a: operators.polarize(_load_poly(a.poly), a.kappa),
                "poly", kappa)
@@ -407,15 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
           _arg("--y", type=_fraction_arg),
           _arg("--section-q", dest="section_q", type=_fraction_arg))
     _construct(ma, "zonotope", lambda a: matroids.zonotope_volume_poly(
-                   vectors_from_dict(_load_json(a.input))), matroid)
+                   vectors_from_dict(load_json(a.input))), matroid)
 
     mm = sub.add_parser(
         "mmatrix", help="M-matrix recognition and characteristic polynomial").add_subparsers(
         dest="subverb", required=True)
     _leaf(mm, "recognize", lambda run, a: run.verdict(
-              mmatrix.is_m_matrix(matrix_from_dict(_load_json(a.matrix)))), "matrix")
+              mmatrix.is_m_matrix(matrix_from_dict(load_json(a.matrix)))), "matrix")
     _construct(mm, "charpoly", lambda a: mmatrix.char_poly_multivariate(
-                   matrix_from_dict(_load_json(a.matrix))), "matrix")
+                   matrix_from_dict(load_json(a.matrix))), "matrix")
 
     me = sub.add_parser(
         "measure", help="discrete measures and negative dependence").add_subparsers(

@@ -50,9 +50,6 @@ class SymMatrix:
     def __repr__(self):
         return f"SymMatrix({[list(map(str, row)) for row in self.entries]})"
 
-    def submatrix(self, keep: Sequence[int]) -> "SymMatrix":
-        return SymMatrix([[self.entries[i][j] for j in keep] for i in keep])
-
 
 @dataclass(frozen=True)
 class Inertia:
@@ -113,17 +110,3 @@ def inertia(m: SymMatrix) -> Inertia:
         raise ArithmeticError(f"sign counts {counts} do not sum to {m.n}")
     return Inertia(*counts)
 
-
-def at_most_one_positive(m: SymMatrix) -> bool:
-    """n_plus <= 1: the quadratic-form side of the Lorentzian test."""
-    return inertia(m).n_plus <= 1
-
-
-def is_lorentzian_signature(m: SymMatrix) -> bool:
-    """Inertia exactly (1, n-1, 0): nonsingular with signature (+,-,...,-)."""
-    sig = inertia(m)
-    return sig.n_plus == 1 and sig.n_zero == 0
-
-
-def is_psd(m: SymMatrix) -> bool:
-    return inertia(m).n_minus == 0

@@ -121,17 +121,3 @@ def random_m_matrix(n: int, seed: int, bound: int = 5,
     return SquareMatrix([[(s if i == j else 0) - b[i][j] for j in range(n)]
                          for i in range(n)])
 
-
-def random_doubly_substochastic(n: int, seed: int, parts: int = 4) -> SquareMatrix:
-    """Seeded convex combination of partial permutation matrices."""
-    rng = random.Random(seed)
-    weights = [Fraction(rng.randint(1, 10)) for _ in range(parts)]
-    total = sum(weights)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for w in weights:
-        cols = list(range(n))
-        rng.shuffle(cols)
-        for i in range(n):
-            if rng.randrange(2):
-                out[i][cols[i]] += w / total
-    return SquareMatrix(out)

@@ -134,10 +134,6 @@ class HomogPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def variable(cls, n: int, i: int) -> "HomogPoly":
-        return cls(n, 1, {unit(n, i): 1})
-
-    @classmethod
     def linear_form(cls, coeffs: Sequence[RationalLike]) -> "HomogPoly":
         n = len(coeffs)
         return cls(n, 1, {unit(n, i): c for i, c in enumerate(coeffs)})
@@ -326,28 +322,6 @@ class HomogPoly:
             out = out + mono
         return out
 
-    def hessian(self, at: Sequence[RationalLike] | None = None):
-        """Exact symmetric matrix (d_i d_j f), evaluated at ``at`` if degree > 2.
-
-        Degree-2 polynomials have a constant Hessian and ``at`` may be omitted.
-        """
-        from .inertia import SymMatrix
-        if self.degree < 2:
-            raise ValueError("Hessian needs degree >= 2")
-        if self.degree > 2 and at is None:
-            raise ValueError("evaluation point required for degree > 2")
-        n = self.nvars
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                g = self.derive(tuple((1 if k == i else 0) + (1 if k == j else 0)
-                                      for k in range(n)))
-                row.append(g.eval(at) if at is not None else
-                           g.terms.get((0,) * n, Fraction(0)))
-            rows.append(row)
-        return SymMatrix(rows)
-
     def quadratic_hessian_after(self, alpha: Exponent):
         """Hessian of d^alpha f when |alpha| = degree - 2, without building d^alpha f.
 
@@ -386,31 +360,3 @@ class HomogPoly:
                 out[e[i]] += c
         return out
 
-
-def validate(p: HomogPoly) -> tuple[bool, str | None]:
-    """Check the representation invariants, reporting the first violation.
-
-    Total: never raises.  The constructor enforces these, so this is mainly
-    useful on objects built by deserialization or by hand.
-    """
-    for e, c in p.terms.items():
-        if len(e) != p.nvars:
-            return False, f"exponent {e} has length {len(e)}, expected {p.nvars}"
-        if any(k < 0 for k in e):
-            return False, f"negative exponent entry in {e}"
-        if sum(e) != p.degree:
-            return False, f"exponent {e} has degree {sum(e)}, expected {p.degree}"
-        if c == 0:
-            return False, f"stored zero coefficient at {e}"
-        if not isinstance(c, Fraction):
-            return False, f"non-rational coefficient at {e}"
-    return True, None
-
-
-def euler_pairing(p: HomogPoly, w: Sequence[RationalLike]) -> Fraction:
-    """sum_i w_i * (d_i p)(w); equals degree * p(w) by Euler's identity."""
-    wf = [as_fraction(x) for x in w]
-    total = Fraction(0)
-    for i, x in enumerate(wf):
-        total += x * p.derive(unit(p.nvars, i)).eval(wf)
-    return total

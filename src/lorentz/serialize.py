@@ -270,14 +270,21 @@ def detect_kind(obj: Any) -> str:
     raise LoadError(f"cannot determine document kind from keys {sorted(obj)}")
 
 
+def load_json(path: str) -> Any:
+    """The JSON document in the file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise LoadError(f"{path}: no such file") from None
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"{path}: invalid JSON at line {exc.lineno}, "
+                        f"column {exc.colno} (char {exc.pos}): {exc.msg}") from None
+
+
 def load_document(path: str):
     """Parse any known document, returning (kind, object)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"{path}: invalid JSON at line {exc.lineno}, "
-                            f"column {exc.colno} (char {exc.pos}): {exc.msg}") from None
+    obj = load_json(path)
     kind = detect_kind(obj)
     return kind, _LOADERS[kind](obj, kind)
 
@@ -380,10 +387,6 @@ def dumps_canonical(obj: dict) -> str:
 def roundtrip(path: str) -> bool:
     """parse -> serialize -> parse; True iff the canonical forms agree."""
     kind, first = load_document(path)
-    if kind == "graph":
-        text = dumps_canonical(matroid_to_dict(first))
-        second = matroid_from_dict(json.loads(text))
-    else:
-        text = dumps_canonical(_DUMPERS[kind](first))
-        second = _LOADERS[kind](json.loads(text))
+    obj = json.loads(dumps_canonical(_DUMPERS[kind](first)))
+    second = _LOADERS[detect_kind(obj)](obj)
     return first == second

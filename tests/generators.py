@@ -11,9 +11,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from lorentz import (DiscreteFunction, HomogPoly, Matroid, SymMatrix,
-                     basis_generating_poly, cycle_matroid, generating_poly_f,
-                     is_m_convex_function, uniform_matroid)
+from lorentz import (DiscreteFunction, HomogPoly, Matroid, SquareMatrix,
+                     SymMatrix, basis_generating_poly, cycle_matroid,
+                     generating_poly_f, is_m_convex_function, uniform_matroid)
 from lorentz.poly import simplex
 
 
@@ -95,6 +95,20 @@ def random_nonneg_matrix(rng: random.Random, rows: int, cols: int,
                          hi: int = 3) -> list[list[Fraction]]:
     return [[Fraction(rng.randint(0, hi), rng.randint(1, 3)) for _ in range(cols)]
             for _ in range(rows)]
+
+
+def random_doubly_substochastic(rng: random.Random, n: int, parts: int = 4) -> SquareMatrix:
+    """Convex combination of ``parts`` partial permutation matrices."""
+    weights = [Fraction(rng.randint(1, 10)) for _ in range(parts)]
+    total = sum(weights)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for w in weights:
+        cols = list(range(n))
+        rng.shuffle(cols)
+        for i in range(n):
+            if rng.randrange(2):
+                out[i][cols[i]] += w / total
+    return SquareMatrix(out)
 
 
 def random_lorentzian_input(rng: random.Random) -> HomogPoly:

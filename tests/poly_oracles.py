@@ -1,0 +1,45 @@
+"""Slow exact references on ``HomogPoly``, built from ``derive`` and ``eval``.
+
+``hessian`` is the full matrix of second partials in ``Fraction``
+arithmetic, the oracle for the library's quadratic Hessians; ``euler_pairing``
+is the left side of Euler's identity for homogeneous polynomials.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from lorentz.inertia import SymMatrix
+from lorentz.poly import HomogPoly, RationalLike, as_fraction, unit
+
+
+def hessian(f: HomogPoly, at: Sequence[RationalLike] | None = None) -> SymMatrix:
+    """Exact symmetric matrix (d_i d_j f), evaluated at ``at`` if degree > 2.
+
+    Degree-2 polynomials have a constant Hessian and ``at`` may be omitted.
+    """
+    if f.degree < 2:
+        raise ValueError("Hessian needs degree >= 2")
+    if f.degree > 2 and at is None:
+        raise ValueError("evaluation point required for degree > 2")
+    n = f.nvars
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            g = f.derive(tuple((1 if k == i else 0) + (1 if k == j else 0)
+                               for k in range(n)))
+            row.append(g.eval(at) if at is not None else
+                       g.terms.get((0,) * n, Fraction(0)))
+        rows.append(row)
+    return SymMatrix(rows)
+
+
+def euler_pairing(p: HomogPoly, w: Sequence[RationalLike]) -> Fraction:
+    """sum_i w_i * (d_i p)(w); equals degree * p(w) by Euler's identity."""
+    wf = [as_fraction(x) for x in w]
+    total = Fraction(0)
+    for i, x in enumerate(wf):
+        total += x * p.derive(unit(p.nvars, i)).eval(wf)
+    return total

@@ -249,7 +249,7 @@ def test_criterion_8_rayleigh_tightness():
                                  (d - 1, 1, 0): 1, (d - 1, 0, 1): 1,
                                  (d - 2, 1, 1): 1})
             c_tight = 2 * (1 - Fraction(1, d))
-            wit = rayleigh_check_at(f, c_tight - Fraction(1, 100), [1, 0, 0])
+            wit = rayleigh_check_at(f, c_tight - Fraction(1, 100), [[1, 0, 0]])
             assert wit is not None and wit.lhs > wit.rhs, d
             assert rayleigh_falsify(f, c_tight, trials=10000, seed=d) is None, d
 

@@ -251,12 +251,29 @@ def test_rayleigh_tight_example():
     f = tight_rayleigh_poly(d)
     assert is_lorentzian(f).verdict
     c_tight = 2 * (1 - Fraction(1, d))
-    wit = rayleigh_check_at(f, c_tight - Fraction(1, 100), [1, 0, 0])
+    wit = rayleigh_check_at(f, c_tight - Fraction(1, 100), [[1, 0, 0]])
     assert wit is not None and wit.lhs > wit.rhs
     assert wit.alpha == (0, 0, 0) and {wit.i, wit.j} == {1, 2}
-    assert rayleigh_check_at(f, c_tight, [1, 0, 0]) is None
+    assert rayleigh_check_at(f, c_tight, [[1, 0, 0]]) is None
     assert rayleigh_falsify(f, c_tight, trials=300, seed=5) is None
     assert rayleigh_falsify(f, c_tight - Fraction(1, 100), trials=300, seed=5) is not None
+
+
+def test_rayleigh_check_at_takes_points_in_order():
+    f = tight_rayleigh_poly(3)
+    c = Fraction(4, 3) - Fraction(1, 100)
+    with pytest.raises(ValueError, match="point has length 2, expected 3"):
+        rayleigh_check_at(f, c, [[1, 0]])
+    # the first violation wins, before a later point is read
+    wit = rayleigh_check_at(f, c, [[0, 1, 1], [1, 1, 1], [1, 0, 0], [1, 0]])
+    assert wit == rayleigh_check_at(f, c, [[1, 0, 0]])
+    assert wit.point == (1, 0, 0)
+    # a point after passing ones is still checked when its turn comes
+    with pytest.raises(ValueError, match="point has length 4, expected 3"):
+        rayleigh_check_at(f, c, [[0, 1, 1], [2, 1, 0], [1, 0, 0, 0]])
+    with pytest.raises(ValueError, match="point must be nonnegative"):
+        rayleigh_check_at(f, c, [[0, 1, 1], [1, -1, 0]])
+    assert rayleigh_check_at(f, c, []) is None
 
 
 def test_rayleigh_bivariate_one():

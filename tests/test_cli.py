@@ -116,6 +116,14 @@ def test_rayleigh_violation(tmp_path, capsys):
     assert code == 0
 
 
+def test_rayleigh_point_needs_every_coordinate(capsys):
+    fano = str(Path(__file__).resolve().parent / "golden" / "inputs" / "fano_potts.json")
+    code, rep = run(capsys, "rayleigh", fano, "--c", "2", "--seed", "1", "--trials", "0",
+                    "--point", "1,1")
+    assert code == 2
+    assert rep == {"command": ["rayleigh"], "error": "point has length 2, expected 8"}
+
+
 def test_mconvex_commands(tmp_path, capsys):
     path = write(tmp_path, "nu.json", NU)
     code, rep = run(capsys, "mconvex", "function", path)
@@ -379,6 +387,7 @@ def _term(exp, num="1"):
     (["matroid", "validate"], {"n": 2, "bases": [[0], ["1"]]}, "matroid.bases[1][0]"),
     (["matroid", "validate"], {"n": 2, "bases": [[0], [True]]}, "matroid.bases[1][0]"),
     (["matroid", "validate"], {"n": 2, "bases": [0, 1]}, "matroid.bases[0]"),
+    (["matroid", "validate"], {"n": True, "bases": [[0]]}, "matroid"),
 ])
 def test_malformed_document_is_one_json_report(tmp_path, capsys, argv, doc, path):
     code = main([*argv, write(tmp_path, "doc.json", doc)])

@@ -5,11 +5,12 @@ from math import comb
 import pytest
 
 from lorentz import (HomogPoly, SquareMatrix, char_poly_multivariate,
-                     is_lorentzian, is_m_matrix, is_psd, principal_minor)
-from lorentz.inertia import SymMatrix
+                     is_lorentzian, is_m_matrix, principal_minor)
+from lorentz.inertia import SymMatrix, inertia
 from lorentz.mconvex import PointSet, is_m_convex_set
-from lorentz.mmatrix import (bareiss_determinant, random_doubly_substochastic,
-                             random_m_matrix)
+from lorentz.mmatrix import bareiss_determinant, random_m_matrix
+
+from generators import random_doubly_substochastic
 
 
 def test_is_m_matrix_examples():
@@ -103,13 +104,13 @@ def test_doubly_substochastic_psd():
     rows = [[2 * (i == j) + b_fixed.entries[i][j] + b_fixed.entries[j][i]
              - Fraction(2, n) for j in range(n)] for i in range(n)]
     assert rows == [[1, 0], [0, 1]]
-    assert is_psd(SymMatrix(rows))
+    assert inertia(SymMatrix(rows)).n_minus == 0
     for seed in range(10):
         n = random.Random(seed).randint(2, 5)
-        b = random_doubly_substochastic(n, seed=400 + seed)
+        b = random_doubly_substochastic(random.Random(400 + seed), n)
         rows = [[2 * (i == j) + b.entries[i][j] + b.entries[j][i] - Fraction(2, n)
                  for j in range(n)] for i in range(n)]
-        assert is_psd(SymMatrix(rows))
+        assert inertia(SymMatrix(rows)).n_minus == 0
 
 
 def test_nonsingular_support_is_full_cube():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz.poly import (HomogPoly, euler_pairing, first_ulc_failure, simplex,
-                          unit, validate)
+from lorentz.poly import HomogPoly, first_ulc_failure, simplex, unit
 
 from generators import random_fraction, random_homog, random_nonneg_matrix
+from poly_oracles import euler_pairing, hessian
 
 
 def test_simplex_size():
@@ -17,30 +17,6 @@ def test_simplex_size():
     assert list(simplex(2, 1)) == [(0, 1), (1, 0)]
     assert list(simplex(1, 4)) == [(4,)]
     assert list(simplex(3, 0)) == [(0, 0, 0)]
-
-
-def test_validate_zero_poly():
-    ok, msg = validate(HomogPoly(3, 2, {}))
-    assert ok and msg is None
-
-
-def test_validate_degree_mismatch():
-    p = HomogPoly.__new__(HomogPoly)
-    p.nvars, p.degree, p.terms = 2, 3, {(1, 1): Fraction(1)}
-    ok, msg = validate(p)
-    assert not ok and "degree" in msg
-
-
-def test_validate_good_quadratic():
-    ok, _ = validate(HomogPoly(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}))
-    assert ok
-
-
-def test_validate_stored_zero():
-    p = HomogPoly.__new__(HomogPoly)
-    p.nvars, p.degree, p.terms = 2, 2, {(2, 0): Fraction(0)}
-    ok, msg = validate(p)
-    assert not ok and "zero" in msg
 
 
 def test_constructor_rejects_bad_terms():
@@ -117,24 +93,24 @@ def test_substitute_composes():
 
 
 def test_hessian_examples():
-    h = HomogPoly(2, 2, {(1, 1): 1}).hessian()
+    h = hessian(HomogPoly(2, 2, {(1, 1): 1}))
     assert [list(r) for r in h.entries] == [[0, 1], [1, 0]]
-    h = HomogPoly(2, 2, {(2, 0): 1, (0, 2): 1}).hessian()
+    h = hessian(HomogPoly(2, 2, {(2, 0): 1, (0, 2): 1}))
     assert [list(r) for r in h.entries] == [[2, 0], [0, 2]]
     tri = HomogPoly(3, 2, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
-    h = tri.hessian()
+    h = hessian(tri)
     assert [list(r) for r in h.entries] == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     with pytest.raises(ValueError):
-        HomogPoly(2, 1, {(1, 0): 1}).hessian()
+        hessian(HomogPoly(2, 1, {(1, 0): 1}))
     with pytest.raises(ValueError):
-        (HomogPoly.linear_form([1, 1]) ** 3).hessian()
+        hessian(HomogPoly.linear_form([1, 1]) ** 3)
 
 
 def test_quadratic_hessian_after_matches_full_derivative():
     rng = random.Random(3)
     f = random_homog(rng, 3, 4)
     for alpha in simplex(3, 2):
-        assert f.quadratic_hessian_after(alpha) == f.derive(alpha).hessian()
+        assert f.quadratic_hessian_after(alpha) == hessian(f.derive(alpha))
 
 
 def test_euler_identity():
@@ -161,10 +137,10 @@ def test_hessian_relation():
         n, d = 3, rng.randint(3, 4)
         f = random_homog(rng, n, d)
         w = [random_fraction(rng, 1, 4) for _ in range(n)]
-        lhs = f.hessian(at=w)
+        lhs = hessian(f, at=w)
         rows = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
-            hi = f.derive(unit(n, i)).hessian(at=w)
+            hi = hessian(f.derive(unit(n, i)), at=w)
             for r in range(n):
                 for c in range(n):
                     rows[r][c] += w[i] * hi.entries[r][c]
