@@ -7,8 +7,7 @@ tests negative dependence of discrete measures.  Everything decision-level
 is exact; sampling-based falsifiers say so.
 """
 
-from .certify import (Certificate, RayleighWitness, hodge_riemann_at,
-                      hodge_riemann_many,
+from .certify import (Certificate, RayleighWitness, hodge_riemann_many,
                       is_lorentzian, is_strictly_lorentzian,
                       log_concavity_probe, rayleigh_check_at, rayleigh_falsify)
 from .inertia import Inertia, SymMatrix, inertia
@@ -41,11 +40,11 @@ __all__ = [
     "SymMatrix", "apply_operator", "basis_generating_poly",
     "char_poly_multivariate", "coefficient_power", "cycle_matroid",
     "exclusion_evolution", "exclusion_step", "external_field",
-    "generating_poly_f", "generating_poly_g", "hodge_riemann_at",
-    "hodge_riemann_many", "independence_counts", "independent_set_poly",
-    "inertia", "is_lorentzian", "is_lorentzian_measure",
-    "is_m_convex_function", "is_m_convex_set", "is_m_matrix",
-    "is_matroid_basis_family", "is_strictly_lorentzian",
+    "generating_poly_f", "generating_poly_g", "hodge_riemann_many",
+    "independence_counts", "independent_set_poly", "inertia",
+    "is_lorentzian", "is_lorentzian_measure", "is_m_convex_function",
+    "is_m_convex_set", "is_m_matrix", "is_matroid_basis_family",
+    "is_strictly_lorentzian",
     "log_concavity_probe", "mason_check", "matroid_from_bases",
     "matroid_measures", "multi_affine_part", "negative_dependence_report",
     "normalize", "nuij_transform", "partition_homogenized", "polarize",

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .inertia import Inertia, SymMatrix, inertia
 from .mconvex import PointSet, is_m_convex_set
@@ -151,36 +151,53 @@ def is_strictly_lorentzian(f: HomogPoly) -> Certificate:
     return Certificate(True)
 
 
-def hodge_riemann_at(f: HomogPoly, w: Sequence[RationalLike]) -> Inertia:
-    """Exact inertia of the Hessian of f at a strictly positive point."""
-    return hodge_riemann_many(f, [w])[0]
-
-
 def hodge_riemann_many(f: HomogPoly,
                        points: Sequence[Sequence[RationalLike]]) -> list[Inertia]:
-    """Hessian inertia at several positive points, deriving each d_i d_j once."""
+    """Exact inertia of the Hessian of f at each strictly positive point.
+
+    With f and the point w scaled to integers (f by the lcm of its
+    denominators, u = den * w), D H D for D = diag(u) has the entries
+    sum_e c_e e_i (e_j - [i = j]) u^e: one pass over the terms per point.
+    That matrix is congruent to the Hessian at w times a positive scalar, so
+    by Sylvester's law it has the same inertia.
+    """
     if f.degree < 2:
         raise ValueError("Hessian test needs degree >= 2")
     n = f.nvars
-    second = {}
-    for i in range(n):
-        for j in range(i, n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            second[(i, j)] = f.derive(tuple(e))
+    # each integer coefficient with the (index, power) pairs of its nonzero powers
+    terms = [(c, [(i, k) for i, k in enumerate(e) if k])
+             for e, c in _int_terms(f.terms).items()]
     out = []
     for w in points:
-        wf = [as_fraction(x) for x in w]
-        if len(wf) != n:
-            raise ValueError("point has wrong length")
-        if any(x <= 0 for x in wf):
+        _, u = _integer_point(w, n)
+        if any(x <= 0 for x in u):
             raise ValueError("point must be strictly positive")
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), g in second.items():
-            rows[i][j] = rows[j][i] = g.eval(wf)
+        rows = [[0] * n for _ in range(n)]
+        for c, nonzero in terms:
+            v = c
+            for i, k in nonzero:
+                v *= u[i] ** k
+            for x, (i, ki) in enumerate(nonzero):
+                rows[i][i] += v * ki * (ki - 1)
+                for j, kj in nonzero[x + 1:]:
+                    rows[i][j] = rows[j][i] = rows[i][j] + v * ki * kj
         out.append(inertia(SymMatrix(rows)))
     return out
+
+
+def _integer_point(w: Sequence[RationalLike], n: int) -> tuple[list[Fraction], list[int]]:
+    """w, of n coordinates, in Fractions and as den * w for den the lcm of its denominators."""
+    wf = [as_fraction(x) for x in w]
+    if len(wf) != n:
+        raise ValueError(f"point has length {len(wf)}, expected {n}")
+    den = lcm(*(x.denominator for x in wf))
+    return wf, [x.numerator * (den // x.denominator) for x in wf]
+
+
+def _int_terms(terms: Mapping) -> dict:
+    """The coefficients times the lcm of their denominators."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return {e: int(c * scale) for e, c in terms.items()}
 
 
 # -- c-Rayleigh falsification ----------------------------------------------
@@ -191,11 +208,6 @@ def hodge_riemann_many(f: HomogPoly,
 # integers.  Only alpha with d^alpha f nonzero and |alpha| <= d-2 are
 # checked; larger alpha make the left side vanish, so the inequality holds
 # there automatically.
-
-
-def _int_terms(f: HomogPoly) -> dict[Exponent, int]:
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    return {e: int(c * scale) for e, c in f.terms.items()}
 
 
 # Not HomogPoly.eval: sampled points have many zero coordinates to exit early on.
@@ -256,42 +268,38 @@ def rayleigh_check_at(f: HomogPoly, c: RationalLike,
     if not f.has_nonnegative_coeffs():
         raise ValueError("f must have nonnegative coefficients")
     n = f.nvars
-    fint = _int_terms(f)
+    fint = _int_terms(f.terms)
     alphas = _rayleigh_alphas(f)
     derivs: dict = {}
     for w in points:
-        wf = [as_fraction(x) for x in w]
-        if len(wf) != n:
-            raise ValueError(f"point has length {len(wf)}, expected {n}")
-        den = lcm(*(x.denominator for x in wf))
-        u = [x.numerator * (den // x.denominator) for x in wf]     # den * w, in integers
+        wf, u = _integer_point(w, n)
         if any(k < 0 for k in u):
             raise ValueError("point must be nonnegative")
         hit = _rayleigh_violation_scaled(fint, derivs, alphas, n, cf.numerator,
                                          cf.denominator, u)
         if hit is not None:
             alpha, i, j = hit
-            return _exact_witness(f, cf, alpha, i, j, wf)
+            lhs, rhs = _rayleigh_sides(f, cf, alpha, i, j, wf)
+            return RayleighWitness(alpha, i, j, tuple(wf), lhs, rhs)
     return None
 
 
-def _exact_witness(f: HomogPoly, c: Fraction, alpha: Exponent, i: int, j: int,
-                   wf: list[Fraction]) -> RayleighWitness:
-    def bump(a, *ks):
-        out = list(a)
-        for k in ks:
-            out[k] += 1
-        return tuple(out)
-    lhs = f.derive(alpha).eval(wf) * f.derive(bump(alpha, i, j)).eval(wf)
-    rhs = c * f.derive(bump(alpha, i)).eval(wf) * f.derive(bump(alpha, j)).eval(wf)
-    return RayleighWitness(alpha, i, j, tuple(wf), lhs, rhs)
+def _rayleigh_sides(f: HomogPoly, c: Fraction, alpha: Exponent, i: int, j: int,
+                    w: Sequence[RationalLike]) -> tuple[Fraction, Fraction]:
+    """The two sides d^alpha f * d^(alpha+e_i+e_j) f and
+    c * d^(alpha+e_i) f * d^(alpha+e_j) f at w, in Fractions."""
+    def at(*ks):
+        return f.derive([a + ks.count(k) for k, a in enumerate(alpha)]).eval(w)
+    return at() * at(i, j), c * at(i) * at(j)
 
 
 def _sampled_points(n: int, trials: int, seed: int,
                     max_den: int) -> Iterator[list[Fraction]]:
-    # a generator: the trials check runs on the first draw, after f's own check
+    # a generator: its checks run on the first draw, after f's own check
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if max_den < 1:
+        raise ValueError("max_den must be positive")
     rng = random.Random(seed)
     for _ in range(trials):
         mask = [rng.randrange(2) for _ in range(n)]

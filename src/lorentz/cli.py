@@ -162,10 +162,14 @@ def _constructed_poly(run: _Run, f: HomogPoly, certify_it: bool, key: str = "pol
 
 def _hodge_riemann(run: _Run, args) -> int:
     f = _load_poly(args.poly)
+    if args.points < 0:
+        raise LoadError("points must be nonnegative")
     points = [list(p) for p in args.point or []]
     if args.points:
         if args.seed is None:
             raise LoadError("--seed is required when sampling points")
+        if args.max_den < 1:
+            raise LoadError("max_den must be positive")
         rng = random.Random(args.seed)
         for _ in range(args.points):
             points.append([Fraction(rng.randint(1, args.max_den), rng.randint(1, args.max_den))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .certify import Certificate, is_lorentzian
+from .certify import Certificate, _int_terms, _rayleigh_sides, is_lorentzian
 from .matroids import Matroid, _mask, independent_set_masks
 from .poly import HomogPoly, RationalLike, as_fraction, first_ulc_failure
 
@@ -188,11 +188,6 @@ class NegativeDependenceReport:
 # the common denominator D^n, which cancels in the comparison.
 
 
-def _scaled_weights(mu: Measure) -> dict[int, int]:
-    scale = lcm(*(w.denominator for w in mu.weights.values()))
-    return {mask: int(w * scale) for mask, w in mu.weights.items()}
-
-
 def _z_values(wints: dict[int, int], n: int, u: Sequence[int], den: int):
     """Numerators of Z, dZ, and the pair derivatives over denominator den^n."""
     prod_cache: dict[int, int] = {0: 1}
@@ -226,7 +221,7 @@ def _rayleigh_scan(mu: Measure, c: Fraction, trials: int, seed: int,
                    signed: bool, max_den: int = 10) -> Optional[MeasureRayleighWitness]:
     rng = random.Random(seed)
     n = mu.n
-    wints = _scaled_weights(mu)
+    wints = _int_terms(mu.weights)
     for _ in range(trials):
         if signed:
             nums = [rng.randint(-max_den, max_den) for _ in range(n)]
@@ -239,28 +234,13 @@ def _rayleigh_scan(mu: Measure, c: Fraction, trials: int, seed: int,
         for i in range(n):
             for j in range(i + 1, n):
                 if z * dz2[i][j] * c.denominator > c.numerator * dz[i] * dz[j]:
+                    # Z and its partials at w are those of the homogenization
+                    # at (1, w), whose variable k + 1 is w_k
                     w = tuple(Fraction(nums[k], dens[k]) for k in range(n))
-                    return _exact_measure_witness(mu, c, i, j, w)
+                    lhs, rhs = _rayleigh_sides(partition_homogenized(mu), c, (0,) * (n + 1),
+                                               i + 1, j + 1, (1,) + w)
+                    return MeasureRayleighWitness(i, j, w, lhs, rhs)
     return None
-
-
-def _exact_measure_witness(mu: Measure, c: Fraction, i: int, j: int,
-                           w: tuple[Fraction, ...]) -> MeasureRayleighWitness:
-    def z_eval(point, drop=()):
-        total = Fraction(0)
-        for mask, wt in mu.weights.items():
-            if any(mask >> k & 1 == 0 for k in drop):
-                continue
-            term = wt
-            for idx in range(mu.n):
-                if mask >> idx & 1 and idx not in drop:
-                    term *= point[idx]
-            total += term
-        return total
-
-    lhs = z_eval(w) * z_eval(w, drop=(i, j))
-    rhs = c * z_eval(w, drop=(i,)) * z_eval(w, drop=(j,))
-    return MeasureRayleighWitness(i, j, w, lhs, rhs)
 
 
 def negative_dependence_report(mu: Measure, c: RationalLike = 2,
@@ -272,6 +252,8 @@ def negative_dependence_report(mu: Measure, c: RationalLike = 2,
     positive orthant and the strongly-Rayleigh scan samples signed points;
     a None witness falsifies nothing.
     """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     cf = as_fraction(c)
     pnc_fail = tuple(pairwise_bound_failures(mu, 1))
     pair_fail = tuple(pairwise_bound_failures(mu, cf))

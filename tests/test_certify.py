@@ -6,8 +6,10 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lorentz import (HomogPoly, Inertia, hodge_riemann_at, is_lorentzian,
+from lorentz import (HomogPoly, Inertia, hodge_riemann_many, is_lorentzian,
                      is_strictly_lorentzian, log_concavity_probe,
                      rayleigh_check_at, rayleigh_falsify)
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
@@ -17,8 +19,9 @@ from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
 from lorentz.inertia import inertia
 from lorentz.poly import simplex
 from lorentz.serialize import poly_from_dict
-from generators import (random_lorentzian_input, random_nonneg_matrix,
-                        random_positive_fraction)
+from generators import (random_homog, random_lorentzian_input,
+                        random_nonneg_matrix, random_positive_fraction)
+from poly_oracles import hessian
 
 MANY_FAIL = Path(__file__).parent / "golden" / "inputs" / "many_fail.json"
 
@@ -219,15 +222,15 @@ def test_closure_substitution():
 
 def test_hodge_riemann_examples():
     sq = HomogPoly.linear_form([1, 1]) ** 2
-    assert hodge_riemann_at(sq, [1, 1]) == Inertia(1, 0, 1)
+    assert hodge_riemann_many(sq, [[1, 1]])[0] == Inertia(1, 0, 1)
     tri = HomogPoly(3, 2, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
-    assert hodge_riemann_at(tri, [1, 2, 3]) == Inertia(1, 2, 0)
+    assert hodge_riemann_many(tri, [[1, 2, 3]])[0] == Inertia(1, 2, 0)
     rank1 = HomogPoly(2, 2, {(2, 0): 1})
-    assert hodge_riemann_at(rank1, [1, 1]) == Inertia(1, 0, 1)
+    assert hodge_riemann_many(rank1, [[1, 1]])[0] == Inertia(1, 0, 1)
     with pytest.raises(ValueError):
-        hodge_riemann_at(sq, [1, 0])
+        hodge_riemann_many(sq, [[1, 0]])
     with pytest.raises(ValueError):
-        hodge_riemann_at(HomogPoly.linear_form([1, 1]), [1, 1])
+        hodge_riemann_many(HomogPoly.linear_form([1, 1]), [[1, 1]])
 
 
 def test_hodge_riemann_on_random_lorentzian():
@@ -237,7 +240,35 @@ def test_hodge_riemann_on_random_lorentzian():
         if f.degree < 2 or f.is_zero():
             continue
         w = [random_positive_fraction(rng) for _ in range(f.nvars)]
-        assert hodge_riemann_at(f, w).n_plus == 1
+        assert hodge_riemann_many(f, [w])[0].n_plus == 1
+
+
+def _positive_points(rng, n, count=3):
+    # denominators up to 12, so a point's coordinates rarely share one
+    return [[random_positive_fraction(rng, hi=9, max_den=12) for _ in range(n)]
+            for _ in range(count)]
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(2, 4),
+       st.booleans())
+def test_hodge_riemann_matches_fraction_hessian(rng, n, d, lorentzian):
+    # the integer pass against the Hessian of Fraction second derivatives
+    f = random_lorentzian_input(rng) if lorentzian else random_homog(rng, n, d)
+    if f.degree < 2:
+        return
+    points = _positive_points(rng, f.nvars)
+    assert hodge_riemann_many(f, points) == [inertia(hessian(f, at=w)) for w in points]
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.booleans())
+def test_lorentzian_hessians_have_one_positive_eigenvalue(rng, n, d, generated):
+    # the Hodge-Riemann analog: every nonzero Lorentzian f of degree >= 2
+    f = random_lorentzian_input(rng) if generated else random_homog(rng, n, d, nonneg=True)
+    if f.degree < 2 or f.is_zero() or not is_lorentzian(f).verdict:
+        return
+    sigs = hodge_riemann_many(f, _positive_points(rng, f.nvars))
+    assert [sig.n_plus for sig in sigs] == [1] * 3
 
 
 def tight_rayleigh_poly(d):

@@ -12,6 +12,7 @@ import lorentz
 from lorentz import matroids
 from lorentz.cli import build_parser, main
 
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 CUBIC9 = {"n": 2, "d": 3, "terms": [
     {"exp": [3, 0], "num": "2", "den": "1"}, {"exp": [2, 1], "num": "12", "den": "1"},
     {"exp": [1, 2], "num": "18", "den": "1"}, {"exp": [0, 3], "num": "9", "den": "1"}]}
@@ -117,11 +118,42 @@ def test_rayleigh_violation(tmp_path, capsys):
 
 
 def test_rayleigh_point_needs_every_coordinate(capsys):
-    fano = str(Path(__file__).resolve().parent / "golden" / "inputs" / "fano_potts.json")
+    fano = str(GOLDEN_INPUTS / "fano_potts.json")
     code, rep = run(capsys, "rayleigh", fano, "--c", "2", "--seed", "1", "--trials", "0",
                     "--point", "1,1")
     assert code == 2
     assert rep == {"command": ["rayleigh"], "error": "point has length 2, expected 8"}
+
+
+def test_hodge_riemann_point_needs_every_coordinate(capsys):
+    code, rep = run(capsys, "hodge-riemann", str(GOLDEN_INPUTS / "fano_potts.json"),
+                    "--point", "1,1")
+    assert code == 2
+    assert rep == {"command": ["hodge-riemann"], "error": "point has length 2, expected 8"}
+
+
+_CUBIC9, _MU = str(GOLDEN_INPUTS / "cubic9.json"), str(GOLDEN_INPUTS / "mu_u24.json")
+_RAYLEIGH = ["rayleigh", _CUBIC9, "--c", "1", "--seed", "1"]
+_HODGE = ["hodge-riemann", _CUBIC9, "--seed", "1"]
+# One row per count option and out-of-range value; a new count option adds its rows.
+_COUNT_ROWS = [
+    (_RAYLEIGH + ["--trials", "-1"], "trials must be nonnegative"),
+    (_RAYLEIGH + ["--trials", "3", "--max-den", "-1"], "max_den must be positive"),
+    (_RAYLEIGH + ["--trials", "3", "--max-den", "0"], "max_den must be positive"),
+    (_HODGE + ["--points", "-1"], "points must be nonnegative"),
+    (_HODGE + ["--points", "2", "--max-den", "-1"], "max_den must be positive"),
+    (_HODGE + ["--points", "2", "--max-den", "0"], "max_den must be positive"),
+    (["measure", "report", _MU, "--seed", "1", "--trials", "-1"], "trials must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _COUNT_ROWS,
+                         ids=[" ".join([argv[0]] + argv[-2:]) for argv, _ in _COUNT_ROWS])
+def test_count_option_out_of_range(capsys, argv, message):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out) == {"command": [argv[0]], "error": message}  # exactly one object
 
 
 def test_mconvex_commands(tmp_path, capsys):

@@ -151,6 +151,43 @@ def test_report_finds_positive_correlation():
     assert wit.lhs > wit.rhs
 
 
+def _partial_sum(mu, w, ks):
+    """d_ks Z at w by brute force: mu(S) times the product of w over S - ks,
+    summed over the subsets S that contain ks."""
+    total = Fraction(0)
+    for atom, weight in mu.atoms():
+        if set(ks) <= set(atom):
+            for k in atom:
+                if k not in ks:
+                    weight *= w[k]
+            total += weight
+    return total
+
+
+def test_report_witnesses_hold():
+    rng = random.Random(61)
+    fixtures = [mu for name in NAMES for mu in matroid_measures(load(name))]
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        masks = rng.sample(range(1 << n), rng.randint(1, 1 << n))
+        fixtures.append(Measure(n, {m: random_positive_fraction(rng) for m in masks},
+                                normalize=True))
+    found = {"c": 0, "strong": 0}
+    for mu in fixtures:
+        # c = 1, the constant of the strongly Rayleigh scan too
+        rep = negative_dependence_report(mu, c=1, trials=30, seed=3)
+        for kind, wit in (("c", rep.c_rayleigh_witness),
+                          ("strong", rep.strongly_rayleigh_witness)):
+            if wit is None:
+                continue
+            found[kind] += 1
+            w, i, j = wit.point, wit.i, wit.j
+            assert wit.lhs == _partial_sum(mu, w, ()) * _partial_sum(mu, w, (i, j))
+            assert wit.rhs == _partial_sum(mu, w, (i,)) * _partial_sum(mu, w, (j,))
+            assert wit.lhs > wit.rhs
+    assert found["c"] and found["strong"]
+
+
 def test_strongly_rayleigh_fixtures_are_lorentzian():
     # fixtures with stable partition functions: the signed scan stays silent
     # and the Lorentzian verdict is true
