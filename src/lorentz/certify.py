@@ -164,9 +164,7 @@ def hodge_riemann_many(f: HomogPoly,
     if f.degree < 2:
         raise ValueError("Hessian test needs degree >= 2")
     n = f.nvars
-    # each integer coefficient with the (index, power) pairs of its nonzero powers
-    terms = [(c, [(i, k) for i, k in enumerate(e) if k])
-             for e, c in _int_terms(f.terms).items()]
+    terms = _indexed_terms(_int_terms(f.terms))
     out = []
     for w in points:
         _, u = _integer_point(w, n)
@@ -200,59 +198,77 @@ def _int_terms(terms: Mapping) -> dict:
     return {e: int(c * scale) for e, c in terms.items()}
 
 
-# -- c-Rayleigh falsification ----------------------------------------------
+def _indexed_terms(terms: Mapping[Exponent, int]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Each coefficient with the (index, power) pairs of its nonzero powers."""
+    return [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in terms.items()]
+
+
+# -- c-Rayleigh scans ---------------------------------------------------------
 #
-# Both sides of the inequality are homogeneous of the same degree in w and
-# quadratic in the coefficients of f, so scaling f to integer coefficients
-# and w to an integer point changes nothing; the search then runs on plain
-# integers.  Only alpha with d^alpha f nonzero and |alpha| <= d-2 are
-# checked; larger alpha make the left side vanish, so the inequality holds
-# there automatically.
+# A check (alpha, i, j) is d^alpha f * d^(alpha+e_i+e_j) f <= c * d^(alpha+e_i) f
+# * d^(alpha+e_j) f at one point.  Both sides are homogeneous of the same
+# degree in the point and quadratic in the coefficients of f, so scaling both
+# to integers multiplies the two sides by the same positive number and one
+# integer scan decides every check.  Polynomials check each alpha with
+# d^alpha f nonzero and |alpha| <= d-2 (larger alpha make the left side
+# vanish) and i <= j; measures check alpha = 0 and 1 <= i < j <= n on the
+# homogenized partition function.  ``_rayleigh_sides`` recomputes every
+# witness in Fractions.
 
 
-# Not HomogPoly.eval: sampled points have many zero coordinates to exit early on.
-def _eval_int(terms: dict[Exponent, int], u: Sequence[int]) -> int:
-    total = 0
-    for e, c in terms.items():
-        v = c
-        for x, k in zip(u, e):
-            if k:
-                if x == 0:
-                    v = 0
+class _RayleighScan:
+    """Checks (alpha, i, j) on integer terms, compiled once into the indices
+    of d^alpha, d^(alpha+e_i), d^(alpha+e_j) and d^(alpha+e_i+e_j) in one
+    list of derivatives, and tried in order at integer points.  A
+    derivative's terms are built when a point first needs its value, and a
+    point evaluates each derivative at most once."""
+
+    def __init__(self, terms: Mapping[Exponent, int],
+                 checks: Iterable[tuple[Exponent, int, int]]):
+        index: dict[Exponent, int] = {}
+
+        def at(alpha: Exponent, *ks: int) -> int:
+            e = list(alpha)
+            for k in ks:
+                e[k] += 1
+            return index.setdefault(tuple(e), len(index))
+
+        self._quads = [(at(a), at(a, i), at(a, j), at(a, i, j), (a, i, j)) for a, i, j in checks]
+        self._terms = terms
+        self._exps = list(index)
+        self._derivs: list = [None] * len(index)
+
+    def _value(self, k: int, u: Sequence[int]) -> int:
+        terms = self._derivs[k]
+        if terms is None:
+            terms = self._derivs[k] = _indexed_terms(derive_terms(self._terms, self._exps[k]))
+        total = 0
+        for v, powers in terms:
+            for i, p in powers:
+                x = u[i]
+                if not x:       # sampled points have many zero coordinates
                     break
-                v *= x ** k
-        total += v
-    return total
+                v *= x ** p
+            else:
+                total += v
+        return total
 
+    def first_violation(self, c: Fraction,
+                        u: Sequence[int]) -> Optional[tuple[Exponent, int, int]]:
+        """The first check that fails at the integer point u, or None."""
+        values: list[Optional[int]] = [None] * len(self._exps)
 
-def _rayleigh_violation_scaled(fint: dict[Exponent, int], derivs: dict,
-                               alphas: list[Exponent], n: int,
-                               c_num: int, c_den: int,
-                               u: Sequence[int]) -> Optional[tuple[Exponent, int, int]]:
-    values: dict[Exponent, int] = {}
+        def value(k: int) -> int:
+            v = values[k]
+            if v is None:
+                v = values[k] = self._value(k, u)
+            return v
 
-    def val(beta: Exponent) -> int:
-        if beta not in values:
-            terms = derivs.get(beta)
-            if terms is None:
-                terms = derive_terms(fint, beta)
-                derivs[beta] = terms
-            values[beta] = _eval_int(terms, u)
-        return values[beta]
-
-    for alpha in alphas:
-        base = val(alpha)
-        for i in range(n):
-            ai = list(alpha)
-            ai[i] += 1
-            vi = val(tuple(ai))
-            for j in range(i, n):
-                aij = list(ai)
-                aij[j] += 1
-                lhs = base * val(tuple(aij))
-                if lhs * c_den > c_num * vi * val(tuple(alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:])):
-                    return alpha, i, j
-    return None
+        num, den = c.numerator, c.denominator
+        for a, ai, aj, aij, check in self._quads:
+            if value(a) * value(aij) * den > num * value(ai) * value(aj):
+                return check
+        return None
 
 
 def rayleigh_check_at(f: HomogPoly, c: RationalLike,
@@ -260,27 +276,23 @@ def rayleigh_check_at(f: HomogPoly, c: RationalLike,
     """First exact c-Rayleigh violation of f over nonnegative points, tried
     in order, if any.
 
-    The integer terms, the alphas and the derivative cache are built once
-    and shared by every point; each point, of ``f.nvars`` coordinates, is
-    checked when its turn comes.
+    The scan is compiled once and shared by every point; each point, of
+    ``f.nvars`` coordinates, is checked when its turn comes.
     """
     cf = as_fraction(c)
     if not f.has_nonnegative_coeffs():
         raise ValueError("f must have nonnegative coefficients")
     n = f.nvars
-    fint = _int_terms(f.terms)
-    alphas = _rayleigh_alphas(f)
-    derivs: dict = {}
+    scan = _RayleighScan(_int_terms(f.terms), [(a, i, j) for a in _rayleigh_alphas(f)
+                                               for i in range(n) for j in range(i, n)])
     for w in points:
         wf, u = _integer_point(w, n)
         if any(k < 0 for k in u):
             raise ValueError("point must be nonnegative")
-        hit = _rayleigh_violation_scaled(fint, derivs, alphas, n, cf.numerator,
-                                         cf.denominator, u)
+        hit = scan.first_violation(cf, u)
         if hit is not None:
-            alpha, i, j = hit
-            lhs, rhs = _rayleigh_sides(f, cf, alpha, i, j, wf)
-            return RayleighWitness(alpha, i, j, tuple(wf), lhs, rhs)
+            lhs, rhs = _rayleigh_sides(f, cf, *hit, wf)
+            return RayleighWitness(*hit, tuple(wf), lhs, rhs)
     return None
 
 

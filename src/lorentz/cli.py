@@ -164,12 +164,12 @@ def _hodge_riemann(run: _Run, args) -> int:
     f = _load_poly(args.poly)
     if args.points < 0:
         raise LoadError("points must be nonnegative")
+    if args.max_den < 1:
+        raise LoadError("max_den must be positive")
     points = [list(p) for p in args.point or []]
     if args.points:
         if args.seed is None:
             raise LoadError("--seed is required when sampling points")
-        if args.max_den < 1:
-            raise LoadError("max_den must be positive")
         rng = random.Random(args.seed)
         for _ in range(args.points):
             points.append([Fraction(rng.randint(1, args.max_den), rng.randint(1, args.max_den))
@@ -188,6 +188,11 @@ def _hodge_riemann(run: _Run, args) -> int:
 
 def _rayleigh(run: _Run, args) -> int:
     f = _load_poly(args.poly)
+    # the counts are checked before an explicit point can refute
+    if args.trials < 0:
+        raise LoadError("trials must be nonnegative")
+    if args.max_den < 1:
+        raise LoadError("max_den must be positive")
     wit = certify.rayleigh_check_at(f, args.c, args.point) if args.point else None
     if wit is None:
         wit = certify.rayleigh_falsify(f, args.c, trials=args.trials, seed=args.seed,

@@ -27,7 +27,8 @@ class SymMatrix:
 
     def __init__(self, rows: Sequence[Sequence[RationalLike]]):
         n = len(rows)
-        ent = tuple(tuple(map(as_fraction, row)) for row in rows)
+        # an int stays an int: it compares and hashes like its Fraction
+        ent = tuple(tuple(x if type(x) is int else as_fraction(x) for x in row) for row in rows)
         for row in ent:
             if len(row) != n:
                 raise ValueError("matrix is not square")

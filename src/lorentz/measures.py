@@ -6,7 +6,9 @@ Lorentzian when the homogenization of Z is a Lorentzian polynomial.
 
 PNC and ULC are decided exactly by full enumeration.  The Rayleigh-type
 properties quantify over a real orthant, so they are only falsified by
-seeded sampling, in the same spirit as the polynomial certifier.
+seeded sampling.  Z * d_ij Z <= c * d_i Z * d_j Z at w is the c-Rayleigh
+check (alpha = 0, i + 1, j + 1) of the homogenized Z at (1, w), so the
+sampled points run through the polynomial certifier's integer scan.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .certify import Certificate, _int_terms, _rayleigh_sides, is_lorentzian
+from .certify import (Certificate, _int_terms, _rayleigh_sides, _RayleighScan,
+                      is_lorentzian)
 from .matroids import Matroid, _mask, independent_set_masks
 from .poly import HomogPoly, RationalLike, as_fraction, first_ulc_failure
 
@@ -180,48 +183,12 @@ class NegativeDependenceReport:
     seed: int
 
 
-# -- integer-cleared evaluation of Z and its first two derivatives ---------
-#
-# Both sides of Z * dij Z <= c * di Z * dj Z are quadratic in the weights
-# and are compared at one point at a time, so the weights are scaled to
-# integers and each evaluated quantity is kept as an integer numerator over
-# the common denominator D^n, which cancels in the comparison.
-
-
-def _z_values(wints: dict[int, int], n: int, u: Sequence[int], den: int):
-    """Numerators of Z, dZ, and the pair derivatives over denominator den^n."""
-    prod_cache: dict[int, int] = {0: 1}
-
-    def subset_prod(mask: int) -> int:
-        if mask in prod_cache:
-            return prod_cache[mask]
-        low = mask & -mask
-        val = subset_prod(mask ^ low) * u[low.bit_length() - 1]
-        prod_cache[mask] = val
-        return val
-
-    z = 0
-    dz = [0] * n
-    dz2 = [[0] * n for _ in range(n)]
-    for mask, w in wints.items():
-        size = bin(mask).count("1")
-        z += w * subset_prod(mask) * den ** (n - size)
-        for i in range(n):
-            if mask >> i & 1:
-                rest = mask ^ (1 << i)
-                dz[i] += w * subset_prod(rest) * den ** (n - size + 1)
-                for j in range(i + 1, n):
-                    if mask >> j & 1:
-                        val = w * subset_prod(rest ^ (1 << j)) * den ** (n - size + 2)
-                        dz2[i][j] += val
-    return z, dz, dz2
-
-
-def _rayleigh_scan(mu: Measure, c: Fraction, trials: int, seed: int,
+def _rayleigh_scan(f: HomogPoly, scan: _RayleighScan, c: Fraction, trials: int, seed: int,
                    signed: bool, max_den: int = 10) -> Optional[MeasureRayleighWitness]:
+    """The first of ``trials`` seeded points w where Z * d_ij Z > c * d_i Z * d_j Z,
+    with its witness, or None; f is the homogenized Z and ``scan`` its checks."""
     rng = random.Random(seed)
-    n = mu.n
-    wints = _int_terms(mu.weights)
+    n = f.nvars - 1
     for _ in range(trials):
         if signed:
             nums = [rng.randint(-max_den, max_den) for _ in range(n)]
@@ -229,17 +196,13 @@ def _rayleigh_scan(mu: Measure, c: Fraction, trials: int, seed: int,
             nums = [rng.randint(1, max_den) for _ in range(n)]
         dens = [rng.randint(1, max_den) for _ in range(n)]
         den = lcm(*dens)
-        u = [nums[i] * (den // dens[i]) for i in range(n)]
-        z, dz, dz2 = _z_values(wints, n, u, den)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if z * dz2[i][j] * c.denominator > c.numerator * dz[i] * dz[j]:
-                    # Z and its partials at w are those of the homogenization
-                    # at (1, w), whose variable k + 1 is w_k
-                    w = tuple(Fraction(nums[k], dens[k]) for k in range(n))
-                    lhs, rhs = _rayleigh_sides(partition_homogenized(mu), c, (0,) * (n + 1),
-                                               i + 1, j + 1, (1,) + w)
-                    return MeasureRayleighWitness(i, j, w, lhs, rhs)
+        # Z and its partials at w are those of f at (1, w), whose variable
+        # k + 1 is w_k; at (den, den * w) both sides gain the factor den^(2n-2)
+        hit = scan.first_violation(c, [den] + [nums[k] * (den // dens[k]) for k in range(n)])
+        if hit is not None:
+            w = tuple(Fraction(nums[k], dens[k]) for k in range(n))
+            lhs, rhs = _rayleigh_sides(f, c, *hit, (1,) + w)
+            return MeasureRayleighWitness(hit[1] - 1, hit[2] - 1, w, lhs, rhs)
     return None
 
 
@@ -248,9 +211,10 @@ def negative_dependence_report(mu: Measure, c: RationalLike = 2,
     """Exact PNC and ULC checks plus seeded Rayleigh falsification.
 
     PNC and the pairwise c-bound are decided exactly from marginals; ULC is
-    decided exactly from the rank sequence.  The c-Rayleigh scan samples the
-    positive orthant and the strongly-Rayleigh scan samples signed points;
-    a None witness falsifies nothing.
+    decided exactly from the rank sequence.  One scan of the homogenized Z
+    serves two samplings: at c over the positive orthant (c-Rayleigh) and at
+    1 over signed points (strongly Rayleigh).  A None witness falsifies
+    nothing.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -258,8 +222,12 @@ def negative_dependence_report(mu: Measure, c: RationalLike = 2,
     pnc_fail = tuple(pairwise_bound_failures(mu, 1))
     pair_fail = tuple(pairwise_bound_failures(mu, cf))
     ulc_ok, ulc_k = is_ulc(mu)
-    cr = _rayleigh_scan(mu, cf, trials, seed, signed=False)
-    sr = _rayleigh_scan(mu, Fraction(1), trials, seed + 1, signed=True)
+    f = partition_homogenized(mu)
+    n = mu.n
+    scan = _RayleighScan(_int_terms(f.terms), [((0,) * (n + 1), i, j) for i in range(1, n + 1)
+                                               for j in range(i + 1, n + 1)])
+    cr = _rayleigh_scan(f, scan, cf, trials, seed, signed=False)
+    sr = _rayleigh_scan(f, scan, Fraction(1), trials, seed + 1, signed=True)
     return NegativeDependenceReport(
         pnc_holds=not pnc_fail, pnc_failures=pnc_fail,
         pairwise_c=cf, pairwise_holds=not pair_fail, pairwise_failures=pair_fail,

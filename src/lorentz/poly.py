@@ -75,16 +75,20 @@ def derive_terms(terms: Mapping[Exponent, Fraction | int], alpha: Exponent) -> d
 
     Coefficients may be of any numeric type; each is multiplied by an int.
     """
+    need = [(i, a) for i, a in enumerate(alpha) if a]
     out = {}
     for e, c in terms.items():
-        if any(k < ak for k, ak in zip(e, alpha)):
-            continue
         mult = 1
-        for k, ak in zip(e, alpha):
-            # falling factorial k*(k-1)*...*(k-ak+1)
-            for t in range(ak):
-                mult *= k - t
-        out[tuple(k - ak for k, ak in zip(e, alpha))] = c * mult
+        for i, a in need:
+            # the falling factorial e_i (e_i - 1) ... (e_i - a + 1), 0 when e_i < a
+            mult *= math.perm(e[i], a)
+            if not mult:
+                break
+        else:
+            b = list(e)
+            for i, a in need:
+                b[i] -= a
+            out[tuple(b)] = c * mult
     return out
 
 

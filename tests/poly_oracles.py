@@ -2,13 +2,14 @@
 
 ``hessian`` is the full matrix of second partials in ``Fraction``
 arithmetic, the oracle for the library's quadratic Hessians; ``euler_pairing``
-is the left side of Euler's identity for homogeneous polynomials.
+is the left side of Euler's identity for homogeneous polynomials;
+``first_rayleigh_violation`` is the oracle for the integer c-Rayleigh scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from lorentz.inertia import SymMatrix
 from lorentz.poly import HomogPoly, RationalLike, as_fraction, unit
@@ -43,3 +44,30 @@ def euler_pairing(p: HomogPoly, w: Sequence[RationalLike]) -> Fraction:
     for i, x in enumerate(wf):
         total += x * p.derive(unit(p.nvars, i)).eval(wf)
     return total
+
+
+def first_rayleigh_violation(f: HomogPoly, c: RationalLike,
+                             points: Iterable[Sequence[RationalLike]],
+                             checks: Sequence[tuple[tuple[int, ...], int, int]]
+                             ) -> Optional[tuple[tuple[int, ...], int, int, tuple[Fraction, ...]]]:
+    """The first (alpha, i, j, w), over the points w and then the checks in
+    order, with d^alpha f * d^(alpha+e_i+e_j) f > c * d^(alpha+e_i) f * d^(alpha+e_j) f
+    at w in Fractions, or None."""
+    cf = as_fraction(c)
+    derived: dict[tuple[int, ...], HomogPoly] = {}
+    for w in points:
+        wf = tuple(as_fraction(x) for x in w)
+        values: dict[tuple[int, ...], Fraction] = {}
+
+        def at(alpha, *ks):
+            beta = tuple(a + ks.count(k) for k, a in enumerate(alpha))
+            if beta not in values:
+                if beta not in derived:
+                    derived[beta] = f.derive(beta)
+                values[beta] = derived[beta].eval(wf)
+            return values[beta]
+
+        for alpha, i, j in checks:
+            if at(alpha) * at(alpha, i, j) > cf * at(alpha, i) * at(alpha, j):
+                return alpha, i, j, wf
+    return None

@@ -6,7 +6,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentz import (HomogPoly, Inertia, hodge_riemann_many, is_lorentzian,
@@ -15,13 +15,14 @@ from lorentz import (HomogPoly, Inertia, hodge_riemann_many, is_lorentzian,
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              SUPPORT_NOT_M_CONVEX, Certificate,
                              _coefficient_certificate, _rayleigh_alphas,
-                             _support_alphas, _support_certificate)
+                             _sampled_points, _support_alphas,
+                             _support_certificate)
 from lorentz.inertia import inertia
 from lorentz.poly import simplex
 from lorentz.serialize import poly_from_dict
 from generators import (random_homog, random_lorentzian_input,
                         random_nonneg_matrix, random_positive_fraction)
-from poly_oracles import hessian
+from poly_oracles import first_rayleigh_violation, hessian
 
 MANY_FAIL = Path(__file__).parent / "golden" / "inputs" / "many_fail.json"
 
@@ -307,6 +308,46 @@ def test_rayleigh_check_at_takes_points_in_order():
     assert rayleigh_check_at(f, c, []) is None
 
 
+def _all_rayleigh_checks(n, d):
+    # every alpha with |alpha| <= d-2, zero derivatives included, sorted as the scan's
+    alphas = sorted(a for k in range(d - 1) for a in simplex(n, k))
+    return [(a, i, j) for a in alphas for i in range(n) for j in range(i, n)]
+
+
+def _assert_matches_reference(wit, f, c, points):
+    ref = first_rayleigh_violation(f, c, points, _all_rayleigh_checks(f.nvars, f.degree))
+    if wit is None:
+        assert ref is None
+    else:
+        assert ref == (wit.alpha, wit.i, wit.j, wit.point)
+        assert wit.lhs > wit.rhs
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 4),
+       st.booleans(), st.sampled_from([Fraction(1, 2), Fraction(1), None]))
+def test_rayleigh_scan_matches_fraction_reference(rng, n, d, generated, c):
+    # the integer scan against derive/eval on the seeded draws of rayleigh_falsify;
+    # c None is the bound 2(1 - 1/d), which holds on Lorentzian inputs
+    f = random_lorentzian_input(rng) if generated else random_homog(rng, n, d, nonneg=True)
+    if c is None:
+        c = 2 * (1 - Fraction(1, max(f.degree, 1)))
+    seed = rng.randrange(1000)
+    _assert_matches_reference(rayleigh_falsify(f, c, trials=12, seed=seed), f, c,
+                              _sampled_points(f.nvars, 12, seed, 10))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_rayleigh_scan_matches_fraction_reference_at_the_tight_bound(d):
+    f = tight_rayleigh_poly(d)
+    c_tight = 2 * (1 - Fraction(1, d))
+    points = [[0, 1, 1], [1, 0, 0]]
+    for c in (c_tight, c_tight - Fraction(1, 100)):
+        _assert_matches_reference(rayleigh_falsify(f, c, trials=40, seed=d), f, c,
+                                  _sampled_points(3, 40, d, 10))
+        _assert_matches_reference(rayleigh_check_at(f, c, points), f, c, points)
+
+
 def test_rayleigh_bivariate_one():
     rng = random.Random(37)
     for _ in range(10):
@@ -319,14 +360,16 @@ def test_rayleigh_bivariate_one():
         assert rayleigh_falsify(f, 1, trials=100, seed=38) is None
 
 
-def test_rayleigh_silent_on_lorentzian():
-    rng = random.Random(39)
-    for _ in range(8):
-        f = random_lorentzian_input(rng)
-        if f.degree < 2 or f.is_zero():
-            continue
-        c = 2 * (1 - Fraction(1, f.degree))
-        assert rayleigh_falsify(f, c, trials=100, seed=40) is None
+@settings(max_examples=30)
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 4),
+       st.booleans())
+def test_rayleigh_silent_on_lorentzian(rng, n, d, generated):
+    # a Lorentzian f of degree d >= 2 is 2(1 - 1/d)-Rayleigh
+    f = random_lorentzian_input(rng) if generated else random_homog(rng, n, d, nonneg=True)
+    if f.degree < 2 or f.is_zero() or not is_lorentzian(f).verdict:
+        return
+    c = 2 * (1 - Fraction(1, f.degree))
+    assert rayleigh_falsify(f, c, trials=100, seed=rng.randrange(1000)) is None
 
 
 def test_rayleigh_rejects_negative_coefficients():

@@ -144,6 +144,12 @@ _COUNT_ROWS = [
     (_HODGE + ["--points", "2", "--max-den", "-1"], "max_den must be positive"),
     (_HODGE + ["--points", "2", "--max-den", "0"], "max_den must be positive"),
     (["measure", "report", _MU, "--seed", "1", "--trials", "-1"], "trials must be nonnegative"),
+    # checked before an explicit point is: a refuting point must not hide a bad count
+    (["rayleigh", str(GOLDEN_INPUTS / "zero_diag_cubic.json"), "--c", "1", "--seed", "1",
+      "--trials", "-5", "--max-den", "0", "--point", "0,0,1,0,1,1"],
+     "trials must be nonnegative"),
+    (["hodge-riemann", str(GOLDEN_INPUTS / "cubic10.json"), "--max-den", "0", "--point", "1,1"],
+     "max_den must be positive"),
 ]
 
 

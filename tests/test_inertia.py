@@ -47,6 +47,16 @@ def test_rejects_asymmetric():
         SymMatrix([[1, 2], [3, 4]])
 
 
+def test_int_entries_stay_ints():
+    ints = SymMatrix([[2, -1], [-1, 0]])
+    fractions = SymMatrix([[Fraction(2), Fraction(-1)], ["-1", Fraction(0)]])
+    assert all(type(x) is int for row in ints.entries for x in row)
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert inertia(ints) == inertia(fractions) == Inertia(1, 1, 0)
+    # a bool is not kept as an int
+    assert type(SymMatrix([[True]]).entries[0][0]) is Fraction
+
+
 def test_char_poly_small():
     # det(tI - M) for [[0,1],[1,0]] is t^2 - 1
     assert char_poly(SymMatrix([[0, 1], [1, 0]])) == [1, 0, -1]

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentz import (HomogPoly, Measure, exclusion_evolution, external_field,
                      is_lorentzian_measure, matroid_measures,
@@ -10,6 +12,7 @@ from lorentz.catalog import NAMES, load
 from lorentz.measures import is_ulc, marginal, pair_marginal, rank_sequence
 
 from generators import random_positive_fraction
+from poly_oracles import first_rayleigh_violation
 
 
 def bernoulli_product(n):
@@ -208,3 +211,35 @@ def test_measure_from_m_matrix_minors_is_lorentzian():
         weights[mask] = principal_minor(a, [i for i in range(3) if mask >> i & 1])
     mu = Measure(3, weights, normalize=True)
     assert is_lorentzian_measure(mu).verdict
+
+
+def _report_draws(n, trials, seed, signed, max_den=10):
+    # the points of the report's scans, drawn as they are: numerators, then denominators
+    rng = random.Random(seed)
+    for _ in range(trials):
+        nums = [rng.randint(-max_den, max_den) if signed else rng.randint(1, max_den)
+                for _ in range(n)]
+        dens = [rng.randint(1, max_den) for _ in range(n)]
+        yield [Fraction(x, y) for x, y in zip(nums, dens)]
+
+
+@settings(max_examples=40)
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.sampled_from([1, 2]))
+def test_report_scans_match_fraction_reference(rng, n, c):
+    # the integer scan against derive/eval of the homogenized Z at (1, w),
+    # on the seeded positive points and the seeded signed points
+    masks = rng.sample(range(1 << n), rng.randint(1, 1 << n))
+    mu = Measure(n, {m: random_positive_fraction(rng) for m in masks}, normalize=True)
+    seed = rng.randrange(1000)
+    rep = negative_dependence_report(mu, c=c, trials=15, seed=seed)
+    f = partition_homogenized(mu)
+    checks = [((0,) * (n + 1), i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for wit, cw, signed, s in ((rep.c_rayleigh_witness, c, False, seed),
+                               (rep.strongly_rayleigh_witness, 1, True, seed + 1)):
+        points = ([1] + w for w in _report_draws(n, 15, s, signed))
+        ref = first_rayleigh_violation(f, cw, points, checks)
+        if wit is None:
+            assert ref is None
+        else:
+            assert ref == ((0,) * (n + 1), wit.i + 1, wit.j + 1, (1,) + wit.point)
+            assert wit.lhs > wit.rhs
