@@ -17,12 +17,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .inertia import Inertia, SymMatrix, inertia
 from .mconvex import PointSet, is_m_convex_set
-from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, derive_terms,
-                   simplex)
+from .poly import Exponent, HomogPoly, RationalLike, as_fraction, simplex
 
 NEGATIVE_COEFFICIENT = "negative_coefficient"
 SUPPORT_NOT_M_CONVEX = "support_not_m_convex"
@@ -164,7 +164,8 @@ def hodge_riemann_many(f: HomogPoly,
     if f.degree < 2:
         raise ValueError("Hessian test needs degree >= 2")
     n = f.nvars
-    terms = _indexed_terms(_int_terms(f.terms))
+    # each coefficient with the (index, power) pairs of its nonzero powers
+    terms = [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in _int_terms(f.terms).items()]
     out = []
     for w in points:
         _, u = _integer_point(w, n)
@@ -198,11 +199,6 @@ def _int_terms(terms: Mapping) -> dict:
     return {e: int(c * scale) for e, c in terms.items()}
 
 
-def _indexed_terms(terms: Mapping[Exponent, int]) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Each coefficient with the (index, power) pairs of its nonzero powers."""
-    return [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in terms.items()]
-
-
 # -- c-Rayleigh scans ---------------------------------------------------------
 #
 # A check (alpha, i, j) is d^alpha f * d^(alpha+e_i+e_j) f <= c * d^(alpha+e_i) f
@@ -212,62 +208,137 @@ def _indexed_terms(terms: Mapping[Exponent, int]) -> list[tuple[int, list[tuple[
 # integer scan decides every check.  Polynomials check each alpha with
 # d^alpha f nonzero and |alpha| <= d-2 (larger alpha make the left side
 # vanish) and i <= j; measures check alpha = 0 and 1 <= i < j <= n on the
-# homogenized partition function.  ``_rayleigh_sides`` recomputes every
-# witness in Fractions.
+# homogenized partition function.
+#
+# The scan is compiled into one table of monomials.  Entry m holds u^m at the
+# point u and is filled as u^parent * u_k from an earlier entry, one product
+# per entry.  A derivative d^beta f is a tuple of integer coefficients and a
+# tuple of table entries, derived from a derivative one order below it, so
+# its value at u is one indexed sum.  The checks read the values from a plain
+# list, in which slot 0 holds the value 0 of every identically zero
+# derivative.  An alpha's checks, the derivatives they first need and the
+# monomials those add are compiled when a point first reaches that alpha, and
+# a point fills the table and the values one alpha at a time, so an early
+# refutation builds and evaluates only what it reads.  ``_rayleigh_sides``
+# recomputes every witness in Fractions.
+
+
+def _below(e: Exponent, built: Mapping[Exponent, object]) -> tuple[Exponent, int]:
+    """(e - e_k, k) for the first k with e - e_k in ``built``, else for the
+    last k with e_k > 0; e must be nonzero."""
+    ks = [k for k, x in enumerate(e) if x]
+    lower = [e[:k] + (e[k] - 1,) + e[k + 1:] for k in ks]
+    at = next((x for x, b in enumerate(lower) if b in built), -1)
+    return lower[at], ks[at]
+
+
+def _getter(entries: Sequence[int]):
+    """A function from the table to its values at ``entries``, as a tuple."""
+    if len(entries) == 1:
+        m = entries[0]
+        return lambda table: (table[m],)
+    return itemgetter(*entries)
 
 
 class _RayleighScan:
-    """Checks (alpha, i, j) on integer terms, compiled once into the indices
-    of d^alpha, d^(alpha+e_i), d^(alpha+e_j) and d^(alpha+e_i+e_j) in one
-    list of derivatives, and tried in order at integer points.  A
-    derivative's terms are built when a point first needs its value, and a
-    point evaluates each derivative at most once."""
+    """The checks (alpha, i, j), for each alpha in order and each (i, j) of
+    ``pairs`` in order, on integer terms, tried in that order at integer
+    points and compiled into one monomial table.
 
-    def __init__(self, terms: Mapping[Exponent, int],
-                 checks: Iterable[tuple[Exponent, int, int]]):
-        index: dict[Exponent, int] = {}
+    With ``drop_zero`` a check whose d^(alpha+e_i+e_j) f is identically zero
+    is not compiled.  That is sound only for nonnegative terms, points and c:
+    the left side of such a check is 0 and its right side is c times two
+    values >= 0, so it cannot fail, and the first failing check is the same.
+    For c < 0 it fails wherever d^(alpha+e_i) f and d^(alpha+e_j) f are
+    positive, and at signed points the sides have no sign, so it is kept.
+    """
 
-        def at(alpha: Exponent, *ks: int) -> int:
-            e = list(alpha)
-            for k in ks:
-                e[k] += 1
-            return index.setdefault(tuple(e), len(index))
-
-        self._quads = [(at(a), at(a, i), at(a, j), at(a, i, j), (a, i, j)) for a, i, j in checks]
+    def __init__(self, terms: Mapping[Exponent, int], alphas: Sequence[Exponent],
+                 pairs: Sequence[tuple[int, int]], drop_zero: bool = False):
         self._terms = terms
-        self._exps = list(index)
-        self._derivs: list = [None] * len(index)
+        self._alphas = alphas
+        self._pairs = pairs
+        self._drop_zero = drop_zero
+        one = (0,) * len(alphas[0]) if alphas else ()
+        self._entry: dict[Exponent, int] = {one: 0}   # monomial -> table entry
+        self._exps: list[Exponent] = [one]             # table entry -> monomial
+        self._steps = [(0, 0)]          # entry -> (parent entry, k); entry 0 is u^0 = 1
+        self._derivs: dict[Exponent, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._slots: dict[Exponent, int] = {}          # beta -> value slot of d^beta f
+        self._nslots = 1
+        self._groups: list = []         # per compiled alpha: (table length, new values, checks)
 
-    def _value(self, k: int, u: Sequence[int]) -> int:
-        terms = self._derivs[k]
-        if terms is None:
-            terms = self._derivs[k] = _indexed_terms(derive_terms(self._terms, self._exps[k]))
-        total = 0
-        for v, powers in terms:
-            for i, p in powers:
-                x = u[i]
-                if not x:       # sampled points have many zero coordinates
-                    break
-                v *= x ** p
+    def _mono(self, e: Exponent) -> int:
+        m = self._entry.get(e)
+        if m is None:
+            parent, k = _below(e, self._entry)
+            p = self._mono(parent)
+            m = self._entry[e] = len(self._exps)
+            self._exps.append(e)
+            self._steps.append((p, k))
+        return m
+
+    def _deriv(self, beta: Exponent) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """d^beta f as its coefficients and the table entries of its monomials."""
+        d = self._derivs.get(beta)
+        if d is None:
+            if not any(beta):
+                d = tuple(self._terms.values()), tuple(map(self._mono, self._terms))
             else:
-                total += v
-        return total
+                parent, k = _below(beta, self._derivs)
+                coefs, entries = [], []
+                for v, m in zip(*self._deriv(parent)):
+                    e = self._exps[m]
+                    if e[k]:
+                        coefs.append(v * e[k])
+                        entries.append(self._mono(e[:k] + (e[k] - 1,) + e[k + 1:]))
+                d = tuple(coefs), tuple(entries)
+            self._derivs[beta] = d
+        return d
+
+    def _compile(self) -> None:
+        """Compile the next alpha: its checks over value slots, the
+        derivatives whose slots it adds, and the table length they read."""
+        alpha = self._alphas[len(self._groups)]
+        new = []
+
+        def slot(*ks: int) -> int:
+            beta = list(alpha)
+            for k in ks:
+                beta[k] += 1
+            beta = tuple(beta)
+            s = self._slots.get(beta)
+            if s is None:
+                coefs, entries = self._deriv(beta)
+                s = 0
+                if coefs:
+                    s, self._nslots = self._nslots, self._nslots + 1
+                    new.append((coefs, _getter(entries)))
+                self._slots[beta] = s
+            return s
+
+        checks = []
+        for i, j in self._pairs:
+            aij = slot(i, j)
+            if aij or not self._drop_zero:
+                checks.append((slot(), slot(i), slot(j), aij, (alpha, i, j)))
+        self._groups.append((len(self._steps), new, checks))
 
     def first_violation(self, c: Fraction,
                         u: Sequence[int]) -> Optional[tuple[Exponent, int, int]]:
         """The first check that fails at the integer point u, or None."""
-        values: list[Optional[int]] = [None] * len(self._exps)
-
-        def value(k: int) -> int:
-            v = values[k]
-            if v is None:
-                v = values[k] = self._value(k, u)
-            return v
-
         num, den = c.numerator, c.denominator
-        for a, ai, aj, aij, check in self._quads:
-            if value(a) * value(aij) * den > num * value(ai) * value(aj):
-                return check
+        table, values = [1], [0]
+        for g in range(len(self._alphas)):
+            if g == len(self._groups):
+                self._compile()
+            size, new, checks = self._groups[g]
+            for p, k in self._steps[len(table):size]:
+                table.append(table[p] * u[k])
+            values += [sum(map(mul, coefs, get(table))) for coefs, get in new]
+            for a, ai, aj, aij, check in checks:
+                if values[a] * values[aij] * den > num * values[ai] * values[aj]:
+                    return check
         return None
 
 
@@ -283,8 +354,10 @@ def rayleigh_check_at(f: HomogPoly, c: RationalLike,
     if not f.has_nonnegative_coeffs():
         raise ValueError("f must have nonnegative coefficients")
     n = f.nvars
-    scan = _RayleighScan(_int_terms(f.terms), [(a, i, j) for a in _rayleigh_alphas(f)
-                                               for i in range(n) for j in range(i, n)])
+    # the points are nonnegative, so for c >= 0 a check whose left side is
+    # identically zero cannot fail (see _RayleighScan)
+    scan = _RayleighScan(_int_terms(f.terms), _rayleigh_alphas(f),
+                         [(i, j) for i in range(n) for j in range(i, n)], drop_zero=cf >= 0)
     for w in points:
         wf, u = _integer_point(w, n)
         if any(k < 0 for k in u):

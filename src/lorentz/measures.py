@@ -224,8 +224,8 @@ def negative_dependence_report(mu: Measure, c: RationalLike = 2,
     ulc_ok, ulc_k = is_ulc(mu)
     f = partition_homogenized(mu)
     n = mu.n
-    scan = _RayleighScan(_int_terms(f.terms), [((0,) * (n + 1), i, j) for i in range(1, n + 1)
-                                               for j in range(i + 1, n + 1)])
+    scan = _RayleighScan(_int_terms(f.terms), [(0,) * (n + 1)],
+                         [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
     cr = _rayleigh_scan(f, scan, cf, trials, seed, signed=False)
     sr = _rayleigh_scan(f, scan, Fraction(1), trials, seed + 1, signed=True)
     return NegativeDependenceReport(

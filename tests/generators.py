@@ -58,6 +58,15 @@ def random_homog(rng: random.Random, n: int, d: int, density: float = 0.7,
     return HomogPoly(n, d, terms)
 
 
+def random_multiaffine(rng: random.Random, n: int, d: int) -> HomogPoly:
+    """Positive coefficients on a nonempty random set of the d-subsets of n
+    variables: every exponent is 0 or 1."""
+    subsets = list(combinations(range(n), d))
+    chosen = rng.sample(subsets, rng.randint(1, len(subsets)))
+    return HomogPoly(n, d, {tuple(int(i in s) for i in range(n)): random_positive_fraction(rng)
+                            for s in chosen})
+
+
 def random_m_convex_function(rng: random.Random, n: int, d: int) -> DiscreteFunction:
     """Separable convex integer values on a box slice of the simplex."""
     tables = []

@@ -20,7 +20,7 @@ from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
 from lorentz.inertia import inertia
 from lorentz.poly import simplex
 from lorentz.serialize import poly_from_dict
-from generators import (random_homog, random_lorentzian_input,
+from generators import (random_homog, random_lorentzian_input, random_multiaffine,
                         random_nonneg_matrix, random_positive_fraction)
 from poly_oracles import first_rayleigh_violation, hessian
 
@@ -323,13 +323,21 @@ def _assert_matches_reference(wit, f, c, points):
         assert wit.lhs > wit.rhs
 
 
-@settings(max_examples=60)
+@settings(max_examples=100)
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 4),
-       st.booleans(), st.sampled_from([Fraction(1, 2), Fraction(1), None]))
-def test_rayleigh_scan_matches_fraction_reference(rng, n, d, generated, c):
+       st.sampled_from(["random", "lorentzian", "multiaffine"]),
+       st.sampled_from([Fraction(1, 2), Fraction(1), None, Fraction(0), Fraction(-1)]))
+def test_rayleigh_scan_matches_fraction_reference(rng, n, d, kind, c):
     # the integer scan against derive/eval on the seeded draws of rayleigh_falsify;
-    # c None is the bound 2(1 - 1/d), which holds on Lorentzian inputs
-    f = random_lorentzian_input(rng) if generated else random_homog(rng, n, d, nonneg=True)
+    # c None is the bound 2(1 - 1/d), which holds on Lorentzian inputs.  The
+    # scan drops the checks with d^(alpha+e_i+e_j) f = 0 only for c >= 0: in
+    # a multi-affine f every i = j check is one, and at c = -1 those fail
+    if kind == "random":
+        f = random_homog(rng, n, d, nonneg=True)
+    elif kind == "lorentzian":
+        f = random_lorentzian_input(rng)
+    else:
+        f = random_multiaffine(rng, n + 2, d)
     if c is None:
         c = 2 * (1 - Fraction(1, max(f.degree, 1)))
     seed = rng.randrange(1000)
@@ -346,6 +354,15 @@ def test_rayleigh_scan_matches_fraction_reference_at_the_tight_bound(d):
         _assert_matches_reference(rayleigh_falsify(f, c, trials=40, seed=d), f, c,
                                   _sampled_points(3, 40, d, 10))
         _assert_matches_reference(rayleigh_check_at(f, c, points), f, c, points)
+
+
+def test_rayleigh_zero_left_side_fails_only_below_zero():
+    # x0 x1 is multi-affine: each i = j check has d^(alpha+2e_i) f = 0; at
+    # (1, 0) every left side is 0 and only the check (0, 1, 1) has rhs = c
+    f = HomogPoly(2, 2, {(1, 1): 1})
+    assert rayleigh_check_at(f, 0, [[1, 0]]) is None
+    wit = rayleigh_check_at(f, -1, [[1, 0]])
+    assert (wit.alpha, wit.i, wit.j, wit.lhs, wit.rhs) == ((0, 0), 1, 1, 0, -1)
 
 
 def test_rayleigh_bivariate_one():

@@ -19,10 +19,13 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lorentz
 from lorentz.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -175,6 +178,21 @@ def test_report_matches_golden(name):
     code, report = run_case(CASES[name])
     assert code == json.loads(EXIT_CODES.read_text())[name]
     assert report == (REPORTS / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["rayleigh_sampled_refuted", "measure_report",
+                                  "hodge_riemann_sampled"])
+def test_report_does_not_depend_on_hash_seed(name):
+    # the compiled scans take their order from dict and set iteration
+    src = str(Path(lorentz.__file__).resolve().parent.parent)
+    reports = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-m", "lorentz.cli", *CASES[name]],
+                              capture_output=True, text=True, env=env, cwd=GOLDEN, timeout=60)
+        assert proc.returncode == json.loads(EXIT_CODES.read_text())[name]
+        reports.add(ELAPSED.sub("", proc.stdout))
+    assert reports == {(REPORTS / f"{name}.json").read_text(encoding="utf-8")}
 
 
 def record() -> None:

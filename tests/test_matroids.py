@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentz import (ExchangeError, HomogPoly, Matroid, PointSet,
                      basis_generating_poly, cycle_matroid,
@@ -14,6 +16,7 @@ from lorentz import (ExchangeError, HomogPoly, Matroid, PointSet,
 from lorentz.catalog import NAMES, all_matroids, load
 from lorentz.matroids import (_rank_mask, _rank_table, independent_set_masks,
                               normalized_independence_sequence)
+from generators import random_small_matroid
 
 
 def test_catalog_loads():
@@ -213,6 +216,17 @@ def test_potts_certifies_lorentzian_small():
     for q in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):
         for name in ("u12", "u23", "free3", "loop_u12"):
             assert is_lorentzian(potts_poly(load(name), q)).verdict
+
+
+@settings(max_examples=100)
+@given(st.randoms(use_true_random=False),
+       st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda q: q > 0))
+def test_matroid_constructions_are_lorentzian(rng, q):
+    # the basis generating polynomial and, for 0 < q <= 1, the homogenized
+    # multivariate Tutte polynomial of a matroid are Lorentzian
+    m = random_small_matroid(rng)
+    assert is_lorentzian(basis_generating_poly(m)).verdict
+    assert is_lorentzian(potts_poly(m, q)).verdict
 
 
 def test_independent_set_poly_lorentzian():
