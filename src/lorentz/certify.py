@@ -20,7 +20,7 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .inertia import Inertia, SymMatrix, inertia
+from .inertia import Inertia, _inertia_rows
 from .mconvex import PointSet, is_m_convex_set
 from .poly import Exponent, HomogPoly, RationalLike, as_fraction, simplex
 
@@ -72,39 +72,49 @@ def _coefficient_certificate(f: HomogPoly) -> Optional[Certificate]:
     return None
 
 
-def _support_alphas(f: HomogPoly) -> list[Exponent]:
-    """The alphas with |alpha| = d-2 and d^alpha f nonzero, sorted: the
-    e - e_i - e_j for the exponents e of f."""
-    top: set[Exponent] = set()
-    for e in f.terms:
+def _rayleigh_alphas(f: HomogPoly, top: int) -> list[Exponent]:
+    """The alphas with |alpha| <= top and d^alpha f nonzero, sorted: those
+    below the exponents of f."""
+    layer, below = set(f.terms), set()
+    for size in reversed(range(f.degree)):
+        layer = {e[:k] + (e[k] - 1,) + e[k + 1:] for e in layer for k, x in enumerate(e) if x}
+        if size <= top:
+            below |= layer
+    return sorted(below)
+
+
+def _support_inertias(f: HomogPoly) -> Iterator[tuple[Exponent, Inertia]]:
+    """Each alpha with |alpha| = d-2 and d^alpha f nonzero (the e - e_i - e_j
+    for the exponents e of f), in order, with the inertia of the Hessian of
+    d^alpha f.  One pass over the terms fills every Hessian: entry (i, j)
+    over alpha!, with f scaled to integers, is a_e e_i (e_j - [i = j]) for
+    e = alpha + e_i + e_j, a positive multiple that keeps the inertia.  Each
+    is made dense over the indices it touches only for its inertia; the
+    others are zero rows."""
+    hessians: dict[Exponent, dict[tuple[int, int], int]] = {}
+    for e, a in _int_terms(f.terms).items():
         nonzero = [i for i, k in enumerate(e) if k]
         for x, i in enumerate(nonzero):
+            ei = e[:i] + (e[i] - 1,) + e[i + 1:]
             for j in nonzero[x:]:
-                a = list(e)
-                a[i] -= 1
-                a[j] -= 1
-                if a[i] >= 0:       # i == j needs e_i >= 2
-                    top.add(tuple(a))
-    return sorted(top)
-
-
-def _rayleigh_alphas(f: HomogPoly) -> list[Exponent]:
-    """The alphas with |alpha| <= d-2 and d^alpha f nonzero, sorted: those
-    below the degree-(d-2) ones."""
-    layer = set(_support_alphas(f))
-    below = set(layer)
-    while layer:
-        layer = {a[:i] + (a[i] - 1,) + a[i + 1:] for a in layer for i, k in enumerate(a) if k}
-        below |= layer
-    return sorted(below)
+                if ei[j]:       # i == j needs e_i >= 2
+                    alpha = ei[:j] + (ei[j] - 1,) + ei[j + 1:]
+                    hessians.setdefault(alpha, {})[i, j] = a * e[i] * ei[j]
+    for alpha, entries in sorted(hessians.items()):
+        at = {k: x for x, k in enumerate(sorted({k for ij in entries for k in ij}))}
+        rows = [[0] * len(at) for _ in at]
+        for (i, j), v in entries.items():
+            rows[at[i]][at[j]] = rows[at[j]][at[i]] = v
+        yield alpha, _inertia_rows(rows, f.nvars)
 
 
 def is_lorentzian(f: HomogPoly, exhaustive: bool = False) -> Certificate:
     """Exact Lorentzian certification.
 
-    Scans the degree-(d-2) alphas under the support in lexicographic order;
-    the others have a zero Hessian and cannot fail.  Short-circuits on the
-    first failing quadratic unless ``exhaustive``, which collects them all.
+    Scans the degree-(d-2) alphas under the support in lexicographic order,
+    their Hessians built in one integer pass (``_support_inertias``); the
+    others have a zero Hessian and cannot fail.  Short-circuits on the first
+    failing quadratic unless ``exhaustive``, which collects them all.
     """
     if f.is_zero():
         return Certificate(True, is_zero=True)
@@ -117,8 +127,7 @@ def is_lorentzian(f: HomogPoly, exhaustive: bool = False) -> Certificate:
     if f.degree <= 1:
         return Certificate(True)
     failures = []
-    for alpha in _support_alphas(f):
-        sig = inertia(f.quadratic_hessian_after(alpha))
+    for alpha, sig in _support_inertias(f):
         if sig.n_plus > 1:
             failures.append((alpha, sig))
             if not exhaustive:
@@ -143,8 +152,7 @@ def is_strictly_lorentzian(f: HomogPoly) -> Certificate:
                                detail={"coefficient": f.coeff(e)})
     if f.degree <= 1:
         return Certificate(True)
-    for alpha in _support_alphas(f):
-        sig = inertia(f.quadratic_hessian_after(alpha))
+    for alpha, sig in _support_inertias(f):
         if sig.n_plus != 1 or sig.n_zero != 0:
             return Certificate(False, failing_alpha=alpha, failing_kind=INERTIA_VIOLATION,
                                detail={"inertia": sig})
@@ -168,7 +176,7 @@ def hodge_riemann_many(f: HomogPoly,
     terms = [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in _int_terms(f.terms).items()]
     out = []
     for w in points:
-        _, u = _integer_point(w, n)
+        u = _scaled(*_integer_point(w, n))
         if any(x <= 0 for x in u):
             raise ValueError("point must be strictly positive")
         rows = [[0] * n for _ in range(n)]
@@ -180,17 +188,22 @@ def hodge_riemann_many(f: HomogPoly,
                 rows[i][i] += v * ki * (ki - 1)
                 for j, kj in nonzero[x + 1:]:
                     rows[i][j] = rows[j][i] = rows[i][j] + v * ki * kj
-        out.append(inertia(SymMatrix(rows)))
+        out.append(_inertia_rows(rows, n))
     return out
 
 
-def _integer_point(w: Sequence[RationalLike], n: int) -> tuple[list[Fraction], list[int]]:
-    """w, of n coordinates, in Fractions and as den * w for den the lcm of its denominators."""
+def _integer_point(w: Sequence[RationalLike], n: int) -> tuple[list[int], list[int]]:
+    """The numerators and denominators of w, of n coordinates."""
     wf = [as_fraction(x) for x in w]
     if len(wf) != n:
         raise ValueError(f"point has length {len(wf)}, expected {n}")
-    den = lcm(*(x.denominator for x in wf))
-    return wf, [x.numerator * (den // x.denominator) for x in wf]
+    return [x.numerator for x in wf], [x.denominator for x in wf]
+
+
+def _scaled(nums: Sequence[int], dens: Sequence[int]) -> list[int]:
+    """den * w for w_k = nums[k] / dens[k] and den the lcm of the dens."""
+    den = lcm(*dens)
+    return [x * (den // y) for x, y in zip(nums, dens)]
 
 
 def _int_terms(terms: Mapping) -> dict:
@@ -206,8 +219,9 @@ def _int_terms(terms: Mapping) -> dict:
 # degree in the point and quadratic in the coefficients of f, so scaling both
 # to integers multiplies the two sides by the same positive number and one
 # integer scan decides every check.  Polynomials check each alpha with
-# d^alpha f nonzero and |alpha| <= d-2 (larger alpha make the left side
-# vanish) and i <= j; measures check alpha = 0 and 1 <= i < j <= n on the
+# d^alpha f nonzero and i <= j, and |alpha| <= d-2 for c >= 0 (a larger
+# alpha has left side 0) or |alpha| <= d-1 for c < 0 (at |alpha| = d both
+# sides are 0); measures check alpha = 0 and 1 <= i < j <= n on the
 # homogenized partition function.
 #
 # The scan is compiled into one table of monomials.  Entry m holds u^m at the
@@ -219,8 +233,8 @@ def _int_terms(terms: Mapping) -> dict:
 # derivative.  An alpha's checks, the derivatives they first need and the
 # monomials those add are compiled when a point first reaches that alpha, and
 # a point fills the table and the values one alpha at a time, so an early
-# refutation builds and evaluates only what it reads.  ``_rayleigh_sides``
-# recomputes every witness in Fractions.
+# refutation builds and evaluates only what it reads.  Points come as integer
+# numerators and denominators; ``_rayleigh_sides`` recomputes each witness.
 
 
 def _below(e: Exponent, built: Mapping[Exponent, object]) -> tuple[Exponent, int]:
@@ -350,22 +364,29 @@ def rayleigh_check_at(f: HomogPoly, c: RationalLike,
     The scan is compiled once and shared by every point; each point, of
     ``f.nvars`` coordinates, is checked when its turn comes.
     """
+    return _rayleigh_search(f, c, (_integer_point(w, f.nvars) for w in points))
+
+
+def _rayleigh_search(f: HomogPoly, c: RationalLike,
+                     points: Iterable[tuple[Sequence[int], Sequence[int]]]
+                     ) -> Optional[RayleighWitness]:
+    """``rayleigh_check_at`` on points given by their numerators and denominators."""
     cf = as_fraction(c)
     if not f.has_nonnegative_coeffs():
         raise ValueError("f must have nonnegative coefficients")
     n = f.nvars
     # the points are nonnegative, so for c >= 0 a check whose left side is
     # identically zero cannot fail (see _RayleighScan)
-    scan = _RayleighScan(_int_terms(f.terms), _rayleigh_alphas(f),
+    scan = _RayleighScan(_int_terms(f.terms), _rayleigh_alphas(f, f.degree - 1 - (cf >= 0)),
                          [(i, j) for i in range(n) for j in range(i, n)], drop_zero=cf >= 0)
-    for w in points:
-        wf, u = _integer_point(w, n)
+    for nums, dens in points:
+        u = _scaled(nums, dens)
         if any(k < 0 for k in u):
             raise ValueError("point must be nonnegative")
         hit = scan.first_violation(cf, u)
         if hit is not None:
-            lhs, rhs = _rayleigh_sides(f, cf, *hit, wf)
-            return RayleighWitness(*hit, tuple(wf), lhs, rhs)
+            wf = tuple(map(Fraction, nums, dens))
+            return RayleighWitness(*hit, wf, *_rayleigh_sides(f, cf, *hit, wf))
     return None
 
 
@@ -374,12 +395,14 @@ def _rayleigh_sides(f: HomogPoly, c: Fraction, alpha: Exponent, i: int, j: int,
     """The two sides d^alpha f * d^(alpha+e_i+e_j) f and
     c * d^(alpha+e_i) f * d^(alpha+e_j) f at w, in Fractions."""
     def at(*ks):
-        return f.derive([a + ks.count(k) for k, a in enumerate(alpha)]).eval(w)
+        beta = [a + ks.count(k) for k, a in enumerate(alpha)]
+        return f.derive(beta).eval(w) if sum(beta) <= f.degree else Fraction(0)
     return at() * at(i, j), c * at(i) * at(j)
 
 
 def _sampled_points(n: int, trials: int, seed: int,
-                    max_den: int) -> Iterator[list[Fraction]]:
+                    max_den: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The seeded points, as their numerators and denominators."""
     # a generator: its checks run on the first draw, after f's own check
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -388,8 +411,9 @@ def _sampled_points(n: int, trials: int, seed: int,
     rng = random.Random(seed)
     for _ in range(trials):
         mask = [rng.randrange(2) for _ in range(n)]
-        yield [Fraction(rng.randint(1, max_den), rng.randint(1, max_den)) if m else Fraction(0)
-               for m in mask]
+        draws = [(rng.randint(1, max_den), rng.randint(1, max_den)) if m else (0, 1)
+                 for m in mask]
+        yield [x for x, _ in draws], [y for _, y in draws]
 
 
 def rayleigh_falsify(f: HomogPoly, c: RationalLike, trials: int,
@@ -400,7 +424,7 @@ def rayleigh_falsify(f: HomogPoly, c: RationalLike, trials: int,
     random subset of coordinates is zeroed each trial).  Returns the first
     violation found, or None; None certifies nothing.
     """
-    return rayleigh_check_at(f, c, _sampled_points(f.nvars, trials, seed, max_den))
+    return _rayleigh_search(f, c, _sampled_points(f.nvars, trials, seed, max_den))
 
 
 def log_concavity_probe(f: HomogPoly, w: Sequence[RationalLike],

@@ -73,9 +73,15 @@ def _integer_scaled(m: SymMatrix) -> list[list[int]]:
 
 def inertia(m: SymMatrix) -> Inertia:
     """Exact eigenvalue sign counts of a rational symmetric matrix."""
-    a = _integer_scaled(m)
-    live = list(range(m.n))     # the rows and columns not yet eliminated
-    counts = [0, 0, 0]          # n_plus, n_minus, n_zero
+    return _inertia_rows(_integer_scaled(m), m.n)
+
+
+def _inertia_rows(a: list[list[int]], n: int) -> Inertia:
+    """Sign counts of the symmetric integer matrix whose first len(a) rows
+    are the square ``a``, eliminated in place, and whose other n - len(a)
+    rows and columns are zero."""
+    live = list(range(len(a)))  # the rows and columns not yet eliminated
+    counts = [0, 0, n - len(a)]     # n_plus, n_minus, n_zero
     prev = 1
     while True:
         # a zero row and column only adds a zero eigenvalue
@@ -107,7 +113,7 @@ def inertia(m: SymMatrix) -> Inertia:
                     raise ArithmeticError(f"inexact Bareiss division by {prev}")
                 ri[j] = a[j][i] = x
         prev = piv
-    if sum(counts) != m.n:
-        raise ArithmeticError(f"sign counts {counts} do not sum to {m.n}")
+    if sum(counts) != n:
+        raise ArithmeticError(f"sign counts {counts} do not sum to {n}")
     return Inertia(*counts)
 

@@ -1,7 +1,8 @@
 """Slow exact references on ``HomogPoly``, built from ``derive`` and ``eval``.
 
 ``hessian`` is the full matrix of second partials in ``Fraction``
-arithmetic, the oracle for the library's quadratic Hessians; ``euler_pairing``
+arithmetic, the oracle for the library's quadratic Hessians, and
+``support_alphas`` the alphas those are taken at; ``euler_pairing``
 is the left side of Euler's identity for homogeneous polynomials;
 ``first_rayleigh_violation`` is the oracle for the integer c-Rayleigh scan.
 """
@@ -37,6 +38,22 @@ def hessian(f: HomogPoly, at: Sequence[RationalLike] | None = None) -> SymMatrix
     return SymMatrix(rows)
 
 
+def support_alphas(f: HomogPoly) -> list[tuple[int, ...]]:
+    """The alphas with |alpha| = d-2 and d^alpha f nonzero, sorted: the
+    e - e_i - e_j for the exponents e of f."""
+    top: set[tuple[int, ...]] = set()
+    for e in f.terms:
+        nonzero = [i for i, k in enumerate(e) if k]
+        for x, i in enumerate(nonzero):
+            for j in nonzero[x:]:
+                a = list(e)
+                a[i] -= 1
+                a[j] -= 1
+                if a[i] >= 0:       # i == j needs e_i >= 2
+                    top.add(tuple(a))
+    return sorted(top)
+
+
 def euler_pairing(p: HomogPoly, w: Sequence[RationalLike]) -> Fraction:
     """sum_i w_i * (d_i p)(w); equals degree * p(w) by Euler's identity."""
     wf = [as_fraction(x) for x in w]
@@ -62,9 +79,12 @@ def first_rayleigh_violation(f: HomogPoly, c: RationalLike,
         def at(alpha, *ks):
             beta = tuple(a + ks.count(k) for k, a in enumerate(alpha))
             if beta not in values:
-                if beta not in derived:
-                    derived[beta] = f.derive(beta)
-                values[beta] = derived[beta].eval(wf)
+                if sum(beta) > f.degree:
+                    values[beta] = Fraction(0)  # derive raises above the degree
+                else:
+                    if beta not in derived:
+                        derived[beta] = f.derive(beta)
+                    values[beta] = derived[beta].eval(wf)
             return values[beta]
 
         for alpha, i, j in checks:

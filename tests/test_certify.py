@@ -15,14 +15,14 @@ from lorentz import (HomogPoly, Inertia, hodge_riemann_many, is_lorentzian,
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              SUPPORT_NOT_M_CONVEX, Certificate,
                              _coefficient_certificate, _rayleigh_alphas,
-                             _sampled_points, _support_alphas,
-                             _support_certificate)
+                             _sampled_points, _support_certificate,
+                             _support_inertias)
 from lorentz.inertia import inertia
 from lorentz.poly import simplex
 from lorentz.serialize import poly_from_dict
 from generators import (random_homog, random_lorentzian_input, random_multiaffine,
                         random_nonneg_matrix, random_positive_fraction)
-from poly_oracles import first_rayleigh_violation, hessian
+from poly_oracles import first_rayleigh_violation, hessian, support_alphas
 
 MANY_FAIL = Path(__file__).parent / "golden" / "inputs" / "many_fail.json"
 
@@ -142,17 +142,39 @@ def test_pruned_alphas_are_the_nonzero_hessians():
         top = f.degree - 2
         nonzero = [a for a in simplex(f.nvars, top)
                    if any(x for row in f.quadratic_hessian_after(a).entries for x in row)]
-        assert _support_alphas(f) == nonzero
+        assert [alpha for alpha, _ in _support_inertias(f)] == nonzero
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(2, 4),
+       st.sampled_from(["random", "multiaffine", "absent_variable"]))
+def test_support_inertias_match_fraction_hessians(rng, n, d, kind):
+    # the one-pass integer Hessians against Fraction second derivatives of
+    # d^alpha f: random_homog has squares (i = j entries) and rational
+    # coefficients of either sign; an absent variable is a zero row of every
+    # Hessian, and a multi-affine f has a zero diagonal
+    if kind == "multiaffine":
+        f = random_multiaffine(rng, max(n, d), d)
+    else:
+        f = random_homog(rng, n, d, nonneg=rng.random() < 0.5)
+        if kind == "absent_variable":
+            k = rng.randint(0, n)
+            f = HomogPoly(n + 1, d, {e[:k] + (0,) + e[k:]: c for e, c in f.terms.items()})
+    scanned = list(_support_inertias(f))
+    assert [alpha for alpha, _ in scanned] == support_alphas(f)
+    for alpha, sig in scanned:
+        assert sig == inertia(hessian(f.derive(alpha)))
 
 
 def test_support_alphas_match_sub_exponent_enumeration():
-    # Reference: every sub-exponent of every term, kept when |alpha| <= d-2.
+    # Reference: every sub-exponent of every term, kept when |alpha| <= d-1.
     for f in scan_inputs():
         top = f.degree - 2
         below = sorted({a for e in f.terms for a in product(*(range(k + 1) for k in e))
-                        if sum(a) <= top})
-        assert _rayleigh_alphas(f) == below
-        assert _support_alphas(f) == [a for a in below if sum(a) == top]
+                        if sum(a) <= top + 1})
+        assert _rayleigh_alphas(f, top + 1) == below
+        assert _rayleigh_alphas(f, top) == [a for a in below if sum(a) <= top]
+        assert [alpha for alpha, _ in _support_inertias(f)] == [a for a in below if sum(a) == top]
 
 
 def test_strictly_lorentzian():
@@ -309,9 +331,14 @@ def test_rayleigh_check_at_takes_points_in_order():
 
 
 def _all_rayleigh_checks(n, d):
-    # every alpha with |alpha| <= d-2, zero derivatives included, sorted as the scan's
-    alphas = sorted(a for k in range(d - 1) for a in simplex(n, k))
+    # every alpha with |alpha| <= d-1, zero derivatives included, sorted as the scan's
+    alphas = sorted(a for k in range(d) for a in simplex(n, k))
     return [(a, i, j) for a in alphas for i in range(n) for j in range(i, n)]
+
+
+def _drawn_points(n, trials, seed):
+    # the seeded draws of rayleigh_falsify, in Fractions
+    return [list(map(Fraction, *p)) for p in _sampled_points(n, trials, seed, 10)]
 
 
 def _assert_matches_reference(wit, f, c, points):
@@ -337,12 +364,12 @@ def test_rayleigh_scan_matches_fraction_reference(rng, n, d, kind, c):
     elif kind == "lorentzian":
         f = random_lorentzian_input(rng)
     else:
-        f = random_multiaffine(rng, n + 2, d)
+        f = random_multiaffine(rng, max(n + 2, d), d)  # needs d <= variables
     if c is None:
         c = 2 * (1 - Fraction(1, max(f.degree, 1)))
     seed = rng.randrange(1000)
     _assert_matches_reference(rayleigh_falsify(f, c, trials=12, seed=seed), f, c,
-                              _sampled_points(f.nvars, 12, seed, 10))
+                              _drawn_points(f.nvars, 12, seed))
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -352,7 +379,7 @@ def test_rayleigh_scan_matches_fraction_reference_at_the_tight_bound(d):
     points = [[0, 1, 1], [1, 0, 0]]
     for c in (c_tight, c_tight - Fraction(1, 100)):
         _assert_matches_reference(rayleigh_falsify(f, c, trials=40, seed=d), f, c,
-                                  _sampled_points(3, 40, d, 10))
+                                  _drawn_points(3, 40, d))
         _assert_matches_reference(rayleigh_check_at(f, c, points), f, c, points)
 
 

@@ -26,7 +26,12 @@ from pathlib import Path
 import pytest
 
 import lorentz
+from lorentz.certify import INERTIA_VIOLATION
 from lorentz.cli import main
+from lorentz.inertia import Inertia
+from lorentz.serialize import poly_from_dict
+
+from faddeev_leverrier import char_poly_inertia
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = GOLDEN / "reports"
@@ -143,6 +148,9 @@ CASES = {
                                  "--seed", "2", "--trials", "20"],
     "rayleigh_searched": ["rayleigh", "inputs/cubic9.json", "--c", "4/3", "--seed", "1",
                           "--trials", "30", "--point", "1,2"],
+    # c < 0 also checks the alphas with |alpha| = d-1: here alpha = 0 of x0 + x1
+    "rayleigh_negative_c": ["rayleigh", "inputs/lin.json", "--c", "-1", "--seed", "1",
+                            "--trials", "5", "--point", "1,1"],
     # M-convex functions, roundtrip, sampled Hodge-Riemann points
     "mconvex_function": ["mconvex", "function", "inputs/nu_half.json"],
     "mconvex_function_not_m_convex": ["mconvex", "function",
@@ -193,6 +201,33 @@ def test_report_does_not_depend_on_hash_seed(name):
         assert proc.returncode == json.loads(EXIT_CODES.read_text())[name]
         reports.add(ELAPSED.sub("", proc.stdout))
     assert reports == {(REPORTS / f"{name}.json").read_text(encoding="utf-8")}
+
+
+def _inertia_refutations() -> list[str]:
+    # the cases whose recorded certificate fails on the inertia of a Hessian
+    names = []
+    for name in sorted(CASES):
+        report = json.loads((REPORTS / f"{name}.json").read_text(encoding="utf-8"))
+        cert = report.get("result", {}).get("certificate")
+        if cert and cert["failing_kind"] == INERTIA_VIOLATION:
+            names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("name", _inertia_refutations())
+def test_reported_inertias_match_char_poly(name):
+    # every inertia a refutation reports (all of them under --exhaustive),
+    # recomputed from the characteristic polynomial of the Fraction Hessian
+    _, report = run_case(CASES[name])
+    result = json.loads(report)["result"]
+    f = poly_from_dict(result.get("poly")
+                       or json.loads((GOLDEN / CASES[name][1]).read_text(encoding="utf-8")))
+    cert = result["certificate"]
+    failures = cert["detail"].get("all_failures",
+                                  [[cert["failing_alpha"], cert["detail"]["inertia"]]])
+    assert failures[0] == [cert["failing_alpha"], cert["detail"]["inertia"]]
+    for alpha, sig in failures:
+        assert Inertia(**sig) == char_poly_inertia(f.quadratic_hessian_after(tuple(alpha)))
 
 
 def record() -> None:

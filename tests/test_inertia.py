@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from lorentz import char_poly_multivariate, potts_poly, random_m_matrix
 from lorentz.catalog import load
-from lorentz.certify import _support_alphas
-from lorentz.inertia import Inertia, SymMatrix, inertia
+from lorentz.inertia import Inertia, SymMatrix, _inertia_rows, inertia
 
 from faddeev_leverrier import char_poly, char_poly_inertia
 from generators import random_nonsingular, random_symmetric
+from poly_oracles import support_alphas
 
 
 def test_inertia_examples():
@@ -211,7 +211,7 @@ def test_large_denominators():
 
 
 def _quadratic_hessians(f):
-    return [f.quadratic_hessian_after(a) for a in _support_alphas(f)]
+    return [f.quadratic_hessian_after(a) for a in support_alphas(f)]
 
 
 @pytest.mark.parametrize("name, f", [
@@ -246,3 +246,15 @@ def test_inertia_property_against_char_poly(m):
     sig = inertia(m)
     assert sig == char_poly_inertia(m)
     assert sig.n == m.n
+
+
+@given(st.integers(0, 5), st.integers(0, 3), st.data())
+def test_integer_rows_with_zero_rows_after_them(k, pad, data):
+    # k integer rows of an n = k + pad matrix against the zero-padded SymMatrix
+    entries = st.one_of(st.just(0), st.integers(-6, 6))
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = data.draw(entries)
+    padded = SymMatrix([row + [0] * pad for row in rows] + [[0] * (k + pad)] * pad)
+    assert _inertia_rows([row[:] for row in rows], k + pad) == inertia(padded)
