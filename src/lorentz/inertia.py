@@ -80,16 +80,12 @@ def _inertia_rows(a: list[list[int]], n: int) -> Inertia:
     """Sign counts of the symmetric integer matrix whose first len(a) rows
     are the square ``a``, eliminated in place, and whose other n - len(a)
     rows and columns are zero."""
-    live = list(range(len(a)))  # the rows and columns not yet eliminated
-    counts = [0, 0, n - len(a)]     # n_plus, n_minus, n_zero
+    # the rows and columns not yet eliminated; a zero row and column only
+    # adds a zero eigenvalue
+    live = [i for i, row in enumerate(a) if any(row)]
+    counts = [0, 0, n - len(live)]     # n_plus, n_minus, n_zero
     prev = 1
-    while True:
-        # a zero row and column only adds a zero eigenvalue
-        nonzero = [i for i in live if any(map(a[i].__getitem__, live))]
-        counts[2] += len(live) - len(nonzero)
-        live = nonzero
-        if not live:
-            break
+    while live:
         p = next((i for i in live if a[i][i]), None)
         if p is None:
             # zero diagonal: row and column p += row and column q make a_pp = 2 a_pq
@@ -105,13 +101,20 @@ def _inertia_rows(a: list[list[int]], n: int) -> Inertia:
         # the integer matrix (Sylvester's identity), so the division is exact
         live.remove(p)
         ap = a[p]
+        nonzero = [False] * len(a)      # the rows given a nonzero entry
         for r, i in enumerate(live):
             ri, rp = a[i], ap[i]
             for j in live[r:]:
                 x, rem = divmod(piv * ri[j] - rp * ap[j], prev)
                 if rem:
                     raise ArithmeticError(f"inexact Bareiss division by {prev}")
+                if x:
+                    nonzero[i] = nonzero[j] = True
                 ri[j] = a[j][i] = x
+        # the update wrote every live entry: the rows it left zero drop out
+        kept = [i for i in live if nonzero[i]]
+        counts[2] += len(live) - len(kept)
+        live = kept
         prev = piv
     if sum(counts) != n:
         raise ArithmeticError(f"sign counts {counts} do not sum to {n}")

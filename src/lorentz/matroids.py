@@ -151,8 +151,8 @@ def independence_counts(m: Matroid) -> list[int]:
 
 def basis_generating_poly(m: Matroid) -> HomogPoly:
     """Multi-affine sum of w^B over the bases."""
-    terms = {tuple(1 if b >> i & 1 else 0 for i in range(m.n)): 1 for b in m.bases}
-    return HomogPoly(m.n, m.rank_full, terms)
+    return HomogPoly._of(m.n, m.rank_full, dict.fromkeys(
+        (tuple(1 if b >> i & 1 else 0 for i in range(m.n)) for b in m.bases), Fraction(1)))
 
 
 def potts_poly(m: Matroid, q: RationalLike) -> HomogPoly:
@@ -168,7 +168,7 @@ def potts_poly(m: Matroid, q: RationalLike) -> HomogPoly:
 
 def independent_set_poly(m: Matroid) -> HomogPoly:
     """sum over independent A of w^A w_0^(n-|A|); degree n in n+1 variables."""
-    return HomogPoly.homogenized(m.n, {mask: 1 for mask in independent_set_masks(m)})
+    return HomogPoly.homogenized(m.n, dict.fromkeys(independent_set_masks(m), Fraction(1)))
 
 
 def normalized_independence_sequence(m: Matroid) -> list[Fraction]:
@@ -274,7 +274,7 @@ def zonotope_volume_poly(vectors: Sequence[Sequence[RationalLike]]) -> HomogPoly
             for i in subset:
                 e[i] = 1
             terms[tuple(e)] = abs(det)
-    return HomogPoly(n, d, terms)
+    return HomogPoly._of(n, d, terms)
 
 
 def uniform_matroid(d: int, n: int) -> Matroid:

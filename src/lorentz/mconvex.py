@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .poly import (Exponent, HomogPoly, RationalLike, as_fraction,
-                   factorial_of, simplex)
+                   factorial_of, multi_affine_lifts, simplex)
 
 SetWitness = tuple[Exponent, Exponent, int]
 FnWitness = tuple[Exponent, Exponent]
@@ -218,7 +217,7 @@ def generating_poly_f(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
         raise ValueError("q must be positive")
     terms = {p: rational_power(qf, v) / factorial_of(p)
              for p, v in nu.values.items()}
-    return HomogPoly(nu.nvars, nu.degree, terms)
+    return HomogPoly._of(nu.nvars, nu.degree, terms)
 
 
 def generating_poly_g(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
@@ -233,7 +232,7 @@ def generating_poly_g(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
         for k in p:
             weight *= math.comb(d, k)
         terms[p] = weight * rational_power(qf, v)
-    return HomogPoly(nu.nvars, nu.degree, terms)
+    return HomogPoly._of(nu.nvars, nu.degree, terms)
 
 
 # -- polarization of discrete functions ------------------------------------
@@ -247,26 +246,10 @@ def generating_poly_g(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
 def polarize_fn(nu: DiscreteFunction) -> DiscreteFunction:
     """Multi-affine lift of nu to n*d variables; inverse of project_fn."""
     n, d = nu.nvars, nu.degree
-    if d == 0:
-        vals = {(): nu.values[(0,) * n]} if (0,) * n in nu.values else {}
-        return DiscreteFunction(0, 0, vals)
-    m = n * d
     out: dict[Exponent, Fraction] = {}
-
-    def place(i: int, remaining: Exponent, chosen: list[int], value: Fraction):
-        if i == n:
-            e = [0] * m
-            for flat in chosen:
-                e[flat] = 1
-            out[tuple(e)] = value
-            return
-        base = i * d
-        for subset in combinations(range(base, base + d), remaining[i]):
-            place(i + 1, remaining, chosen + list(subset), value)
-
     for p, v in nu.values.items():
-        place(0, p, [], v)
-    return DiscreteFunction(m, d, out)
+        out.update(dict.fromkeys(multi_affine_lifts((d,) * n, p), v))
+    return DiscreteFunction(n * d, d, out)
 
 
 def project_fn(mu: DiscreteFunction, nvars: int | None = None) -> DiscreteFunction:

@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, product
 from typing import Mapping, Optional, Sequence
 
 from .mconvex import _floor_nth_root, rational_power
-from .poly import Exponent, HomogPoly, RationalLike, as_fraction, factorial_of, unit
-
-
-def _group_offsets(kappa: Sequence[int]) -> list[int]:
-    offsets = [0]
-    for k in kappa:
-        offsets.append(offsets[-1] + k)
-    return offsets
+from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, factorial_of,
+                   multi_affine_lifts, unit)
 
 
 def _check_caps(f: HomogPoly, kappa: Sequence[int]) -> None:
@@ -40,55 +34,48 @@ def polarize(f: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
     polynomial of each group, divided by C(kappa, a)."""
     kappa = tuple(int(k) for k in kappa)
     _check_caps(f, kappa)
-    offsets = _group_offsets(kappa)
-    m = offsets[-1]
     out: dict[Exponent, Fraction] = {}
     for e, c in f.terms.items():
-        binom = 1
-        for k, a in zip(kappa, e):
-            binom *= math.comb(k, a)
-        coeff = c / binom
-        group_choices = [list(combinations(range(offsets[i], offsets[i + 1]), e[i]))
-                         for i in range(f.nvars)]
-        for picks in product(*group_choices):
-            lifted = [0] * m
-            for pick in picks:
-                for pos in pick:
-                    lifted[pos] = 1
-            key = tuple(lifted)
-            out[key] = out.get(key, Fraction(0)) + coeff
-    return HomogPoly(m, f.degree, out)
+        # the lifts of distinct monomials are distinct: each key is new
+        lifts = multi_affine_lifts(kappa, e)
+        out.update(dict.fromkeys(lifts, c / len(lifts)))
+    return HomogPoly._of(sum(kappa), f.degree, out)
 
 
 def project(g: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
     """Substitute every variable of group i by w_i; inverse of polarize."""
     kappa = tuple(int(k) for k in kappa)
-    offsets = _group_offsets(kappa)
+    offsets = [0, *accumulate(kappa)]
     if g.nvars != offsets[-1]:
         raise ValueError(f"expected {offsets[-1]} grouped variables, got {g.nvars}")
     if not g.is_multi_affine():
         raise ValueError("projection input must be multi-affine")
-    n = len(kappa)
-    out: dict[Exponent, Fraction] = {}
+    groups = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    merged: dict[Exponent, list[Fraction]] = {}
     for e, c in g.terms.items():
-        merged = [0] * n
-        for i in range(n):
-            merged[i] = sum(e[offsets[i]:offsets[i + 1]])
-        key = tuple(merged)
-        out[key] = out.get(key, Fraction(0)) + c
-    return HomogPoly(n, g.degree, out)
+        merged.setdefault(tuple([sum(e[s]) for s in groups]), []).append(c)
+    return HomogPoly._of(len(kappa), g.degree,
+                         {key: _fraction_sum(cs) for key, cs in merged.items()})
+
+
+def _fraction_sum(xs: list[Fraction]) -> Fraction:
+    """The exact sum, added in integers over the lcm of the denominators."""
+    if len(xs) == 1:
+        return xs[0]
+    den = math.lcm(*[x.denominator for x in xs])
+    return Fraction(sum([x.numerator * (den // x.denominator) for x in xs]), den)
 
 
 def normalize(f: HomogPoly) -> HomogPoly:
     """N(w^a) = w^a / a!, extended linearly."""
-    return HomogPoly(f.nvars, f.degree,
-                     {e: c / factorial_of(e) for e, c in f.terms.items()})
+    return HomogPoly._of(f.nvars, f.degree,
+                         {e: c / factorial_of(e) for e, c in f.terms.items()})
 
 
 def multi_affine_part(f: HomogPoly) -> HomogPoly:
     """Restrict to square-free monomials."""
-    return HomogPoly(f.nvars, f.degree,
-                     {e: c for e, c in f.terms.items() if all(k <= 1 for k in e)})
+    return HomogPoly._of(f.nvars, f.degree,
+                         {e: c for e, c in f.terms.items() if all(k <= 1 for k in e)})
 
 
 def coefficient_power(f: HomogPoly, p: RationalLike,
@@ -134,12 +121,10 @@ def exclusion_step(f: HomogPoly, i: int, j: int, theta: RationalLike) -> HomogPo
         raise ValueError("indices must be distinct")
     if not f.is_multi_affine():
         raise ValueError("exclusion step needs a multi-affine polynomial")
-    swapped: dict[Exponent, Fraction] = {}
-    for e, c in f.terms.items():
-        s = list(e)
-        s[i], s[j] = s[j], s[i]
-        swapped[tuple(s)] = c
-    return (1 - th) * f + th * HomogPoly(f.nvars, f.degree, swapped)
+    swap = list(range(f.nvars))
+    swap[i], swap[j] = j, i
+    swapped = {tuple([e[k] for k in swap]): c for e, c in f.terms.items()}
+    return (1 - th) * f + th * HomogPoly._of(f.nvars, f.degree, swapped)
 
 
 def nuij_transform(f: HomogPoly, theta: RationalLike) -> HomogPoly:
@@ -233,9 +218,9 @@ def symbol(table: OperatorTable) -> HomogPoly:
             binom *= math.comb(k, a)
         u_part = tuple(k - a for k, a in zip(kappa, alpha))
         for e, c in g.terms.items():
-            key = e + u_part
-            out[key] = out.get(key, Fraction(0)) + binom * c
-    return HomogPoly(m + n, total_deg, out)
+            # distinct (alpha, e) give distinct keys e + (kappa - alpha)
+            out[e + u_part] = binom * c
+    return HomogPoly._of(m + n, total_deg, out)
 
 
 def apply_operator(table: OperatorTable, f: HomogPoly) -> HomogPoly:

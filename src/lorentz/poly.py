@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import chain, combinations, product
 from typing import Iterator, Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
 
 RationalLike = Fraction | int | str
-
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -48,6 +47,21 @@ def unit(n: int, i: int) -> Exponent:
     e = [0] * n
     e[i] = 1
     return tuple(e)
+
+
+@cache
+def _ones(k: int, a: int) -> tuple[Exponent, ...]:
+    """The 0/1 tuples of length k with a ones, in the order of combinations."""
+    return tuple(tuple(int(x in pick) for x in range(k)) for pick in combinations(range(k), a))
+
+
+def multi_affine_lifts(kappa: Sequence[int], e: Exponent) -> list[Exponent]:
+    """The 0/1 exponents in groups of kappa_i variables with e_i ones in
+    group i, in lexicographic order of the chosen positions."""
+    lifts = [()]
+    for k, a in zip(kappa, e):
+        lifts = [lift + part for lift in lifts for part in _ones(k, a)]
+    return lifts
 
 
 def simplex(n: int, d: int) -> Iterator[Exponent]:
@@ -138,6 +152,16 @@ class HomogPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, nvars: int, degree: int, terms: Mapping[Exponent, Fraction]) -> "HomogPoly":
+        """The polynomial of valid terms (int-tuple exponents of length nvars and sum
+        degree, ``Fraction`` values) that library code built: drops zeros, checks nothing."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.degree = degree
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
+
+    @classmethod
     def linear_form(cls, coeffs: Sequence[RationalLike]) -> "HomogPoly":
         n = len(coeffs)
         return cls(n, 1, {unit(n, i): c for i, c in enumerate(coeffs)})
@@ -151,12 +175,14 @@ class HomogPoly:
         """sum over subset masks S of weight(S) w^S w_0^(n-|S|): the
         homogenization of a multi-affine polynomial in w_1..w_n; degree n in
         n+1 variables, variable 0 being w_0."""
-        terms = {}
-        for mask, w in weights.items():
-            # the n binary digits of the mask, lowest bit first, as 0/1 bytes
-            bits = f"{mask:0{n}b}"[::-1][:n].encode().translate(_BINARY_DIGITS)
-            terms[(n - mask.bit_count(),) + tuple(bits)] = w
-        return cls(n + 1, n, terms)
+        if weights and not (0 <= min(weights) and max(weights) < 1 << n):
+            raise ValueError(f"subset masks must lie in [0, 2^{n})")
+        # the bits of a mask, lowest first, are those of its low half, then of its high half
+        half, low_mask = n // 2, (1 << n // 2) - 1
+        low, high = ([e[::-1] for e in product((0, 1), repeat=k)] for k in (half, n - half))
+        terms = {(n - mask.bit_count(),) + low[mask & low_mask] + high[mask >> half]:
+                 w if type(w) is Fraction else Fraction(w) for mask, w in weights.items()}
+        return cls._of(n + 1, n, terms)
 
     # -- basic queries ------------------------------------------------
 
@@ -167,11 +193,6 @@ class HomogPoly:
         """Raw coefficient of w^e."""
         return self.terms.get(tuple(e), Fraction(0))
 
-    def normalized_coeff(self, e: Sequence[int]) -> Fraction:
-        """c_e = e! * (raw coefficient of w^e)."""
-        e = tuple(e)
-        return self.terms.get(e, Fraction(0)) * factorial_of(e)
-
     def support(self) -> set[Exponent]:
         return set(self.terms)
 
@@ -179,7 +200,7 @@ class HomogPoly:
         return all(c >= 0 for c in self.terms.values())
 
     def is_multi_affine(self) -> bool:
-        return all(all(k <= 1 for k in e) for e in self.terms)
+        return max(chain.from_iterable(self.terms), default=0) <= 1
 
     def var_degree_caps(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over the support."""
@@ -216,16 +237,17 @@ class HomogPoly:
             raise ValueError("can only add polynomials of equal nvars and degree")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return HomogPoly(self.nvars, self.degree, out)
+            old = out.get(e)
+            out[e] = c if old is None else old + c
+        return HomogPoly._of(self.nvars, self.degree, out)
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-1) * other
 
     def __rmul__(self, scalar: RationalLike) -> "HomogPoly":
         s = as_fraction(scalar)
-        return HomogPoly(self.nvars, self.degree,
-                         {e: s * c for e, c in self.terms.items()})
+        return HomogPoly._of(self.nvars, self.degree,
+                             {e: s * c for e, c in self.terms.items()})
 
     def __mul__(self, other: "HomogPoly | RationalLike") -> "HomogPoly":
         if not isinstance(other, HomogPoly):
@@ -276,22 +298,7 @@ class HomogPoly:
         a = sum(alpha)
         if a > self.degree:
             raise ValueError(f"|alpha|={a} exceeds degree {self.degree}")
-        return HomogPoly(self.nvars, self.degree - a, derive_terms(self.terms, alpha))
-
-    def directional_derive(self, a: Sequence[RationalLike]) -> "HomogPoly":
-        """sum_i a_i d_i f for a nonnegative direction a."""
-        if len(a) != self.nvars:
-            raise ValueError("direction has wrong length")
-        af = [as_fraction(x) for x in a]
-        if any(x < 0 for x in af):
-            raise ValueError("negative entry in direction")
-        if self.degree == 0:
-            raise ValueError("cannot differentiate a degree-0 polynomial")
-        out = HomogPoly.zero(self.nvars, self.degree - 1)
-        for i, x in enumerate(af):
-            if x:
-                out = out + x * self.derive(unit(self.nvars, i))
-        return out
+        return HomogPoly._of(self.nvars, self.degree - a, derive_terms(self.terms, alpha))
 
     def substitute(self, rows: Sequence[Sequence[RationalLike]]) -> "HomogPoly":
         """f(Av) for a nonnegative nvars-x-m matrix A, exact expansion."""
@@ -349,18 +356,3 @@ class HomogPoly:
                     # e! is alpha! e_i e_j, or alpha! e_i (e_i - 1) when i == j
                     rows[i][j] = rows[j][i] = c * (base * e[i] * (e[j] - (i == j)))
         return SymMatrix(rows)
-
-    # -- views --------------------------------------------------------
-
-    def bivariate_restriction(self, i: int, j: int) -> list[Fraction]:
-        """Coefficients a_k of f(0,..,w_i,..,w_j,..,0) = sum a_k w_i^k w_j^(d-k).
-
-        Only keeps terms supported on the variables i and j.
-        """
-        d = self.degree
-        out = [Fraction(0)] * (d + 1)
-        for e, c in self.terms.items():
-            if all(k == 0 for idx, k in enumerate(e) if idx not in (i, j)):
-                out[e[i]] += c
-        return out
-

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Optional
 
 from .matroids import Matroid, cycle_matroid, matroid_from_bases
@@ -43,10 +44,6 @@ def _fraction_from_parts(obj: dict, where: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _fraction_parts(x: Fraction) -> dict[str, str]:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
 def _fraction_from_string(s: str, where: str) -> Fraction:
     try:
         f = Fraction(s)
@@ -64,47 +61,66 @@ def _require(obj: Any, key: str, kind: type, where: str):
     return val
 
 
+_INT = {int}
+
+
 def _int_tuple(val: Any, where: str, length: Optional[int] = None) -> tuple[int, ...]:
     """A JSON list of integers (not booleans or floats), of ``length``
     entries when given, as a tuple."""
     if not isinstance(val, list) or length is not None and len(val) != length:
         count = "" if length is None else f"{length} "
         raise LoadError(f"{where}: expected a list of {count}integers")
-    for k, x in enumerate(val):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise LoadError(f"{where}[{k}]: expected an integer, got {json.dumps(x)}")
+    if not _INT.issuperset(map(type, val)):
+        for k, x in enumerate(val):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise LoadError(f"{where}[{k}]: expected an integer, got {json.dumps(x)}")
     return tuple(val)
+
+
+def _exp_rows(table: dict[tuple[int, ...], Fraction]) -> list[dict]:
+    """The {exp, num, den} rows of a map from exponents to rationals, sorted."""
+    return [{"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
+            for e, c in sorted(table.items())]
 
 
 # -- polynomials ------------------------------------------------------------
 
 def poly_to_dict(p: HomogPoly) -> dict:
-    return {"n": p.nvars, "d": p.degree,
-            "terms": [{"exp": list(e), **_fraction_parts(p.terms[e])}
-                      for e in sorted(p.terms)]}
+    return {"n": p.nvars, "d": p.degree, "terms": _exp_rows(p.terms)}
 
 
 def poly_from_dict(obj: dict, where: str = "polynomial") -> HomogPoly:
+    """Each invariant is checked once here; the terms go to the polynomial unchecked."""
     n = _require(obj, "n", int, where)
     d = _require(obj, "d", int, where)
     items = _require(obj, "terms", list, where)
-    terms = {}
+    terms: dict[tuple[int, ...], Fraction] = {}
     for k, t in enumerate(items):
-        at = f"{where}.terms[{k}]"
-        exp = _int_tuple(_require(t, "exp", list, at), f"{at}.exp")
-        terms[exp] = terms.get(exp, Fraction(0)) + _fraction_from_parts(t, at)
-    try:
-        return HomogPoly(n, d, terms)
-    except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from None
+        try:    # integer exponents and decimal strings are read directly, the rest named
+            exp, num, den = t["exp"], t["num"], t["den"]
+            if not (type(exp) is list and type(num) is str and type(den) is str
+                    and _INT.issuperset(map(type, exp))):
+                raise TypeError
+            exp, c = tuple(exp), Fraction(int(num), int(den))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            at = f"{where}.terms[{k}]"
+            exp = _int_tuple(_require(t, "exp", list, at), f"{at}.exp")
+            c = _fraction_from_parts(t, at)
+        old = terms.get(exp)
+        terms[exp] = c if old is None else old + c
+    if not (n >= 0 and d >= 0 and set(map(len, terms)) <= {n} and set(map(sum, terms)) <= {d}
+            and min(chain.from_iterable(terms), default=0) >= 0):
+        try:
+            HomogPoly(n, d, terms)      # raises, naming the first bad exponent
+        except ValueError as exc:
+            raise LoadError(f"{where}: {exc}") from None
+    return HomogPoly._of(n, d, terms)
 
 
 # -- discrete functions ------------------------------------------------------
 
 def function_to_dict(nu: DiscreteFunction) -> dict:
-    return {"n": nu.nvars, "d": nu.degree,
-            "values": [{"exp": list(e), **_fraction_parts(nu.values[e])}
-                       for e in sorted(nu.values)]}
+    return {"n": nu.nvars, "d": nu.degree, "values": _exp_rows(nu.values)}
 
 
 def function_from_dict(obj: dict, where: str = "function") -> DiscreteFunction:
@@ -170,7 +186,8 @@ def matrix_from_dict(obj: dict, where: str = "matrix") -> SquareMatrix:
 
 def measure_to_dict(mu: Measure) -> dict:
     return {"n": mu.n,
-            "atoms": [{"set": list(s), **_fraction_parts(w)} for s, w in mu.atoms()]}
+            "atoms": [{"set": list(s), "num": str(w.numerator), "den": str(w.denominator)}
+                      for s, w in mu.atoms()]}
 
 
 def measure_from_dict(obj: dict, where: str = "measure",
@@ -325,7 +342,26 @@ def _key_text(key: Any) -> str:
     return '"' + text + '"'
 
 
-_INT = {int}
+_TERM_KEYS = {"den", "exp", "num"}
+
+
+def _write_terms(x: list, out: list, indent: str) -> bool:
+    """Append a list of {"den": str, "exp": [int, ...], "num": str} rows as ``_write``
+    would, one template per row; for any other list append nothing and return False."""
+    inner, i2, i3 = indent + "  ", indent + "    ", indent + "      "
+    row = f'{{\n{i2}"den": %s,\n{i2}"exp": [\n{i3}%s\n{i2}],\n{i2}"num": %s\n{inner}}},\n{inner}'
+    start, exp_sep = len(out), ",\n" + i3
+    out.append("[\n" + inner)
+    for t in x:
+        if type(t) is not dict or t.keys() != _TERM_KEYS or type(t["den"]) is not str \
+                or type(t["num"]) is not str or type(t["exp"]) is not list \
+                or set(map(type, t["exp"])) != _INT:    # not empty, plain ints only
+            del out[start:]
+            return False
+        out.append(row % (_encode_str(t["den"]), exp_sep.join(map(int.__repr__, t["exp"])),
+                          _encode_str(t["num"])))
+    out[-1] = out[-1][:-len(inner) - 2] + "\n" + indent + "]"
+    return True
 
 
 def _write(x: Any, out: list, indent: str) -> None:
@@ -355,7 +391,7 @@ def _write(x: Any, out: list, indent: str) -> None:
             out.append("[]")
         elif set(map(type, x)) == _INT:    # plain ints only: a bool is not written as one
             out.append("[\n" + inner + sep.join(map(int.__repr__, x)) + "\n" + indent + "]")
-        else:
+        elif not (type(x[0]) is dict and _write_terms(x, out, indent)):
             out.append("[\n" + inner)
             for v in x:
                 text = _scalar_text(v)

@@ -61,6 +61,9 @@ def random_homog(rng: random.Random, n: int, d: int, density: float = 0.7,
 def random_multiaffine(rng: random.Random, n: int, d: int) -> HomogPoly:
     """Positive coefficients on a nonempty random set of the d-subsets of n
     variables: every exponent is 0 or 1."""
+    if not 0 <= d <= n:
+        raise ValueError(f"a multi-affine polynomial of degree d={d} "
+                         f"needs 0 <= d <= n={n} variables")
     subsets = list(combinations(range(n), d))
     chosen = rng.sample(subsets, rng.randint(1, len(subsets)))
     return HomogPoly(n, d, {tuple(int(i in s) for i in range(n)): random_positive_fraction(rng)

@@ -4,7 +4,9 @@
 arithmetic, the oracle for the library's quadratic Hessians, and
 ``support_alphas`` the alphas those are taken at; ``euler_pairing``
 is the left side of Euler's identity for homogeneous polynomials;
-``first_rayleigh_violation`` is the oracle for the integer c-Rayleigh scan.
+``first_rayleigh_violation`` is the oracle for the integer c-Rayleigh scan;
+``normalized_coeff``, ``directional_derive`` and ``bivariate_restriction``
+are views the tests state their expectations in.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from lorentz.inertia import SymMatrix
-from lorentz.poly import HomogPoly, RationalLike, as_fraction, unit
+from lorentz.poly import HomogPoly, RationalLike, as_fraction, factorial_of, unit
 
 
 def hessian(f: HomogPoly, at: Sequence[RationalLike] | None = None) -> SymMatrix:
@@ -91,3 +93,37 @@ def first_rayleigh_violation(f: HomogPoly, c: RationalLike,
             if at(alpha) * at(alpha, i, j) > cf * at(alpha, i) * at(alpha, j):
                 return alpha, i, j, wf
     return None
+
+
+def normalized_coeff(f: HomogPoly, e: Sequence[int]) -> Fraction:
+    """c_e = e! * (raw coefficient of w^e)."""
+    e = tuple(e)
+    return f.terms.get(e, Fraction(0)) * factorial_of(e)
+
+
+def directional_derive(f: HomogPoly, a: Sequence[RationalLike]) -> HomogPoly:
+    """sum_i a_i d_i f for a nonnegative direction a."""
+    if len(a) != f.nvars:
+        raise ValueError("direction has wrong length")
+    af = [as_fraction(x) for x in a]
+    if any(x < 0 for x in af):
+        raise ValueError("negative entry in direction")
+    if f.degree == 0:
+        raise ValueError("cannot differentiate a degree-0 polynomial")
+    out = HomogPoly.zero(f.nvars, f.degree - 1)
+    for i, x in enumerate(af):
+        if x:
+            out = out + x * f.derive(unit(f.nvars, i))
+    return out
+
+
+def bivariate_restriction(f: HomogPoly, i: int, j: int) -> list[Fraction]:
+    """Coefficients a_k of f(0,..,w_i,..,w_j,..,0) = sum a_k w_i^k w_j^(d-k).
+
+    Only keeps terms supported on the variables i and j.
+    """
+    out = [Fraction(0)] * (f.degree + 1)
+    for e, c in f.terms.items():
+        if all(k == 0 for idx, k in enumerate(e) if idx not in (i, j)):
+            out[e[i]] += c
+    return out

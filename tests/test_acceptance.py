@@ -29,6 +29,7 @@ from lorentz.mmatrix import random_m_matrix
 from generators import (random_lorentzian_input, random_m_convex_function,
                         random_nonneg_matrix, random_positive_fraction,
                         random_symmetric)
+from poly_oracles import bivariate_restriction, directional_derive, normalized_coeff
 from test_certify import bivariate_lorentzian_oracle
 
 
@@ -181,7 +182,7 @@ def test_criterion_5_m_matrices():
                 for r in range(1, n + 1):
                     merge[r][1] = Fraction(1)
                 merge_cache[n] = merge
-            coeffs = p.substitute(merge_cache[n]).bivariate_restriction(1, 0)
+            coeffs = bivariate_restriction(p.substitute(merge_cache[n]), 1, 0)
             assert _ulc_counts(n, coeffs), i
 
 
@@ -205,7 +206,7 @@ def test_criterion_6_operator_closure():
             sub = f.substitute(random_nonneg_matrix(rng, f.nvars, rng.randint(1, 3)))
             assert is_lorentzian(sub).verdict, ("substitute", idx)
             direction = [Fraction(rng.randint(0, 3)) for _ in range(f.nvars)]
-            assert is_lorentzian(f.directional_derive(direction)).verdict, \
+            assert is_lorentzian(directional_derive(f, direction)).verdict, \
                 ("directional", idx)
             swapped = exclusion_step(lifted, 0, lifted.nvars - 1, Fraction(1, 2))
             assert is_lorentzian(swapped).verdict, ("exclusion", idx)
@@ -265,7 +266,7 @@ def test_criterion_9_classical_two_sided():
         witness = DiscreteFunction(2, 2, {(2, 0): 0, (1, 1): 1, (0, 2): 0})
         f = generating_poly_f(witness, Fraction(1, 2))
         # normalized coefficients (1, q, 1) with q = 1/2: ULC fails since q^2 < 1
-        assert f.normalized_coeff((1, 1)) ** 2 < 1
+        assert normalized_coeff(f, (1, 1)) ** 2 < 1
         assert not is_lorentzian(f).verdict
 
 

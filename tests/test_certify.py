@@ -22,7 +22,8 @@ from lorentz.poly import simplex
 from lorentz.serialize import poly_from_dict
 from generators import (random_homog, random_lorentzian_input, random_multiaffine,
                         random_nonneg_matrix, random_positive_fraction)
-from poly_oracles import first_rayleigh_violation, hessian, support_alphas
+from poly_oracles import (directional_derive, first_rayleigh_violation, hessian,
+                          support_alphas)
 
 MANY_FAIL = Path(__file__).parent / "golden" / "inputs" / "many_fail.json"
 
@@ -166,6 +167,13 @@ def test_support_inertias_match_fraction_hessians(rng, n, d, kind):
         assert sig == inertia(hessian(f.derive(alpha)))
 
 
+def test_random_multiaffine_refuses_degree_above_variables():
+    # d-subsets of n variables exist only for 0 <= d <= n; the error names both
+    with pytest.raises(ValueError, match=r"d=4 .* n=3"):
+        random_multiaffine(random.Random(0), 3, 4)
+    assert random_multiaffine(random.Random(0), 3, 3).terms.keys() == {(1, 1, 1)}
+
+
 def test_support_alphas_match_sub_exponent_enumeration():
     # Reference: every sub-exponent of every term, kept when |alpha| <= d-1.
     for f in scan_inputs():
@@ -232,7 +240,7 @@ def test_closure_directional_derivative():
         if f.degree < 1:
             continue
         a = [Fraction(rng.randint(0, 3)) for _ in range(f.nvars)]
-        assert is_lorentzian(f.directional_derive(a)).verdict
+        assert is_lorentzian(directional_derive(f, a)).verdict
 
 
 def test_closure_substitution():

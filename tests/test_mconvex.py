@@ -13,6 +13,7 @@ from lorentz.mconvex import rational_power
 from lorentz.poly import simplex
 
 from generators import random_m_convex_function
+from poly_oracles import normalized_coeff
 
 
 def test_set_examples():
@@ -140,7 +141,7 @@ def test_generating_poly_errors():
         generating_poly_f(half, Fraction(1, 2))
     # q = (1/4) is an exact square, so nu with half-integer values works
     f = generating_poly_f(half, Fraction(1, 4))
-    assert f.normalized_coeff((2, 0)) == Fraction(1, 2)
+    assert normalized_coeff(f, (2, 0)) == Fraction(1, 2)
 
 
 def test_rational_power():
@@ -168,6 +169,9 @@ def test_polarize_example():
     ind = DiscreteFunction.indicator(PointSet(2, 2, [(2, 0)]))
     lifted = polarize_fn(ind)
     assert lifted.nvars == 4 and set(lifted.values) == {(1, 1, 0, 0)}
+    # degree 0 lifts to no variables
+    assert polarize_fn(DiscreteFunction(2, 0, {(0, 0): 5})) == DiscreteFunction(0, 0, {(): 5})
+    assert polarize_fn(DiscreteFunction(2, 0, {})) == DiscreteFunction(0, 0, {})
 
 
 def test_polarize_preserves_m_convexity():

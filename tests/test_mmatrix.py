@@ -11,6 +11,7 @@ from lorentz.mconvex import PointSet, is_m_convex_set
 from lorentz.mmatrix import bareiss_determinant, random_m_matrix
 
 from generators import random_doubly_substochastic
+from poly_oracles import bivariate_restriction
 
 
 def test_is_m_matrix_examples():
@@ -93,7 +94,7 @@ def test_univariate_collapse_ulc():
         merge[0][0] = Fraction(1)
         for i in range(1, 4):
             merge[i][1] = Fraction(1)
-        coeffs = p.substitute(merge).bivariate_restriction(1, 0)
+        coeffs = bivariate_restriction(p.substitute(merge), 1, 0)
         assert ulc(coeffs)
 
 

@@ -12,7 +12,7 @@ from lorentz.mconvex import DiscreteFunction
 from lorentz.measures import Measure
 from lorentz.mmatrix import SquareMatrix
 from lorentz.operators import OperatorTable
-from lorentz.serialize import (LoadError, dumps_canonical, function_from_dict,
+from lorentz.serialize import (LoadError, _write_terms, dumps_canonical, function_from_dict,
                                function_to_dict, load_document,
                                matrix_from_dict, matrix_to_dict,
                                matroid_from_dict, matroid_to_dict,
@@ -45,6 +45,44 @@ def test_poly_merges_duplicate_terms():
 def test_poly_drops_zero_coefficients():
     f = poly_from_dict({"n": 1, "d": 2, "terms": [{"exp": [2], "num": "0", "den": "3"}]})
     assert f.is_zero()
+
+
+def _term(exp, num="1", den="1"):
+    return {"exp": exp, "num": num, "den": den}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 2, "d": 2, "terms": [_term([2, 0]), _term([1, 0, 1])]},
+     "polynomial: exponent (1, 0, 1) has length 3, expected 2"),
+    ({"n": 2, "d": 2, "terms": [_term([3, -1])]},
+     "polynomial: negative exponent in (3, -1)"),
+    ({"n": 2, "d": 2, "terms": [_term([1, 0])]},
+     "polynomial: exponent (1, 0) has degree 1, expected 2"),
+    ({"n": -1, "d": 2, "terms": []},
+     "polynomial: nvars and degree must be nonnegative"),
+    ({"n": 2, "d": -2, "terms": [_term([1, 1])]},
+     "polynomial: nvars and degree must be nonnegative"),
+    ({"n": 2, "d": 2, "terms": [_term([2, 0], "1", "0")]},
+     "polynomial.terms[0]: zero denominator"),
+    ({"n": 2, "d": 2, "terms": [_term([1, 0]), _term([True, 1])]},
+     "polynomial.terms[1].exp[0]: expected an integer, got true"),
+    # a malformed later term is named before an earlier term of the wrong length
+    ({"n": 2, "d": 2, "terms": [_term([2]), _term([1, 1], "1", 0)]},
+     "polynomial.terms[1]: zero denominator"),
+], ids=["length", "negative_entry", "degree", "negative_n", "negative_d",
+        "zero_denominator", "bool_exponent", "parse_before_shape"])
+def test_poly_refusals_keep_their_messages(doc, message):
+    with pytest.raises(LoadError) as err:
+        poly_from_dict(doc)
+    assert str(err.value) == message
+
+
+def test_poly_sums_duplicate_exponents_and_drops_zero_sums():
+    f = poly_from_dict({"n": 2, "d": 1, "terms": [
+        _term([1, 0], "1", "2"), _term([0, 1], "3"), _term([1, 0], "-1", "2"),
+        _term([0, 1], 2, "5"), _term([1, 0], "0")]})
+    assert f.terms == {(0, 1): Fraction(17, 5)}
+    assert f == HomogPoly(2, 1, {(0, 1): Fraction(17, 5)})
 
 
 def test_function_roundtrip():
@@ -140,6 +178,60 @@ _JSON_TREES = st.recursive(
 @given(_JSON_TREES)
 def test_dumps_canonical_matches_json_dumps(x):
     assert dumps_canonical(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+
+_ROWS = st.fixed_dictionaries({
+    "exp": st.lists(st.integers(0, 12), min_size=1, max_size=5),
+    "num": st.integers(-10 ** 30, 10 ** 30).map(str),
+    "den": st.integers(1, 10 ** 30).map(str)})
+
+
+@st.composite
+def _near_miss_rows(draw):
+    """A row that is not one of the term-list writer's rows but still JSON."""
+    row = dict(draw(_ROWS))
+    kind = draw(st.sampled_from(["bool", "float", "int_num", "tuple_exp", "empty_exp",
+                                 "missing_key", "fourth_key"]))
+    at = draw(st.integers(0, len(row["exp"])))
+    if kind in ("bool", "float"):
+        row["exp"].insert(at, draw(st.booleans()) if kind == "bool" else float(at))
+    elif kind == "int_num":
+        row["num"] = int(row["num"])
+    elif kind == "tuple_exp":
+        row["exp"] = tuple(row["exp"])
+    elif kind == "empty_exp":
+        row["exp"] = []
+    elif kind == "missing_key":
+        del row[draw(st.sampled_from(sorted(row)))]
+    else:
+        row[draw(st.sampled_from(["poly", "set", "aaa", "zzz"]))] = "1"
+    return row
+
+
+@st.composite
+def _term_lists(draw):
+    """A list of term rows, with a near miss at a random place or none, and
+    whether it has the near miss."""
+    rows = draw(st.lists(_ROWS, min_size=1, max_size=6))
+    near_miss = draw(st.booleans())
+    if near_miss:
+        rows.insert(draw(st.integers(0, len(rows))), draw(_near_miss_rows()))
+    return rows, near_miss
+
+
+@given(_term_lists(), st.sampled_from(["top", "poly", "images"]))
+def test_dumps_canonical_term_lists_match_json_dumps(term_list, where):
+    rows, near_miss = term_list
+    doc = {"top": rows,
+           "poly": {"n": 5, "d": 3, "terms": rows},
+           "images": {"ell": 0, "kappa": [1], "images": [
+               {"exp": [0], "poly": {"n": 5, "d": 3, "terms": rows}},
+               {"exp": [1], "poly": {"n": 5, "d": 3, "terms": rows}}]}}[where]
+    assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # the rows take the template path exactly when there is no near miss
+    out = []
+    assert _write_terms(rows, out, "  ") is not near_miss
+    assert bool(out) is not near_miss
 
 
 @pytest.mark.parametrize("doc", [
