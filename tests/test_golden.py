@@ -110,6 +110,12 @@ CASES = {
     "mmatrix_charpoly_certify_refuted": ["mmatrix", "charpoly", "inputs/not_m.json",
                                          "--certify"],
     "mmatrix_recognize": ["mmatrix", "recognize", "inputs/not_m.json"],
+    # a singular M-matrix whose first one-element minor is 0, and an n = 6
+    # draw of random_m_matrix(6, seed=13) with slack 0 and rational entries
+    "mmatrix_recognize_singular": ["mmatrix", "recognize", "inputs/singular_m3.json"],
+    "mmatrix_charpoly_certify_singular": ["mmatrix", "charpoly", "inputs/singular_m3.json",
+                                          "--certify"],
+    "mmatrix_charpoly_m6_slack0": ["mmatrix", "charpoly", "inputs/m6_slack0.json"],
     # measures
     "measure_lorentzian": ["measure", "lorentzian", "inputs/mu_u12.json"],
     "measure_lorentzian_refuted": ["measure", "lorentzian", "inputs/mu_gap.json"],
