@@ -22,6 +22,7 @@ from typing import Mapping, Optional, Sequence
 from .certify import (Certificate, _int_terms, _rayleigh_sides, _RayleighScan,
                       is_lorentzian)
 from .matroids import Matroid, _mask, independent_set_masks
+from .operators import _exclusion_theta
 from .poly import HomogPoly, RationalLike, as_fraction, first_ulc_failure
 
 
@@ -106,11 +107,7 @@ def matroid_measures(m: Matroid) -> tuple[Measure, Measure]:
 
 def exclusion_evolution(mu: Measure, i: int, j: int, theta: RationalLike) -> Measure:
     """Measure whose partition function is (1-theta) Z + theta (Z with i, j swapped)."""
-    th = as_fraction(theta)
-    if not 0 <= th <= 1:
-        raise ValueError("theta must lie in [0, 1]")
-    if i == j:
-        raise ValueError("indices must be distinct")
+    th = _exclusion_theta(mu.n, i, j, theta)
     out: dict[int, Fraction] = {}
     for mask, w in mu.weights.items():
         bit_i, bit_j = mask >> i & 1, mask >> j & 1

@@ -4,6 +4,9 @@ An M-matrix has nonpositive off-diagonal entries and nonnegative principal
 minors.  Its multivariate characteristic polynomial
 det(w_0 I + diag(w_1..w_n) A) expands as the sum of A_S w^S w_0^(n-|S|)
 over subsets S, where A_S is the principal minor on S.
+
+All 2^n minors come from one Bareiss walk over the subsets
+(``_principal_minors``), each extending the elimination one element smaller.
 """
 
 from __future__ import annotations
@@ -84,6 +87,40 @@ def principal_minor(a: SquareMatrix, subset: Iterable[int]) -> Fraction:
     return bareiss_determinant([[a.entries[i][j] for j in keep] for i in keep])
 
 
+def _principal_minors(a: SquareMatrix) -> list[Fraction]:
+    """Every principal minor of a, indexed by subset mask (bit i for row i).
+
+    The rows are scaled to integers B once.  A depth-first walk adds the
+    elements in increasing order and keeps, at each node S, the bordered
+    determinants det B[S+i, S+j] for i, j > max S.  A child S+p reads its
+    minor as the pivot at (p, p) and gets its own table from Sylvester's
+    identity, one exact division by det B[S] per entry.  Below a zero pivot
+    the identity does not apply, and that subtree falls back to
+    ``principal_minor``.
+    """
+    n = a.n
+    scales = [lcm(*(x.denominator for x in row)) for row in a.entries]
+    minors = [Fraction(1)] * (1 << n)
+
+    def walk(mask: int, first: int, det: int, scale: int, table: list[list[int]]) -> None:
+        # table[i][j] = det B[S + (first+i), S + (first+j)], where det = det B[S]
+        for k, row in enumerate(table):
+            p = first + k
+            pivot, child, child_scale = row[k], mask | 1 << p, scale * scales[p]
+            minors[child] = Fraction(pivot, child_scale)
+            if pivot:
+                walk(child, p + 1, pivot, child_scale,
+                     [[(x * pivot - r[k] * y) // det for x, y in zip(r[k + 1:], row[k + 1:])]
+                      for r in table[k + 1:]])
+                continue
+            for rest in range(1, 1 << (n - p - 1)):
+                sub = child | rest << (p + 1)
+                minors[sub] = principal_minor(a, [i for i in range(n) if sub >> i & 1])
+
+    walk(0, 0, 1, 1, [[int(x * s) for x in row] for row, s in zip(a.entries, scales)])
+    return minors
+
+
 def is_m_matrix(a: SquareMatrix) -> bool:
     """Nonpositive off-diagonal entries and all 2^n - 1 principal minors >= 0."""
     n = a.n
@@ -91,11 +128,7 @@ def is_m_matrix(a: SquareMatrix) -> bool:
         for j in range(n):
             if i != j and a.entries[i][j] > 0:
                 return False
-    for mask in range(1, 1 << n):
-        subset = [i for i in range(n) if mask >> i & 1]
-        if principal_minor(a, subset) < 0:
-            return False
-    return True
+    return all(m >= 0 for m in _principal_minors(a))
 
 
 def char_poly_multivariate(a: SquareMatrix) -> HomogPoly:
@@ -103,10 +136,7 @@ def char_poly_multivariate(a: SquareMatrix) -> HomogPoly:
 
     Built from the 2^n principal minors; variable 0 is the homogenizing w_0.
     """
-    n = a.n
-    return HomogPoly.homogenized(
-        n, {mask: principal_minor(a, [i for i in range(n) if mask >> i & 1])
-            for mask in range(1 << n)})
+    return HomogPoly.homogenized(a.n, dict(enumerate(_principal_minors(a))))
 
 
 def random_m_matrix(n: int, seed: int, bound: int = 5,

@@ -112,13 +112,23 @@ def _approx_power(c: Fraction, p: Fraction, bits: int) -> Fraction:
     return Fraction(root, 1 << bits)
 
 
-def exclusion_step(f: HomogPoly, i: int, j: int, theta: RationalLike) -> HomogPoly:
-    """(1-theta) f + theta * (f with w_i and w_j swapped), multi-affine f."""
+def _exclusion_theta(n: int, i: int, j: int, theta: RationalLike) -> Fraction:
+    """theta of an exclusion step on n variables, once theta lies in [0, 1]
+    and i, j are distinct indices in [0, n)."""
     th = as_fraction(theta)
     if not 0 <= th <= 1:
         raise ValueError("theta must lie in [0, 1]")
+    for name, k in (("i", i), ("j", j)):
+        if not 0 <= k < n:
+            raise ValueError(f"index {name}={k} out of range for n={n}")
     if i == j:
         raise ValueError("indices must be distinct")
+    return th
+
+
+def exclusion_step(f: HomogPoly, i: int, j: int, theta: RationalLike) -> HomogPoly:
+    """(1-theta) f + theta * (f with w_i and w_j swapped), multi-affine f."""
+    th = _exclusion_theta(f.nvars, i, j, theta)
     if not f.is_multi_affine():
         raise ValueError("exclusion step needs a multi-affine polynomial")
     swap = list(range(f.nvars))

@@ -162,6 +162,21 @@ def test_count_option_out_of_range(capsys, argv, message):
     assert json.loads(out) == {"command": [argv[0]], "error": message}  # exactly one object
 
 
+_U23 = str(GOLDEN_INPUTS / "u23_basis.json")
+
+
+@pytest.mark.parametrize("command, path, n", [(["operator", "exclusion"], _U23, 3),
+                                              (["measure", "exclusion"], _MU, 4)])
+@pytest.mark.parametrize("i, j, named", [("0", "9", "j=9"), ("0", "-1", "j=-1"),
+                                         ("9", "1", "i=9"), ("-2", "0", "i=-2")])
+def test_exclusion_index_out_of_range(capsys, command, path, n, i, j, named):
+    code = main([*command, path, "--i", i, "--j", j, "--theta", "1/3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"command": command[:1],   # exactly one object
+                               "error": f"index {named} out of range for n={n}"}
+
+
 def test_mconvex_commands(tmp_path, capsys):
     path = write(tmp_path, "nu.json", NU)
     code, rep = run(capsys, "mconvex", "function", path)

@@ -3,14 +3,17 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lorentz import mmatrix
 from lorentz import (HomogPoly, SquareMatrix, char_poly_multivariate,
                      is_lorentzian, is_m_matrix, principal_minor)
 from lorentz.inertia import SymMatrix, inertia
 from lorentz.mconvex import PointSet, is_m_convex_set
-from lorentz.mmatrix import bareiss_determinant, random_m_matrix
+from lorentz.mmatrix import _principal_minors, bareiss_determinant, random_m_matrix
 
-from generators import random_doubly_substochastic
+from generators import random_doubly_substochastic, random_fraction
 from poly_oracles import bivariate_restriction
 
 
@@ -123,3 +126,69 @@ def test_nonsingular_support_is_full_cube():
         assert len(p.terms) == 2 ** n
         ok, _ = is_m_convex_set(PointSet(n + 1, n, p.support()))
         assert ok
+
+
+# singular M-matrix whose one-element minor on {0} is 0, the walk's first pivot
+SINGULAR = SquareMatrix([[0, 0, 0], [0, 1, -1], [0, -1, 1]])
+
+
+def _differential_cases():
+    for n in range(1, 9):
+        for slack in (0, Fraction(1, 3)):
+            yield f"m{n}_slack{slack}", random_m_matrix(n, seed=700 + n, slack=slack)
+    rng = random.Random(71)
+    for n in (3, 5, 6):
+        # rank at most r < n: products of n x r and r x n factors
+        for r in (2, n - 2):
+            left = [[random_fraction(rng, -3, 3) for _ in range(r)] for _ in range(n)]
+            right = [[random_fraction(rng, -3, 3) for _ in range(n)] for _ in range(r)]
+            yield f"rank{r}_n{n}", SquareMatrix(
+                [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)]
+                 for i in range(n)])
+    for n in range(2, 8):
+        yield f"signs{n}", SquareMatrix([[random_fraction(rng, -2, 2, 3) for _ in range(n)]
+                                          for _ in range(n)])
+    yield "singular", SINGULAR
+    yield "zero_corner", SquareMatrix([[0, 1], [1, 0]])   # det -1 under a zero pivot
+    yield "zero", SquareMatrix([[0] * 4] * 4)
+    yield "n0", SquareMatrix([])
+    yield "n1", SquareMatrix([["-3/7"]])
+
+
+_DIFFERENTIAL = list(_differential_cases())
+
+
+@pytest.mark.parametrize("a", [a for _, a in _DIFFERENTIAL],
+                         ids=[name for name, _ in _DIFFERENTIAL])
+def test_principal_minor_table_matches_principal_minor(a):
+    minors = _principal_minors(a)
+    assert len(minors) == 1 << a.n
+    for mask, value in enumerate(minors):
+        assert type(value) is Fraction
+        assert value == principal_minor(a, [i for i in range(a.n) if mask >> i & 1]), mask
+
+
+def test_principal_minor_table_calls_no_bareiss(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return bareiss_determinant(rows)
+
+    monkeypatch.setattr(mmatrix, "bareiss_determinant", counted)
+    char_poly_multivariate(random_m_matrix(8, seed=7, slack=1))
+    assert calls == []
+    # only the subsets {0,1}, {0,2} and {0,1,2} below the zero pivot on {0}
+    assert is_m_matrix(SINGULAR)
+    assert sorted(calls) == [2, 2, 3]
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 5), st.integers(0, 10**6),
+       st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(1, 9),
+                                                 st.integers(1, 9))))
+def test_m_matrix_charpoly_lorentzian_property(n, seed, slack):
+    # the paper's refinement of Holtz: M-matrices have Lorentzian charpolys
+    a = random_m_matrix(n, seed=seed, slack=slack)
+    assert is_m_matrix(a)
+    assert is_lorentzian(char_poly_multivariate(a)).verdict
