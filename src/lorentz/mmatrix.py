@@ -112,10 +112,10 @@ def _principal_minors(a: SquareMatrix) -> list[Fraction]:
                 walk(child, p + 1, pivot, child_scale,
                      [[(x * pivot - r[k] * y) // det for x, y in zip(r[k + 1:], row[k + 1:])]
                       for r in table[k + 1:]])
-                continue
-            for rest in range(1, 1 << (n - p - 1)):
-                sub = child | rest << (p + 1)
-                minors[sub] = principal_minor(a, [i for i in range(n) if sub >> i & 1])
+            else:
+                for rest in range(1, 1 << (n - p - 1)):
+                    sub = child | rest << (p + 1)
+                    minors[sub] = principal_minor(a, [i for i in range(n) if sub >> i & 1])
 
     walk(0, 0, 1, 1, [[int(x * s) for x in row] for row, s in zip(a.entries, scales)])
     return minors

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz import mmatrix
 from lorentz import (HomogPoly, SquareMatrix, char_poly_multivariate,
-                     is_lorentzian, is_m_matrix, principal_minor)
+                     is_lorentzian, is_m_matrix, mmatrix, principal_minor)
 from lorentz.inertia import SymMatrix, inertia
 from lorentz.mconvex import PointSet, is_m_convex_set
 from lorentz.mmatrix import _principal_minors, bareiss_determinant, random_m_matrix
