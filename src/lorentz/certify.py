@@ -282,32 +282,35 @@ class _RayleighScan:
         self._nslots = 1
         self._groups: list = []         # per compiled alpha: (table length, new values, checks)
 
+    # _mono and _deriv loop down to a built entry, then up: a degree may pass the recursion limit
     def _mono(self, e: Exponent) -> int:
-        m = self._entry.get(e)
-        if m is None:
-            parent, k = _below(e, self._entry)
-            p = self._mono(parent)
+        down = []                       # (e, e - e_k, k) to build, the highest first
+        while (m := self._entry.get(e)) is None:
+            down.append((e, *_below(e, self._entry)))
+            e = down[-1][1]
+        for e, _, k in reversed(down):
+            self._steps.append((m, k))
             m = self._entry[e] = len(self._exps)
             self._exps.append(e)
-            self._steps.append((p, k))
         return m
 
     def _deriv(self, beta: Exponent) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """d^beta f as its coefficients and the table entries of its monomials."""
-        d = self._derivs.get(beta)
+        down = []                       # (beta, beta - e_k, k) to derive, the highest first
+        while (d := self._derivs.get(beta)) is None and any(beta):
+            down.append((beta, *_below(beta, self._derivs)))
+            beta = down[-1][1]
         if d is None:
-            if not any(beta):
-                d = tuple(self._terms.values()), tuple(map(self._mono, self._terms))
-            else:
-                parent, k = _below(beta, self._derivs)
-                coefs, entries = [], []
-                for v, m in zip(*self._deriv(parent)):
-                    e = self._exps[m]
-                    if e[k]:
-                        coefs.append(v * e[k])
-                        entries.append(self._mono(e[:k] + (e[k] - 1,) + e[k + 1:]))
-                d = tuple(coefs), tuple(entries)
-            self._derivs[beta] = d
+            d = self._derivs[beta] = (tuple(self._terms.values()),
+                                      tuple(map(self._mono, self._terms)))
+        for beta, _, k in reversed(down):
+            coefs, entries = [], []
+            for v, m in zip(*d):
+                e = self._exps[m]
+                if e[k]:
+                    coefs.append(v * e[k])
+                    entries.append(self._mono(e[:k] + (e[k] - 1,) + e[k + 1:]))
+            d = self._derivs[beta] = tuple(coefs), tuple(entries)
         return d
 
     def _compile(self) -> None:

@@ -61,9 +61,11 @@ def _int_list_arg(text: str) -> list[int]:
 
 def _jsonify(x: Any, float_mode: bool) -> Any:
     if isinstance(x, Fraction):
-        return {"rat": str(x), "float": float(x)} if float_mode else str(x)
+        if not float_mode:
+            return str(x)
+        return {"rat": str(x), "float": float(x) if abs(x) <= sys.float_info.max else None}
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {k: _jsonify(v, float_mode) for k, v in dataclasses.asdict(x).items()}
+        return {f.name: _jsonify(getattr(x, f.name), float_mode) for f in dataclasses.fields(x)}
     if isinstance(x, dict):
         return {str(k): _jsonify(v, float_mode) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -71,16 +73,6 @@ def _jsonify(x: Any, float_mode: bool) -> Any:
     if isinstance(x, (bool, int, float, str)) or x is None:
         return x
     return str(x)
-
-
-def _certificate_payload(cert: certify.Certificate, float_mode: bool) -> dict:
-    return {
-        "verdict": cert.verdict,
-        "is_zero": cert.is_zero,
-        "failing_kind": cert.failing_kind,
-        "failing_alpha": list(cert.failing_alpha) if cert.failing_alpha is not None else None,
-        "detail": _jsonify(cert.detail, float_mode),
-    }
 
 
 def _emit(report: dict, code: int) -> int:
@@ -91,11 +83,11 @@ def _emit(report: dict, code: int) -> int:
 class _Run:
     """Collects the report fields shared by every command."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, command: list[str]):
         self.t0 = time.perf_counter()
         paths = [getattr(args, dest) for dest in args.inputs]
         self.report: dict = {
-            "command": [args.command] + ([args.subverb] if getattr(args, "subverb", None) else []),
+            "command": command,
             "inputs": {p: _sha256(p) for p in paths},
             "seed": getattr(args, "seed", None),
             "verdict": None,
@@ -141,7 +133,7 @@ def _load_matroid(path: str) -> matroids.Matroid:
 def _certificate_verdict(run: _Run, cert: certify.Certificate, witness: bool = False) -> int:
     """Report the certificate and its verdict; a failing certificate is also
     the witness when ``witness`` is set."""
-    payload = _certificate_payload(cert, run.float_mode)
+    payload = _jsonify(cert, run.float_mode)
     run.report["result"]["certificate"] = payload
     return run.verdict(cert.verdict, payload if witness and not cert.verdict else None)
 
@@ -222,8 +214,8 @@ def _validate(run: _Run, args) -> int:
             m = graph_matroid_from_dict(obj)
         else:
             n = _require(obj, "n", int, "matroid")
-            bases = [_int_tuple(b, f"matroid.bases[{k}]")
-                     for k, b in enumerate(obj.get("bases") or [])]
+            raw = _require(obj, "bases", list, "matroid") if obj.get("bases") else []
+            bases = [_int_tuple(b, f"matroid.bases[{k}]") for k, b in enumerate(raw)]
             m = matroids.matroid_from_bases(n, bases)
     except matroids.ExchangeError as exc:
         return run.verdict(False, {"reason": str(exc), "witness": exc.witness})
@@ -434,10 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    command = [args.command] + ([args.subverb] if getattr(args, "subverb", None) else [])
     try:
-        return args.handler(_Run(args), args)
+        return args.handler(_Run(args, command), args)
     except ValueError as exc:   # LoadError included
-        _emit({"command": [args.command], "error": str(exc)}, EXIT_INPUT)
+        _emit({"command": command, "error": str(exc)}, EXIT_INPUT)
         return EXIT_INPUT
 
 

@@ -61,6 +61,14 @@ def _require(obj: Any, key: str, kind: type, where: str):
     return val
 
 
+def _build(where: str, make, *args, **kw):
+    """``make(*args, **kw)``, with a ValueError it raises reported at ``where``."""
+    try:
+        return make(*args, **kw)
+    except ValueError as exc:
+        raise LoadError(f"{where}: {exc}") from None
+
+
 _INT = {int}
 
 
@@ -110,10 +118,7 @@ def poly_from_dict(obj: dict, where: str = "polynomial") -> HomogPoly:
         terms[exp] = c if old is None else old + c
     if not (n >= 0 and d >= 0 and set(map(len, terms)) <= {n} and set(map(sum, terms)) <= {d}
             and min(chain.from_iterable(terms), default=0) >= 0):
-        try:
-            HomogPoly(n, d, terms)      # raises, naming the first bad exponent
-        except ValueError as exc:
-            raise LoadError(f"{where}: {exc}") from None
+        _build(where, HomogPoly, n, d, terms)     # raises, naming the first bad exponent
     return HomogPoly._of(n, d, terms)
 
 
@@ -134,10 +139,7 @@ def function_from_dict(obj: dict, where: str = "function") -> DiscreteFunction:
         if exp in values:
             raise LoadError(f"{at}: duplicate point {exp}")
         values[exp] = _fraction_from_parts(t, at)
-    try:
-        return DiscreteFunction(n, d, values)
-    except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from None
+    return _build(where, DiscreteFunction, n, d, values)
 
 
 # -- matroids and graphs -----------------------------------------------------
@@ -150,20 +152,14 @@ def matroid_from_dict(obj: dict, where: str = "matroid") -> Matroid:
     n = _require(obj, "n", int, where)
     bases = [_int_tuple(b, f"{where}.bases[{k}]")
              for k, b in enumerate(_require(obj, "bases", list, where))]
-    try:
-        return matroid_from_bases(n, bases)
-    except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from None
+    return _build(where, matroid_from_bases, n, bases)
 
 
 def graph_matroid_from_dict(obj: dict, where: str = "graph") -> Matroid:
     v = _require(obj, "vertices", int, where)
     edges = [_int_tuple(e, f"{where}.edges[{k}]", length=2)
              for k, e in enumerate(_require(obj, "edges", list, where))]
-    try:
-        return cycle_matroid(v, edges)
-    except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from None
+    return _build(where, cycle_matroid, v, edges)
 
 
 # -- matrices ----------------------------------------------------------------
@@ -201,10 +197,7 @@ def measure_from_dict(obj: dict, where: str = "measure",
         if s in weights:
             raise LoadError(f"{at}: duplicate atom {sorted(s)}")
         weights[s] = _fraction_from_parts(a, at)
-    try:
-        return Measure(n, weights, normalize=normalize)
-    except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from None
+    return _build(where, Measure, n, weights, normalize=normalize)
 
 
 # -- operator tables ----------------------------------------------------------
@@ -224,10 +217,7 @@ def operator_from_dict(obj: dict, where: str = "operator") -> OperatorTable:
         at = f"{where}.images[{k}]"
         exp = _int_tuple(_require(entry, "exp", list, at), f"{at}.exp")
         images[exp] = poly_from_dict(_require(entry, "poly", dict, at), f"{at}.poly")
-    try:
-        return OperatorTable(kappa, ell, images)
-    except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from None
+    return _build(where, OperatorTable, kappa, ell, images)
 
 
 # -- vector configurations (zonotopes) ----------------------------------------
@@ -251,37 +241,24 @@ def vectors_to_dict(vectors) -> dict:
 
 # -- kind detection and roundtrip ---------------------------------------------
 
-_KIND_KEYS = [("terms", "poly"), ("values", "function"), ("bases", "matroid"),
-              ("edges", "graph"), ("rows", "matrix"), ("atoms", "measure"),
-              ("images", "operator"), ("vectors", "vectors")]
-
-_LOADERS = {
-    "poly": poly_from_dict,
-    "function": function_from_dict,
-    "matroid": matroid_from_dict,
-    "graph": graph_matroid_from_dict,
-    "matrix": matrix_from_dict,
-    "measure": measure_from_dict,
-    "operator": operator_from_dict,
-    "vectors": vectors_from_dict,
-}
-
-_DUMPERS = {
-    "poly": poly_to_dict,
-    "function": function_to_dict,
-    "matroid": matroid_to_dict,
-    "graph": matroid_to_dict,      # graphs canonicalize to their cycle matroid
-    "matrix": matrix_to_dict,
-    "measure": measure_to_dict,
-    "operator": operator_to_dict,
-    "vectors": vectors_to_dict,
+# kind -> (the key that marks its documents, loader, dumper), in detection order
+_KINDS = {
+    "poly": ("terms", poly_from_dict, poly_to_dict),
+    "function": ("values", function_from_dict, function_to_dict),
+    "matroid": ("bases", matroid_from_dict, matroid_to_dict),
+    # graphs canonicalize to their cycle matroid
+    "graph": ("edges", graph_matroid_from_dict, matroid_to_dict),
+    "matrix": ("rows", matrix_from_dict, matrix_to_dict),
+    "measure": ("atoms", measure_from_dict, measure_to_dict),
+    "operator": ("images", operator_from_dict, operator_to_dict),
+    "vectors": ("vectors", vectors_from_dict, vectors_to_dict),
 }
 
 
 def detect_kind(obj: Any) -> str:
     if not isinstance(obj, dict):
         raise LoadError("document root must be a JSON object")
-    for key, kind in _KIND_KEYS:
+    for kind, (key, _, _) in _KINDS.items():
         if key in obj:
             return kind
     raise LoadError(f"cannot determine document kind from keys {sorted(obj)}")
@@ -303,7 +280,7 @@ def load_document(path: str):
     """Parse any known document, returning (kind, object)."""
     obj = load_json(path)
     kind = detect_kind(obj)
-    return kind, _LOADERS[kind](obj, kind)
+    return kind, _KINDS[kind][1](obj, kind)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -423,6 +400,6 @@ def dumps_canonical(obj: dict) -> str:
 def roundtrip(path: str) -> bool:
     """parse -> serialize -> parse; True iff the canonical forms agree."""
     kind, first = load_document(path)
-    obj = json.loads(dumps_canonical(_DUMPERS[kind](first)))
-    second = _LOADERS[detect_kind(obj)](obj)
+    obj = json.loads(dumps_canonical(_KINDS[kind][2](first)))
+    second = _KINDS[detect_kind(obj)][1](obj)
     return first == second

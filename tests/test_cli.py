@@ -117,6 +117,14 @@ def test_rayleigh_violation(tmp_path, capsys):
     assert code == 0
 
 
+def test_rayleigh_high_degree(tmp_path, capsys):
+    # the scan is compiled without a stack frame per degree
+    f = {"n": 2, "d": 3000, "terms": [_term([3000, 0]), _term([0, 3000])]}
+    code, rep = run(capsys, "rayleigh", write(tmp_path, "f.json", f), "--c", "2", "--seed", "1",
+                    "--trials", "1", "--point", "1,1")
+    assert code == 0 and rep["verdict"] is True
+
+
 def test_rayleigh_point_needs_every_coordinate(capsys):
     fano = str(GOLDEN_INPUTS / "fano_potts.json")
     code, rep = run(capsys, "rayleigh", fano, "--c", "2", "--seed", "1", "--trials", "0",
@@ -159,7 +167,8 @@ def test_count_option_out_of_range(capsys, argv, message):
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 2
-    assert json.loads(out) == {"command": [argv[0]], "error": message}  # exactly one object
+    command = argv[:next(k for k, w in enumerate(argv) if w.endswith(".json"))]
+    assert json.loads(out) == {"command": command, "error": message}  # exactly one object
 
 
 _U23 = str(GOLDEN_INPUTS / "u23_basis.json")
@@ -173,7 +182,7 @@ def test_exclusion_index_out_of_range(capsys, command, path, n, i, j, named):
     code = main([*command, path, "--i", i, "--j", j, "--theta", "1/3"])
     out, err = capsys.readouterr()
     assert code == 2 and err == ""
-    assert json.loads(out) == {"command": command[:1],   # exactly one object
+    assert json.loads(out) == {"command": command,   # exactly one object
                                "error": f"index {named} out of range for n={n}"}
 
 
@@ -319,6 +328,17 @@ def test_float_flag(tmp_path, capsys):
     assert rep["result"]["value"]["float"] == pytest.approx(float(rep_value(rep)))
 
 
+def test_float_flag_beyond_float_range(tmp_path, capsys):
+    big = "-1" + "0" * 400
+    path = write(tmp_path, "f.json", {"n": 2, "d": 1, "terms": [_term([1, 0], big),
+                                                              _term([0, 1])]})
+    code = main(["check", path, "--float"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    rep = json.loads(out)   # exactly one object
+    assert rep["witness"]["detail"]["coefficient"] == {"rat": big, "float": None}
+
+
 def rep_value(rep):
     from fractions import Fraction
     return Fraction(rep["result"]["value"]["rat"])
@@ -441,6 +461,8 @@ def _term(exp, num="1"):
     (["matroid", "validate"], {"n": 2, "bases": [[0], [True]]}, "matroid.bases[1][0]"),
     (["matroid", "validate"], {"n": 2, "bases": [0, 1]}, "matroid.bases[0]"),
     (["matroid", "validate"], {"n": True, "bases": [[0]]}, "matroid"),
+    (["matroid", "validate"], {"n": 3, "bases": 5}, "matroid"),
+    (["matroid", "validate"], {"n": 3, "bases": True}, "matroid"),
 ])
 def test_malformed_document_is_one_json_report(tmp_path, capsys, argv, doc, path):
     code = main([*argv, write(tmp_path, "doc.json", doc)])
@@ -458,6 +480,30 @@ def _leaves(parser, words=()):
     for action in subs:
         for name, child in action.choices.items():
             yield from _leaves(child, (*words, name))
+
+
+# a value for every required option of a leaf command
+_REQUIRED = {"--c": "1", "--i": "0", "--j": "1", "--kappa": "1,1", "--p": "1", "--q": "1",
+             "--seed": "1", "--theta": "1/3", "--x": "1,1"}
+
+
+def test_every_command_names_itself(tmp_path, capsys):
+    # an input error inside a leaf names every command word, as its success report does
+    missing = str(tmp_path / "missing.json")
+    for words, parser in _leaves(build_parser()):
+        commands, rest = [words], []
+        for a in parser._actions:
+            if a.choices and not a.option_strings:  # mconvex takes its subverb as a positional
+                commands = [(*words, c) for c in a.choices]
+            elif not a.option_strings:
+                rest.append(missing)
+            elif a.required:
+                rest += [a.option_strings[0], _REQUIRED[a.option_strings[0]]]
+        for command in commands:
+            code = main([*command, *rest])
+            rep = json.loads(capsys.readouterr().out)
+            assert code == 2
+            assert rep == {"command": list(command), "error": f"{missing}: no such file"}
 
 
 def test_command_table(capsys):
