@@ -431,14 +431,13 @@ def rayleigh_falsify(f: HomogPoly, c: RationalLike, trials: int,
 
 
 def log_concavity_probe(f: HomogPoly, w: Sequence[RationalLike],
-                        v: Sequence[RationalLike], steps: int = 8,
-                        tol: float = 1e-9) -> bool:
+                        v: Sequence[RationalLike]) -> bool:
     """Float check that log f is concave along the segment w + t*v.
 
-    Second differences of log f at ``steps`` interior nodes must not exceed
-    ``tol``.  The step size keeps every probed point inside the open positive
-    orthant.  This is a numeric cross-check of the exact inertia verdict,
-    not a certificate.
+    Second differences of log f at 17 evenly spaced interior nodes must not
+    exceed 1e-9 (relative, once |log f| exceeds 1).  The step size keeps every
+    probed point inside the open positive orthant.  This is a numeric
+    cross-check of the exact inertia verdict, not a certificate.
     """
     wf = [as_fraction(x) for x in w]
     vf = [as_fraction(x) for x in v]
@@ -453,13 +452,13 @@ def log_concavity_probe(f: HomogPoly, w: Sequence[RationalLike],
             b = wi / abs(vi)
             bound = b if bound is None else min(bound, b)
     logs = []
-    for k in range(-(steps + 1), steps + 2):
-        t = Fraction(k) * Fraction(bound) / (2 * (steps + 1))
+    for k in range(-9, 10):
+        t = Fraction(k) * Fraction(bound) / 18
         val = f.eval([wi + t * vi for wi, vi in zip(wf, vf)])
         if val <= 0:
             return False
         logs.append(math.log(val))
     for k in range(1, len(logs) - 1):
-        if logs[k + 1] - 2 * logs[k] + logs[k - 1] > tol * max(1.0, abs(logs[k])):
+        if logs[k + 1] - 2 * logs[k] + logs[k - 1] > 1e-9 * max(1.0, abs(logs[k])):
             return False
     return True

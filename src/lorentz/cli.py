@@ -209,16 +209,18 @@ def _power(run: _Run, args) -> int:
 
 def _validate(run: _Run, args) -> int:
     obj = _load_object(args.input)
-    try:
-        if "edges" in obj:
-            m = graph_matroid_from_dict(obj)
-        else:
-            n = _require(obj, "n", int, "matroid")
-            raw = _require(obj, "bases", list, "matroid") if obj.get("bases") else []
-            bases = [_int_tuple(b, f"matroid.bases[{k}]") for k, b in enumerate(raw)]
+    if "edges" in obj:
+        m = graph_matroid_from_dict(obj)
+    else:
+        n = _require(obj, "n", int, "matroid")
+        raw = _require(obj, "bases", list, "matroid") if obj.get("bases") else []
+        bases = [_int_tuple(b, f"matroid.bases[{k}]") for k, b in enumerate(raw)]
+        try:
             m = matroids.matroid_from_bases(n, bases)
-    except matroids.ExchangeError as exc:
-        return run.verdict(False, {"reason": str(exc), "witness": exc.witness})
+        except matroids.ExchangeError as exc:
+            return run.verdict(False, {"reason": str(exc), "witness": exc.witness})
+        except ValueError as exc:
+            raise LoadError(f"matroid: {exc}") from None
     run.report["result"]["matroid"] = matroid_to_dict(m)
     return run.verdict(True)
 

@@ -74,6 +74,8 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
     Rejects empty or mixed-cardinality families and returns the violating
     pair inside the raised ExchangeError otherwise.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     masks = [_mask(b, n) for b in bases]
     if not masks:
         raise ExchangeError("a matroid needs at least one basis")
@@ -222,6 +224,8 @@ def cycle_matroid(num_vertices: int, edges: Sequence[Sequence[int]]) -> Matroid:
 
     Loops and parallel edges are allowed; elements are edge indices.
     """
+    if num_vertices < 0:
+        raise ValueError(f"vertices must be nonnegative, got {num_vertices}")
     m = len(edges)
     pairs = []
     for e in edges:

@@ -171,19 +171,21 @@ def is_m_convex_function(nu: DiscreteFunction) -> tuple[bool, Optional[FnWitness
 
 
 def _floor_nth_root(x: int, r: int) -> int:
-    # integer Newton iteration from above; no floats, so any size of x works
+    # integer Newton iteration from above, started at the float estimate of
+    # the root's top bits, so that it takes a few steps for any r
+    def step(y: int) -> int:
+        return ((r - 1) * y + x // y ** (r - 1)) // r
+
     if x < 0:
         raise ValueError("negative radicand")
     if x in (0, 1) or r == 1:
         return x
-    root = 1 << (-(-x.bit_length() // r))
-    while True:
-        nxt = ((r - 1) * root + x // root ** (r - 1)) // r
-        if nxt >= root:
-            break
+    e = math.log2(x) / r
+    shift = max(0, int(e) - 52)
+    # from any y > 0 one step lands at or above the floor root (AM-GM)
+    root = step((int(2 ** (e - shift)) + 1) << shift)
+    while (nxt := step(root)) < root:
         root = nxt
-    while root ** r > x:
-        root -= 1
     return root
 
 
@@ -205,6 +207,15 @@ def rational_power(q: Fraction, e: Fraction) -> Fraction:
     return Fraction(num_root, den_root) ** p
 
 
+def _generating_poly(nu: DiscreteFunction, q: RationalLike, weight) -> HomogPoly:
+    """sum over dom(nu) of weight(a, q^nu(a)) w^a, exact."""
+    qf = as_fraction(q)
+    if qf <= 0:
+        raise ValueError("q must be positive")
+    return HomogPoly._of(nu.nvars, nu.degree, {p: weight(p, rational_power(qf, v))
+                                               for p, v in nu.values.items()})
+
+
 def generating_poly_f(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
     """f^nu_q = sum over dom(nu) of q^nu(a) w^a / a!, exact.
 
@@ -212,27 +223,15 @@ def generating_poly_f(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
     the lcm of the value denominators; otherwise q^nu(a) is irrational and
     a ValueError is raised.
     """
-    qf = as_fraction(q)
-    if qf <= 0:
-        raise ValueError("q must be positive")
-    terms = {p: rational_power(qf, v) / factorial_of(p)
-             for p, v in nu.values.items()}
-    return HomogPoly._of(nu.nvars, nu.degree, terms)
+    return _generating_poly(nu, q, lambda p, c: c / factorial_of(p))
 
 
 def generating_poly_g(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
     """g^nu_q = sum over dom(nu) of prod_i C(d, a_i) q^nu(a) w^a, exact."""
-    qf = as_fraction(q)
-    if qf <= 0:
-        raise ValueError("q must be positive")
-    d = nu.degree
-    terms = {}
-    for p, v in nu.values.items():
-        weight = 1
-        for k in p:
-            weight *= math.comb(d, k)
-        terms[p] = weight * rational_power(qf, v)
-    return HomogPoly._of(nu.nvars, nu.degree, terms)
+    comb_d = [math.comb(nu.degree, k) for k in range(nu.degree + 1)].__getitem__
+    # one normalizing Fraction() costs less than int * Fraction
+    return _generating_poly(nu, q, lambda p, c: Fraction(
+        math.prod(map(comb_d, p)) * c.numerator, c.denominator))
 
 
 # -- polarization of discrete functions ------------------------------------
@@ -276,37 +275,23 @@ def project_fn(mu: DiscreteFunction, nvars: int | None = None) -> DiscreteFuncti
 
 
 def regularize(nu: DiscreteFunction, k: int) -> DiscreteFunction:
-    """Finite-everywhere M-convex relaxation nu_k with full domain.
+    """Finite-everywhere M-convex relaxation nu_k of nu, for k >= 0:
+    nu_k(gamma) = min over alpha in dom(nu) of nu(alpha) + k |alpha - gamma|_1 / 2.
 
-    Computed over n*n auxiliary variables indexed by pairs (i, j): pull nu
-    back along row sums, add k times the total off-diagonal mass, and push
-    forward by minimizing along column sums.  Agrees with nu on dom(nu) once
-    k exceeds the oscillation of nu, and is finite on the whole simplex for
-    every k.
+    The closed form of pulling nu back along the row sums of n x n matrices,
+    adding k times the off-diagonal mass and minimizing along column sums:
+    the cheapest matrix with row sums alpha and column sums gamma keeps
+    min(alpha_i, gamma_i) on its diagonal.  Agrees with nu on dom(nu) once k
+    exceeds the oscillation of nu.
     """
     ok, wit = is_m_convex_function(nu)
     if not ok:
         raise ValueError(f"input is not M-convex (witness {wit})")
     if not nu.values:
         raise ValueError("input is identically infinite")
-    n, d = nu.nvars, nu.degree
-    out: dict[Exponent, Fraction] = {}
-    for beta in simplex(n * n, d):
-        rows = [0] * n
-        cols = [0] * n
-        offdiag = 0
-        for flat, m in enumerate(beta):
-            if m:
-                i, j = divmod(flat, n)
-                rows[i] += m
-                cols[j] += m
-                if i != j:
-                    offdiag += m
-        base = nu.values.get(tuple(rows))
-        if base is None:
-            continue
-        val = base + k * offdiag
-        key = tuple(cols)
-        if key not in out or val < out[key]:
-            out[key] = val
-    return DiscreteFunction(n, d, out)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return DiscreteFunction(nu.nvars, nu.degree, {
+        gamma: min(v + k * (sum([abs(a - g) for a, g in zip(alpha, gamma)]) // 2)
+                   for alpha, v in nu.values.items())
+        for gamma in simplex(nu.nvars, nu.degree)})

@@ -33,6 +33,8 @@ class Measure:
 
     def __init__(self, n: int, weights: Mapping[int, RationalLike] | Mapping[frozenset, RationalLike],
                  normalize: bool = False):
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
         clean: dict[int, Fraction] = {}
         for key, w in weights.items():
             mask = key if isinstance(key, int) else _mask(key, n)
@@ -181,17 +183,17 @@ class NegativeDependenceReport:
 
 
 def _rayleigh_scan(f: HomogPoly, scan: _RayleighScan, c: Fraction, trials: int, seed: int,
-                   signed: bool, max_den: int = 10) -> Optional[MeasureRayleighWitness]:
+                   signed: bool) -> Optional[MeasureRayleighWitness]:
     """The first of ``trials`` seeded points w where Z * d_ij Z > c * d_i Z * d_j Z,
     with its witness, or None; f is the homogenized Z and ``scan`` its checks."""
     rng = random.Random(seed)
     n = f.nvars - 1
     for _ in range(trials):
         if signed:
-            nums = [rng.randint(-max_den, max_den) for _ in range(n)]
+            nums = [rng.randint(-10, 10) for _ in range(n)]
         else:
-            nums = [rng.randint(1, max_den) for _ in range(n)]
-        dens = [rng.randint(1, max_den) for _ in range(n)]
+            nums = [rng.randint(1, 10) for _ in range(n)]
+        dens = [rng.randint(1, 10) for _ in range(n)]
         den = lcm(*dens)
         # Z and its partials at w are those of f at (1, w), whose variable
         # k + 1 is w_k; at (den, den * w) both sides gain the factor den^(2n-2)

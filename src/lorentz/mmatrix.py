@@ -139,13 +139,12 @@ def char_poly_multivariate(a: SquareMatrix) -> HomogPoly:
     return HomogPoly.homogenized(a.n, dict(enumerate(_principal_minors(a))))
 
 
-def random_m_matrix(n: int, seed: int, bound: int = 5,
-                    slack: RationalLike = 0) -> SquareMatrix:
+def random_m_matrix(n: int, seed: int, slack: RationalLike = 0) -> SquareMatrix:
     """Seeded diagonally dominant M-matrix: A = (s + slack) I - B for a random
     nonnegative B with s its maximum row sum; positive slack makes A
     nonsingular (strictly diagonally dominant)."""
     rng = random.Random(seed)
-    b = [[Fraction(rng.randint(0, bound), rng.randint(1, bound)) for _ in range(n)]
+    b = [[Fraction(rng.randint(0, 5), rng.randint(1, 5)) for _ in range(n)]
          for _ in range(n)]
     s = (max(sum(row) for row in b) if n else Fraction(0)) + as_fraction(slack)
     return SquareMatrix([[(s if i == j else 0) - b[i][j] for j in range(n)]

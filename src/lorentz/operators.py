@@ -78,12 +78,11 @@ def multi_affine_part(f: HomogPoly) -> HomogPoly:
                          {e: c for e, c in f.terms.items() if all(k <= 1 for k in e)})
 
 
-def coefficient_power(f: HomogPoly, p: RationalLike,
-                      precision_bits: int = 128) -> tuple[HomogPoly, bool]:
+def coefficient_power(f: HomogPoly, p: RationalLike) -> tuple[HomogPoly, bool]:
     """R_p: raise every normalized coefficient to the power p in [0, 1].
 
     Returns (polynomial, exact).  When some c^p is irrational the powers are
-    computed with ``precision_bits`` of binary precision and rationalized;
+    computed with 128 bits of binary precision and rationalized;
     the second component is then False so callers can label the result.
     """
     pf = as_fraction(p)
@@ -99,17 +98,17 @@ def coefficient_power(f: HomogPoly, p: RationalLike,
             powered = rational_power(cn, pf) if cn != 0 else Fraction(0)
         except ValueError:
             exact = False
-            powered = _approx_power(cn, pf, precision_bits)
+            powered = _approx_power(cn, pf)
         terms[e] = powered / factorial_of(e)
     return HomogPoly(f.nvars, f.degree, terms), exact
 
 
-def _approx_power(c: Fraction, p: Fraction, bits: int) -> Fraction:
-    # floor((c^a * 2^(b*bits))^(1/b)) / 2^bits  for p = a/b in lowest terms
+def _approx_power(c: Fraction, p: Fraction) -> Fraction:
+    # floor((c^a * 2^(128 b))^(1/b)) / 2^128  for p = a/b in lowest terms
     a, b = p.numerator, p.denominator
-    scaled = (c.numerator ** a * (1 << (b * bits))) // c.denominator ** a
+    scaled = (c.numerator ** a * (1 << (b * 128))) // c.denominator ** a
     root = _floor_nth_root(scaled, b)
-    return Fraction(root, 1 << bits)
+    return Fraction(root, 1 << 128)
 
 
 def _exclusion_theta(n: int, i: int, j: int, theta: RationalLike) -> Fraction:

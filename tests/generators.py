@@ -1,8 +1,9 @@
 """Seeded random generators shared by the property and acceptance tests.
 
 Every generator takes an explicit random.Random so each test pins its seed.
-The M-convex generator builds separable-convex values on a box slice of the
-simplex (provably M-convex) and re-verifies through the checker anyway.
+The M-convex generators build separable-convex values on a box slice of the
+simplex, or a linear function on the bases or homogenized independent sets of
+a small matroid (both provably M-convex), and re-verify through the checker.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from itertools import combinations
 
 from lorentz import (DiscreteFunction, HomogPoly, Matroid, SquareMatrix,
                      SymMatrix, basis_generating_poly, cycle_matroid,
-                     generating_poly_f, is_m_convex_function, uniform_matroid)
+                     generating_poly_f, independent_set_poly,
+                     is_m_convex_function, uniform_matroid)
 from lorentz.poly import simplex
 
 
@@ -87,6 +89,20 @@ def random_m_convex_function(rng: random.Random, n: int, d: int) -> DiscreteFunc
     if not values:
         values = {a: sum(tables[i][a[i]] for i in range(n)) for a in simplex(n, d)}
     nu = DiscreteFunction(n, d, values)
+    ok, wit = is_m_convex_function(nu)
+    assert ok, f"generator produced a non-M-convex function: {wit}"
+    return nu
+
+
+def random_matroid_m_convex_function(rng: random.Random) -> DiscreteFunction:
+    """A linear function plus the indicator of an M-convex support that need
+    not be a box slice: the bases of a small matroid, or its independent sets
+    homogenized (the support of ``independent_set_poly``)."""
+    m = random_small_matroid(rng)
+    support = basis_generating_poly(m) if rng.randrange(2) else independent_set_poly(m)
+    slope = [rng.randint(-3, 3) for _ in range(support.nvars)]
+    nu = DiscreteFunction(support.nvars, support.degree,
+                          {a: sum(c * k for c, k in zip(slope, a)) for a in support.terms})
     ok, wit = is_m_convex_function(nu)
     assert ok, f"generator produced a non-M-convex function: {wit}"
     return nu

@@ -355,6 +355,18 @@ def test_genpoly_kind_g(tmp_path, capsys):
     assert terms == {(0, 2): "1", (1, 1): "4", (2, 0): "1"}
 
 
+def test_operator_power_high_root(tmp_path, capsys):
+    # 2**(1/8000) to 128 bits: an 8000-th root of a number of 128 * 8000 bits
+    path = write(tmp_path, "lin.json", {"n": 2, "d": 1, "terms": [
+        {"exp": [1, 0], "num": "2", "den": "1"}, {"exp": [0, 1], "num": "1", "den": "1"}]})
+    code, rep = run(capsys, "operator", "power", path, "--p", "1/8000")
+    assert code == 0 and rep["result"]["exact"] is False
+    terms = {tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
+             for t in rep["result"]["poly"]["terms"]}
+    c = terms[(1, 0)]
+    assert c ** 8000 <= 2 < (c + Fraction(1, 1 << 128)) ** 8000
+
+
 def test_genpoly_irrational_power_rejected(tmp_path, capsys):
     halfval = {"n": 2, "d": 2, "values": [
         {"exp": [2, 0], "num": "1", "den": "2"}, {"exp": [1, 1], "num": "0", "den": "1"},
@@ -463,6 +475,12 @@ def _term(exp, num="1"):
     (["matroid", "validate"], {"n": True, "bases": [[0]]}, "matroid"),
     (["matroid", "validate"], {"n": 3, "bases": 5}, "matroid"),
     (["matroid", "validate"], {"n": 3, "bases": True}, "matroid"),
+    (["matroid", "validate"], {"n": -1, "bases": [[]]}, "matroid"),
+    (["matroid", "validate"], {"n": -2, "bases": []}, "matroid"),
+    (["matroid", "validate"], {"vertices": -3, "edges": []}, "graph"),
+    (["matroid", "basis-poly"], {"vertices": -3, "edges": []}, "graph"),
+    (["measure", "lorentzian"], {"n": -1, "atoms": [{"set": [], "num": "1", "den": "1"}]},
+     "measure"),
 ])
 def test_malformed_document_is_one_json_report(tmp_path, capsys, argv, doc, path):
     code = main([*argv, write(tmp_path, "doc.json", doc)])

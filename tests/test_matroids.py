@@ -37,6 +37,10 @@ def test_matroid_from_bases():
         matroid_from_bases(2, [])
     with pytest.raises(ExchangeError):
         matroid_from_bases(3, [[0], [1, 2]])
+    # a negative size is refused before the basis list is read
+    for n, bases in ((-1, [[]]), (-2, [])):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            matroid_from_bases(n, bases)
 
 
 def test_matroid_needs_a_basis():
@@ -161,6 +165,8 @@ def test_cycle_matroid():
     # loops never appear in bases
     loopy = cycle_matroid(2, [[0, 1], [1, 1]])
     assert independence_counts(loopy) == [1, 1]
+    with pytest.raises(ValueError, match="vertices must be nonnegative"):
+        cycle_matroid(-3, [])
 
 
 def test_basis_support_matches_set_check():

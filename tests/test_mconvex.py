@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,10 +10,10 @@ from lorentz import (DiscreteFunction, HomogPoly, PointSet, generating_poly_f,
                      generating_poly_g, is_lorentzian, is_m_convex_function,
                      is_m_convex_set, is_matroid_basis_family, polarize_fn,
                      project_fn, regularize)
-from lorentz.mconvex import rational_power
+from lorentz.mconvex import _floor_nth_root, rational_power
 from lorentz.poly import simplex
 
-from generators import random_m_convex_function
+from generators import random_m_convex_function, random_matroid_m_convex_function
 from poly_oracles import normalized_coeff
 
 
@@ -158,6 +159,33 @@ def test_rational_power_beyond_float_range():
         rational_power(Fraction(10**400 + 1), Fraction(1, 2))
 
 
+def _bisect_root(x: int, r: int) -> int:
+    """The floor r-th root by bisection on lo**r <= x < hi**r."""
+    lo, hi = 0, 1 << (x.bit_length() // r + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** r <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_floor_nth_root_matches_references():
+    rng = random.Random(28)
+    for _ in range(2000):
+        r = rng.choice([1, 2, 3, 5, 7, 64, rng.randint(2, 300)])
+        x = rng.getrandbits(rng.randint(0, 1500))
+        if rng.randrange(4) == 0:   # perfect powers and their neighbours
+            x = max(0, rng.getrandbits(rng.randint(1, 40)) ** r + rng.randint(-1, 1))
+        root = _floor_nth_root(x, r)
+        assert root == _bisect_root(x, r), (x, r)
+        if r == 2:
+            assert root == math.isqrt(x)
+    with pytest.raises(ValueError, match="negative radicand"):
+        _floor_nth_root(-1, 3)
+
+
 def test_polarize_project_roundtrip():
     rng = random.Random(21)
     for _ in range(10):
@@ -198,6 +226,56 @@ def test_regularize():
         regularize(DiscreteFunction(2, 2, {}), 1)
 
 
+def _lift_regularize(nu: DiscreteFunction, k) -> DiscreteFunction:
+    """The paper's construction, the reference for the closed form: over n*n
+    auxiliary variables indexed by pairs (i, j), pull nu back along row sums,
+    add k times the total off-diagonal mass, and push forward by minimizing
+    along column sums."""
+    ok, wit = is_m_convex_function(nu)
+    if not ok:
+        raise ValueError(f"input is not M-convex (witness {wit})")
+    if not nu.values:
+        raise ValueError("input is identically infinite")
+    n, d = nu.nvars, nu.degree
+    out = {}
+    for beta in simplex(n * n, d):
+        rows = [0] * n
+        cols = [0] * n
+        offdiag = 0
+        for flat, m in enumerate(beta):
+            if m:
+                i, j = divmod(flat, n)
+                rows[i] += m
+                cols[j] += m
+                if i != j:
+                    offdiag += m
+        base = nu.values.get(tuple(rows))
+        if base is None:
+            continue
+        val = base + k * offdiag
+        key = tuple(cols)
+        if key not in out or val < out[key]:
+            out[key] = val
+    return DiscreteFunction(n, d, out)
+
+
+def test_regularize_matches_lift_reference():
+    rng = random.Random(27)
+    draws = [random_m_convex_function(rng, rng.randint(1, 4), rng.randint(1, 4))
+             for _ in range(30)]
+    draws += [random_matroid_m_convex_function(rng) for _ in range(30)]
+    for nu in draws:
+        for k in (0, Fraction(1, 2), 1, 3, 7):
+            assert regularize(nu, k).values == _lift_regularize(nu, k).values, (nu, k)
+
+
+def test_regularize_refuses_negative_k():
+    full = DiscreteFunction(2, 2, {(2, 0): 1, (1, 1): 0, (0, 2): 1})
+    for k in (-1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            regularize(full, k)
+
+
 def test_regularize_full_domain_and_agreement_for_large_k():
     rng = random.Random(23)
     for _ in range(6):
@@ -231,11 +309,11 @@ def test_classical_theorem_converse_witness():
 def test_function_check_implies_domain_check():
     rng = random.Random(25)
     for _ in range(10):
-        nu = random_m_convex_function(rng, 3, 2)
-        ok, _ = is_m_convex_function(nu)
-        if ok:
-            dom_ok, _ = is_m_convex_set(nu.domain())
-            assert dom_ok
+        for nu in (random_m_convex_function(rng, 3, 2), random_matroid_m_convex_function(rng)):
+            ok, _ = is_m_convex_function(nu)
+            if ok:
+                dom_ok, _ = is_m_convex_set(nu.domain())
+                assert dom_ok
 
 
 def test_log_coefficient_corollary():

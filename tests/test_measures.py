@@ -36,6 +36,8 @@ def test_measure_validation():
     assert m.weights == {0: Fraction(1, 2), 3: Fraction(1, 2)}
     with pytest.raises(ValueError):
         Measure(1, {0: Fraction(3, 2), 1: Fraction(-1, 2)})
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        Measure(-1, {frozenset(): 1})
 
 
 def test_lorentzian_measures():
