@@ -162,6 +162,10 @@ CASES = {
     "mconvex_function": ["mconvex", "function", "inputs/nu_half.json"],
     "mconvex_function_not_m_convex": ["mconvex", "function",
                                       "inputs/not_m_convex_domain.json"],
+    # an M-convex domain (all of simplex(3, 3)) whose values break the local
+    # exchange inequality: separable convex values raised by 5/2 at (1, 1, 1)
+    "mconvex_function_exchange_refuted": ["mconvex", "function",
+                                          "inputs/nu_exchange_refuted.json"],
     "roundtrip_graph": ["roundtrip", "inputs/k4_graph.json"],
     "hodge_riemann_sampled": ["hodge-riemann", "inputs/cubic10.json", "--points", "3",
                               "--seed", "1"],
