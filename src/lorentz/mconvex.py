@@ -9,12 +9,17 @@ with alpha_i > beta_i there is j with alpha_j < beta_j and
 alpha - e_i + e_j in J.  For functions with M-convex domain, the local
 exchange property over pairs at l1-distance 4 is checked, which is
 equivalent to the full symmetric exchange property.
+
+Both checks find a point by its code, the sum of p_j (d+1)^j: no entry exceeds
+d, so alpha - e_i + e_j (alpha_i > 0) has code(alpha) - (d+1)^i + (d+1)^j.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul, or_
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .poly import (Exponent, HomogPoly, RationalLike, as_fraction,
@@ -24,12 +29,19 @@ SetWitness = tuple[Exponent, Exponent, int]
 FnWitness = tuple[Exponent, Exponent]
 
 
+def _check_sizes(nvars: int, degree: int) -> None:
+    for name, size in (("nvars", nvars), ("degree", degree)):
+        if size < 0:
+            raise ValueError(f"{name} must be nonnegative, got {size}")
+
+
 class PointSet:
     """Finite subset of the degree-d discrete simplex in n variables."""
 
     __slots__ = ("nvars", "degree", "points")
 
     def __init__(self, nvars: int, degree: int, points: Iterable[Sequence[int]]):
+        _check_sizes(nvars, degree)
         pts = frozenset(tuple(int(k) for k in p) for p in points)
         for p in pts:
             if len(p) != nvars:
@@ -59,6 +71,7 @@ class DiscreteFunction:
 
     def __init__(self, nvars: int, degree: int,
                  values: Mapping[Sequence[int], RationalLike]):
+        _check_sizes(nvars, degree)
         vals: dict[Exponent, Fraction] = {}
         for p, v in values.items():
             p = tuple(int(k) for k in p)
@@ -92,27 +105,31 @@ def is_m_convex_set(ps: PointSet) -> tuple[bool, Optional[SetWitness]]:
     On failure returns the violating (alpha, beta, i) that a loop over alpha,
     then beta, then i, each in the set's iteration order, meets first.
     """
-    pts = ps.points
-    n = ps.nvars
-    order = list(pts)
+    w = [(ps.degree + 1) ** j for j in range(ps.nvars)]
+    codes = {sum(map(mul, p, w)): p for p in ps.points}
+    order = list(codes.values())
     # below[j][v]: the points beta with beta_j < v, as a bitset over order
-    below = [[sum(1 << k for k, beta in enumerate(order) if beta[j] < v)
-              for v in range(ps.degree + 2)] for j in range(n)]
-    for alpha in order:
+    below = [[0] * (ps.degree + 2) for _ in w]
+    for k, beta in enumerate(order):
+        for row, v in zip(below, beta):
+            row[v + 1] |= 1 << k
+    below = [list(accumulate(row, or_)) for row in below]
+    for code, alpha in codes.items():
         # bad[i]: the beta with beta_i < alpha_i and beta_j <= alpha_j for every
         # j with alpha - e_i + e_j in the set, so that no j repairs (alpha, beta, i)
-        bad = [0] * n
-        for i in range(n):
+        caps = [row[v + 1] for row, v in zip(below, alpha)]
+        bad = [0] * len(w)
+        for i, wi in enumerate(w):
             if alpha[i]:
-                down = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                bad[i] = below[i][alpha[i]]
-                for j in range(n):
-                    if down[:j] + (down[j] + 1,) + down[j + 1:] in pts:
-                        bad[i] &= below[j][alpha[j] + 1]
+                b = below[i][alpha[i]]
+                for wj, cap in zip(w, caps):
+                    if b and code - wi + wj in codes:
+                        b &= cap
+                bad[i] = b
         # the first beta in order, then the first i, as the pair loop meets them
         k = min(((b & -b).bit_length() - 1 for b in bad if b), default=None)
         if k is not None:
-            return False, (alpha, order[k], next(i for i in range(n) if bad[i] >> k & 1))
+            return False, (alpha, order[k], next(i for i, b in enumerate(bad) if b >> k & 1))
     return True, None
 
 
@@ -132,41 +149,36 @@ def is_m_convex_function(nu: DiscreteFunction) -> tuple[bool, Optional[FnWitness
     Checks that the effective domain is M-convex and, for every pair of
     domain points at l1-distance 4, that the local exchange inequality
         nu(a) + nu(b) >= nu(a - e_i + e_j) + nu(b - e_j + e_i)
-    holds for some i with a_i > b_i and j with a_j < b_j.
+    holds for some i with a_i > b_i and j with a_j < b_j.  Each b is reached
+    from a as a - e_i - e_j + e_k + e_l through the code -> index map of the
+    domain, and values are compared as integers, scaled by their lcm.
     """
     dom_ok, wit = is_m_convex_set(nu.domain())
     if not dom_ok:
         return False, (wit[0], wit[1])
-    vals = nu.values
-    pts = list(vals)
-    n = nu.nvars
-    for a_idx, alpha in enumerate(pts):
-        for beta in pts[a_idx + 1:]:
-            if sum(abs(x - y) for x, y in zip(alpha, beta)) != 4:
-                continue
-            lhs = vals[alpha] + vals[beta]
-            ok = False
-            for i in range(n):
-                if alpha[i] <= beta[i]:
-                    continue
-                for j in range(n):
-                    if alpha[j] >= beta[j]:
-                        continue
-                    a2 = list(alpha)
-                    a2[i] -= 1
-                    a2[j] += 1
-                    b2 = list(beta)
-                    b2[j] -= 1
-                    b2[i] += 1
-                    va = vals.get(tuple(a2))
-                    vb = vals.get(tuple(b2))
-                    if va is not None and vb is not None and lhs >= va + vb:
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
-                return False, (alpha, beta)
+    pts, n = list(nu.values), nu.nvars
+    w = [(nu.degree + 1) ** j for j in range(n)]
+    index = {sum(map(mul, p, w)): k for k, p in enumerate(pts)}
+    scale = math.lcm(*(v.denominator for v in nu.values.values()))
+    val = [v.numerator * (scale // v.denominator) for v in nu.values.values()]
+    # for i <= j: the code shift of each b = a - e_i - e_j + e_k + e_l (k <= l,
+    # {k, l} apart from {i, j}), and the shifts e_y - e_x of its exchanges
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    moves = [(i, j, [(w[k] + w[l] - w[i] - w[j],
+                      {w[y] - w[x] for x in (i, j) for y in (k, l)})
+                     for k, l in pairs if not {i, j} & {k, l}]) for i, j in pairs]
+    for a, (alpha, ca) in enumerate(zip(pts, index)):
+        first = len(pts)    # the first b after a, in the order of pts, that fails
+        for i, j, shifts in moves:
+            if alpha[i] > (i == j) and alpha[j]:     # a - e_i - e_j >= 0
+                for shift, swaps in shifts:
+                    b = index.get(cb := ca + shift, -1)
+                    if a < b < first and not any(
+                            val[index[ca + s]] + val[index[cb - s]] <= val[a] + val[b]
+                            for s in swaps if ca + s in index and cb - s in index):
+                        first = b
+        if first < len(pts):
+            return False, (alpha, pts[first])
     return True, None
 
 
@@ -264,11 +276,7 @@ def project_fn(mu: DiscreteFunction, nvars: int | None = None) -> DiscreteFuncti
         raise ValueError(f"cannot group {mu.nvars} variables into {nvars} blocks of {d}")
     out: dict[Exponent, Fraction] = {}
     for p, v in mu.values.items():
-        proj = [0] * nvars
-        for flat, k in enumerate(p):
-            if k:
-                proj[flat // d] += k
-        key = tuple(proj)
+        key = tuple(sum(p[i * d:(i + 1) * d]) for i in range(nvars))
         if key not in out or v < out[key]:
             out[key] = v
     return DiscreteFunction(nvars, d, out)

@@ -481,6 +481,11 @@ def _term(exp, num="1"):
     (["matroid", "basis-poly"], {"vertices": -3, "edges": []}, "graph"),
     (["measure", "lorentzian"], {"n": -1, "atoms": [{"set": [], "num": "1", "den": "1"}]},
      "measure"),
+    (["mconvex", "set"], {"n": -1, "d": 2, "values": []}, "function"),
+    (["mconvex", "function"], {"n": -1, "d": 2, "values": []}, "function"),
+    (["mconvex", "function"], {"n": 2, "d": -1, "values": []}, "function"),
+    (["genpoly", "--q", "1"], {"n": -1, "d": 2, "values": []}, "function"),
+    (["genpoly", "--q", "1"], {"n": 2, "d": -1, "values": []}, "function"),
 ])
 def test_malformed_document_is_one_json_report(tmp_path, capsys, argv, doc, path):
     code = main([*argv, write(tmp_path, "doc.json", doc)])

@@ -30,7 +30,7 @@ import lorentz
 from lorentz.certify import INERTIA_VIOLATION
 from lorentz.cli import main
 from lorentz.inertia import Inertia
-from lorentz.serialize import poly_from_dict
+from lorentz.serialize import function_from_dict, poly_from_dict
 
 from faddeev_leverrier import char_poly_inertia
 
@@ -244,6 +244,56 @@ def test_reported_inertias_match_char_poly(name):
     assert failures[0] == [cert["failing_alpha"], cert["detail"]["inertia"]]
     for alpha, sig in failures:
         assert Inertia(**sig) == char_poly_inertia(f.quadratic_hessian_after(tuple(alpha)))
+
+
+def _exchange_witness(name: str):
+    """The points or values a case's input holds, and its exchange witness:
+    (alpha, beta, i) of a point set, or (alpha, beta) of a function."""
+    _, report = run_case(CASES[name])
+    wit = json.loads(report)["witness"]
+    doc = json.loads((GOLDEN / CASES[name][-1]).read_text(encoding="utf-8"))
+    if "bases" in doc:          # matroid validate: sets of elements
+        def vec(s):
+            return tuple(int(e in s) for e in range(doc["n"]))
+        alpha, beta, i = wit["witness"]
+        return {vec(s) for s in doc["bases"]}, (vec(alpha), vec(beta), i)
+    if "terms" in doc:          # check: the support of the polynomial
+        detail = wit["detail"]
+        return set(poly_from_dict(doc).support()), (*map(tuple, detail["pair"]), detail["index"])
+    nu = function_from_dict(doc)
+    if len(wit) == 3:           # mconvex set: (alpha, beta, i) of the domain
+        return set(nu.values), (tuple(wit[0]), tuple(wit[1]), wit[2])
+    return nu.values, tuple(map(tuple, wit))
+
+
+def _moved(p: tuple, i: int, j: int) -> tuple:
+    return tuple(k - (m == i) + (m == j) for m, k in enumerate(p))
+
+
+@pytest.mark.parametrize("name", ["check_support", "mconvex_set_not_m_convex",
+                                  "matroid_validate_exchange"])
+def test_set_exchange_witness_by_brute_force(name):
+    # alpha_i > beta_i, and no j with alpha_j < beta_j puts alpha - e_i + e_j in the set
+    points, (alpha, beta, i) = _exchange_witness(name)
+    assert alpha in points and beta in points and alpha[i] > beta[i]
+    assert not any(alpha[j] < beta[j] and _moved(alpha, i, j) in points
+                   for j in range(len(alpha)))
+
+
+@pytest.mark.parametrize("name", ["mconvex_function_not_m_convex",
+                                  "mconvex_function_exchange_refuted"])
+def test_function_exchange_witness_by_brute_force(name):
+    # no i with alpha_i > beta_i and j with alpha_j < beta_j satisfies
+    # nu(alpha) + nu(beta) >= nu(alpha - e_i + e_j) + nu(beta - e_j + e_i),
+    # where a point outside the domain is at +infinity
+    values, (alpha, beta) = _exchange_witness(name)
+    assert alpha in values and beta in values
+    n = len(alpha)
+    assert not any(_moved(alpha, i, j) in values and _moved(beta, j, i) in values and
+                   values[alpha] + values[beta] >=
+                   values[_moved(alpha, i, j)] + values[_moved(beta, j, i)]
+                   for i in range(n) if alpha[i] > beta[i]
+                   for j in range(n) if alpha[j] < beta[j])
 
 
 def record(names: list[str]) -> None:

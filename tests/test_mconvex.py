@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentz import (DiscreteFunction, HomogPoly, PointSet, generating_poly_f,
@@ -100,10 +100,96 @@ def test_function_examples():
     assert ok
 
 
+def _pairwise_function_exchange(nu: DiscreteFunction):
+    """The local exchange check by the definition: the domain by
+    ``_pairwise_exchange``, then every pair of domain points at l1-distance 4,
+    in the order of ``nu.values``, tries every i with alpha_i > beta_i and j
+    with alpha_j < beta_j on the Fraction values."""
+    dom_ok, wit = _pairwise_exchange(nu.domain())
+    if not dom_ok:
+        return False, (wit[0], wit[1])
+    vals = nu.values
+    pts = list(vals)
+    n = nu.nvars
+    for a_idx, alpha in enumerate(pts):
+        for beta in pts[a_idx + 1:]:
+            if sum(abs(x - y) for x, y in zip(alpha, beta)) != 4:
+                continue
+            lhs = vals[alpha] + vals[beta]
+            ok = False
+            for i in range(n):
+                if alpha[i] <= beta[i]:
+                    continue
+                for j in range(n):
+                    if alpha[j] >= beta[j]:
+                        continue
+                    a2 = list(alpha)
+                    a2[i] -= 1
+                    a2[j] += 1
+                    b2 = list(beta)
+                    b2[j] -= 1
+                    b2[i] += 1
+                    va = vals.get(tuple(a2))
+                    vb = vals.get(tuple(b2))
+                    if va is not None and vb is not None and lhs >= va + vb:
+                        ok = True
+                        break
+                if ok:
+                    break
+            if not ok:
+                return False, (alpha, beta)
+    return True, None
+
+
+def test_function_check_matches_pairwise_reference():
+    # generated M-convex functions, and in every other pair of draws the same
+    # domain in shuffled order with rational noise on the values
+    rng = random.Random(29)
+    refuted = 0
+    for t in range(400):
+        nu = (random_m_convex_function(rng, rng.randint(2, 4), rng.randint(2, 4)) if t % 2
+              else random_matroid_m_convex_function(rng))
+        if t % 4 >= 2:
+            pts = list(nu.values)
+            rng.shuffle(pts)
+            nu = DiscreteFunction(nu.nvars, nu.degree, {
+                p: nu.values[p] + Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for p in pts})
+        expected = _pairwise_function_exchange(nu)
+        assert is_m_convex_function(nu) == expected, nu
+        refuted += not expected[0]
+    assert refuted > 30
+
+
+def test_function_check_matches_pairwise_reference_on_the_simplex():
+    # random values on all of simplex(n, d) or on its slice without the
+    # vertices: the domain is M-convex, so every refutation is one of the values
+    rng = random.Random(30)
+    refuted = 0
+    for _ in range(300):
+        n, d = rng.randint(1, 4), rng.randint(0, 4)
+        cap = d - rng.randrange(2)
+        pts = [p for p in simplex(n, d) if max(p) <= cap] or list(simplex(n, d))
+        rng.shuffle(pts)
+        nu = DiscreteFunction(n, d, {p: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) +
+                                     rng.randint(0, 2) * sum(k * k for k in p) for p in pts})
+        expected = _pairwise_function_exchange(nu)
+        assert is_m_convex_function(nu) == expected, nu
+        refuted += not expected[0]
+    assert refuted > 80
+
+
 def test_function_domain_must_be_m_convex():
     nu = DiscreteFunction(2, 3, {(3, 0): 0, (0, 3): 0})
     ok, _ = is_m_convex_function(nu)
     assert not ok
+
+
+def test_negative_sizes_are_refused():
+    for make in (lambda n, d: PointSet(n, d, []), lambda n, d: DiscreteFunction(n, d, {})):
+        with pytest.raises(ValueError, match="nvars must be nonnegative, got -1"):
+            make(-1, 2)
+        with pytest.raises(ValueError, match="degree must be nonnegative, got -2"):
+            make(2, -2)
 
 
 def test_generating_poly_f():
@@ -298,6 +384,30 @@ def test_classical_theorem_forward():
         for q in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):
             assert is_lorentzian(generating_poly_f(nu, q)).verdict
             assert is_lorentzian(generating_poly_g(nu, q)).verdict
+
+
+def _generated_function(rng: random.Random, on_matroid: bool) -> DiscreteFunction:
+    return (random_matroid_m_convex_function(rng) if on_matroid
+            else random_m_convex_function(rng, rng.randint(1, 4), rng.randint(1, 4)))
+
+
+@settings(max_examples=50)
+@given(st.randoms(use_true_random=False), st.booleans(),
+       st.sampled_from([0, Fraction(1, 2), 1, 3]))
+def test_regularize_is_m_convex_on_the_simplex(rng, on_matroid, k):
+    nu = _generated_function(rng, on_matroid)
+    reg = regularize(nu, k)
+    assert set(reg.values) == set(simplex(nu.nvars, nu.degree))
+    assert _pairwise_function_exchange(reg) == (True, None)
+
+
+@settings(max_examples=50)
+@given(st.randoms(use_true_random=False), st.booleans(),
+       st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
+def test_generating_polys_of_m_convex_functions_are_lorentzian(rng, on_matroid, q):
+    nu = _generated_function(rng, on_matroid)
+    assert is_lorentzian(generating_poly_f(nu, q)).verdict
+    assert is_lorentzian(generating_poly_g(nu, q)).verdict
 
 
 def test_classical_theorem_converse_witness():
