@@ -8,8 +8,8 @@ is exact; sampling-based falsifiers say so.
 """
 
 from .certify import (Certificate, RayleighWitness, hodge_riemann_many,
-                      is_lorentzian, is_strictly_lorentzian,
-                      log_concavity_probe, rayleigh_check_at, rayleigh_falsify)
+                      is_lorentzian, is_strictly_lorentzian, rayleigh_check_at,
+                      rayleigh_falsify)
 from .inertia import Inertia, SymMatrix, inertia
 from .matroids import (ExchangeError, Matroid, basis_generating_poly,
                        cycle_matroid, independence_counts,
@@ -44,8 +44,7 @@ __all__ = [
     "independence_counts", "independent_set_poly", "inertia",
     "is_lorentzian", "is_lorentzian_measure", "is_m_convex_function",
     "is_m_convex_set", "is_m_matrix", "is_matroid_basis_family",
-    "is_strictly_lorentzian",
-    "log_concavity_probe", "mason_check", "matroid_from_bases",
+    "is_strictly_lorentzian", "mason_check", "matroid_from_bases",
     "matroid_measures", "multi_affine_part", "negative_dependence_report",
     "normalize", "nuij_transform", "partition_homogenized", "polarize",
     "polarize_fn", "potts_poly", "principal_minor", "project",

@@ -23,6 +23,3 @@ def load(name: str) -> Matroid:
     obj = json.loads(text)
     return matroid_from_bases(obj["n"], obj["bases"])
 
-
-def all_matroids() -> dict[str, Matroid]:
-    return {name: load(name) for name in NAMES}

@@ -3,8 +3,7 @@
 A degree-d homogeneous polynomial with nonnegative coefficients is Lorentzian
 iff its support is M-convex and, for every exponent vector a of degree d-2,
 the Hessian of d^a f has at most one positive eigenvalue.  All checks here
-are exact; the only numeric routine is the log-concavity probe, which is a
-float cross-check and says so.
+are exact.
 
 The c-Rayleigh property quantifies over the whole nonnegative orthant, so it
 is only ever falsified here, never certified.
@@ -12,7 +11,6 @@ is only ever falsified here, never certified.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -429,36 +427,3 @@ def rayleigh_falsify(f: HomogPoly, c: RationalLike, trials: int,
     """
     return _rayleigh_search(f, c, _sampled_points(f.nvars, trials, seed, max_den))
 
-
-def log_concavity_probe(f: HomogPoly, w: Sequence[RationalLike],
-                        v: Sequence[RationalLike]) -> bool:
-    """Float check that log f is concave along the segment w + t*v.
-
-    Second differences of log f at 17 evenly spaced interior nodes must not
-    exceed 1e-9 (relative, once |log f| exceeds 1).  The step size keeps every
-    probed point inside the open positive orthant.  This is a numeric
-    cross-check of the exact inertia verdict, not a certificate.
-    """
-    wf = [as_fraction(x) for x in w]
-    vf = [as_fraction(x) for x in v]
-    if f.eval(wf) <= 0:
-        raise ValueError("need f(w) > 0")
-    if all(x == 0 for x in vf):
-        return True
-    # largest |t| such that w + t*v stays strictly positive, with margin
-    bound = None
-    for wi, vi in zip(wf, vf):
-        if vi != 0:
-            b = wi / abs(vi)
-            bound = b if bound is None else min(bound, b)
-    logs = []
-    for k in range(-9, 10):
-        t = Fraction(k) * Fraction(bound) / 18
-        val = f.eval([wi + t * vi for wi, vi in zip(wf, vf)])
-        if val <= 0:
-            return False
-        logs.append(math.log(val))
-    for k in range(1, len(logs) - 1):
-        if logs[k + 1] - 2 * logs[k] + logs[k - 1] > 1e-9 * max(1.0, abs(logs[k])):
-            return False
-    return True

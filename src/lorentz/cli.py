@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import certify, matroids, mconvex, measures, mmatrix, operators
 from .poly import HomogPoly, first_ulc_failure
-from .serialize import (LoadError, _int_tuple, _require, dumps_canonical,
+from .serialize import (LoadError, _int_set, _require, dumps_canonical,
                         function_from_dict, graph_matroid_from_dict, load_json,
                         matrix_from_dict, matroid_from_dict, matroid_to_dict,
                         measure_from_dict, measure_to_dict, operator_from_dict,
@@ -214,7 +214,7 @@ def _validate(run: _Run, args) -> int:
     else:
         n = _require(obj, "n", int, "matroid")
         raw = _require(obj, "bases", list, "matroid") if obj.get("bases") else []
-        bases = [_int_tuple(b, f"matroid.bases[{k}]") for k, b in enumerate(raw)]
+        bases = [_int_set(b, f"matroid.bases[{k}]") for k, b in enumerate(raw)]
         try:
             m = matroids.matroid_from_bases(n, bases)
         except matroids.ExchangeError as exc:
@@ -427,13 +427,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = [args.command] + ([args.subverb] if getattr(args, "subverb", None) else [])
+    # values of any size: no int <-> str digit limit while the command runs
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return args.handler(_Run(args, command), args)
-    except ValueError as exc:   # LoadError included
-        _emit({"command": command, "error": str(exc)}, EXIT_INPUT)
-        return EXIT_INPUT
+        args = build_parser().parse_args(argv)
+        command = [args.command] + ([args.subverb] if getattr(args, "subverb", None) else [])
+        try:
+            return args.handler(_Run(args, command), args)
+        except ValueError as exc:   # LoadError included
+            _emit({"command": command, "error": str(exc)}, EXIT_INPUT)
+            return EXIT_INPUT
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -173,11 +173,6 @@ def independent_set_poly(m: Matroid) -> HomogPoly:
     return HomogPoly.homogenized(m.n, dict.fromkeys(independent_set_masks(m), Fraction(1)))
 
 
-def normalized_independence_sequence(m: Matroid) -> list[Fraction]:
-    """I_k / C(n, k) for k = 0..rank; Mason's inequality says it is log-concave."""
-    return normalize_counts(independence_counts(m), m.n)
-
-
 def normalize_counts(counts: Sequence[int], n: int) -> list[Fraction]:
     """counts[k] / C(n, k) for each k."""
     return [Fraction(c, math.comb(n, k)) for k, c in enumerate(counts)]

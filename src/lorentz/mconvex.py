@@ -85,10 +85,6 @@ class DiscreteFunction:
     def domain(self) -> PointSet:
         return PointSet(self.nvars, self.degree, self.values.keys())
 
-    @classmethod
-    def indicator(cls, points: PointSet) -> "DiscreteFunction":
-        return cls(points.nvars, points.degree, {p: 0 for p in points.points})
-
     def __eq__(self, other):
         if not isinstance(other, DiscreteFunction):
             return NotImplemented
@@ -192,6 +188,8 @@ def _floor_nth_root(x: int, r: int) -> int:
         raise ValueError("negative radicand")
     if x in (0, 1) or r == 1:
         return x
+    if x.bit_length() <= r:     # 1 < x < 2^r: the root lies in [1, 2)
+        return 1
     e = math.log2(x) / r
     shift = max(0, int(e) - 52)
     # from any y > 0 one step lands at or above the floor root (AM-GM)

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 from .certify import (Certificate, _int_terms, _rayleigh_sides, _RayleighScan,
                       is_lorentzian)
-from .matroids import Matroid, _mask, independent_set_masks
+from .matroids import Matroid, _mask, _unmask, independent_set_masks
 from .operators import _exclusion_theta
 from .poly import HomogPoly, RationalLike, as_fraction, first_ulc_failure
 
@@ -61,13 +61,11 @@ class Measure:
         return (self.n, self.weights) == (other.n, other.weights)
 
     def __repr__(self):
-        pretty = {tuple(i for i in range(self.n) if k >> i & 1): str(w)
-                  for k, w in sorted(self.weights.items())}
+        pretty = {s: str(w) for s, w in self.atoms()}
         return f"Measure({self.n}, {pretty})"
 
     def atoms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return [(tuple(i for i in range(self.n) if k >> i & 1), w)
-                for k, w in sorted(self.weights.items())]
+        return [(_unmask(k, self.n), w) for k, w in sorted(self.weights.items())]
 
 
 def partition_homogenized(mu: Measure) -> HomogPoly:
@@ -150,12 +148,8 @@ def pairwise_bound_failures(mu: Measure, c: RationalLike) -> list[tuple[int, int
     """Pairs (i, j) with Pr(i and j) > c Pr(i) Pr(j), decided exactly."""
     cf = as_fraction(c)
     singles = [marginal(mu, i) for i in range(mu.n)]
-    bad = []
-    for i in range(mu.n):
-        for j in range(i + 1, mu.n):
-            if pair_marginal(mu, i, j) > cf * singles[i] * singles[j]:
-                bad.append((i, j))
-    return bad
+    return [(i, j) for i in range(mu.n) for j in range(i + 1, mu.n)
+            if pair_marginal(mu, i, j) > cf * singles[i] * singles[j]]
 
 
 @dataclass(frozen=True)

@@ -197,14 +197,6 @@ class OperatorTable:
         self.images = clean
         self.nvars_out = m
 
-    @classmethod
-    def identity(cls, kappa: Sequence[int]) -> "OperatorTable":
-        kappa = tuple(int(k) for k in kappa)
-        n = len(kappa)
-        images = {e: HomogPoly(n, sum(e), {e: 1})
-                  for e in product(*(range(k + 1) for k in kappa))}
-        return cls(kappa, 0, images)
-
 
 def symbol(table: OperatorTable) -> HomogPoly:
     """sym_T(w, u) = sum over a <= kappa of C(kappa, a) T(w^a) u^(kappa - a).

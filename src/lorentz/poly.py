@@ -37,10 +37,7 @@ def as_fraction(x: RationalLike) -> Fraction:
 
 def factorial_of(e: Exponent) -> int:
     """e! = prod of factorials of the entries."""
-    out = 1
-    for k in e:
-        out *= math.factorial(k)
-    return out
+    return math.prod(map(math.factorial, e))
 
 
 def unit(n: int, i: int) -> Exponent:
@@ -82,28 +79,6 @@ def simplex(n: int, d: int) -> Iterator[Exponent]:
             prev = b
         e.append(n - 1 + d - 1 - prev)
         yield tuple(e)
-
-
-def derive_terms(terms: Mapping[Exponent, Fraction | int], alpha: Exponent) -> dict:
-    """Terms of d^alpha of the polynomial with the given raw terms.
-
-    Coefficients may be of any numeric type; each is multiplied by an int.
-    """
-    need = [(i, a) for i, a in enumerate(alpha) if a]
-    out = {}
-    for e, c in terms.items():
-        mult = 1
-        for i, a in need:
-            # the falling factorial e_i (e_i - 1) ... (e_i - a + 1), 0 when e_i < a
-            mult *= math.perm(e[i], a)
-            if not mult:
-                break
-        else:
-            b = list(e)
-            for i, a in need:
-                b[i] -= a
-            out[tuple(b)] = c * mult
-    return out
 
 
 def first_ulc_failure(seq: Sequence, n: int) -> Optional[int]:
@@ -162,11 +137,6 @@ class HomogPoly:
         return p
 
     @classmethod
-    def linear_form(cls, coeffs: Sequence[RationalLike]) -> "HomogPoly":
-        n = len(coeffs)
-        return cls(n, 1, {unit(n, i): c for i, c in enumerate(coeffs)})
-
-    @classmethod
     def zero(cls, nvars: int, degree: int) -> "HomogPoly":
         return cls(nvars, degree, {})
 
@@ -204,12 +174,7 @@ class HomogPoly:
 
     def var_degree_caps(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over the support."""
-        caps = [0] * self.nvars
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k > caps[i]:
-                    caps[i] = k
-        return tuple(caps)
+        return tuple(map(max, zip(*self.terms))) if self.terms else (0,) * self.nvars
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogPoly):
@@ -298,40 +263,21 @@ class HomogPoly:
         a = sum(alpha)
         if a > self.degree:
             raise ValueError(f"|alpha|={a} exceeds degree {self.degree}")
-        return HomogPoly._of(self.nvars, self.degree - a, derive_terms(self.terms, alpha))
-
-    def substitute(self, rows: Sequence[Sequence[RationalLike]]) -> "HomogPoly":
-        """f(Av) for a nonnegative nvars-x-m matrix A, exact expansion."""
-        if len(rows) != self.nvars:
-            raise ValueError(f"matrix has {len(rows)} rows, expected {self.nvars}")
-        a = [[as_fraction(x) for x in row] for row in rows]
-        if a:
-            m = len(a[0])
-            if any(len(row) != m for row in a):
-                raise ValueError("ragged matrix")
-        else:
-            m = 0
-        for row in a:
-            for x in row:
-                if x < 0:
-                    raise ValueError("negative entry in substitution matrix")
-        forms = [HomogPoly.linear_form(row) for row in a]
-        # cache powers of each row form up to its needed exponent
-        caps = self.var_degree_caps()
-        powers: list[list[HomogPoly]] = []
-        for i, form in enumerate(forms):
-            p = [HomogPoly(m, 0, {(0,) * m: 1})]
-            for _ in range(caps[i]):
-                p.append(p[-1] * form)
-            powers.append(p)
-        out = HomogPoly.zero(m, self.degree)
+        need = [(i, k) for i, k in enumerate(alpha) if k]
+        out = {}
         for e, c in self.terms.items():
-            mono = HomogPoly(m, 0, {(0,) * m: c})
-            for i, k in enumerate(e):
-                if k:
-                    mono = mono * powers[i][k]
-            out = out + mono
-        return out
+            mult = 1
+            for i, k in need:
+                # the falling factorial e_i (e_i - 1) ... (e_i - k + 1), 0 when e_i < k
+                mult *= math.perm(e[i], k)
+                if not mult:
+                    break
+            else:
+                b = list(e)
+                for i, k in need:
+                    b[i] -= k
+                out[tuple(b)] = c * mult
+        return HomogPoly._of(self.nvars, self.degree - a, out)
 
     def quadratic_hessian_after(self, alpha: Exponent):
         """Hessian of d^alpha f when |alpha| = degree - 2, without building d^alpha f.

@@ -46,10 +46,9 @@ def _fraction_from_parts(obj: dict, where: str) -> Fraction:
 
 def _fraction_from_string(s: str, where: str) -> Fraction:
     try:
-        f = Fraction(s)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise LoadError(f"{where}: bad rational {s!r}: {exc}") from None
-    return f
 
 
 def _require(obj: Any, key: str, kind: type, where: str):
@@ -83,6 +82,15 @@ def _int_tuple(val: Any, where: str, length: Optional[int] = None) -> tuple[int,
             if isinstance(x, bool) or not isinstance(x, int):
                 raise LoadError(f"{where}[{k}]: expected an integer, got {json.dumps(x)}")
     return tuple(val)
+
+
+def _int_set(val: Any, where: str) -> tuple[int, ...]:
+    """``_int_tuple`` of the elements of a set, refusing a repeated one."""
+    elems = _int_tuple(val, where)
+    if len(set(elems)) < len(elems):
+        twice = next(x for k, x in enumerate(elems) if x in elems[:k])
+        raise LoadError(f"{where}: repeated element {twice}")
+    return elems
 
 
 def _exp_rows(table: dict[tuple[int, ...], Fraction]) -> list[dict]:
@@ -150,7 +158,7 @@ def matroid_to_dict(m: Matroid) -> dict:
 
 def matroid_from_dict(obj: dict, where: str = "matroid") -> Matroid:
     n = _require(obj, "n", int, where)
-    bases = [_int_tuple(b, f"{where}.bases[{k}]")
+    bases = [_int_set(b, f"{where}.bases[{k}]")
              for k, b in enumerate(_require(obj, "bases", list, where))]
     return _build(where, matroid_from_bases, n, bases)
 
@@ -193,7 +201,7 @@ def measure_from_dict(obj: dict, where: str = "measure",
     weights: dict[frozenset, Fraction] = {}
     for k, a in enumerate(atoms):
         at = f"{where}.atoms[{k}]"
-        s = frozenset(_int_tuple(_require(a, "set", list, at), f"{at}.set"))
+        s = frozenset(_int_set(_require(a, "set", list, at), f"{at}.set"))
         if s in weights:
             raise LoadError(f"{at}: duplicate atom {sorted(s)}")
         weights[s] = _fraction_from_parts(a, at)

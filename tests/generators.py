@@ -18,6 +18,8 @@ from lorentz import (DiscreteFunction, HomogPoly, Matroid, SquareMatrix,
                      is_m_convex_function, uniform_matroid)
 from lorentz.poly import simplex
 
+from poly_oracles import linear_form
+
 
 def random_fraction(rng: random.Random, lo: int = -5, hi: int = 5,
                     max_den: int = 5) -> Fraction:
@@ -150,7 +152,7 @@ def random_lorentzian_input(rng: random.Random) -> HomogPoly:
             coeffs = [Fraction(rng.randint(0, 3)) for _ in range(n)]
             if all(c == 0 for c in coeffs):
                 coeffs[rng.randrange(n)] = Fraction(1)
-            out = out * HomogPoly.linear_form(coeffs)
+            out = out * linear_form(coeffs)
         return out
     if kind == 1:
         return basis_generating_poly(random_small_matroid(rng))

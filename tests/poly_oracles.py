@@ -6,11 +6,14 @@ arithmetic, the oracle for the library's quadratic Hessians, and
 is the left side of Euler's identity for homogeneous polynomials;
 ``first_rayleigh_violation`` is the oracle for the integer c-Rayleigh scan;
 ``normalized_coeff``, ``directional_derive`` and ``bivariate_restriction``
-are views the tests state their expectations in.
+are views the tests state their expectations in.  ``linear_form`` and
+``substitute`` build the test polynomials f(Av), and ``log_concavity_probe``
+is a float cross-check of the exact inertia verdicts.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -127,3 +130,77 @@ def bivariate_restriction(f: HomogPoly, i: int, j: int) -> list[Fraction]:
         if all(k == 0 for idx, k in enumerate(e) if idx not in (i, j)):
             out[e[i]] += c
     return out
+
+
+def linear_form(coeffs: Sequence[RationalLike]) -> HomogPoly:
+    """sum_i coeffs[i] w_i."""
+    n = len(coeffs)
+    return HomogPoly(n, 1, {unit(n, i): c for i, c in enumerate(coeffs)})
+
+
+def substitute(f: HomogPoly, rows: Sequence[Sequence[RationalLike]]) -> HomogPoly:
+    """f(Av) for a nonnegative nvars-x-m matrix A, exact expansion."""
+    if len(rows) != f.nvars:
+        raise ValueError(f"matrix has {len(rows)} rows, expected {f.nvars}")
+    a = [[as_fraction(x) for x in row] for row in rows]
+    if a:
+        m = len(a[0])
+        if any(len(row) != m for row in a):
+            raise ValueError("ragged matrix")
+    else:
+        m = 0
+    for row in a:
+        for x in row:
+            if x < 0:
+                raise ValueError("negative entry in substitution matrix")
+    forms = [linear_form(row) for row in a]
+    # cache powers of each row form up to its needed exponent
+    caps = f.var_degree_caps()
+    powers: list[list[HomogPoly]] = []
+    for i, form in enumerate(forms):
+        p = [HomogPoly(m, 0, {(0,) * m: 1})]
+        for _ in range(caps[i]):
+            p.append(p[-1] * form)
+        powers.append(p)
+    out = HomogPoly.zero(m, f.degree)
+    for e, c in f.terms.items():
+        mono = HomogPoly(m, 0, {(0,) * m: c})
+        for i, k in enumerate(e):
+            if k:
+                mono = mono * powers[i][k]
+        out = out + mono
+    return out
+
+
+def log_concavity_probe(f: HomogPoly, w: Sequence[RationalLike],
+                        v: Sequence[RationalLike]) -> bool:
+    """Float check that log f is concave along the segment w + t*v.
+
+    Second differences of log f at 17 evenly spaced interior nodes must not
+    exceed 1e-9 (relative, once |log f| exceeds 1).  The step size keeps every
+    probed point inside the open positive orthant.  This is a numeric
+    cross-check of the exact inertia verdict, not a certificate.
+    """
+    wf = [as_fraction(x) for x in w]
+    vf = [as_fraction(x) for x in v]
+    if f.eval(wf) <= 0:
+        raise ValueError("need f(w) > 0")
+    if all(x == 0 for x in vf):
+        return True
+    # largest |t| such that w + t*v stays strictly positive, with margin
+    bound = None
+    for wi, vi in zip(wf, vf):
+        if vi != 0:
+            b = wi / abs(vi)
+            bound = b if bound is None else min(bound, b)
+    logs = []
+    for k in range(-9, 10):
+        t = Fraction(k) * Fraction(bound) / 18
+        val = f.eval([wi + t * vi for wi, vi in zip(wf, vf)])
+        if val <= 0:
+            return False
+        logs.append(math.log(val))
+    for k in range(1, len(logs) - 1):
+        if logs[k + 1] - 2 * logs[k] + logs[k - 1] > 1e-9 * max(1.0, abs(logs[k])):
+            return False
+    return True

@@ -22,14 +22,15 @@ from lorentz import (DiscreteFunction, HomogPoly, Measure, exclusion_step,
                      uniform_matroid, zonotope_volume_poly)
 from lorentz import basis_generating_poly, char_poly_multivariate
 from lorentz.catalog import NAMES, load
-from lorentz.matroids import normalized_independence_sequence
+from lorentz.matroids import normalize_counts
 from lorentz.measures import pairwise_bound_failures
 from lorentz.mmatrix import random_m_matrix
 
 from generators import (random_lorentzian_input, random_m_convex_function,
                         random_nonneg_matrix, random_positive_fraction,
                         random_symmetric)
-from poly_oracles import bivariate_restriction, directional_derive, normalized_coeff
+from poly_oracles import (bivariate_restriction, directional_derive, linear_form,
+                          normalized_coeff, substitute)
 from test_certify import bivariate_lorentzian_oracle
 
 
@@ -149,12 +150,12 @@ def test_criterion_3_mason():
         # M(K4), with equality detection on the uniform family
         assert _ulc_counts(6, [1, 6, 15, 16])
         k4 = load("mk4")
-        seq = normalized_independence_sequence(k4)
+        seq = normalize_counts(independence_counts(k4), k4.n)
         assert all(seq[k] ** 2 >= seq[k - 1] * seq[k + 1] for k in range(1, len(seq) - 1))
         for n in range(1, 9):
             for d in range(0, n + 1):
                 u = uniform_matroid(d, n)
-                seq = normalized_independence_sequence(u)
+                seq = normalize_counts(independence_counts(u), u.n)
                 for k in range(1, len(seq) - 1):
                     assert seq[k] ** 2 == seq[k - 1] * seq[k + 1]  # equality detected
 
@@ -182,7 +183,7 @@ def test_criterion_5_m_matrices():
                 for r in range(1, n + 1):
                     merge[r][1] = Fraction(1)
                 merge_cache[n] = merge
-            coeffs = bivariate_restriction(p.substitute(merge_cache[n]), 1, 0)
+            coeffs = bivariate_restriction(substitute(p, merge_cache[n]), 1, 0)
             assert _ulc_counts(n, coeffs), i
 
 
@@ -203,7 +204,7 @@ def test_criterion_6_operator_closure():
             assert back == f and is_lorentzian(back).verdict, ("project", idx)
             assert is_lorentzian(normalize(f)).verdict, ("normalize", idx)
             assert is_lorentzian(multi_affine_part(f)).verdict, ("multiaffine", idx)
-            sub = f.substitute(random_nonneg_matrix(rng, f.nvars, rng.randint(1, 3)))
+            sub = substitute(f, random_nonneg_matrix(rng, f.nvars, rng.randint(1, 3)))
             assert is_lorentzian(sub).verdict, ("substitute", idx)
             direction = [Fraction(rng.randint(0, 3)) for _ in range(f.nvars)]
             assert is_lorentzian(directional_derive(f, direction)).verdict, \
@@ -212,15 +213,15 @@ def test_criterion_6_operator_closure():
             assert is_lorentzian(swapped).verdict, ("exclusion", idx)
         for f, g in zip(inputs[0::2], inputs[1::2]):
             n = max(f.nvars, g.nvars)
-            fe = f.substitute([[Fraction(1 if i == j else 0) for j in range(n)]
-                               for i in range(f.nvars)])
-            ge = g.substitute([[Fraction(1 if i == j else 0) for j in range(n)]
-                               for i in range(g.nvars)])
+            fe = substitute(f, [[Fraction(1 if i == j else 0) for j in range(n)]
+                                for i in range(f.nvars)])
+            ge = substitute(g, [[Fraction(1 if i == j else 0) for j in range(n)]
+                                for i in range(g.nvars)])
             assert is_lorentzian(fe * ge).verdict, "product"
 
 
 def _fixture_lorentzian_polys():
-    fixtures = [theta_cubic(9), HomogPoly.linear_form([1, 1, 1]) ** 3,
+    fixtures = [theta_cubic(9), linear_form([1, 1, 1]) ** 3,
                 potts_poly(load("u24"), Fraction(1, 2)),
                 independent_set_poly(load("mk4")),
                 zonotope_volume_poly([[1, 0], [0, 1], [1, 1], [1, -1]]),

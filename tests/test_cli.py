@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -486,6 +487,10 @@ def _term(exp, num="1"):
     (["mconvex", "function"], {"n": 2, "d": -1, "values": []}, "function"),
     (["genpoly", "--q", "1"], {"n": -1, "d": 2, "values": []}, "function"),
     (["genpoly", "--q", "1"], {"n": 2, "d": -1, "values": []}, "function"),
+    (["matroid", "validate"], {"n": 3, "bases": [[0, 1], [0, 0, 2]]}, "matroid.bases[1]"),
+    (["matroid", "basis-poly"], {"n": 3, "bases": [[0, 1], [0, 0, 2]]}, "matroid.bases[1]"),
+    (["measure", "lorentzian"], {"n": 1, "atoms": [{"set": [0, 0], "num": "1", "den": "1"}]},
+     "measure.atoms[0].set"),
 ])
 def test_malformed_document_is_one_json_report(tmp_path, capsys, argv, doc, path):
     code = main([*argv, write(tmp_path, "doc.json", doc)])
@@ -493,6 +498,70 @@ def test_malformed_document_is_one_json_report(tmp_path, capsys, argv, doc, path
     assert code == 2 and err == ""
     rep = json.loads(out)
     assert set(rep) == {"command", "error"} and rep["error"].startswith(path + ":")
+
+
+def test_repeated_set_element_is_refused(tmp_path, capsys):
+    doc = write(tmp_path, "m.json", {"n": 3, "bases": [[0, 1], [0, 2, 0]]})
+    code, rep = run(capsys, "matroid", "validate", doc)
+    assert code == 2 and rep["error"] == "matroid.bases[1]: repeated element 0"
+    doc = write(tmp_path, "mu.json", {"n": 2, "atoms": [
+        {"set": [1, 0, 1], "num": "1", "den": "1"}]})
+    code, rep = run(capsys, "measure", "lorentzian", doc)
+    assert code == 2 and rep["error"] == "measure.atoms[0].set: repeated element 1"
+    # a graph edge may still be a loop
+    doc = write(tmp_path, "g.json", {"vertices": 2, "edges": [[0, 0], [0, 1]]})
+    code, rep = run(capsys, "matroid", "validate", doc)
+    assert code == 0 and rep["result"]["matroid"] == {"n": 2, "bases": [[1]]}
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """No limit on the digits of an int <-> str conversion inside the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_coefficients_beyond_the_digit_limit(tmp_path, capsys):
+    # CPython converts at most 4,300 digits between int and str by default
+    big = {"n": 2, "d": 2, "terms": [_term([1, 1], "1" + "0" * 4999)]}
+    path = write(tmp_path, "big.json", big)
+    for argv in (["check", path], ["roundtrip", path]):
+        code, rep = run(capsys, *argv)
+        assert code == 0 and rep["verdict"] is True
+    a, b = "1" * 2501, "9" * 2501
+    table = write(tmp_path, "t.json", {"kappa": [1], "ell": 0, "images": [
+        {"exp": [1], "poly": {"n": 1, "d": 1, "terms": [_term([1], a)]}}]})
+    poly = write(tmp_path, "p.json", {"n": 1, "d": 1, "terms": [_term([1], b)]})
+    code, rep = run(capsys, "operator", "apply", table, poly)
+    assert code == 0
+    [term] = rep["result"]["poly"]["terms"]
+    with _no_digit_limit():
+        assert int(term["num"]) == int(a) * int(b)
+    # a 4,401-digit denominator makes q**(1/den) irrational, not a float overflow
+    nu = write(tmp_path, "nu.json", {"n": 1, "d": 1, "values": [
+        {"exp": [1], "num": "1", "den": "1" + "0" * 4400}]})
+    code, rep = run(capsys, "genpoly", nu, "--q", "2")
+    assert code == 2 and "irrational" in rep["error"]
+
+
+def test_main_restores_the_digit_limit(tmp_path, capsys):
+    path = write(tmp_path, "f.json", CUBIC9)
+    before = sys.get_int_max_str_digits()
+    try:
+        for limit in (5000, before):
+            sys.set_int_max_str_digits(limit)
+            assert run(capsys, "check", path)[0] == 0
+            assert sys.get_int_max_str_digits() == limit
+            with pytest.raises(SystemExit):
+                main(["check"])
+            capsys.readouterr()
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def _leaves(parser, words=()):

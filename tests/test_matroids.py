@@ -13,15 +13,15 @@ from lorentz import (ExchangeError, HomogPoly, Matroid, PointSet,
                      is_lorentzian, is_m_convex_set, mason_check,
                      matroid_from_bases, potts_poly, rank, tutte,
                      tutte_section, uniform_matroid, zonotope_volume_poly)
-from lorentz.catalog import NAMES, all_matroids, load
+from lorentz.catalog import NAMES, load
 from lorentz.matroids import (_rank_mask, _rank_table, independent_set_masks,
-                              normalized_independence_sequence)
+                              normalize_counts)
 from generators import random_small_matroid
-from poly_oracles import bivariate_restriction
+from poly_oracles import bivariate_restriction, substitute
 
 
 def test_catalog_loads():
-    mats = all_matroids()
+    mats = {name: load(name) for name in NAMES}
     assert set(mats) == set(NAMES)
     assert len(load("fano").bases) == 28
     assert len(load("mk4").bases) == 16
@@ -98,7 +98,7 @@ def test_potts_limit_is_independent_set_poly():
         dil[0][0] = Fraction(1)
         for i in range(1, m.n + 1):
             dil[i][i] = q
-        zq = z.substitute(dil)
+        zq = substitute(z, dil)
         ind = independent_set_poly(m)
         for e in zq.support() | ind.support():
             if e in ind.terms:
@@ -121,11 +121,12 @@ def test_mason():
         assert mason_check(load(name))
     # equality throughout on uniform and free matroids
     for m in (load("u24"), load("free3"), uniform_matroid(3, 6)):
-        seq = normalized_independence_sequence(m)
+        seq = normalize_counts(independence_counts(m), m.n)
         for k in range(1, len(seq) - 1):
             assert seq[k] * seq[k] == seq[k - 1] * seq[k + 1]
     # strict somewhere for M(K4): counts (1,6,15,16), k=2 gives 1 > 4/5
-    seq = normalized_independence_sequence(load("mk4"))
+    mk4 = load("mk4")
+    seq = normalize_counts(independence_counts(mk4), mk4.n)
     assert seq[2] ** 2 > seq[1] * seq[3]
 
 
@@ -197,7 +198,7 @@ def test_bivariate_collapse_equals_mason_data():
     merge[0][0] = Fraction(1)
     for i in range(1, m.n + 1):
         merge[i][1] = Fraction(1)
-    g = f.substitute(merge)
+    g = substitute(f, merge)
     counts = independence_counts(m)
     coeffs = bivariate_restriction(g, 1, 0)
     for k, ik in enumerate(counts):
@@ -259,7 +260,7 @@ def _random_graph_matroids(count=50, seed=63):
 def _table_matroids():
     mats = [uniform_matroid(r, n) for n in range(11) for r in range(n + 1)]
     mats += [uniform_matroid(3, 12), uniform_matroid(6, 12)]
-    mats += list(all_matroids().values())
+    mats += [load(name) for name in NAMES]
     return mats + _random_graph_matroids()
 
 

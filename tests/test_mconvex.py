@@ -14,7 +14,7 @@ from lorentz.mconvex import _floor_nth_root, rational_power
 from lorentz.poly import simplex
 
 from generators import random_m_convex_function, random_matroid_m_convex_function
-from poly_oracles import normalized_coeff
+from poly_oracles import linear_form, normalized_coeff
 
 
 def test_set_examples():
@@ -89,7 +89,7 @@ def test_matroid_basis_family():
 
 def test_function_examples():
     # indicator of an M-convex set is M-convex
-    nu = DiscreteFunction.indicator(PointSet(3, 2, [(1, 1, 0), (1, 0, 1), (0, 1, 1)]))
+    nu = DiscreteFunction(3, 2, dict.fromkeys([(1, 1, 0), (1, 0, 1), (0, 1, 1)], 0))
     ok, _ = is_m_convex_function(nu)
     assert ok
     bad = DiscreteFunction(2, 2, {(2, 0): 0, (1, 1): 1, (0, 2): 0})
@@ -198,12 +198,12 @@ def test_generating_poly_f():
     assert f == HomogPoly(2, 2, {(2, 0): Fraction(1, 4), (1, 1): 1,
                                  (0, 2): Fraction(1, 4)})
     # indicator: independent of q, equals the exponential generating function
-    ind = DiscreteFunction.indicator(PointSet(3, 2, [(1, 1, 0), (1, 0, 1), (0, 1, 1)]))
+    ind = DiscreteFunction(3, 2, dict.fromkeys([(1, 1, 0), (1, 0, 1), (0, 1, 1)], 0))
     assert generating_poly_f(ind, Fraction(1, 3)) == generating_poly_f(ind, 1)
     # nu == 0 on the whole simplex: (w1+...+wn)^d / d!
     full = DiscreteFunction(3, 2, {a: 0 for a in simplex(3, 2)})
     lhs = generating_poly_f(full, 1)
-    rhs = Fraction(1, 2) * HomogPoly.linear_form([1, 1, 1]) ** 2
+    rhs = Fraction(1, 2) * linear_form([1, 1, 1]) ** 2
     assert lhs == rhs
 
 
@@ -272,6 +272,12 @@ def test_floor_nth_root_matches_references():
         _floor_nth_root(-1, 3)
 
 
+def test_floor_nth_root_of_a_huge_index():
+    # an index above the bit length gives the root 1, with no float of the index
+    assert _floor_nth_root(2, 10 ** 4400) == 1
+    assert _floor_nth_root(2 ** 64 - 1, 64) == 1 and _floor_nth_root(2 ** 64, 64) == 2
+
+
 def test_polarize_project_roundtrip():
     rng = random.Random(21)
     for _ in range(10):
@@ -280,7 +286,7 @@ def test_polarize_project_roundtrip():
 
 
 def test_polarize_example():
-    ind = DiscreteFunction.indicator(PointSet(2, 2, [(2, 0)]))
+    ind = DiscreteFunction(2, 2, dict.fromkeys([(2, 0)], 0))
     lifted = polarize_fn(ind)
     assert lifted.nvars == 4 and set(lifted.values) == {(1, 1, 0, 0)}
     # degree 0 lifts to no variables
@@ -297,7 +303,7 @@ def test_polarize_preserves_m_convexity():
 
 
 def test_regularize():
-    ind = DiscreteFunction.indicator(PointSet(2, 2, [(2, 0)]))
+    ind = DiscreteFunction(2, 2, dict.fromkeys([(2, 0)], 0))
     reg = regularize(ind, 1)
     assert reg.values == {(2, 0): Fraction(0), (1, 1): Fraction(1), (0, 2): Fraction(2)}
     ok, _ = is_m_convex_function(reg)

@@ -12,7 +12,7 @@ from lorentz.catalog import NAMES, load
 from lorentz.measures import is_ulc, marginal, pair_marginal, rank_sequence
 
 from generators import random_positive_fraction
-from poly_oracles import first_rayleigh_violation
+from poly_oracles import first_rayleigh_violation, linear_form
 
 
 def bernoulli_product(n):
@@ -23,7 +23,7 @@ def test_partition_homogenized():
     point = Measure(3, {0: 1})
     assert partition_homogenized(point) == HomogPoly(4, 3, {(3, 0, 0, 0): 1})
     half = Measure(1, {0: Fraction(1, 2), 1: Fraction(1, 2)})
-    assert partition_homogenized(half) == Fraction(1, 2) * HomogPoly.linear_form([1, 1])
+    assert partition_homogenized(half) == Fraction(1, 2) * linear_form([1, 1])
     mu, _ = matroid_measures(load("u12"))
     assert partition_homogenized(mu) == Fraction(1, 3) * HomogPoly(
         3, 2, {(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1})

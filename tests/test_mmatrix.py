@@ -13,7 +13,7 @@ from lorentz.mconvex import PointSet, is_m_convex_set
 from lorentz.mmatrix import _principal_minors, bareiss_determinant, random_m_matrix
 
 from generators import random_doubly_substochastic, random_fraction
-from poly_oracles import bivariate_restriction
+from poly_oracles import bivariate_restriction, linear_form, substitute
 
 
 def test_is_m_matrix_examples():
@@ -65,7 +65,7 @@ def test_bareiss_determinant():
 
 def test_char_poly_multivariate_examples():
     ident = SquareMatrix([[1, 0], [0, 1]])
-    expect = HomogPoly.linear_form([1, 1, 0]) * HomogPoly.linear_form([1, 0, 1])
+    expect = linear_form([1, 1, 0]) * linear_form([1, 0, 1])
     assert char_poly_multivariate(ident) == expect
     assert char_poly_multivariate(SquareMatrix([[1, -1], [0, 1]])) == expect
     a = SquareMatrix([["3/7"]])
@@ -96,7 +96,7 @@ def test_univariate_collapse_ulc():
         merge[0][0] = Fraction(1)
         for i in range(1, 4):
             merge[i][1] = Fraction(1)
-        coeffs = bivariate_restriction(p.substitute(merge), 1, 0)
+        coeffs = bivariate_restriction(substitute(p, merge), 1, 0)
         assert ulc(coeffs)
 
 
