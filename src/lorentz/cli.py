@@ -1,9 +1,9 @@
 """Command-line surface: every module as a reproducible batch command.
 
-Each invocation prints one JSON report to stdout and exits with
-0 (property holds / construction succeeded), 1 (property refuted, witness
-in the report), or 2 (input error).  Reports are deterministic given
-(input, seed, flags) except for the elapsed_ms field.
+Each invocation prints one JSON report to stdout, as one line of canonical
+JSON, and exits with 0 (property holds / construction succeeded), 1 (property
+refuted, witness in the report), or 2 (input error).  Reports are
+deterministic given (input, seed, flags) except for the elapsed_ms field.
 
 Sampling commands require --seed; --trials defaults to 10000.  All numbers
 in reports are exact rational strings; --float adds decimal approximations
@@ -24,9 +24,9 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import certify, matroids, mconvex, measures, mmatrix, operators
 from .poly import HomogPoly, first_ulc_failure
-from .serialize import (LoadError, _int_set, _require, dumps_canonical,
-                        function_from_dict, graph_matroid_from_dict, load_json,
-                        matrix_from_dict, matroid_from_dict, matroid_to_dict,
+from .serialize import (LoadError, dumps_canonical, function_from_dict,
+                        graph_matroid_from_dict, load_json, matrix_from_dict,
+                        matroid_from_dict, matroid_parts, matroid_to_dict,
                         measure_from_dict, measure_to_dict, operator_from_dict,
                         poly_from_dict, poly_to_dict, roundtrip,
                         vectors_from_dict)
@@ -212,9 +212,7 @@ def _validate(run: _Run, args) -> int:
     if "edges" in obj:
         m = graph_matroid_from_dict(obj)
     else:
-        n = _require(obj, "n", int, "matroid")
-        raw = _require(obj, "bases", list, "matroid") if obj.get("bases") else []
-        bases = [_int_set(b, f"matroid.bases[{k}]") for k, b in enumerate(raw)]
+        n, bases = matroid_parts(obj)
         try:
             m = matroids.matroid_from_bases(n, bases)
         except matroids.ExchangeError as exc:

@@ -322,6 +322,12 @@ def test_roundtrip_command(tmp_path, capsys):
     assert code == 2
 
 
+def test_roundtrip_names_a_document_as_its_command_does(tmp_path, capsys):
+    path = write(tmp_path, "f.json", {"n": "x", "d": 1, "terms": []})
+    errors = {run(capsys, command, path)[1]["error"] for command in ("roundtrip", "check")}
+    assert errors == {"polynomial: key 'n' should be int"}
+
+
 def test_float_flag(tmp_path, capsys):
     path = write(tmp_path, "u12.json", U12)
     code, rep = run(capsys, "matroid", "tutte", path, "--x", "1/2", "--y", "2", "--float")
@@ -491,6 +497,12 @@ def _term(exp, num="1"):
     (["matroid", "basis-poly"], {"n": 3, "bases": [[0, 1], [0, 0, 2]]}, "matroid.bases[1]"),
     (["measure", "lorentzian"], {"n": 1, "atoms": [{"set": [0, 0], "num": "1", "den": "1"}]},
      "measure.atoms[0].set"),
+    # a missing or falsy bases is not an empty family
+    (["matroid", "validate"], {"n": 3}, "matroid"),
+    (["matroid", "validate"], {"n": 3, "bases": None}, "matroid"),
+    (["matroid", "validate"], {"n": 3, "bases": False}, "matroid"),
+    (["matroid", "validate"], {"n": 3, "bases": 0}, "matroid"),
+    (["matroid", "validate"], {"n": 3, "bases": ""}, "matroid"),
 ])
 def test_malformed_document_is_one_json_report(tmp_path, capsys, argv, doc, path):
     code = main([*argv, write(tmp_path, "doc.json", doc)])

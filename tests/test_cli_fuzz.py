@@ -1,6 +1,6 @@
 """Every leaf command on mutated documents and flags keeps the CLI's promise:
-exit code 0, 1 or 2, exactly one JSON object on stdout, nothing on stderr,
-and no traceback.
+exit code 0, 1 or 2, exactly one JSON object on stdout, written as one line
+of canonical JSON, nothing on stderr, and no traceback.
 
 Each example starts from small golden inputs, applies a few mutations (a
 node replaced, a list entry repeated, a key dropped, the text cut short) and
@@ -148,4 +148,6 @@ def test_every_command_keeps_the_exit_code_promise(words, data):
     assert code in (0, 1, 2), argv
     assert err.getvalue() == "", argv
     with _no_digit_limit():     # so may the report (the seed)
-        assert isinstance(json.loads(out.getvalue()), dict), argv
+        report = json.loads(out.getvalue())
+        assert isinstance(report, dict), argv
+        assert out.getvalue() == json.dumps(report, sort_keys=True) + "\n", argv

@@ -1,6 +1,11 @@
-"""Golden CLI reports: each case's report must match the recorded one byte
-for byte, apart from the nondeterministic ``elapsed_ms`` line, and exit with
-the recorded code.
+"""Golden CLI reports: each case must print the recorded report, apart from
+the nondeterministic ``elapsed_ms`` member, and exit with the recorded code.
+
+A report is one line of canonical JSON; the recorded ones are kept indented
+so that their diffs read line by line.  A case passes when its output, with
+the ``"elapsed_ms": ..., `` member cut out, equals byte for byte
+``json.dumps(recorded, sort_keys=True) + "\n"`` of the parsed recorded
+report, so ``1`` still differs from ``1.0`` and ``true`` from ``1``.
 
 Inputs live in ``golden/inputs`` and every case runs with ``golden/`` as the
 working directory, so the input paths in the reports are the same on every
@@ -37,7 +42,8 @@ from faddeev_leverrier import char_poly_inertia
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = GOLDEN / "reports"
 EXIT_CODES = GOLDEN / "exit_codes.json"
-ELAPSED = re.compile(r'^  "elapsed_ms": [^\n]*\n', re.MULTILINE)
+# sorted keys put "inputs" after "elapsed_ms", so a comma always follows it
+ELAPSED = re.compile(r'"elapsed_ms": [-+.0-9eE]+, ')
 
 CASES = {
     # genpoly: both kinds, with and without certification
@@ -192,11 +198,17 @@ def run_case(argv: list[str]) -> tuple[int, str]:
     return code, ELAPSED.sub("", buf.getvalue())
 
 
+def recorded(name: str) -> str:
+    """The recorded report of a case as the one line the CLI prints."""
+    report = json.loads((REPORTS / f"{name}.json").read_text(encoding="utf-8"))
+    return json.dumps(report, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     code, report = run_case(CASES[name])
     assert code == json.loads(EXIT_CODES.read_text())[name]
-    assert report == (REPORTS / f"{name}.json").read_text(encoding="utf-8")
+    assert report == recorded(name)
 
 
 @pytest.mark.parametrize("name", ["rayleigh_sampled_refuted", "measure_report",
@@ -211,7 +223,7 @@ def test_report_does_not_depend_on_hash_seed(name):
                               capture_output=True, text=True, env=env, cwd=GOLDEN, timeout=60)
         assert proc.returncode == json.loads(EXIT_CODES.read_text())[name]
         reports.add(ELAPSED.sub("", proc.stdout))
-    assert reports == {(REPORTS / f"{name}.json").read_text(encoding="utf-8")}
+    assert reports == {recorded(name)}
 
 
 def _inertia_refutations() -> list[str]:
@@ -302,7 +314,8 @@ def record(names: list[str]) -> None:
     codes = json.loads(EXIT_CODES.read_text()) if names else {}
     for name in names or sorted(CASES):
         codes[name], report = run_case(CASES[name])
-        (REPORTS / f"{name}.json").write_text(report, encoding="utf-8")
+        indented = json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n"
+        (REPORTS / f"{name}.json").write_text(indented, encoding="utf-8")
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
 
 

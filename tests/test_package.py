@@ -26,9 +26,9 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
-# the only places where a float may appear: the opt-in --float view, the float
-# start of the integer Newton root, and the JSON text of a float
-FLOAT_SITES = {"cli._jsonify", "mconvex._floor_nth_root", "serialize._scalar_text"}
+# the only places where a float may appear: the opt-in --float view and the
+# float start of the integer Newton root
+FLOAT_SITES = {"cli._jsonify", "mconvex._floor_nth_root"}
 FLOAT_CALLS = {"float", "log", "log2", "log10", "log1p", "sqrt", "exp"}
 FLOAT_CONSTANTS = {"inf", "nan", "pi", "e", "tau"}
 

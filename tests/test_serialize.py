@@ -12,7 +12,7 @@ from lorentz.mconvex import DiscreteFunction
 from lorentz.measures import Measure
 from lorentz.mmatrix import SquareMatrix
 from lorentz.operators import OperatorTable
-from lorentz.serialize import (LoadError, _write_terms, dumps_canonical, function_from_dict,
+from lorentz.serialize import (LoadError, dumps_canonical, function_from_dict,
                                function_to_dict, load_document,
                                matrix_from_dict, matrix_to_dict,
                                matroid_from_dict, matroid_to_dict,
@@ -177,61 +177,10 @@ _JSON_TREES = st.recursive(
 
 @given(_JSON_TREES)
 def test_dumps_canonical_matches_json_dumps(x):
-    assert dumps_canonical(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
-
-
-_ROWS = st.fixed_dictionaries({
-    "exp": st.lists(st.integers(0, 12), min_size=1, max_size=5),
-    "num": st.integers(-10 ** 30, 10 ** 30).map(str),
-    "den": st.integers(1, 10 ** 30).map(str)})
-
-
-@st.composite
-def _near_miss_rows(draw):
-    """A row that is not one of the term-list writer's rows but still JSON."""
-    row = dict(draw(_ROWS))
-    kind = draw(st.sampled_from(["bool", "float", "int_num", "tuple_exp", "empty_exp",
-                                 "missing_key", "fourth_key"]))
-    at = draw(st.integers(0, len(row["exp"])))
-    if kind in ("bool", "float"):
-        row["exp"].insert(at, draw(st.booleans()) if kind == "bool" else float(at))
-    elif kind == "int_num":
-        row["num"] = int(row["num"])
-    elif kind == "tuple_exp":
-        row["exp"] = tuple(row["exp"])
-    elif kind == "empty_exp":
-        row["exp"] = []
-    elif kind == "missing_key":
-        del row[draw(st.sampled_from(sorted(row)))]
-    else:
-        row[draw(st.sampled_from(["poly", "set", "aaa", "zzz"]))] = "1"
-    return row
-
-
-@st.composite
-def _term_lists(draw):
-    """A list of term rows, with a near miss at a random place or none, and
-    whether it has the near miss."""
-    rows = draw(st.lists(_ROWS, min_size=1, max_size=6))
-    near_miss = draw(st.booleans())
-    if near_miss:
-        rows.insert(draw(st.integers(0, len(rows))), draw(_near_miss_rows()))
-    return rows, near_miss
-
-
-@given(_term_lists(), st.sampled_from(["top", "poly", "images"]))
-def test_dumps_canonical_term_lists_match_json_dumps(term_list, where):
-    rows, near_miss = term_list
-    doc = {"top": rows,
-           "poly": {"n": 5, "d": 3, "terms": rows},
-           "images": {"ell": 0, "kappa": [1], "images": [
-               {"exp": [0], "poly": {"n": 5, "d": 3, "terms": rows}},
-               {"exp": [1], "poly": {"n": 5, "d": 3, "terms": rows}}]}}[where]
-    assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    # the rows take the template path exactly when there is no near miss
-    out = []
-    assert _write_terms(rows, out, "  ") is not near_miss
-    assert bool(out) is not near_miss
+    # one line: sorted keys, the default separators, ASCII escapes
+    text = dumps_canonical(x)
+    assert text == json.dumps(x, sort_keys=True) + "\n"
+    assert "\n" not in text[:-1] and text.isascii()
 
 
 @pytest.mark.parametrize("doc", [
@@ -239,6 +188,6 @@ def test_dumps_canonical_term_lists_match_json_dumps(term_list, where):
 ])
 def test_dumps_canonical_rejects_other_types(doc):
     with pytest.raises(TypeError):
-        json.dumps(doc, sort_keys=True, indent=2)
+        json.dumps(doc, sort_keys=True)
     with pytest.raises(TypeError):
         dumps_canonical(doc)
