@@ -14,8 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
-from operator import itemgetter, mul
+from operator import gt, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .inertia import Inertia, _inertia_rows
@@ -222,17 +223,22 @@ def _int_terms(terms: Mapping) -> dict:
 # sides are 0); measures check alpha = 0 and 1 <= i < j <= n on the
 # homogenized partition function.
 #
-# The scan is compiled into one table of monomials.  Entry m holds u^m at the
-# point u and is filled as u^parent * u_k from an earlier entry, one product
+# The scan is compiled into one table of monomials and runs on a chunk of
+# integer points at once, in columns of one number per point.  Entry m holds
+# u^m, filled as u^parent * u_k from an earlier entry: one C-level product
 # per entry.  A derivative d^beta f is a tuple of integer coefficients and a
 # tuple of table entries, derived from a derivative one order below it, so
-# its value at u is one indexed sum.  The checks read the values from a plain
-# list, in which slot 0 holds the value 0 of every identically zero
-# derivative.  An alpha's checks, the derivatives they first need and the
-# monomials those add are compiled when a point first reaches that alpha, and
-# a point fills the table and the values one alpha at a time, so an early
-# refutation builds and evaluates only what it reads.  Points come as integer
+# its values are one sum over entry columns.  The checks compare value
+# columns read from a plain list, in which slot 0 holds the zeros of every
+# identically zero derivative.  An alpha's checks, the derivatives they
+# first need and the monomials those add are compiled when a chunk first
+# reaches that alpha.  After a hit at point x only the points before x can
+# give an earlier witness, so every column is cut to them.  Chunks grow 1,
+# 2, 4, ... up to _CHUNK points (``_chunks``), so an early refutation draws
+# and evaluates little more than it reads.  Points come as integer
 # numerators and denominators; ``_rayleigh_sides`` recomputes each witness.
+
+_CHUNK = 64
 
 
 def _below(e: Exponent, built: Mapping[Exponent, object]) -> tuple[Exponent, int]:
@@ -242,14 +248,6 @@ def _below(e: Exponent, built: Mapping[Exponent, object]) -> tuple[Exponent, int
     lower = [e[:k] + (e[k] - 1,) + e[k + 1:] for k in ks]
     at = next((x for x, b in enumerate(lower) if b in built), -1)
     return lower[at], ks[at]
-
-
-def _getter(entries: Sequence[int]):
-    """A function from the table to its values at ``entries``, as a tuple."""
-    if len(entries) == 1:
-        m = entries[0]
-        return lambda table: (table[m],)
-    return itemgetter(*entries)
 
 
 class _RayleighScan:
@@ -278,7 +276,8 @@ class _RayleighScan:
         self._derivs: dict[Exponent, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._slots: dict[Exponent, int] = {}          # beta -> value slot of d^beta f
         self._nslots = 1
-        self._groups: list = []         # per compiled alpha: (table length, new values, checks)
+        # per compiled alpha: (table length, new values, slot of d^alpha f, checks)
+        self._groups: list = []
 
     # _mono and _deriv loop down to a built entry, then up: a degree may pass the recursion limit
     def _mono(self, e: Exponent) -> int:
@@ -328,7 +327,8 @@ class _RayleighScan:
                 s = 0
                 if coefs:
                     s, self._nslots = self._nslots, self._nslots + 1
-                    new.append((coefs, _getter(entries)))
+                    # None when every coefficient is 1: the value is a plain sum
+                    new.append((None if set(coefs) == {1} else coefs, entries))
                 self._slots[beta] = s
             return s
 
@@ -336,25 +336,75 @@ class _RayleighScan:
         for i, j in self._pairs:
             aij = slot(i, j)
             if aij or not self._drop_zero:
-                checks.append((slot(), slot(i), slot(j), aij, (alpha, i, j)))
-        self._groups.append((len(self._steps), new, checks))
+                checks.append((slot(i), slot(j), aij, (alpha, i, j)))
+        a = slot() if checks else 0     # d^alpha f, shared by the alpha's checks
+        self._groups.append((len(self._steps), new, a, checks))
 
-    def first_violation(self, c: Fraction,
-                        u: Sequence[int]) -> Optional[tuple[Exponent, int, int]]:
-        """The first check that fails at the integer point u, or None."""
-        num, den = c.numerator, c.denominator
-        table, values = [1], [0]
+    def first_violation(self, c: Fraction, us: Sequence[Sequence[int]]
+                        ) -> Optional[tuple[int, tuple[Exponent, int, int]]]:
+        """(x, check): x the index of the first of the integer points ``us``
+        where a check fails, and the first check failing there; or None."""
+        num, den = repeat(c.numerator), repeat(c.denominator)
+        cols = list(zip(*us))
+        table, values = [[1] * len(us)], [[0] * len(us)]
+        hit = None
         for g in range(len(self._alphas)):
             if g == len(self._groups):
                 self._compile()
-            size, new, checks = self._groups[g]
+            size, new, a, checks = self._groups[g]
             for p, k in self._steps[len(table):size]:
-                table.append(table[p] * u[k])
-            values += [sum(map(mul, coefs, get(table))) for coefs, get in new]
-            for a, ai, aj, aij, check in checks:
-                if values[a] * values[aij] * den > num * values[ai] * values[aj]:
-                    return check
-        return None
+                table.append(list(map(mul, table[p], cols[k])))
+            for coefs, entries in new:
+                if coefs is None and len(entries) == 1:     # one monomial: share its column
+                    values.append(table[entries[0]])
+                    continue
+                terms = map(table.__getitem__, entries)
+                if coefs is not None:
+                    terms = map(map, repeat(mul), map(repeat, coefs), terms)
+                values.append(list(map(sum, zip(*terms))))
+            lhs, rhs_at = list(map(mul, values[a], den)), None
+            for ai, aj, aij, check in checks:
+                if ai != rhs_at:        # i-major pairs: the checks of one i are consecutive
+                    rhs, rhs_at = list(map(mul, values[ai], num)), ai
+                fails = list(map(gt, map(mul, lhs, values[aij]), map(mul, rhs, values[aj])))
+                if True in fails:
+                    x = fails.index(True)
+                    if x == 0:
+                        return x, check
+                    hit = x, check
+                    for col in chain(table, values):
+                        del col[x:]
+        return hit
+
+
+def _chunks(points: Iterable) -> Iterator[list]:
+    """The items of ``points`` in lists of 1, 2, 4, ... up to _CHUNK.  An error
+    drawing an item is raised after the list of the items before it."""
+    chunk, size = [], 1
+    try:
+        for p in points:
+            chunk.append(p)
+            if len(chunk) == size:
+                yield chunk
+                chunk, size = [], min(2 * size, _CHUNK)
+    except Exception:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def _first_hit(scan: _RayleighScan, c: Fraction, points: Iterable[tuple[list[int], list[int]]]
+               ) -> Optional[tuple[tuple[Fraction, ...], tuple[Exponent, int, int]]]:
+    """The first of ``points`` (numerators, denominators) at which a check of
+    ``scan`` fails, in Fractions, with the first check failing there; or None."""
+    for chunk in _chunks(points):
+        hit = scan.first_violation(c, [_scaled(*p) for p in chunk])
+        if hit is not None:
+            x, check = hit
+            return tuple(map(Fraction, *chunk[x])), check
+    return None
 
 
 def rayleigh_check_at(f: HomogPoly, c: RationalLike,
@@ -365,13 +415,19 @@ def rayleigh_check_at(f: HomogPoly, c: RationalLike,
     The scan is compiled once and shared by every point; each point, of
     ``f.nvars`` coordinates, is checked when its turn comes.
     """
-    return _rayleigh_search(f, c, (_integer_point(w, f.nvars) for w in points))
+    def integer_points():
+        for w in points:
+            nums, dens = _integer_point(w, f.nvars)
+            if any(x < 0 for x in nums):
+                raise ValueError("point must be nonnegative")
+            yield nums, dens
+    return _rayleigh_search(f, c, integer_points())
 
 
 def _rayleigh_search(f: HomogPoly, c: RationalLike,
                      points: Iterable[tuple[Sequence[int], Sequence[int]]]
                      ) -> Optional[RayleighWitness]:
-    """``rayleigh_check_at`` on points given by their numerators and denominators."""
+    """``rayleigh_check_at`` on nonnegative points as numerators and denominators."""
     cf = as_fraction(c)
     if not f.has_nonnegative_coeffs():
         raise ValueError("f must have nonnegative coefficients")
@@ -380,15 +436,10 @@ def _rayleigh_search(f: HomogPoly, c: RationalLike,
     # identically zero cannot fail (see _RayleighScan)
     scan = _RayleighScan(_int_terms(f.terms), _rayleigh_alphas(f, f.degree - 1 - (cf >= 0)),
                          [(i, j) for i in range(n) for j in range(i, n)], drop_zero=cf >= 0)
-    for nums, dens in points:
-        u = _scaled(nums, dens)
-        if any(k < 0 for k in u):
-            raise ValueError("point must be nonnegative")
-        hit = scan.first_violation(cf, u)
-        if hit is not None:
-            wf = tuple(map(Fraction, nums, dens))
-            return RayleighWitness(*hit, wf, *_rayleigh_sides(f, cf, *hit, wf))
-    return None
+    if (hit := _first_hit(scan, cf, points)) is None:
+        return None
+    w, check = hit
+    return RayleighWitness(*check, w, *_rayleigh_sides(f, cf, *check, w))
 
 
 def _rayleigh_sides(f: HomogPoly, c: Fraction, alpha: Exponent, i: int, j: int,
@@ -401,6 +452,22 @@ def _rayleigh_sides(f: HomogPoly, c: Fraction, alpha: Exponent, i: int, j: int,
     return at() * at(i, j), c * at(i) * at(j)
 
 
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``count`` draws of ``rng.randint(lo, hi)``, drawn as CPython draws
+    them: ``getrandbits(k)`` for k the bit length of the width hi - lo + 1,
+    drawn again while at or above the width.  The seeded points rest on
+    ``getrandbits`` alone, not on ``randrange``'s implementation."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    out = []
+    for _ in range(count):
+        r = rng.getrandbits(k)
+        while r >= width:
+            r = rng.getrandbits(k)
+        out.append(lo + r)
+    return out
+
+
 def _sampled_points(n: int, trials: int, seed: int,
                     max_den: int) -> Iterator[tuple[list[int], list[int]]]:
     """The seeded points, as their numerators and denominators."""
@@ -411,9 +478,9 @@ def _sampled_points(n: int, trials: int, seed: int,
         raise ValueError("max_den must be positive")
     rng = random.Random(seed)
     for _ in range(trials):
-        mask = [rng.randrange(2) for _ in range(n)]
-        draws = [(rng.randint(1, max_den), rng.randint(1, max_den)) if m else (0, 1)
-                 for m in mask]
+        mask = _randints(rng, 0, 1, n)
+        pairs = iter(_randints(rng, 1, max_den, 2 * sum(mask)))
+        draws = [(next(pairs), next(pairs)) if m else (0, 1) for m in mask]
         yield [x for x, _ in draws], [y for _, y in draws]
 
 

@@ -164,8 +164,8 @@ def _hodge_riemann(run: _Run, args) -> int:
             raise LoadError("--seed is required when sampling points")
         rng = random.Random(args.seed)
         for _ in range(args.points):
-            points.append([Fraction(rng.randint(1, args.max_den), rng.randint(1, args.max_den))
-                           for _ in range(f.nvars)])
+            draws = certify._randints(rng, 1, args.max_den, 2 * f.nvars)
+            points.append(list(map(Fraction, draws[::2], draws[1::2])))
     if not points:
         raise LoadError("give at least one --point or a --points count")
     outcomes = []

@@ -16,11 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .certify import (Certificate, _int_terms, _rayleigh_sides, _RayleighScan,
-                      is_lorentzian)
+from .certify import (Certificate, _first_hit, _int_terms, _randints, _rayleigh_sides,
+                      _RayleighScan, is_lorentzian)
 from .matroids import Matroid, _mask, _unmask, independent_set_masks
 from .operators import _exclusion_theta
 from .poly import HomogPoly, RationalLike, as_fraction, first_ulc_failure
@@ -182,21 +181,14 @@ def _rayleigh_scan(f: HomogPoly, scan: _RayleighScan, c: Fraction, trials: int, 
     with its witness, or None; f is the homogenized Z and ``scan`` its checks."""
     rng = random.Random(seed)
     n = f.nvars - 1
-    for _ in range(trials):
-        if signed:
-            nums = [rng.randint(-10, 10) for _ in range(n)]
-        else:
-            nums = [rng.randint(1, 10) for _ in range(n)]
-        dens = [rng.randint(1, 10) for _ in range(n)]
-        den = lcm(*dens)
-        # Z and its partials at w are those of f at (1, w), whose variable
-        # k + 1 is w_k; at (den, den * w) both sides gain the factor den^(2n-2)
-        hit = scan.first_violation(c, [den] + [nums[k] * (den // dens[k]) for k in range(n)])
-        if hit is not None:
-            w = tuple(Fraction(nums[k], dens[k]) for k in range(n))
-            lhs, rhs = _rayleigh_sides(f, c, *hit, (1,) + w)
-            return MeasureRayleighWitness(hit[1] - 1, hit[2] - 1, w, lhs, rhs)
-    return None
+    # Z and its partials at w are those of f at (1, w), whose variable k + 1
+    # is w_k: the numerators of w, then its denominators
+    points = (([1] + _randints(rng, -10 if signed else 1, 10, n), [1] + _randints(rng, 1, 10, n))
+              for _ in range(trials))
+    if (hit := _first_hit(scan, c, points)) is None:
+        return None
+    w, (alpha, i, j) = hit
+    return MeasureRayleighWitness(i - 1, j - 1, w[1:], *_rayleigh_sides(f, c, alpha, i, j, w))
 
 
 def negative_dependence_report(mu: Measure, c: RationalLike = 2,

@@ -4,7 +4,9 @@
 arithmetic, the oracle for the library's quadratic Hessians, and
 ``support_alphas`` the alphas those are taken at; ``euler_pairing``
 is the left side of Euler's identity for homogeneous polynomials;
-``first_rayleigh_violation`` is the oracle for the integer c-Rayleigh scan;
+``first_rayleigh_violation`` is the oracle for the integer c-Rayleigh scan,
+and ``pointwise_first_violation`` runs that scan's compiled checks one point
+at a time, the reference for its column batches (``pointwise`` swaps it in);
 ``normalized_coeff``, ``directional_derive`` and ``bivariate_restriction``
 are views the tests state their expectations in.  ``linear_form`` and
 ``substitute`` build the test polynomials f(Av), and ``log_concavity_probe``
@@ -15,8 +17,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from operator import mul
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from unittest import mock
 
+from lorentz.certify import _RayleighScan
 from lorentz.inertia import SymMatrix
 from lorentz.poly import HomogPoly, RationalLike, as_fraction, factorial_of, unit
 
@@ -96,6 +102,38 @@ def first_rayleigh_violation(f: HomogPoly, c: RationalLike,
             if at(alpha) * at(alpha, i, j) > cf * at(alpha, i) * at(alpha, j):
                 return alpha, i, j, wf
     return None
+
+
+def pointwise_first_violation(scan, c: Fraction, us: Sequence[Sequence[int]]
+                               ) -> Optional[tuple[int, tuple[tuple[int, ...], int, int]]]:
+    """``_RayleighScan.first_violation`` one point at a time: (x, check) for
+    the first integer point ``us[x]`` at which a compiled check of ``scan``
+    fails and the first check failing there, or None.  Each point fills the
+    table and the values one alpha at a time, with plain integers."""
+    num, den = c.numerator, c.denominator
+    for x, u in enumerate(us):
+        table, values = [1], [0]
+        for g in range(len(scan._alphas)):
+            if g == len(scan._groups):
+                scan._compile()
+            size, new, a, checks = scan._groups[g]
+            for p, k in scan._steps[len(table):size]:
+                table.append(table[p] * u[k])
+            values += [sum(map(mul, coefs or repeat(1), map(table.__getitem__, entries)))
+                       for coefs, entries in new]
+            for ai, aj, aij, check in checks:
+                if values[a] * values[aij] * den > num * values[ai] * values[aj]:
+                    return x, check
+    return None
+
+
+T = TypeVar("T")
+
+
+def pointwise(call: Callable[[], T]) -> T:
+    """call() with every ``_RayleighScan`` checking one point at a time."""
+    with mock.patch.object(_RayleighScan, "first_violation", pointwise_first_violation):
+        return call()
 
 
 def normalized_coeff(f: HomogPoly, e: Sequence[int]) -> Fraction:

@@ -1,9 +1,10 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from lorentz import (HomogPoly, Inertia, hodge_riemann_many, is_lorentzian,
                      is_strictly_lorentzian, rayleigh_check_at, rayleigh_falsify)
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
-                             SUPPORT_NOT_M_CONVEX, Certificate,
-                             _coefficient_certificate, _rayleigh_alphas,
+                             SUPPORT_NOT_M_CONVEX, Certificate, _RayleighScan,
+                             _coefficient_certificate, _randints, _rayleigh_alphas,
                              _sampled_points, _support_certificate,
                              _support_inertias)
 from lorentz.inertia import inertia
@@ -22,7 +23,8 @@ from lorentz.serialize import poly_from_dict
 from generators import (random_homog, random_lorentzian_input, random_multiaffine,
                         random_nonneg_matrix, random_positive_fraction)
 from poly_oracles import (directional_derive, first_rayleigh_violation, hessian,
-                          linear_form, log_concavity_probe, substitute, support_alphas)
+                          linear_form, log_concavity_probe, pointwise, substitute,
+                          support_alphas)
 
 MANY_FAIL = Path(__file__).parent / "golden" / "inputs" / "many_fail.json"
 
@@ -388,6 +390,121 @@ def test_rayleigh_scan_matches_fraction_reference_at_the_tight_bound(d):
         _assert_matches_reference(rayleigh_falsify(f, c, trials=40, seed=d), f, c,
                                   _drawn_points(3, 40, d))
         _assert_matches_reference(rayleigh_check_at(f, c, points), f, c, points)
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 4),
+       st.sampled_from(["random", "lorentzian", "multiaffine"]),
+       st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]),
+       st.sampled_from([1, 63, 64, 65, 200]))
+def test_rayleigh_batches_match_pointwise_scan(rng, n, d, kind, c, trials):
+    # the column batches against the compiled checks run one point at a time,
+    # over trial counts that end on, before and after a chunk edge
+    if kind == "random":
+        f = random_homog(rng, n, d, nonneg=True)
+    elif kind == "lorentzian":
+        f = random_lorentzian_input(rng)
+    else:
+        f = random_multiaffine(rng, max(n + 2, d), d)
+    seed = rng.randrange(1000)
+    points = [[Fraction(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(f.nvars)]
+              for _ in range(trials)]
+    for call in (lambda: rayleigh_falsify(f, c, trials, seed),
+                 lambda: rayleigh_check_at(f, c, points)):
+        assert call() == pointwise(call)
+
+
+# x0^2 x1 at c = 0: a check fails where d^alpha f and d^(alpha+e_i+e_j) f are
+# both positive.  At (0, t) nothing fails; (1, 0) fails only at the second
+# alpha, (0, 1); (1, 1) fails at alpha 0, first in its check (0, 0).
+SQUARE_TIMES = HomogPoly(2, 3, {(2, 1): 1})
+LATE, EARLY = [1, 0], [1, 1]
+
+
+def _passing(k):
+    return [[0, x + 1] for x in range(k)]
+
+
+def _assert_batch_witness(points, alpha, i, j, point):
+    wit = rayleigh_check_at(SQUARE_TIMES, 0, points)
+    assert (wit.alpha, wit.i, wit.j, wit.point) == (alpha, i, j, point)
+    _assert_matches_reference(wit, SQUARE_TIMES, 0, points)
+
+
+def test_rayleigh_batch_late_alpha_before_early_alpha():
+    # point 10 fails only in a later alpha group than point 11, in one chunk
+    _assert_batch_witness(_passing(10) + [LATE, EARLY], (0, 1), 0, 0, (1, 0))
+    _assert_batch_witness(_passing(10) + [EARLY, LATE], (0, 0), 0, 0, (1, 1))
+
+
+def test_rayleigh_batch_two_checks_fail_at_one_point():
+    # (0, 0, 0) and (0, 0, 1) both fail at (1, 1): the first check wins
+    for check in (((0, 0), 0, 0), ((0, 0), 0, 1)):
+        assert first_rayleigh_violation(SQUARE_TIMES, 0, [EARLY], [check]) is not None
+    _assert_batch_witness(_passing(5) + [EARLY, EARLY, LATE], (0, 0), 0, 0, (1, 1))
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 6, 7, 62, 63, 126, 127, 190, 191])
+def test_rayleigh_batch_chunk_edges(x):
+    # chunks hold points 0, 1-2, 3-6, ..., 31-62, then 64 each: a violation at
+    # the last point of a chunk or at the first of the next, later ones after it
+    _assert_batch_witness(_passing(x) + [EARLY, [2, 1], [3, 1]], (0, 0), 0, 0, (1, 1))
+    _assert_batch_witness(_passing(x) + [LATE, EARLY], (0, 1), 0, 0, (1, 0))
+
+
+def test_rayleigh_batch_invalid_point_after_violation():
+    # points 63-126 are one chunk: the violation at 70 comes before the bad point
+    _assert_batch_witness(_passing(70) + [EARLY, [1, -1]], (0, 0), 0, 0, (1, 1))
+    _assert_batch_witness(_passing(70) + [EARLY, [1, 0, 0]], (0, 0), 0, 0, (1, 1))
+    with pytest.raises(ValueError, match="point must be nonnegative"):
+        rayleigh_check_at(SQUARE_TIMES, 0, _passing(70) + [[1, -1], EARLY])
+    with pytest.raises(ValueError, match="point has length 3, expected 2"):
+        rayleigh_check_at(SQUARE_TIMES, 0, _passing(70) + [[1, 0, 0], EARLY])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 30, 62, 63, 64, 100, 200])
+def test_rayleigh_draws_stay_lazy(k):
+    # a scan refuted at point k pulls at most max(2k + 1, k + 64) points, in
+    # chunks of 1, 2, 4, ... up to 64
+    pulled, sizes = 0, []
+    batched = _RayleighScan.first_violation
+
+    def points():
+        nonlocal pulled
+        for x in count():
+            pulled += 1
+            yield EARLY if x == k else [0, x + 1]
+
+    def spy(scan, c, us):
+        sizes.append(len(us))
+        return batched(scan, c, us)
+
+    with mock.patch.object(_RayleighScan, "first_violation", spy):
+        assert rayleigh_check_at(SQUARE_TIMES, 0, points()).point == (1, 1)
+    assert k < pulled <= max(2 * k + 1, k + 64)
+    assert sizes == [min(2 ** x, 64) for x in range(len(sizes))] and sum(sizes) == pulled
+
+
+@pytest.mark.parametrize("width", [1, 2, 10, 21, 2 ** 5, 2 ** 5 + 1, 2 ** 31, 2 ** 31 + 1,
+                                   2 ** 64, 2 ** 64 + 1, 10 ** 30])
+def test_randints_draw_as_randint(width):
+    # the same values and the same generator state afterwards as Random.randint
+    for seed in range(40):
+        for lo in (0, 1, -10):
+            ours, ref = random.Random(seed), random.Random(seed)
+            hi = lo + width - 1
+            assert _randints(ours, lo, hi, 25) == [ref.randint(lo, hi) for _ in range(25)]
+            assert ours.getstate() == ref.getstate()
+
+
+def test_randints_draw_as_randrange_two():
+    # the mask draws of rayleigh_falsify
+    for seed in range(200):
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert _randints(ours, 0, 1, 30) == [ref.randrange(2) for _ in range(30)]
+        assert ours.getstate() == ref.getstate()
+        assert _randints(ours, 0, 1, 0) == []
+        assert ours.getstate() == ref.getstate()
 
 
 def test_rayleigh_zero_left_side_fails_only_below_zero():

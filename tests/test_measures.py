@@ -12,7 +12,7 @@ from lorentz.catalog import NAMES, load
 from lorentz.measures import is_ulc, marginal, pair_marginal, rank_sequence
 
 from generators import random_positive_fraction
-from poly_oracles import first_rayleigh_violation, linear_form
+from poly_oracles import first_rayleigh_violation, linear_form, pointwise
 
 
 def bernoulli_product(n):
@@ -245,3 +245,18 @@ def test_report_scans_match_fraction_reference(rng, n, c):
         else:
             assert ref == ((0,) * (n + 1), wit.i + 1, wit.j + 1, (1,) + wit.point)
             assert wit.lhs > wit.rhs
+
+
+@settings(max_examples=30)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.sampled_from([1, 2]),
+       st.sampled_from([1, 63, 64, 65, 200]))
+def test_report_batches_match_pointwise_scan(rng, n, c, trials):
+    # the column batches of both samplings, positive and signed, against the
+    # compiled checks run one point at a time, across chunk edges
+    masks = rng.sample(range(1 << n), rng.randint(1, 1 << n))
+    mu = Measure(n, {m: random_positive_fraction(rng) for m in masks}, normalize=True)
+    seed = rng.randrange(1000)
+
+    def report():
+        return negative_dependence_report(mu, c=c, trials=trials, seed=seed)
+    assert report() == pointwise(report)
