@@ -87,32 +87,45 @@ def _support_inertias(f: HomogPoly) -> Iterator[tuple[Exponent, Inertia]]:
     for the exponents e of f), in order, with the inertia of the Hessian of
     d^alpha f.  One pass over the terms fills every Hessian: entry (i, j)
     over alpha!, with f scaled to integers, is a_e e_i (e_j - [i = j]) for
-    e = alpha + e_i + e_j, a positive multiple that keeps the inertia.  Each
-    is made dense over the indices it touches only for its inertia; the
-    others are zero rows."""
-    hessians: dict[Exponent, dict[tuple[int, int], int]] = {}
+    e = alpha + e_i + e_j, a positive multiple that keeps the inertia.  The
+    Hessians are keyed by the code sum alpha_j (d+1)^(n-1-j): no entry of
+    alpha exceeds d, so codes sort as the alphas do.  Each is made dense
+    over the indices it touches (the others are zero rows), and the
+    inertia is computed once per distinct dense matrix."""
+    n, d = f.nvars, f.degree
+    w = [(d + 1) ** (n - 1 - j) for j in range(n)]
+    hessians: dict[int, tuple[Exponent, dict[tuple[int, int], int]]] = {}
     for e, a in _int_terms(f.terms).items():
+        code = sum(map(mul, e, w))
         nonzero = [i for i, k in enumerate(e) if k]
         for x, i in enumerate(nonzero):
-            ei = e[:i] + (e[i] - 1,) + e[i + 1:]
+            ci, ai = code - w[i], a * e[i]
             for j in nonzero[x:]:
-                if ei[j]:       # i == j needs e_i >= 2
-                    alpha = ei[:j] + (ei[j] - 1,) + ei[j + 1:]
-                    hessians.setdefault(alpha, {})[i, j] = a * e[i] * ei[j]
-    for alpha, entries in sorted(hessians.items()):
+                if k := e[j] - (i == j):        # i == j needs e_i >= 2
+                    if (h := hessians.get(ci - w[j])) is None:     # a new alpha
+                        h = hessians[ci - w[j]] = (
+                            tuple(v - (m == i) - (m == j) for m, v in enumerate(e)), {})
+                    h[1][i, j] = ai * k
+    seen: dict[tuple, Inertia] = {}
+    for _, (alpha, entries) in sorted(hessians.items()):
         at = {k: x for x, k in enumerate(sorted({k for ij in entries for k in ij}))}
         rows = [[0] * len(at) for _ in at]
         for (i, j), v in entries.items():
             rows[at[i]][at[j]] = rows[at[j]][at[i]] = v
-        yield alpha, _inertia_rows(rows, f.nvars)
+        key = tuple(map(tuple, rows))   # before _inertia_rows eliminates the rows
+        sig = seen.get(key)
+        if sig is None:
+            sig = seen[key] = _inertia_rows(rows, n)
+        yield alpha, sig
 
 
 def is_lorentzian(f: HomogPoly, exhaustive: bool = False) -> Certificate:
     """Exact Lorentzian certification.
 
     Scans the degree-(d-2) alphas under the support in lexicographic order,
-    their Hessians built in one integer pass (``_support_inertias``); the
-    others have a zero Hessian and cannot fail.  Short-circuits on the first
+    their Hessians built in one integer pass and each distinct Hessian's
+    inertia computed once (``_support_inertias``); the other alphas have a
+    zero Hessian and cannot fail.  Short-circuits on the first
     failing quadratic unless ``exhaustive``, which collects them all.
     """
     if f.is_zero():
@@ -208,7 +221,7 @@ def _scaled(nums: Sequence[int], dens: Sequence[int]) -> list[int]:
 def _int_terms(terms: Mapping) -> dict:
     """The coefficients times the lcm of their denominators."""
     scale = lcm(*(c.denominator for c in terms.values()))
-    return {e: int(c * scale) for e, c in terms.items()}
+    return {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
 
 
 # -- c-Rayleigh scans ---------------------------------------------------------

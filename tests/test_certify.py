@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import count, product
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 from unittest import mock
 
@@ -10,23 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz import (HomogPoly, Inertia, hodge_riemann_many, is_lorentzian,
-                     is_strictly_lorentzian, rayleigh_check_at, rayleigh_falsify)
+from lorentz import (HomogPoly, Inertia, char_poly_multivariate, hodge_riemann_many,
+                     independent_set_poly, is_lorentzian, is_strictly_lorentzian,
+                     potts_poly, random_m_matrix, rayleigh_check_at, rayleigh_falsify)
+from lorentz import certify
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              SUPPORT_NOT_M_CONVEX, Certificate, _RayleighScan,
-                             _coefficient_certificate, _randints, _rayleigh_alphas,
-                             _sampled_points, _support_certificate,
+                             _coefficient_certificate, _int_terms, _randints,
+                             _rayleigh_alphas, _sampled_points, _support_certificate,
                              _support_inertias)
-from lorentz.inertia import inertia
+from lorentz.inertia import _inertia_rows, inertia
 from lorentz.poly import simplex
-from lorentz.serialize import poly_from_dict
+from lorentz.serialize import graph_matroid_from_dict, matroid_from_dict, poly_from_dict
 from generators import (random_homog, random_lorentzian_input, random_multiaffine,
-                        random_nonneg_matrix, random_positive_fraction)
+                        random_nonneg_matrix, random_positive_fraction, random_small_matroid)
 from poly_oracles import (directional_derive, first_rayleigh_violation, hessian,
                           linear_form, log_concavity_probe, pointwise, substitute,
                           support_alphas)
 
-MANY_FAIL = Path(__file__).parent / "golden" / "inputs" / "many_fail.json"
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+MANY_FAIL = INPUTS / "many_fail.json"
 
 
 def cubic(theta):
@@ -147,25 +150,80 @@ def test_pruned_alphas_are_the_nonzero_hessians():
         assert [alpha for alpha, _ in _support_inertias(f)] == nonzero
 
 
+def fraction_inertias(f):
+    """Each support alpha, in order, with the inertia of the Fraction Hessian of d^alpha f."""
+    return [(alpha, inertia(hessian(f.derive(alpha)))) for alpha in support_alphas(f)]
+
+
 @settings(max_examples=60)
 @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(2, 4),
-       st.sampled_from(["random", "multiaffine", "absent_variable"]))
+       st.sampled_from(["random", "multiaffine", "absent_variable", "symmetric"]))
 def test_support_inertias_match_fraction_hessians(rng, n, d, kind):
     # the one-pass integer Hessians against Fraction second derivatives of
     # d^alpha f: random_homog has squares (i = j entries) and rational
     # coefficients of either sign; an absent variable is a zero row of every
-    # Hessian, and a multi-affine f has a zero diagonal
+    # Hessian, and a multi-affine f has a zero diagonal; a symmetric f repeats
+    # its Hessians, so the scan reuses their inertias
     if kind == "multiaffine":
         f = random_multiaffine(rng, max(n, d), d)
+    elif kind == "symmetric":
+        m = random_small_matroid(rng)
+        f = rng.choice([lambda: potts_poly(m, random_positive_fraction(rng)),
+                        lambda: independent_set_poly(m),
+                        lambda: linear_form([rng.randint(1, 3)] * n) ** d])()
     else:
         f = random_homog(rng, n, d, nonneg=rng.random() < 0.5)
         if kind == "absent_variable":
             k = rng.randint(0, n)
             f = HomogPoly(n + 1, d, {e[:k] + (0,) + e[k:]: c for e, c in f.terms.items()})
-    scanned = list(_support_inertias(f))
-    assert [alpha for alpha, _ in scanned] == support_alphas(f)
-    for alpha, sig in scanned:
-        assert sig == inertia(hessian(f.derive(alpha)))
+    assert list(_support_inertias(f)) == fraction_inertias(f)
+
+
+def fano_potts(q):
+    return potts_poly(matroid_from_dict(json.loads((INPUTS / "fano.json").read_text())), q)
+
+
+@pytest.mark.parametrize("make, alphas, calls", [
+    (lambda: fano_potts(Fraction(1, 2)), 120, 17),
+    (lambda: independent_set_poly(
+        graph_matroid_from_dict(json.loads((INPUTS / "k4_graph.json").read_text()))), 38, 10),
+    (lambda: linear_form([1] * 5) ** 4, 15, 2),
+    # a generic charpoly: every Hessian is distinct
+    (lambda: char_poly_multivariate(random_m_matrix(7, 0, 1)), 120, 120),
+], ids=["fano_potts", "indep_poly_k4", "linear_power", "charpoly_m7"])
+def test_support_inertias_one_call_per_distinct_hessian(make, alphas, calls):
+    # keyed before _inertia_rows eliminates the rows in place: a key taken
+    # after it never matches the next copy of the same Hessian
+    f = make()
+    with mock.patch.object(certify, "_inertia_rows", wraps=_inertia_rows) as spy:
+        scanned = list(_support_inertias(f))
+    assert (len(scanned), spy.call_count) == (alphas, calls)
+
+
+def test_symmetric_refutations_match_fraction_reference():
+    f = fano_potts(3)
+    failures = [(alpha, sig) for alpha, sig in fraction_inertias(f) if sig.n_plus > 1]
+    cert = is_lorentzian(f, exhaustive=True)
+    assert not cert.verdict and len(failures) > 1
+    assert cert.detail["all_failures"] == failures
+    assert (cert.failing_alpha, cert.detail["inertia"]) == failures[0]
+    g = linear_form([1] * 5) ** 4
+    first = next((alpha, sig) for alpha, sig in fraction_inertias(g)
+                 if sig.n_plus != 1 or sig.n_zero != 0)
+    strict = is_strictly_lorentzian(g)
+    assert not strict.verdict and strict.failing_kind == INERTIA_VIOLATION
+    assert (strict.failing_alpha, strict.detail["inertia"]) == first
+
+
+def test_int_terms_match_fraction_products():
+    rng = random.Random(45)
+    for _ in range(200):
+        terms = {(k,): Fraction(rng.randint(-10 ** 60, 10 ** 60),
+                                rng.choice([1, rng.randint(1, 10 ** 6),
+                                            rng.randint(10 ** 50, 10 ** 70)]))
+                 for k in range(rng.randint(1, 6))}
+        scale = lcm(*(c.denominator for c in terms.values()))
+        assert _int_terms(terms) == {e: int(c * scale) for e, c in terms.items()}
 
 
 def test_random_multiaffine_refuses_degree_above_variables():
