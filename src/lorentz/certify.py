@@ -15,13 +15,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from math import lcm
+from math import lcm, prod
 from operator import gt, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .inertia import Inertia, _inertia_rows
 from .mconvex import PointSet, is_m_convex_set
-from .poly import Exponent, HomogPoly, RationalLike, as_fraction, simplex
+from .poly import Exponent, HomogPoly, RationalLike, as_fraction, integer_scaled, simplex
 
 NEGATIVE_COEFFICIENT = "negative_coefficient"
 SUPPORT_NOT_M_CONVEX = "support_not_m_convex"
@@ -82,16 +82,13 @@ def _rayleigh_alphas(f: HomogPoly, top: int) -> list[Exponent]:
     return sorted(below)
 
 
-def _support_inertias(f: HomogPoly) -> Iterator[tuple[Exponent, Inertia]]:
+def _support_hessians(f: HomogPoly) -> list[tuple[Exponent, dict[tuple[int, int], int]]]:
     """Each alpha with |alpha| = d-2 and d^alpha f nonzero (the e - e_i - e_j
-    for the exponents e of f), in order, with the inertia of the Hessian of
-    d^alpha f.  One pass over the terms fills every Hessian: entry (i, j)
-    over alpha!, with f scaled to integers, is a_e e_i (e_j - [i = j]) for
-    e = alpha + e_i + e_j, a positive multiple that keeps the inertia.  The
-    Hessians are keyed by the code sum alpha_j (d+1)^(n-1-j): no entry of
-    alpha exceeds d, so codes sort as the alphas do.  Each is made dense
-    over the indices it touches (the others are zero rows), and the
-    inertia is computed once per distinct dense matrix."""
+    for the exponents e of f), in order, with the entries (i, j), i <= j, of
+    the Hessian of d^alpha f over alpha!, f scaled to integers: a_e e_i
+    (e_j - [i = j]) for e = alpha + e_i + e_j.  One pass over the terms fills
+    them all, keyed by the code sum alpha_j (d+1)^(n-1-j): no entry of alpha
+    exceeds d, so codes sort as the alphas do."""
     n, d = f.nvars, f.degree
     w = [(d + 1) ** (n - 1 - j) for j in range(n)]
     hessians: dict[int, tuple[Exponent, dict[tuple[int, int], int]]] = {}
@@ -106,16 +103,22 @@ def _support_inertias(f: HomogPoly) -> Iterator[tuple[Exponent, Inertia]]:
                         h = hessians[ci - w[j]] = (
                             tuple(v - (m == i) - (m == j) for m, v in enumerate(e)), {})
                     h[1][i, j] = ai * k
+    return [h for _, h in sorted(hessians.items())]
+
+
+def _support_inertias(f: HomogPoly) -> Iterator[tuple[Exponent, Inertia]]:
+    """``_support_hessians`` with the inertia of each Hessian in place of its
+    entries.  Each is made dense over the indices it touches (the others are
+    zero rows), and the inertia is computed once per distinct dense matrix."""
     seen: dict[tuple, Inertia] = {}
-    for _, (alpha, entries) in sorted(hessians.items()):
+    for alpha, entries in _support_hessians(f):
         at = {k: x for x, k in enumerate(sorted({k for ij in entries for k in ij}))}
         rows = [[0] * len(at) for _ in at]
         for (i, j), v in entries.items():
             rows[at[i]][at[j]] = rows[at[j]][at[i]] = v
         key = tuple(map(tuple, rows))   # before _inertia_rows eliminates the rows
-        sig = seen.get(key)
-        if sig is None:
-            sig = seen[key] = _inertia_rows(rows, n)
+        if (sig := seen.get(key)) is None:
+            sig = seen[key] = _inertia_rows(rows, f.nvars)
         yield alpha, sig
 
 
@@ -175,31 +178,28 @@ def hodge_riemann_many(f: HomogPoly,
                        points: Sequence[Sequence[RationalLike]]) -> list[Inertia]:
     """Exact inertia of the Hessian of f at each strictly positive point.
 
-    With f and the point w scaled to integers (f by the lcm of its
-    denominators, u = den * w), D H D for D = diag(u) has the entries
-    sum_e c_e e_i (e_j - [i = j]) u^e: one pass over the terms per point.
-    That matrix is congruent to the Hessian at w times a positive scalar, so
-    by Sylvester's law it has the same inertia.
+    Entry (i, j) of the Hessian at w is sum_e a_e e_i (e_j - [i = j])
+    w^(e - e_i - e_j), so the Hessian is the sum of the support Hessians
+    H_alpha (``_support_hessians``) weighted by w^alpha.  With f and w scaled
+    to integers (u = den * w), the sum of u^alpha H_alpha is a positive
+    multiple of it: the same inertia.
     """
     if f.degree < 2:
         raise ValueError("Hessian test needs degree >= 2")
     n = f.nvars
-    # each coefficient with the (index, power) pairs of its nonzero powers
-    terms = [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in _int_terms(f.terms).items()]
+    hessians = _support_hessians(f)
     out = []
     for w in points:
         u = _scaled(*_integer_point(w, n))
         if any(x <= 0 for x in u):
             raise ValueError("point must be strictly positive")
         rows = [[0] * n for _ in range(n)]
-        for c, nonzero in terms:
-            v = c
-            for i, k in nonzero:
-                v *= u[i] ** k
-            for x, (i, ki) in enumerate(nonzero):
-                rows[i][i] += v * ki * (ki - 1)
-                for j, kj in nonzero[x + 1:]:
-                    rows[i][j] = rows[j][i] = rows[i][j] + v * ki * kj
+        for alpha, entries in hessians:
+            ua = prod(map(pow, u, alpha))
+            for (i, j), v in entries.items():
+                rows[i][j] += ua * v
+        for i in range(1, n):       # the lower triangle from the upper
+            rows[i][:i] = [r[i] for r in rows[:i]]
         out.append(_inertia_rows(rows, n))
     return out
 
@@ -220,8 +220,7 @@ def _scaled(nums: Sequence[int], dens: Sequence[int]) -> list[int]:
 
 def _int_terms(terms: Mapping) -> dict:
     """The coefficients times the lcm of their denominators."""
-    scale = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
+    return dict(zip(terms, integer_scaled(terms.values())[1]))
 
 
 # -- c-Rayleigh scans ---------------------------------------------------------

@@ -14,10 +14,9 @@ operations in all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Sequence
 
-from .poly import RationalLike, as_fraction
+from .poly import RationalLike, as_fraction, integer_scaled
 
 
 class SymMatrix:
@@ -65,15 +64,11 @@ class Inertia:
         return self.n_plus + self.n_minus + self.n_zero
 
 
-def _integer_scaled(m: SymMatrix) -> list[list[int]]:
-    # the matrix times the lcm of its denominators: the same eigenvalue signs
-    scale = lcm(*{x.denominator for row in m.entries for x in row})
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
-
-
 def inertia(m: SymMatrix) -> Inertia:
     """Exact eigenvalue sign counts of a rational symmetric matrix."""
-    return _inertia_rows(_integer_scaled(m), m.n)
+    # the matrix times the lcm of its denominators: the same eigenvalue signs
+    n, flat = m.n, integer_scaled([x for row in m.entries for x in row])[1]
+    return _inertia_rows([flat[i * n:(i + 1) * n] for i in range(n)], n)
 
 
 def _inertia_rows(a: list[list[int]], n: int) -> Inertia:

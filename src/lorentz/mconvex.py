@@ -23,7 +23,7 @@ from operator import mul, or_
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .poly import (Exponent, HomogPoly, RationalLike, as_fraction,
-                   factorial_of, multi_affine_lifts, simplex)
+                   factorial_of, integer_scaled, multi_affine_lifts, simplex)
 
 SetWitness = tuple[Exponent, Exponent, int]
 FnWitness = tuple[Exponent, Exponent]
@@ -155,8 +155,7 @@ def is_m_convex_function(nu: DiscreteFunction) -> tuple[bool, Optional[FnWitness
     pts, n = list(nu.values), nu.nvars
     w = [(nu.degree + 1) ** j for j in range(n)]
     index = {sum(map(mul, p, w)): k for k, p in enumerate(pts)}
-    scale = math.lcm(*(v.denominator for v in nu.values.values()))
-    val = [v.numerator * (scale // v.denominator) for v in nu.values.values()]
+    val = integer_scaled(nu.values.values())[1]
     # for i <= j: the code shift of each b = a - e_i - e_j + e_k + e_l (k <= l,
     # {k, l} apart from {i, j}), and the shifts e_y - e_x of its exchanges
     pairs = [(i, j) for i in range(n) for j in range(i, n)]

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
-from .poly import HomogPoly, RationalLike, as_fraction
+from .poly import HomogPoly, RationalLike, as_fraction, integer_scaled
 
 
 class SquareMatrix:
@@ -57,9 +56,9 @@ def bareiss_determinant(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
         frow = [as_fraction(x) for x in row]
         if len(frow) != n:
             raise ValueError("matrix is not square")
-        den = lcm(*(x.denominator for x in frow))
+        den, ints = integer_scaled(frow)
         scale *= den
-        work.append([int(x * den) for x in frow])
+        work.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -99,14 +98,14 @@ def _principal_minors(a: SquareMatrix) -> list[Fraction]:
     ``principal_minor``.
     """
     n = a.n
-    scales = [lcm(*(x.denominator for x in row)) for row in a.entries]
+    scaled = [integer_scaled(row) for row in a.entries]
     minors = [Fraction(1)] * (1 << n)
 
     def walk(mask: int, first: int, det: int, scale: int, table: list[list[int]]) -> None:
         # table[i][j] = det B[S + (first+i), S + (first+j)], where det = det B[S]
         for k, row in enumerate(table):
             p = first + k
-            pivot, child, child_scale = row[k], mask | 1 << p, scale * scales[p]
+            pivot, child, child_scale = row[k], mask | 1 << p, scale * scaled[p][0]
             minors[child] = Fraction(pivot, child_scale)
             if pivot:
                 walk(child, p + 1, pivot, child_scale,
@@ -117,7 +116,7 @@ def _principal_minors(a: SquareMatrix) -> list[Fraction]:
                     sub = child | rest << (p + 1)
                     minors[sub] = principal_minor(a, [i for i in range(n) if sub >> i & 1])
 
-    walk(0, 0, 1, 1, [[int(x * s) for x in row] for row, s in zip(a.entries, scales)])
+    walk(0, 0, 1, 1, [row for _, row in scaled])
     return minors
 
 

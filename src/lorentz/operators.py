@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 from .mconvex import _floor_nth_root, rational_power
 from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, factorial_of,
-                   multi_affine_lifts, unit)
+                   integer_scaled, multi_affine_lifts, unit)
 
 
 def _check_caps(f: HomogPoly, kappa: Sequence[int]) -> None:
@@ -62,8 +62,8 @@ def _fraction_sum(xs: list[Fraction]) -> Fraction:
     """The exact sum, added in integers over the lcm of the denominators."""
     if len(xs) == 1:
         return xs[0]
-    den = math.lcm(*[x.denominator for x in xs])
-    return Fraction(sum([x.numerator * (den // x.denominator) for x in xs]), den)
+    den, nums = integer_scaled(xs)
+    return Fraction(sum(nums), den)
 
 
 def normalize(f: HomogPoly) -> HomogPoly:
@@ -230,9 +230,10 @@ def apply_operator(table: OperatorTable, f: HomogPoly) -> HomogPoly:
     out_deg = f.degree + table.ell
     if out_deg < 0:
         return HomogPoly.zero(table.nvars_out, 0)
-    out = HomogPoly.zero(table.nvars_out, out_deg)
+    out: dict[Exponent, Fraction] = {}
     for e, c in f.terms.items():
         g = table.images.get(e)
         if g is not None:
-            out = out + c * g
-    return out
+            for x, v in g.terms.items():
+                out[x] = out.get(x, 0) + c * v
+    return HomogPoly._of(table.nvars_out, out_deg, out)

@@ -10,9 +10,9 @@ Two coefficient conventions coexist:
   raw coefficient   a_e : the number multiplying w^e,
   normalized        c_e = e! * a_e, so that  f = sum c_e/e! w^e.
 
-Raw coefficients are stored; the normalized form is an accessor.  This keeps
-storage free of factorials while the normalized form matches the inequalities
-the certifiers work with.
+Raw coefficients are stored, which keeps storage free of factorials.  No
+normalized form is kept: code that works with it computes e! * a_e where it
+needs it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -33,6 +33,12 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def integer_scaled(xs: Collection[Fraction | int]) -> tuple[int, list[int]]:
+    """(den, [den * x for x in xs]), den the lcm of the denominators; (1, []) for no xs."""
+    den = math.lcm(*{x.denominator for x in xs})
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def factorial_of(e: Exponent) -> int:

@@ -333,20 +333,33 @@ def test_hodge_riemann_on_random_lorentzian():
         assert hodge_riemann_many(f, [w])[0].n_plus == 1
 
 
-def _positive_points(rng, n, count=3):
-    # denominators up to 12, so a point's coordinates rarely share one
+def _positive_points(rng, n, count=3, huge=False):
+    # denominators up to 12, so a point's coordinates rarely share one; or
+    # 60-digit numerators and denominators
+    if huge:
+        return [[Fraction(rng.randint(1, 10 ** 61), rng.randint(10 ** 59, 10 ** 60))
+                 for _ in range(n)] for _ in range(count)]
     return [[random_positive_fraction(rng, hi=9, max_den=12) for _ in range(n)]
             for _ in range(count)]
 
 
 @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(2, 4),
-       st.booleans())
-def test_hodge_riemann_matches_fraction_hessian(rng, n, d, lorentzian):
-    # the integer pass against the Hessian of Fraction second derivatives
-    f = random_lorentzian_input(rng) if lorentzian else random_homog(rng, n, d)
+       st.sampled_from(["random", "lorentzian", "symmetric", "quadratic"]), st.booleans())
+def test_hodge_riemann_matches_fraction_hessian(rng, n, d, kind, huge):
+    # the support Hessians weighted by u^alpha against the Hessian of
+    # Fraction second derivatives: a symmetric f repeats its support
+    # Hessians, and a quadratic has the single alpha 0
+    if kind == "lorentzian":
+        f = random_lorentzian_input(rng)
+    elif kind == "symmetric":
+        f = rng.choice([lambda: potts_poly(random_small_matroid(rng),
+                                           random_positive_fraction(rng)),
+                        lambda: linear_form([rng.randint(1, 3)] * n) ** d])()
+    else:
+        f = random_homog(rng, n, 2 if kind == "quadratic" else d)
     if f.degree < 2:
         return
-    points = _positive_points(rng, f.nvars)
+    points = _positive_points(rng, f.nvars, huge=huge)
     assert hodge_riemann_many(f, points) == [inertia(hessian(f, at=w)) for w in points]
 
 

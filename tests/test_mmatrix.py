@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -32,6 +33,28 @@ def test_principal_minor():
         principal_minor(a, [5])
 
 
+def permutation_det(rows):
+    """The determinant by expansion over permutations, in Fractions: an
+    oracle independent of elimination."""
+    n = len(rows)
+    expect = Fraction(0)
+    for perm in permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for i in range(n):
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                if j != i and not seen[j]:
+                    sign = -sign
+        term = Fraction(1)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        expect += sign * term
+    return expect
+
+
 def test_bareiss_determinant():
     assert bareiss_determinant([[1, 2], [3, 4]]) == -2
     assert bareiss_determinant([[0, 1], [1, 0]]) == -1
@@ -42,25 +65,22 @@ def test_bareiss_determinant():
         n = rng.randint(1, 5)
         rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                  for _ in range(n)] for _ in range(n)]
-        # expansion by permutations as an independent oracle
-        from itertools import permutations
-        expect = Fraction(0)
-        for perm in permutations(range(n)):
-            sign = 1
-            seen = [False] * n
-            p = list(perm)
-            for i in range(n):
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = p[j]
-                    if j != i and not seen[j]:
-                        sign = -sign
-            term = Fraction(1)
-            for i in range(n):
-                term *= rows[i][perm[i]]
-            expect += sign * term
-        assert bareiss_determinant(rows) == expect
+        assert bareiss_determinant(rows) == permutation_det(rows)
+
+
+def test_determinants_with_huge_denominators():
+    # each row is scaled by the lcm of its denominators, of 50 to 70 digits
+    rng = random.Random(73)
+    for n in range(1, 6):
+        rows = [[rng.choice([0, rng.randint(-9, 9),
+                             Fraction(rng.randint(-10 ** 60, 10 ** 60),
+                                      rng.randint(10 ** 50, 10 ** 70))]) for _ in range(n)]
+                for _ in range(n)]
+        assert bareiss_determinant(rows) == permutation_det(rows)
+        minors = _principal_minors(SquareMatrix(rows))
+        for mask, value in enumerate(minors):
+            keep = [i for i in range(n) if mask >> i & 1]
+            assert value == permutation_det([[rows[i][j] for j in keep] for i in keep]), mask
 
 
 def test_char_poly_multivariate_examples():

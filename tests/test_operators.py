@@ -9,7 +9,7 @@ from lorentz import (HomogPoly, OperatorTable, apply_operator,
                      normalize, nuij_transform, polarize, project, symbol)
 from lorentz.mconvex import DiscreteFunction
 
-from generators import random_lorentzian_input, random_positive_fraction
+from generators import random_homog, random_lorentzian_input, random_positive_fraction
 from poly_oracles import linear_form, normalized_coeff
 
 
@@ -230,6 +230,38 @@ def test_apply_operator():
         HomogPoly(1, 2, {(2,): Fraction(1, 2)})
     with pytest.raises(ValueError):
         apply_operator(identity_table((1,)), HomogPoly(1, 2, {(2,): 1}))
+
+
+def apply_by_terms(table, f):
+    """The old per-term sum: one polynomial ``+`` per term of f."""
+    out = HomogPoly.zero(table.nvars_out, f.degree + table.ell)
+    for e, c in f.terms.items():
+        g = table.images.get(e)
+        if g is not None:
+            out = out + c * g
+    return out
+
+
+def test_apply_operator_matches_per_term_sum():
+    rng = random.Random(58)
+    for _ in range(200):
+        n, m, ell, d = rng.randint(1, 3), rng.randint(1, 3), rng.randint(-1, 2), rng.randint(1, 3)
+        kappa = tuple(rng.randint(1, 3) for _ in range(n))
+        f = random_homog(rng, n, d, density=0.8)
+        f = HomogPoly(n, d, {e: c for e, c in f.terms.items()
+                             if all(k <= cap for k, cap in zip(e, kappa))})
+        images = {e: random_homog(rng, m, d + ell, density=0.5)
+                  for e in f.terms if d + ell >= 0 and rng.random() < 0.8}
+        if len(images) >= 2 and rng.random() < 0.7:
+            # images that cancel: c_a T(w^a) + c_b T(w^b) = 0, whole or in part
+            (a, ga), (b, _) = rng.sample(sorted(images.items()), 2)
+            images[b] = -(f.terms[a] / f.terms[b]) * ga
+            if rng.random() < 0.5:
+                images[b] = images[b] + random_homog(rng, m, d + ell, density=0.3)
+        table = OperatorTable(kappa, ell, images, nvars_out=m)
+        g = apply_operator(table, f)
+        assert g == apply_by_terms(table, f)
+        assert all(type(c) is Fraction and c for c in g.terms.values())
 
 
 def test_operator_table_validation():

@@ -48,23 +48,46 @@ def _makes_float(node: ast.AST) -> bool:
     return isinstance(f, ast.Name) and f.id in FLOAT_CALLS
 
 
-def _float_sites(node: ast.AST, module: str, where: str = "") -> list[str]:
-    """``module.name`` of the top-level definition around each float, or the
-    module and line outside any."""
+def _sites(node: ast.AST, module: str, hit, where: str = "") -> list[str]:
+    """``module.name`` of the top-level definition around each node for
+    which ``hit`` holds, or the module and line outside any."""
     found = []
     for child in ast.iter_child_nodes(node):
         at = where
         if not at and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             at = f"{module}.{child.name}"
-        if _makes_float(child):
+        if hit(child):
             found.append(at or f"{module}:{child.lineno}")
-        found += _float_sites(child, module, at)
+        found += _sites(child, module, hit, at)
     return found
+
+
+def _library_sites(hit) -> set[str]:
+    return {site for path in SOURCES
+            for site in _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, hit)}
 
 
 def test_floats_only_where_the_library_allows_them():
     # every verdict is exact: no float reaches a decision
-    found = {site for path in SOURCES
-             for site in _float_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)}
+    found = _library_sites(_makes_float)
     assert found <= FLOAT_SITES, sorted(found - FLOAT_SITES)
     assert found == FLOAT_SITES     # the allowed sites still exist: the list stays exact
+
+
+# the only places that scale rationals to integers by the lcm of their
+# denominators: the shared helper, and the point scaling that works on raw
+# (numerator, denominator) pairs without building Fractions
+LCM_SITES = {"poly.integer_scaled", "certify._scaled"}
+
+
+def _calls_lcm(node: ast.AST) -> bool:
+    """A call of ``lcm`` or ``math.lcm``."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id == "lcm") or (
+        isinstance(f, ast.Attribute) and f.attr == "lcm")
+
+
+def test_lcm_scaling_lives_in_one_helper():
+    assert _library_sites(_calls_lcm) == LCM_SITES

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz.poly import HomogPoly, first_ulc_failure, simplex, unit
+from lorentz.poly import HomogPoly, first_ulc_failure, integer_scaled, simplex, unit
 
 from generators import random_fraction, random_homog, random_nonneg_matrix
 from poly_oracles import (bivariate_restriction, directional_derive, euler_pairing, hessian,
@@ -18,6 +18,24 @@ def test_simplex_size():
     assert list(simplex(2, 1)) == [(0, 1), (1, 0)]
     assert list(simplex(1, 4)) == [(4,)]
     assert list(simplex(3, 0)) == [(0, 0, 0)]
+
+
+def test_integer_scaled_matches_fraction_products():
+    assert integer_scaled([]) == (1, [])
+    assert integer_scaled([0, 3, -2]) == (1, [0, 3, -2])     # ints, as SymMatrix keeps them
+    assert integer_scaled([Fraction(-1, 6), 0, Fraction(3, 4)]) == (12, [-2, 0, 9])
+    rng = random.Random(46)
+    for _ in range(200):
+        xs = [rng.choice([0, rng.randint(-9, 9),
+                          Fraction(rng.randint(-10 ** 60, 10 ** 60),
+                                   rng.choice([1, rng.randint(1, 10 ** 6),
+                                               rng.randint(10 ** 50, 10 ** 70)]))])
+              for _ in range(rng.randint(0, 6))]
+        den = lcm(*(Fraction(x).denominator for x in xs))
+        scaled = [x * den for x in xs]
+        got = integer_scaled(xs)
+        assert got == (den, scaled) and {type(x) for x in got[1]} <= {int}
+        assert integer_scaled(dict(enumerate(xs)).values()) == got
 
 
 def test_constructor_rejects_bad_terms():
