@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .inertia import Inertia, _inertia_rows
 from .mconvex import PointSet, is_m_convex_set
-from .poly import Exponent, HomogPoly, RationalLike, as_fraction, integer_scaled, simplex
+from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, code_weights,
+                   integer_scaled, simplex)
 
 NEGATIVE_COEFFICIENT = "negative_coefficient"
 SUPPORT_NOT_M_CONVEX = "support_not_m_convex"
@@ -87,10 +88,9 @@ def _support_hessians(f: HomogPoly) -> list[tuple[Exponent, dict[tuple[int, int]
     for the exponents e of f), in order, with the entries (i, j), i <= j, of
     the Hessian of d^alpha f over alpha!, f scaled to integers: a_e e_i
     (e_j - [i = j]) for e = alpha + e_i + e_j.  One pass over the terms fills
-    them all, keyed by the code sum alpha_j (d+1)^(n-1-j): no entry of alpha
-    exceeds d, so codes sort as the alphas do."""
-    n, d = f.nvars, f.degree
-    w = [(d + 1) ** (n - 1 - j) for j in range(n)]
+    them all, keyed by the integer code of e (``code_weights``), which sorts
+    as the exponents do and gives alpha the code code(e) - w_i - w_j."""
+    w = code_weights(f.nvars, f.degree)
     hessians: dict[int, tuple[Exponent, dict[tuple[int, int], int]]] = {}
     for e, a in _int_terms(f.terms).items():
         code = sum(map(mul, e, w))

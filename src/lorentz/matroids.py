@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 from typing import Iterable, Sequence
 
 from .mconvex import PointSet, is_matroid_basis_family
@@ -33,7 +34,7 @@ class ExchangeError(ValueError):
 def _mask(subset: Iterable[int], n: int) -> int:
     m = 0
     for i in subset:
-        i = int(i)
+        i = index(i)
         if not 0 <= i < n:
             raise ValueError(f"element {i} out of range for ground set of size {n}")
         m |= 1 << i
@@ -224,7 +225,7 @@ def cycle_matroid(num_vertices: int, edges: Sequence[Sequence[int]]) -> Matroid:
     m = len(edges)
     pairs = []
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        u, v = index(e[0]), index(e[1])
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise ValueError(f"edge {e} out of range")
         pairs.append((u, v))

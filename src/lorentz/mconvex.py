@@ -10,8 +10,8 @@ alpha - e_i + e_j in J.  For functions with M-convex domain, the local
 exchange property over pairs at l1-distance 4 is checked, which is
 equivalent to the full symmetric exchange property.
 
-Both checks find a point by its code, the sum of p_j (d+1)^j: no entry exceeds
-d, so alpha - e_i + e_j (alpha_i > 0) has code(alpha) - (d+1)^i + (d+1)^j.
+Both checks find a point by its integer code (``poly.code_weights``), so that
+alpha - e_i + e_j (alpha_i > 0) is found from code(alpha) by one sum.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul, or_
+from operator import index, mul, or_
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .poly import (Exponent, HomogPoly, RationalLike, as_fraction,
-                   factorial_of, integer_scaled, multi_affine_lifts, simplex)
+from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, check_exponents,
+                   code_weights, factorial_of, integer_scaled, multi_affine_lifts, simplex)
 
 SetWitness = tuple[Exponent, Exponent, int]
 FnWitness = tuple[Exponent, Exponent]
@@ -31,7 +31,7 @@ FnWitness = tuple[Exponent, Exponent]
 
 def _check_sizes(nvars: int, degree: int) -> None:
     for name, size in (("nvars", nvars), ("degree", degree)):
-        if size < 0:
+        if index(size) < 0:
             raise ValueError(f"{name} must be nonnegative, got {size}")
 
 
@@ -42,17 +42,11 @@ class PointSet:
 
     def __init__(self, nvars: int, degree: int, points: Iterable[Sequence[int]]):
         _check_sizes(nvars, degree)
-        pts = frozenset(tuple(int(k) for k in p) for p in points)
-        for p in pts:
-            if len(p) != nvars:
-                raise ValueError(f"point {p} has length {len(p)}, expected {nvars}")
-            if any(k < 0 for k in p):
-                raise ValueError(f"negative entry in {p}")
-            if sum(p) != degree:
-                raise ValueError(f"point {p} has degree {sum(p)}, expected {degree}")
+        pts = [tuple(map(index, p)) for p in points]
+        check_exponents(pts, nvars, degree)
         self.nvars = nvars
         self.degree = degree
-        self.points = pts
+        self.points = frozenset(pts)
 
     def __eq__(self, other):
         if not isinstance(other, PointSet):
@@ -72,15 +66,11 @@ class DiscreteFunction:
     def __init__(self, nvars: int, degree: int,
                  values: Mapping[Sequence[int], RationalLike]):
         _check_sizes(nvars, degree)
-        vals: dict[Exponent, Fraction] = {}
-        for p, v in values.items():
-            p = tuple(int(k) for k in p)
-            if len(p) != nvars or any(k < 0 for k in p) or sum(p) != degree:
-                raise ValueError(f"point {p} is not in the degree-{degree} simplex")
-            vals[p] = as_fraction(v)
+        pts = [tuple(map(index, p)) for p in values]
+        check_exponents(pts, nvars, degree)
         self.nvars = nvars
         self.degree = degree
-        self.values = vals
+        self.values = dict(zip(pts, map(as_fraction, values.values())))
 
     def domain(self) -> PointSet:
         return PointSet(self.nvars, self.degree, self.values.keys())
@@ -101,7 +91,7 @@ def is_m_convex_set(ps: PointSet) -> tuple[bool, Optional[SetWitness]]:
     On failure returns the violating (alpha, beta, i) that a loop over alpha,
     then beta, then i, each in the set's iteration order, meets first.
     """
-    w = [(ps.degree + 1) ** j for j in range(ps.nvars)]
+    w = code_weights(ps.nvars, ps.degree)
     codes = {sum(map(mul, p, w)): p for p in ps.points}
     order = list(codes.values())
     # below[j][v]: the points beta with beta_j < v, as a bitset over order
@@ -153,8 +143,8 @@ def is_m_convex_function(nu: DiscreteFunction) -> tuple[bool, Optional[FnWitness
     if not dom_ok:
         return False, (wit[0], wit[1])
     pts, n = list(nu.values), nu.nvars
-    w = [(nu.degree + 1) ** j for j in range(n)]
-    index = {sum(map(mul, p, w)): k for k, p in enumerate(pts)}
+    w = code_weights(n, nu.degree)
+    at = {sum(map(mul, p, w)): k for k, p in enumerate(pts)}
     val = integer_scaled(nu.values.values())[1]
     # for i <= j: the code shift of each b = a - e_i - e_j + e_k + e_l (k <= l,
     # {k, l} apart from {i, j}), and the shifts e_y - e_x of its exchanges
@@ -162,15 +152,15 @@ def is_m_convex_function(nu: DiscreteFunction) -> tuple[bool, Optional[FnWitness
     moves = [(i, j, [(w[k] + w[l] - w[i] - w[j],
                       {w[y] - w[x] for x in (i, j) for y in (k, l)})
                      for k, l in pairs if not {i, j} & {k, l}]) for i, j in pairs]
-    for a, (alpha, ca) in enumerate(zip(pts, index)):
+    for a, (alpha, ca) in enumerate(zip(pts, at)):
         first = len(pts)    # the first b after a, in the order of pts, that fails
         for i, j, shifts in moves:
             if alpha[i] > (i == j) and alpha[j]:     # a - e_i - e_j >= 0
                 for shift, swaps in shifts:
-                    b = index.get(cb := ca + shift, -1)
+                    b = at.get(cb := ca + shift, -1)
                     if a < b < first and not any(
-                            val[index[ca + s]] + val[index[cb - s]] <= val[a] + val[b]
-                            for s in swaps if ca + s in index and cb - s in index):
+                            val[at[ca + s]] + val[at[cb - s]] <= val[a] + val[b]
+                            for s in swaps if ca + s in at and cb - s in at):
                         first = b
         if first < len(pts):
             return False, (alpha, pts[first])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
 from .poly import HomogPoly, RationalLike, as_fraction, integer_scaled
@@ -80,7 +81,7 @@ def bareiss_determinant(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
 
 def principal_minor(a: SquareMatrix, subset: Iterable[int]) -> Fraction:
     """det of the S x S principal submatrix; the empty minor is 1."""
-    keep = sorted(set(int(i) for i in subset))
+    keep = sorted(set(map(index, subset)))
     if keep and (keep[0] < 0 or keep[-1] >= a.n):
         raise ValueError(f"subset {keep} out of range for n={a.n}")
     return bareiss_determinant([[a.entries[i][j] for j in keep] for i in keep])

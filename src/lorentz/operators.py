@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, product
+from operator import index
 from typing import Mapping, Optional, Sequence
 
 from .mconvex import _floor_nth_root, rational_power
 from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, factorial_of,
-                   integer_scaled, multi_affine_lifts, unit)
+                   integer_scaled, multi_affine_lifts)
 
 
 def _check_caps(f: HomogPoly, kappa: Sequence[int]) -> None:
@@ -32,7 +33,7 @@ def _check_caps(f: HomogPoly, kappa: Sequence[int]) -> None:
 def polarize(f: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
     """Multi-affine lift: w^a maps to the degree-a_i elementary symmetric
     polynomial of each group, divided by C(kappa, a)."""
-    kappa = tuple(int(k) for k in kappa)
+    kappa = tuple(map(index, kappa))
     _check_caps(f, kappa)
     out: dict[Exponent, Fraction] = {}
     for e, c in f.terms.items():
@@ -44,7 +45,7 @@ def polarize(f: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
 
 def project(g: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
     """Substitute every variable of group i by w_i; inverse of polarize."""
-    kappa = tuple(int(k) for k in kappa)
+    kappa = tuple(map(index, kappa))
     offsets = [0, *accumulate(kappa)]
     if g.nvars != offsets[-1]:
         raise ValueError(f"expected {offsets[-1]} grouped variables, got {g.nvars}")
@@ -100,7 +101,7 @@ def coefficient_power(f: HomogPoly, p: RationalLike) -> tuple[HomogPoly, bool]:
             exact = False
             powered = _approx_power(cn, pf)
         terms[e] = powered / factorial_of(e)
-    return HomogPoly(f.nvars, f.degree, terms), exact
+    return HomogPoly._of(f.nvars, f.degree, terms), exact
 
 
 def _approx_power(c: Fraction, p: Fraction) -> Fraction:
@@ -146,17 +147,17 @@ def nuij_transform(f: HomogPoly, theta: RationalLike) -> HomogPoly:
     if th <= 0:
         raise ValueError("theta must be positive")
     n, d = f.nvars, f.degree
-    if n == 0:
-        return f
-    last = n - 1
-    out = f
-    for i in range(n - 1):
+    last, terms = n - 1, f.terms
+    for i in range(last):
         for _ in range(d):
-            bumped = out.derive(unit(n, last))
-            shifted = {tuple(e[:i] + (e[i] + 1,) + e[i + 1:]): th * c
-                       for e, c in bumped.terms.items()}
-            out = out + HomogPoly(n, d, shifted)
-    return out
+            # one step adds theta w_i d_n: w^e gains theta e_n w^(e + e_i - e_n)
+            out = dict(terms)
+            for e, c in terms.items():
+                if k := e[last]:
+                    b = e[:i] + (e[i] + 1,) + e[i + 1:last] + (k - 1,)
+                    out[b] = out.get(b, 0) + th * k * c
+            terms = {e: c for e, c in out.items() if c}
+    return HomogPoly._of(n, d, terms)
 
 
 class OperatorTable:
@@ -171,14 +172,14 @@ class OperatorTable:
     def __init__(self, kappa: Sequence[int], ell: int,
                  images: Mapping[Sequence[int], HomogPoly],
                  nvars_out: Optional[int] = None):
-        self.kappa = tuple(int(k) for k in kappa)
+        self.kappa = tuple(map(index, kappa))
         if any(k < 0 for k in self.kappa):
             raise ValueError("kappa entries must be nonnegative")
-        self.ell = int(ell)
+        self.ell = index(ell)
         clean: dict[Exponent, HomogPoly] = {}
         m = nvars_out
         for e, g in images.items():
-            e = tuple(int(k) for k in e)
+            e = tuple(map(index, e))
             if len(e) != len(self.kappa) or any(a < 0 or a > k for a, k in zip(e, self.kappa)):
                 raise ValueError(f"monomial {e} is not within the cap {self.kappa}")
             if g.is_zero():

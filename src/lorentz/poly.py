@@ -21,6 +21,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
+from operator import index
 from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
@@ -44,12 +45,6 @@ def integer_scaled(xs: Collection[Fraction | int]) -> tuple[int, list[int]]:
 def factorial_of(e: Exponent) -> int:
     """e! = prod of factorials of the entries."""
     return math.prod(map(math.factorial, e))
-
-
-def unit(n: int, i: int) -> Exponent:
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
 
 
 @cache
@@ -87,6 +82,28 @@ def simplex(n: int, d: int) -> Iterator[Exponent]:
         yield tuple(e)
 
 
+def check_exponents(exps: Collection[Sequence[int]], n: int, d: int) -> None:
+    """Refuse exponents off the degree-d simplex in n variables (of length n,
+    sum d, no negative entry), naming the first bad one in iteration order."""
+    if (set(map(len, exps)) <= {n} and set(map(sum, exps)) <= {d}
+            and min(chain.from_iterable(exps), default=0) >= 0):
+        return
+    for e in exps:
+        if len(e) != n:
+            raise ValueError(f"exponent {e} has length {len(e)}, expected {n}")
+        if min(e, default=0) < 0:
+            raise ValueError(f"negative exponent in {e}")
+        if sum(e) != d:
+            raise ValueError(f"exponent {e} has degree {sum(e)}, expected {d}")
+
+
+def code_weights(n: int, d: int) -> list[int]:
+    """The weights w_j = (d+1)^(n-1-j) of the integer code sum e_j w_j of an exponent
+    e of degree at most d: no entry exceeds d, so codes have no carries and sort as
+    the exponents do, and e - e_i + e_j has the code code(e) - w_i + w_j."""
+    return [(d + 1) ** (n - 1 - j) for j in range(n)]
+
+
 def first_ulc_failure(seq: Sequence, n: int) -> Optional[int]:
     """First k in 1..n-1 with s_k^2 C(n,k-1) C(n,k+1) < s_(k-1) s_(k+1) C(n,k)^2.
 
@@ -111,24 +128,14 @@ class HomogPoly:
 
     def __init__(self, nvars: int, degree: int,
                  terms: Mapping[Sequence[int], RationalLike] | None = None):
+        nvars, degree, terms = index(nvars), index(degree), terms or {}
         if nvars < 0 or degree < 0:
             raise ValueError("nvars and degree must be nonnegative")
-        clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                e = tuple(int(k) for k in e)
-                if len(e) != nvars:
-                    raise ValueError(f"exponent {e} has length {len(e)}, expected {nvars}")
-                if any(k < 0 for k in e):
-                    raise ValueError(f"negative exponent in {e}")
-                if sum(e) != degree:
-                    raise ValueError(f"exponent {e} has degree {sum(e)}, expected {degree}")
-                c = as_fraction(c)
-                if c != 0:
-                    clean[e] = c
+        exps = [tuple(map(index, e)) for e in terms]
+        check_exponents(exps, nvars, degree)
         self.nvars = nvars
         self.degree = degree
-        self.terms = clean
+        self.terms = {e: c for e, c in zip(exps, map(as_fraction, terms.values())) if c}
 
     # -- constructors -------------------------------------------------
 
@@ -230,12 +237,12 @@ class HomogPoly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return HomogPoly(self.nvars, self.degree + other.degree, out)
+        return HomogPoly._of(self.nvars, self.degree + other.degree, out)
 
     def __pow__(self, k: int) -> "HomogPoly":
         if k < 0:
             raise ValueError("negative power")
-        out = HomogPoly(self.nvars, 0, {(0,) * self.nvars: 1})
+        out = HomogPoly._of(self.nvars, 0, {(0,) * self.nvars: Fraction(1)})
         for _ in range(k):
             out = out * self
         return out
@@ -261,12 +268,9 @@ class HomogPoly:
 
         Normalized coefficients satisfy c_b(d^a f) = c_{a+b}(f).
         """
-        alpha = tuple(int(k) for k in alpha)
-        if len(alpha) != self.nvars:
-            raise ValueError("alpha has wrong length")
-        if any(k < 0 for k in alpha):
-            raise ValueError("negative entry in alpha")
+        alpha = tuple(map(index, alpha))
         a = sum(alpha)
+        check_exponents((alpha,), self.nvars, a)
         if a > self.degree:
             raise ValueError(f"|alpha|={a} exceeds degree {self.degree}")
         need = [(i, k) for i, k in enumerate(alpha) if k]

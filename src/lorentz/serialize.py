@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
 from typing import Any, Optional
 
 from .matroids import Matroid, cycle_matroid, matroid_from_bases
@@ -21,7 +20,7 @@ from .mconvex import DiscreteFunction
 from .measures import Measure
 from .mmatrix import SquareMatrix
 from .operators import OperatorTable
-from .poly import HomogPoly
+from .poly import HomogPoly, check_exponents
 
 
 class LoadError(ValueError):
@@ -123,9 +122,9 @@ def poly_from_dict(obj: dict, where: str = "polynomial") -> HomogPoly:
             c = _fraction_from_parts(t, at)
         old = terms.get(exp)
         terms[exp] = c if old is None else old + c
-    if not (n >= 0 and d >= 0 and set(map(len, terms)) <= {n} and set(map(sum, terms)) <= {d}
-            and min(chain.from_iterable(terms), default=0) >= 0):
-        _build(where, HomogPoly, n, d, terms)     # raises, naming the first bad exponent
+    if n < 0 or d < 0:
+        raise LoadError(f"{where}: nvars and degree must be nonnegative")
+    _build(where, check_exponents, terms, n, d)
     return HomogPoly._of(n, d, terms)
 
 

@@ -10,7 +10,10 @@ at a time, the reference for its column batches (``pointwise`` swaps it in);
 ``normalized_coeff``, ``directional_derive`` and ``bivariate_restriction``
 are views the tests state their expectations in.  ``linear_form`` and
 ``substitute`` build the test polynomials f(Av), and ``log_concavity_probe``
-is a float cross-check of the exact inertia verdicts.
+is a float cross-check of the exact inertia verdicts.  ``first_bad_exponent``
+is the per-exponent loop that ``poly.check_exponents`` must agree with,
+``nuij_by_steps`` the step-by-step body of ``operators.nuij_transform``, and
+``unit(n, i)`` the exponent of w_i.
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ from unittest import mock
 
 from lorentz.certify import _RayleighScan
 from lorentz.inertia import SymMatrix
-from lorentz.poly import HomogPoly, RationalLike, as_fraction, factorial_of, unit
+from lorentz.poly import Exponent, HomogPoly, RationalLike, as_fraction, factorial_of
+
+
+def unit(n: int, i: int) -> Exponent:
+    """The exponent of w_i in n variables."""
+    e = [0] * n
+    e[i] = 1
+    return tuple(e)
 
 
 def hessian(f: HomogPoly, at: Sequence[RationalLike] | None = None) -> SymMatrix:
@@ -167,6 +177,37 @@ def bivariate_restriction(f: HomogPoly, i: int, j: int) -> list[Fraction]:
     for e, c in f.terms.items():
         if all(k == 0 for idx, k in enumerate(e) if idx not in (i, j)):
             out[e[i]] += c
+    return out
+
+
+def first_bad_exponent(exps: Iterable[Sequence[int]], n: int, d: int) -> Optional[str]:
+    """The message for the first exponent, in order, of length other than n,
+    with a negative entry or of sum other than d; None when there is none."""
+    for e in exps:
+        if len(e) != n:
+            return f"exponent {e} has length {len(e)}, expected {n}"
+        if any(k < 0 for k in e):
+            return f"negative exponent in {e}"
+        if sum(e) != d:
+            return f"exponent {e} has degree {sum(e)}, expected {d}"
+    return None
+
+
+def nuij_by_steps(f: HomogPoly, theta: RationalLike) -> HomogPoly:
+    """prod_{i<n} (1 + theta w_i d_n)^d f, one ``derive``, one checked
+    ``HomogPoly`` and one whole-polynomial sum per factor."""
+    th = as_fraction(theta)
+    n, d = f.nvars, f.degree
+    if n == 0:
+        return f
+    last = n - 1
+    out = f
+    for i in range(n - 1):
+        for _ in range(d):
+            bumped = out.derive(unit(n, last))
+            shifted = {tuple(e[:i] + (e[i] + 1,) + e[i + 1:]): th * c
+                       for e, c in bumped.terms.items()}
+            out = out + HomogPoly(n, d, shifted)
     return out
 
 

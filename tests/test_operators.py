@@ -10,7 +10,7 @@ from lorentz import (HomogPoly, OperatorTable, apply_operator,
 from lorentz.mconvex import DiscreteFunction
 
 from generators import random_homog, random_lorentzian_input, random_positive_fraction
-from poly_oracles import linear_form, normalized_coeff
+from poly_oracles import linear_form, normalized_coeff, nuij_by_steps
 
 
 def test_polarize_examples():
@@ -180,6 +180,16 @@ def test_nuij_strictifies():
         out = nuij_transform(f, theta)
         assert is_lorentzian(out).verdict
         assert is_strictly_lorentzian(out).verdict
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 3), 1, 2])
+def test_nuij_matches_step_by_step_reference(theta):
+    rng = random.Random(31)
+    for _ in range(12):
+        n, d = rng.randint(0, 4), rng.randint(0, 4)
+        f = random_homog(rng, n, d, density=rng.choice([0.3, 0.7, 1]))   # signed coefficients
+        out, ref = nuij_transform(f, theta), nuij_by_steps(f, theta)
+        assert out == ref and list(out.terms) == list(ref.terms)
 
 
 def identity_table(kappa):

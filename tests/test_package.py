@@ -91,3 +91,18 @@ def _calls_lcm(node: ast.AST) -> bool:
 
 def test_lcm_scaling_lives_in_one_helper():
     assert _library_sites(_calls_lcm) == LCM_SITES
+
+
+# the only places that call int(): where text or a bool is converted, and the
+# float start of the integer Newton root.  Exponents, indices and sizes go
+# through operator.index, which refuses a float instead of truncating it
+INT_SITES = {"cli._int_list_arg", "mconvex._floor_nth_root", "poly._ones",
+             "serialize._fraction_from_parts", "serialize.poly_from_dict"}
+
+
+def _calls_int(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+
+
+def test_int_only_converts_text_or_bools():
+    assert _library_sites(_calls_int) == INT_SITES

@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz.poly import HomogPoly, first_ulc_failure, integer_scaled, simplex, unit
+from lorentz.matroids import cycle_matroid, rank, uniform_matroid
+from lorentz.mconvex import DiscreteFunction, PointSet
+from lorentz.measures import Measure
+from lorentz.mmatrix import SquareMatrix, principal_minor
+from lorentz.operators import OperatorTable
+from lorentz.poly import HomogPoly, check_exponents, first_ulc_failure, integer_scaled, simplex
 
 from generators import random_fraction, random_homog, random_nonneg_matrix
-from poly_oracles import (bivariate_restriction, directional_derive, euler_pairing, hessian,
-                          linear_form, normalized_coeff, substitute)
+from poly_oracles import (bivariate_restriction, directional_derive, euler_pairing,
+                          first_bad_exponent, hessian, linear_form, normalized_coeff, substitute,
+                          unit)
 
 
 def test_simplex_size():
@@ -45,6 +51,63 @@ def test_constructor_rejects_bad_terms():
         HomogPoly(2, 2, {(2, 0, 0): 1})
     with pytest.raises(ValueError):
         HomogPoly(2, 2, {(3, -1): 1})
+
+
+# every one of these was once truncated by int() and accepted
+@pytest.mark.parametrize("make", [
+    lambda: HomogPoly(2, 2, {(2.5, -0.5): 1}),
+    lambda: PointSet(2, 2, [(2.5, -0.5)]),
+    lambda: DiscreteFunction(2, 2, {(1.7, 1.2): 3}),
+    lambda: HomogPoly(2, 2, {(1, 1): 1}).derive((0.9, 0)),
+    lambda: rank(uniform_matroid(2, 3), [0.9, 1.2]),
+    lambda: cycle_matroid(3, [(0.4, 1.6), (1, 2)]),
+    lambda: principal_minor(SquareMatrix([[1, 2], [3, 4]]), [1.7]),
+    lambda: Measure(2, {frozenset([1.5]): 1}),
+    lambda: OperatorTable((1.5, 1), 0, {(0, 0): HomogPoly(2, 0, {(0, 0): 1})}),
+    lambda: HomogPoly(2.0, 2, {(1, 1): 1}),
+], ids=["poly_exponent", "point", "function_point", "derive_alpha", "rank_subset",
+        "graph_edge", "minor_subset", "measure_atom", "operator_kappa", "poly_nvars"])
+def test_non_integers_are_refused_not_truncated(make):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        make()
+
+
+def _random_exponents(rng, n, d):
+    """A few exponents of the degree-d simplex in n variables, some of them
+    spoiled by a wrong length, a negative entry or a wrong sum."""
+    exps = []
+    for _ in range(rng.randint(0, 5)):
+        e = list(rng.choice(list(simplex(n, d))))
+        spoil = rng.randint(0, 5)
+        if spoil == 0:
+            e.append(rng.randint(-1, 1))
+        elif spoil == 1 and e:
+            e.pop()
+        elif spoil == 2 and e:
+            k = rng.randrange(len(e))
+            e[k] -= d + 1                     # negative, sum moved off d
+            e[(k + 1) % len(e)] += d + 1      # and back when n > 1
+        elif spoil == 3 and e:
+            e[rng.randrange(len(e))] += rng.choice([-1, 1])
+        exps.append(tuple(e))
+    return exps
+
+
+def test_check_exponents_matches_per_exponent_loop():
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(2000):
+        n, d = rng.randint(1, 4), rng.randint(0, 3)
+        exps = _random_exponents(rng, n, d)
+        expected = first_bad_exponent(exps, n, d)
+        if expected is None:
+            check_exponents(exps, n, d)
+        else:
+            with pytest.raises(ValueError) as err:
+                check_exponents(exps, n, d)
+            assert str(err.value) == expected
+        outcomes.add(expected and next(w for w in ("length", "negative", "degree") if w in expected))
+    assert outcomes == {None, "length", "negative", "degree"}   # every kind was drawn
 
 
 def test_eval():
