@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import compress, product
 from operator import index
 from typing import Mapping, Optional, Sequence
 
 from .mconvex import _floor_nth_root, rational_power
-from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, factorial_of,
-                   integer_scaled, multi_affine_lifts)
+from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, code_weights,
+                   factorial_of, integer_scaled, multi_affine_lifts)
 
 
 def _check_caps(f: HomogPoly, kappa: Sequence[int]) -> None:
@@ -46,17 +46,21 @@ def polarize(f: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
 def project(g: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
     """Substitute every variable of group i by w_i; inverse of polarize."""
     kappa = tuple(map(index, kappa))
-    offsets = [0, *accumulate(kappa)]
-    if g.nvars != offsets[-1]:
-        raise ValueError(f"expected {offsets[-1]} grouped variables, got {g.nvars}")
+    if min(kappa, default=0) < 0:
+        raise ValueError("kappa entries must be nonnegative")
+    if g.nvars != sum(kappa):
+        raise ValueError(f"expected {sum(kappa)} grouped variables, got {g.nvars}")
     if not g.is_multi_affine():
         raise ValueError("projection input must be multi-affine")
-    groups = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
-    merged: dict[Exponent, list[Fraction]] = {}
+    # a lifted variable weighs its group's code weight, so a 0/1 term's code is its image's
+    weights, base = code_weights(len(kappa), g.degree), g.degree + 1
+    lifted = [w for w, k in zip(weights, kappa) for _ in range(k)]
+    merged: dict[int, list[Fraction]] = {}
     for e, c in g.terms.items():
-        merged.setdefault(tuple([sum(e[s]) for s in groups]), []).append(c)
+        merged.setdefault(sum(compress(lifted, e)), []).append(c)
     return HomogPoly._of(len(kappa), g.degree,
-                         {key: _fraction_sum(cs) for key, cs in merged.items()})
+                         {tuple([code // w % base for w in weights]): _fraction_sum(cs)
+                          for code, cs in merged.items()})
 
 
 def _fraction_sum(xs: list[Fraction]) -> Fraction:
@@ -107,6 +111,8 @@ def coefficient_power(f: HomogPoly, p: RationalLike) -> tuple[HomogPoly, bool]:
 def _approx_power(c: Fraction, p: Fraction) -> Fraction:
     # floor((c^a * 2^(128 b))^(1/b)) / 2^128  for p = a/b in lowest terms
     a, b = p.numerator, p.denominator
+    if b > 10_000:      # the root's cost grows fast with b (README: scale and honesty)
+        raise ValueError("an inexact power needs the denominator of p to be at most 10000")
     scaled = (c.numerator ** a * (1 << (b * 128))) // c.denominator ** a
     root = _floor_nth_root(scaled, b)
     return Fraction(root, 1 << 128)

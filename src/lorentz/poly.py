@@ -55,11 +55,17 @@ def _ones(k: int, a: int) -> tuple[Exponent, ...]:
 
 def multi_affine_lifts(kappa: Sequence[int], e: Exponent) -> list[Exponent]:
     """The 0/1 exponents in groups of kappa_i variables with e_i ones in
-    group i, in lexicographic order of the chosen positions."""
-    lifts = [()]
+    group i, in lexicographic order of the chosen positions.  A group with one
+    choice (a_i = 0 or kappa_i) only extends the common tail."""
+    lifts, tail = [()], ()
     for k, a in zip(kappa, e):
-        lifts = [lift + part for lift in lifts for part in _ones(k, a)]
-    return lifts
+        parts = _ones(k, a)
+        if len(parts) == 1:
+            tail += parts[0]
+        else:
+            parts = [tail + p for p in parts]
+            lifts, tail = [lift + part for lift in lifts for part in parts], ()
+    return [lift + tail for lift in lifts] if tail else lifts
 
 
 def simplex(n: int, d: int) -> Iterator[Exponent]:

@@ -92,9 +92,16 @@ def _int_set(val: Any, where: str) -> tuple[int, ...]:
 
 
 def _exp_rows(table: dict[tuple[int, ...], Fraction]) -> list[dict]:
-    """The {exp, num, den} rows of a map from exponents to rationals, sorted."""
-    return [{"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
-            for e, c in sorted(table.items())]
+    """The {exp, num, den} rows of a map from exponents to rationals, sorted.
+    A row whose coefficient is the previous row's object reuses its strings."""
+    rows, last = [], None
+    for e in sorted(table):
+        c = table[e]
+        if c is not last:
+            num, den = c.as_integer_ratio()
+            last, num, den = c, str(num), str(den)
+        rows.append({"exp": list(e), "num": num, "den": den})
+    return rows
 
 
 # -- polynomials ------------------------------------------------------------
@@ -109,13 +116,16 @@ def poly_from_dict(obj: dict, where: str = "polynomial") -> HomogPoly:
     d = _require(obj, "d", int, where)
     items = _require(obj, "terms", list, where)
     terms: dict[tuple[int, ...], Fraction] = {}
+    seen: dict[tuple[str, str], Fraction] = {}     # one Fraction per (num, den) pair
     for k, t in enumerate(items):
         try:    # integer exponents and decimal strings are read directly, the rest named
             exp, num, den = t["exp"], t["num"], t["den"]
             if not (type(exp) is list and type(num) is str and type(den) is str
                     and _INT.issuperset(map(type, exp))):
                 raise TypeError
-            exp, c = tuple(exp), Fraction(int(num), int(den))
+            if (c := seen.get((num, den))) is None:
+                c = seen[num, den] = Fraction(int(num), int(den))
+            exp = tuple(exp)
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             at = f"{where}.terms[{k}]"
             exp = _int_tuple(_require(t, "exp", list, at), f"{at}.exp")

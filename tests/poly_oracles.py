@@ -12,22 +12,25 @@ are views the tests state their expectations in.  ``linear_form`` and
 ``substitute`` build the test polynomials f(Av), and ``log_concavity_probe``
 is a float cross-check of the exact inertia verdicts.  ``first_bad_exponent``
 is the per-exponent loop that ``poly.check_exponents`` must agree with,
-``nuij_by_steps`` the step-by-step body of ``operators.nuij_transform``, and
-``unit(n, i)`` the exponent of w_i.
+``nuij_by_steps`` the step-by-step body of ``operators.nuij_transform``,
+``lifts_by_groups`` and ``project_by_slices`` the group-by-group bodies of
+``poly.multi_affine_lifts`` and ``operators.project``, and ``unit(n, i)`` the
+exponent of w_i.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 from unittest import mock
 
 from lorentz.certify import _RayleighScan
 from lorentz.inertia import SymMatrix
-from lorentz.poly import Exponent, HomogPoly, RationalLike, as_fraction, factorial_of
+from lorentz.operators import _fraction_sum
+from lorentz.poly import Exponent, HomogPoly, RationalLike, _ones, as_fraction, factorial_of
 
 
 def unit(n: int, i: int) -> Exponent:
@@ -209,6 +212,29 @@ def nuij_by_steps(f: HomogPoly, theta: RationalLike) -> HomogPoly:
                        for e, c in bumped.terms.items()}
             out = out + HomogPoly(n, d, shifted)
     return out
+
+
+def lifts_by_groups(kappa: Sequence[int], e: Exponent) -> list[Exponent]:
+    """``poly.multi_affine_lifts`` with every lift extended group by group."""
+    lifts = [()]
+    for k, a in zip(kappa, e):
+        lifts = [lift + part for lift in lifts for part in _ones(k, a)]
+    return lifts
+
+
+def project_by_slices(g: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
+    """``operators.project`` with one slice and one sum per group of every term."""
+    offsets = [0, *accumulate(kappa)]
+    if g.nvars != offsets[-1]:
+        raise ValueError(f"expected {offsets[-1]} grouped variables, got {g.nvars}")
+    if not g.is_multi_affine():
+        raise ValueError("projection input must be multi-affine")
+    groups = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    merged: dict[Exponent, list[Fraction]] = {}
+    for e, c in g.terms.items():
+        merged.setdefault(tuple([sum(e[s]) for s in groups]), []).append(c)
+    return HomogPoly._of(len(kappa), g.degree,
+                         {key: _fraction_sum(cs) for key, cs in merged.items()})
 
 
 def linear_form(coeffs: Sequence[RationalLike]) -> HomogPoly:

@@ -374,6 +374,17 @@ def test_operator_power_high_root(tmp_path, capsys):
     assert c ** 8000 <= 2 < (c + Fraction(1, 1 << 128)) ** 8000
 
 
+def test_operator_power_refuses_a_huge_root(tmp_path, capsys):
+    path = write(tmp_path, "lin.json", {"n": 2, "d": 1, "terms": [
+        {"exp": [1, 0], "num": "2", "den": "1"}, {"exp": [0, 1], "num": "3", "den": "1"}]})
+    code = main(["operator", "power", path, "--p", f"1/{10 ** 400}"])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {
+        "command": ["operator", "power"],
+        "error": "an inexact power needs the denominator of p to be at most 10000"}
+
+
 def test_genpoly_irrational_power_rejected(tmp_path, capsys):
     halfval = {"n": 2, "d": 2, "values": [
         {"exp": [2, 0], "num": "1", "den": "2"}, {"exp": [1, 1], "num": "0", "den": "1"},

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,8 +10,9 @@ from lorentz import (HomogPoly, OperatorTable, apply_operator,
                      normalize, nuij_transform, polarize, project, symbol)
 from lorentz.mconvex import DiscreteFunction
 
-from generators import random_homog, random_lorentzian_input, random_positive_fraction
-from poly_oracles import linear_form, normalized_coeff, nuij_by_steps
+from generators import (random_fraction, random_homog, random_lorentzian_input,
+                        random_positive_fraction)
+from poly_oracles import linear_form, normalized_coeff, nuij_by_steps, project_by_slices
 
 
 def test_polarize_examples():
@@ -27,6 +29,35 @@ def test_polarize_project_roundtrip():
             continue
         kappa = f.var_degree_caps()
         assert project(polarize(f, kappa), kappa) == f
+
+
+def test_project_matches_slice_by_slice_reference():
+    # signed multi-affine inputs that are not polarizations: distinct coefficients
+    # meet under one image exponent, and some sums cancel
+    rng = random.Random(240)
+    for _ in range(60):
+        kappa = [rng.choice([0, 1, 2, 3]) for _ in range(rng.randint(1, 4))]
+        n = sum(kappa)
+        d = rng.randint(0, n)
+        terms = {}
+        for s in combinations(range(n), d):
+            if rng.random() < 0.7:
+                terms[tuple(int(i in s) for i in range(n))] = random_fraction(rng, -3, 3)
+        order = list(terms.items())
+        rng.shuffle(order)
+        g = HomogPoly(n, d, dict(order))
+        out, ref = project(g, kappa), project_by_slices(g, kappa)
+        assert out == ref and list(out.terms) == list(ref.terms)
+        assert list(out.terms.values()) == list(ref.terms.values())
+
+
+def test_project_refusals():
+    with pytest.raises(ValueError, match="expected 3 grouped variables, got 2"):
+        project(HomogPoly(2, 1, {(1, 0): 1}), (2, 1))
+    with pytest.raises(ValueError, match="multi-affine"):
+        project(HomogPoly(2, 2, {(2, 0): 1}), (1, 1))
+    with pytest.raises(ValueError, match="kappa entries must be nonnegative"):
+        project(HomogPoly(2, 1, {(1, 0): 1}), (-1, 3))
 
 
 def test_polarize_rejects_cap_violation():
@@ -112,6 +143,16 @@ def test_coefficient_power_numeric_mode():
     assert not exact
     approx = normalized_coeff(r, (1, 1))
     assert abs(approx * approx - 2) < Fraction(1, 10 ** 30)
+
+
+def test_coefficient_power_bounds_the_inexact_root():
+    f = linear_form([2, 3])
+    for p in (Fraction(1, 10_001), Fraction(1, 10 ** 400)):
+        with pytest.raises(ValueError, match="denominator of p to be at most 10000"):
+            coefficient_power(f, p)
+    # exact powers take any denominator
+    ones = linear_form([1, 1])
+    assert coefficient_power(ones, Fraction(1, 10 ** 400)) == (ones, True)
 
 
 def test_coefficient_power_preserves_lorentzian():

@@ -11,12 +11,13 @@ from lorentz.mconvex import DiscreteFunction, PointSet
 from lorentz.measures import Measure
 from lorentz.mmatrix import SquareMatrix, principal_minor
 from lorentz.operators import OperatorTable
-from lorentz.poly import HomogPoly, check_exponents, first_ulc_failure, integer_scaled, simplex
+from lorentz.poly import (HomogPoly, check_exponents, first_ulc_failure, integer_scaled,
+                          multi_affine_lifts, simplex)
 
 from generators import random_fraction, random_homog, random_nonneg_matrix
 from poly_oracles import (bivariate_restriction, directional_derive, euler_pairing,
-                          first_bad_exponent, hessian, linear_form, normalized_coeff, substitute,
-                          unit)
+                          first_bad_exponent, hessian, lifts_by_groups, linear_form,
+                          normalized_coeff, substitute, unit)
 
 
 def test_simplex_size():
@@ -268,3 +269,16 @@ def test_homogenized():
     f = HomogPoly.homogenized(3, {0b000: 1, 0b101: Fraction(1, 2), 0b111: 0})
     assert f == HomogPoly(4, 3, {(3, 0, 0, 0): 1, (1, 1, 0, 1): Fraction(1, 2)})
     assert HomogPoly.homogenized(0, {0: 5}) == HomogPoly(1, 0, {(0,): 5})
+
+
+def test_multi_affine_lifts_match_group_by_group_reference():
+    # caps of 0 and 1 and entries of 0 and of the cap are the one-choice groups
+    rng = random.Random(24)
+    for _ in range(300):
+        kappa = [rng.choice([0, 1, 1, 2, 3, 4]) for _ in range(rng.randint(0, 6))]
+        e = [rng.choice([0, k, rng.randint(0, k)]) for k in kappa]
+        lifts = multi_affine_lifts(kappa, e)
+        assert lifts == lifts_by_groups(kappa, e)       # the same lifts, in the same order
+        assert lifts == sorted(lifts, reverse=True)     # chosen positions lexicographic
+    assert multi_affine_lifts([2, 1], [3, 0]) == lifts_by_groups([2, 1], [3, 0]) == []
+    assert multi_affine_lifts([], []) == [()]

@@ -1,17 +1,19 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lorentz import HomogPoly
+from lorentz import HomogPoly, serialize
 from lorentz.catalog import load
+from lorentz.matroids import potts_poly
 from lorentz.mconvex import DiscreteFunction
 from lorentz.measures import Measure
 from lorentz.mmatrix import SquareMatrix
-from lorentz.operators import OperatorTable
+from lorentz.operators import OperatorTable, polarize
 from lorentz.serialize import (LoadError, dumps_canonical, function_from_dict,
                                function_to_dict, load_document,
                                matrix_from_dict, matrix_to_dict,
@@ -83,6 +85,79 @@ def test_poly_sums_duplicate_exponents_and_drops_zero_sums():
         _term([0, 1], 2, "5"), _term([1, 0], "0")]})
     assert f.terms == {(0, 1): Fraction(17, 5)}
     assert f == HomogPoly(2, 1, {(0, 1): Fraction(17, 5)})
+
+
+def _reference_terms(doc):
+    """The terms as a loader that builds one ``Fraction`` per term reads them."""
+    terms = {}
+    for t in doc["terms"]:
+        e, c = tuple(t["exp"]), Fraction(int(t["num"]), int(t["den"]))
+        terms[e] = terms[e] + c if e in terms else c
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_poly_loader_shares_repeated_pairs():
+    # ("1", "-3") and ("-1", "3") are different pairs of one value
+    doc = {"n": 3, "d": 2, "terms": [
+        _term([2, 0, 0], "2", "4"), _term([1, 1, 0], "1", "-3"), _term([0, 2, 0], "-1", "3"),
+        _term([0, 1, 1], "2", "4"), _term([1, 0, 1], "-1", "3"), _term([0, 0, 2], "1", "-3"),
+        _term([2, 0, 0], "2", "4"), _term([1, 1, 0], "-1", "3"), _term([0, 1, 1], "1", "-3")]}
+    f = poly_from_dict(doc)
+    ref = _reference_terms(doc)
+    assert f.terms == ref and list(f.terms) == list(ref)
+    assert list(f.terms.values()) == list(ref.values())
+    # repeated exponents still sum
+    assert f.terms[2, 0, 0] == 1 and f.terms[1, 1, 0] == Fraction(-2, 3)
+    assert f.terms[0, 1, 1] == Fraction(1, 6)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([_term([2, 0], "1", "3"), _term([1, 1], "1", "3"), _term([0, 2], "1", "0")],
+     "polynomial.terms[2]: zero denominator"),
+    ([_term([2, 0], "1", "2"), _term([1, 1], "5", "0"), _term([0, 2], "5", "0")],
+     "polynomial.terms[1]: zero denominator"),
+], ids=["after_a_repeated_pair", "first_of_a_repeated_pair"])
+def test_poly_loader_names_a_bad_pair_at_its_own_term(terms, message):
+    with pytest.raises(LoadError) as err:
+        poly_from_dict({"n": 2, "d": 2, "terms": terms})
+    assert str(err.value) == message
+
+
+def test_poly_loader_builds_one_fraction_per_distinct_pair():
+    # the lifted Fano Potts polynomial: 3,432 terms, one value per Potts term's lift
+    f = potts_poly(load("fano"), Fraction(3, 7))
+    doc = poly_to_dict(polarize(f, f.var_degree_caps()))
+    pairs = {(t["num"], t["den"]) for t in doc["terms"]}
+    assert len(doc["terms"]) == 3432 and len(pairs) == 8
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    with mock.patch.object(serialize, "Fraction", counting):
+        g = poly_from_dict(doc)
+    assert len(built) == len(pairs)
+    assert g.terms == _reference_terms(doc)
+
+
+def _reference_rows(table):
+    return [{"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
+            for e, c in sorted(table.items())]
+
+
+@pytest.mark.parametrize("values", [
+    [Fraction(2, 3)] * 4,                                    # one shared object
+    [Fraction(2, 3), Fraction(2, 3), Fraction(4, 6), Fraction(-2, 3)],   # equal, distinct
+    [Fraction(-7, 5), Fraction(7, 5), Fraction(-1), Fraction(10 ** 30, 3)],
+], ids=["shared", "equal_distinct", "signed"])
+def test_exp_rows_match_reference(values):
+    shared = Fraction(-7, 5)
+    exps = [(0, 2, 1), (3, 0, 0), (1, 1, 1), (0, 0, 3), (2, 1, 0), (1, 0, 2)]
+    table = dict(zip(exps, values + [shared, shared]))
+    assert serialize._exp_rows(table) == _reference_rows(table)
+    f = HomogPoly(3, 3, table)
+    assert poly_to_dict(f) == {"n": 3, "d": 3, "terms": _reference_rows(f.terms)}
 
 
 def test_function_roundtrip():
