@@ -149,6 +149,11 @@ CASES = {
     "strict_singular": ["strict", "inputs/rank_one_cubic.json"],
     # witnesses of the exchange check and of singular, zero-diagonal Hessians
     "mconvex_set_not_m_convex": ["mconvex", "set", "inputs/not_m_convex_domain.json"],
+    # a whole box slice {0 <= x <= (2, 1, 3, 2), |x| = 4}, and the same slice
+    # without its point (1, 1, 1, 1): as a domain and as a support
+    "mconvex_set_box_slice": ["mconvex", "set", "inputs/box_slice_domain.json"],
+    "mconvex_set_box_slice_hole": ["mconvex", "set", "inputs/box_slice_hole_domain.json"],
+    "check_support_box_slice_hole": ["check", "inputs/box_slice_hole_poly.json"],
     "check_exhaustive_zero_diagonal": ["check", "inputs/zero_diag_cubic.json",
                                        "--exhaustive"],
     "hodge_riemann_fano_potts": ["hodge-riemann", "inputs/fano_potts.json",
@@ -283,7 +288,8 @@ def _moved(p: tuple, i: int, j: int) -> tuple:
 
 
 @pytest.mark.parametrize("name", ["check_support", "mconvex_set_not_m_convex",
-                                  "matroid_validate_exchange"])
+                                  "matroid_validate_exchange", "mconvex_set_box_slice_hole",
+                                  "check_support_box_slice_hole"])
 def test_set_exchange_witness_by_brute_force(name):
     # alpha_i > beta_i, and no j with alpha_j < beta_j puts alpha - e_i + e_j in the set
     points, (alpha, beta, i) = _exchange_witness(name)
