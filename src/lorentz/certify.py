@@ -65,11 +65,11 @@ def _support_certificate(f: HomogPoly) -> Optional[Certificate]:
 
 
 def _coefficient_certificate(f: HomogPoly) -> Optional[Certificate]:
-    for e in sorted(f.terms):
-        if f.terms[e] < 0:
-            return Certificate(False, failing_alpha=e, failing_kind=NEGATIVE_COEFFICIENT,
-                               detail={"coefficient": f.terms[e]})
-    return None
+    if f.has_nonnegative_coeffs():
+        return None
+    e = min(e for e, c in f.terms.items() if c.numerator < 0)
+    return Certificate(False, failing_alpha=e, failing_kind=NEGATIVE_COEFFICIENT,
+                       detail={"coefficient": f.terms[e]})
 
 
 def _rayleigh_alphas(f: HomogPoly, top: int) -> list[Exponent]:
@@ -125,11 +125,12 @@ def _support_inertias(f: HomogPoly) -> Iterator[tuple[Exponent, Inertia]]:
 def is_lorentzian(f: HomogPoly, exhaustive: bool = False) -> Certificate:
     """Exact Lorentzian certification.
 
-    Scans the degree-(d-2) alphas under the support in lexicographic order,
-    their Hessians built in one integer pass and each distinct Hessian's
-    inertia computed once (``_support_inertias``); the other alphas have a
-    zero Hessian and cannot fail.  Short-circuits on the first
-    failing quadratic unless ``exhaustive``, which collects them all.
+    Checks the signs, then the support (one that fills its box slice is M-convex
+    and decided by counting: ``is_m_convex_set``), then scans the degree-(d-2)
+    alphas under the support in lexicographic order, their Hessians built in
+    one integer pass and each distinct Hessian's inertia computed once
+    (``_support_inertias``); other alphas have a zero Hessian and cannot fail.
+    Short-circuits on the first failure unless ``exhaustive``, which collects them all.
     """
     if f.is_zero():
         return Certificate(True, is_zero=True)

@@ -6,9 +6,11 @@ A discrete function maps exponent vectors to rationals; points absent from
 
 The exchange property used for sets: for all alpha, beta in J and every i
 with alpha_i > beta_i there is j with alpha_j < beta_j and
-alpha - e_i + e_j in J.  For functions with M-convex domain, the local
-exchange property over pairs at l1-distance 4 is checked, which is
-equivalent to the full symmetric exchange property.
+alpha - e_i + e_j in J.  J has it if it fills its box slice {0 <= x <= caps,
+|x| = d}, caps its coordinatewise max, as some j has alpha_j < beta_j <= caps_j;
+J fills the slice when the two have the same size.  For functions with
+M-convex domain, the local exchange property over pairs at l1-distance 4
+is checked, which is equivalent to the full symmetric exchange property.
 
 Both checks find a point by its integer code (``poly.code_weights``), so that
 alpha - e_i + e_j (alpha_i > 0) is found from code(alpha) by one sum.
@@ -85,12 +87,26 @@ class DiscreteFunction:
         return f"DiscreteFunction({self.nvars}, {self.degree}, {self.values!r})"
 
 
+def _slice_size(caps: Iterable[int], d: int) -> int:
+    """The number of integer points x with 0 <= x <= caps and |x| = d."""
+    ways = [1] + [0] * d    # ways[k]: those points over the caps so far with |x| = k
+    for cap in caps:
+        run = list(accumulate(ways, initial=0))
+        ways = [run[k + 1] - run[max(0, k - cap)] for k in range(d + 1)]
+    return ways[-1]
+
+
 def is_m_convex_set(ps: PointSet) -> tuple[bool, Optional[SetWitness]]:
     """Exchange property check; the empty set counts as M-convex.
 
+    A set that fills its box slice {0 <= x <= caps, |x| = d}, caps its
+    coordinatewise max, is M-convex (alpha_i > beta_i gives a j with alpha_j <
+    beta_j <= caps_j), so it is decided by counting; other sets are scanned.
     On failure returns the violating (alpha, beta, i) that a loop over alpha,
     then beta, then i, each in the set's iteration order, meets first.
     """
+    if _slice_size(map(max, zip(*ps.points)), ps.degree) == len(ps.points):
+        return True, None
     w = code_weights(ps.nvars, ps.degree)
     codes = {sum(map(mul, p, w)): p for p in ps.points}
     order = list(codes.values())
@@ -211,6 +227,9 @@ def _generating_poly(nu: DiscreteFunction, q: RationalLike, weight) -> HomogPoly
     qf = as_fraction(q)
     if qf <= 0:
         raise ValueError("q must be positive")
+    bits = max(qf.numerator, qf.denominator).bit_length() - 1
+    if any(abs(v.numerator) * bits > 300_000 * v.denominator for v in nu.values.values()):
+        raise ValueError("a power q**nu(a) would take more than 300000 bits")
     return HomogPoly._of(nu.nvars, nu.degree, {p: weight(p, rational_power(qf, v))
                                                for p, v in nu.values.items()})
 

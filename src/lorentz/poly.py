@@ -186,7 +186,7 @@ class HomogPoly:
         return set(self.terms)
 
     def has_nonnegative_coeffs(self) -> bool:
-        return all(c >= 0 for c in self.terms.values())
+        return not any(c.numerator < 0 for c in self.terms.values())
 
     def is_multi_affine(self) -> bool:
         return max(chain.from_iterable(self.terms), default=0) <= 1

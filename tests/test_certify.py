@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz import (HomogPoly, Inertia, char_poly_multivariate, hodge_riemann_many,
-                     independent_set_poly, is_lorentzian, is_strictly_lorentzian,
-                     potts_poly, random_m_matrix, rayleigh_check_at, rayleigh_falsify)
-from lorentz import certify
+from lorentz import (HomogPoly, Inertia, PointSet, char_poly_multivariate,
+                     hodge_riemann_many, independent_set_poly, is_lorentzian,
+                     is_m_convex_set, is_strictly_lorentzian, potts_poly, random_m_matrix,
+                     rayleigh_check_at, rayleigh_falsify)
+from lorentz import certify, mconvex
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              SUPPORT_NOT_M_CONVEX, Certificate, _RayleighScan,
                              _coefficient_certificate, _int_terms, _randints,
@@ -81,6 +82,13 @@ def test_zero_polynomial_flagged():
 def test_negative_coefficient():
     cert = is_lorentzian(HomogPoly(2, 2, {(1, 1): -1}))
     assert not cert.verdict and cert.failing_kind == NEGATIVE_COEFFICIENT
+    # the witness is the first negative coefficient in exponent order
+    f = HomogPoly(3, 2, {(1, 0, 1): Fraction(-1, 3), (2, 0, 0): 1, (0, 2, 0): -5,
+                         (0, 1, 1): -2, (0, 0, 2): Fraction(1, 7)})
+    cert = is_lorentzian(f)
+    assert (cert.failing_alpha, cert.detail) == ((0, 1, 1), {"coefficient": -2})
+    assert not f.has_nonnegative_coeffs()
+    assert HomogPoly(3, 2, {(2, 0, 0): Fraction(1, 3), (0, 1, 1): 0}).has_nonnegative_coeffs()
 
 
 def test_exhaustive_matches_short_circuit():
@@ -198,6 +206,24 @@ def test_support_inertias_one_call_per_distinct_hessian(make, alphas, calls):
     with mock.patch.object(certify, "_inertia_rows", wraps=_inertia_rows) as spy:
         scanned = list(_support_inertias(f))
     assert (len(scanned), spy.call_count) == (alphas, calls)
+
+
+@pytest.mark.parametrize("make, verdict", [
+    (lambda: fano_potts(Fraction(1, 2)), True),
+    (lambda: fano_potts(2), False),
+    (lambda: char_poly_multivariate(random_m_matrix(7, 0, 1)), True),
+], ids=["fano_potts", "fano_potts_q2", "charpoly_m7"])
+def test_box_slice_supports_skip_the_exchange_scan(make, verdict):
+    # every subset S gives a term, so the 128 exponents fill their box slice
+    # {x <= (7, 1, ..., 1), |x| = 7} and the count decides the support
+    f = make()
+    hole = PointSet(f.nvars, f.degree, set(f.terms) - {min(f.terms)})
+    scan = AssertionError("exchange scan entered")
+    with mock.patch.object(mconvex, "code_weights", side_effect=scan):
+        assert len(f.terms) == 128 and _support_certificate(f) is None
+        assert is_lorentzian(f).verdict is verdict
+        with pytest.raises(AssertionError, match="exchange scan entered"):
+            is_m_convex_set(hole)
 
 
 def test_symmetric_refutations_match_fraction_reference():

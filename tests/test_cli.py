@@ -571,6 +571,19 @@ def test_coefficients_beyond_the_digit_limit(tmp_path, capsys):
     assert code == 2 and "irrational" in rep["error"]
 
 
+def test_genpoly_refuses_a_power_beyond_the_bound(tmp_path, capsys):
+    # q**nu(a) for a 4,401-digit nu(a) would not finish; q = 1 has every power
+    nu = write(tmp_path, "nu.json", {"n": 1, "d": 1, "values": [
+        {"exp": [1], "num": "1" + "0" * 4400, "den": "1"}]})
+    code = main(["genpoly", nu, "--q", "2"])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {
+        "command": ["genpoly"], "error": "a power q**nu(a) would take more than 300000 bits"}
+    code, rep = run(capsys, "genpoly", nu, "--q", "1")
+    assert code == 0 and rep["result"]["poly"]["terms"] == [_term([1])]
+
+
 def test_main_restores_the_digit_limit(tmp_path, capsys):
     path = write(tmp_path, "f.json", CUBIC9)
     before = sys.get_int_max_str_digits()

@@ -5,11 +5,11 @@ of canonical JSON, nothing on stderr, and no traceback.
 Each example starts from small golden inputs, applies a few mutations (a
 node replaced, a list entry repeated, a key dropped, the text cut short) and
 draws every flag from a short list of good and bad values.  Integers of more
-than 4,300 digits go into coefficients, weights, matrix and vector entries,
-rational flags, seeds and ``--max-den``.  Sizes, exponents, indices, counts,
-the numerators of discrete-function values and the denominators of rational
-flags stay small: the work they set is not budgeted yet (``genpoly`` raises
-q to the function values, ``operator power --p a/b`` takes b-th roots).
+than 4,300 digits go into coefficients, discrete-function values, weights,
+matrix and vector entries, rational flags, seeds and ``--max-den``.  Sizes,
+exponents, indices, counts and the denominators of rational flags stay
+small: the work they set is not budgeted yet (``operator power --p a/b``
+takes b-th roots).
 """
 
 from __future__ import annotations
@@ -62,16 +62,13 @@ def _sites(doc, path=()):
             yield from _sites(value, (*path, key))
 
 
-def _huge_ok(path: tuple, function: bool) -> bool:
+def _huge_ok(path: tuple) -> bool:
     """Whether a value of thousands of digits may replace the node at ``path``."""
-    if path and path[-1] in ("num", "den"):
-        return not (function and path[-1] == "num")
-    return "rows" in path or "vectors" in path
+    return bool(path) and path[-1] in ("num", "den") or "rows" in path or "vectors" in path
 
 
 def _mutate(draw, doc):
     """``doc`` with one node replaced, one list entry repeated or one key dropped."""
-    function = isinstance(doc, dict) and "values" in doc
     path = draw(st.sampled_from(list(_sites(doc))))
     if not path:
         return copy.deepcopy(draw(SMALL))
@@ -85,7 +82,7 @@ def _mutate(draw, doc):
     elif how == "drop" and isinstance(parent, dict):
         del parent[path[-1]]
     else:
-        value = draw(st.one_of(SMALL, HUGE) if _huge_ok(path, function) else SMALL)
+        value = draw(st.one_of(SMALL, HUGE) if _huge_ok(path) else SMALL)
         parent[path[-1]] = copy.deepcopy(value)     # the strategy's lists stay as they are
     return doc
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from lorentz import (DiscreteFunction, HomogPoly, PointSet, generating_poly_f,
                      generating_poly_g, is_lorentzian, is_m_convex_function,
                      is_m_convex_set, is_matroid_basis_family, polarize_fn,
                      project_fn, regularize)
-from lorentz.mconvex import _floor_nth_root, rational_power
+from lorentz.mconvex import _floor_nth_root, _slice_size, rational_power
 from lorentz.poly import simplex
 
 from generators import random_m_convex_function, random_matroid_m_convex_function
@@ -70,6 +71,54 @@ def _point_sets(draw):
 @given(_point_sets())
 def test_exchange_check_property(ps):
     assert is_m_convex_set(ps) == _pairwise_exchange(ps)
+
+
+def _box_slice(caps, d):
+    """The points x with 0 <= x <= caps and |x| = d, by enumerating the box."""
+    return [p for p in product(*(range(c + 1) for c in caps)) if sum(p) == d]
+
+
+def test_slice_size_matches_brute_force():
+    rng = random.Random(5)
+    cases = [((), 0), ((), 3), ((0,), 0), ((0,), 2), ((4,), 4), ((4,), 2), ((0, 0, 0), 0)]
+    cases += [(tuple(rng.randint(0, 6) for _ in range(rng.randint(1, 5))), rng.randint(0, 12))
+              for _ in range(300)]
+    for caps, d in cases:
+        assert _slice_size(caps, d) == len(_box_slice(caps, d)), (caps, d)
+
+
+def _box_slice_cases():
+    """(n, d, caps): fixed edge cases, then random caps, some 0 and some above d."""
+    rng = random.Random(23)
+    cases = [(1, 0, (0,)), (1, 3, (3,)), (1, 3, (5,)), (3, 0, (0, 0, 0)), (3, 0, (2, 0, 5)),
+             (2, 3, (0, 3)), (3, 2, (0, 1, 1)), (3, 2, (4, 4, 4)), (4, 3, (0, 2, 5, 1))]
+    for _ in range(150):
+        n, d = rng.randint(1, 4), rng.randint(0, 4)
+        cases.append((n, d, tuple(rng.randint(0, d + 2) for _ in range(n))))
+    return [(n, d, caps) for n, d, caps in cases if _box_slice(caps, d)]
+
+
+def test_box_slices_match_pairwise_reference():
+    # a whole box slice is M-convex; without one of its points it often is not,
+    # and the witness is the one the pairwise reference meets first
+    rng = random.Random(29)
+    refuted = 0
+    for n, d, caps in _box_slice_cases():
+        pts = _box_slice(caps, d)
+        ps = PointSet(n, d, pts)
+        assert is_m_convex_set(ps) == _pairwise_exchange(ps) == (True, None), ps
+        for hole in rng.sample(pts, min(4, len(pts))):
+            rest = PointSet(n, d, [p for p in pts if p != hole])
+            expected = _pairwise_exchange(rest)
+            assert is_m_convex_set(rest) == expected, rest
+            refuted += not expected[0]
+    assert refuted > 80
+
+
+def test_empty_sets_match_pairwise_reference():
+    for n, d in product(range(4), range(4)):
+        ps = PointSet(n, d, [])
+        assert is_m_convex_set(ps) == _pairwise_exchange(ps) == (True, None)
 
 
 def test_matroid_basis_family():
@@ -229,6 +278,21 @@ def test_generating_poly_errors():
     # q = (1/4) is an exact square, so nu with half-integer values works
     f = generating_poly_f(half, Fraction(1, 4))
     assert normalized_coeff(f, (2, 0)) == Fraction(1, 2)
+
+
+def test_generating_poly_power_bound():
+    # |nu(a)| (bit length of the larger part of q, less 1) may reach 300,000
+    for q, top in ((2, 300_000), (Fraction(7, 4), 150_000), (Fraction(3, 5), 150_000)):
+        for make in (generating_poly_f, generating_poly_g):
+            f = make(DiscreteFunction(2, 1, {(1, 0): top, (0, 1): -top}), q)
+            assert f.terms[1, 0] == Fraction(q) ** top
+            over = DiscreteFunction(2, 1, {(1, 0): 0, (0, 1): Fraction(-2 * top - 1, 2)})
+            with pytest.raises(ValueError, match="more than 300000 bits"):
+                make(over, q)
+    # q = 1 has every power, and a small power of a huge q is within the bound
+    assert generating_poly_f(DiscreteFunction(1, 1, {(1,): 10 ** 4400}), 1).terms == {(1,): 1}
+    assert generating_poly_f(DiscreteFunction(1, 1, {(1,): 20}), 10 ** 4400).terms == \
+        {(1,): 10 ** 88000}
 
 
 def test_rational_power():
