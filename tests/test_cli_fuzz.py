@@ -38,7 +38,7 @@ BIG = 10 ** 4400
 # the golden inputs each positional argument is drawn from
 DOCS = {"poly": ["cubic9", "q2", "lin2", "squares"], "function": ["nu_half"],
         "table": ["table"], "matrix": ["m3"], "measure": ["mu_u12"],
-        "input": ["u23", "loop_u12", "k4_graph", "vectors"]}
+        "input": ["u23", "loop_u12", "k4_graph", "multigraph", "vectors"]}
 ALL_DOCS = sorted({name for names in DOCS.values() for name in names})
 
 # flag values: good ones, then bad ones

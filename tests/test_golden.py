@@ -111,6 +111,29 @@ CASES = {
     "matroid_validate": ["matroid", "validate", "inputs/u24.json"],
     "matroid_validate_exchange": ["matroid", "validate", "inputs/not_matroid.json"],
     "matroid_validate_bad_n": ["matroid", "validate", "inputs/bad_n.json"],
+    # a multigraph with a loop (edge 3), a parallel pair (edges 1, 2) and an
+    # isolated vertex (4), through every matroid command that reads a graph
+    "matroid_potts_multigraph": ["matroid", "potts", "inputs/multigraph.json", "--q", "1/2"],
+    "matroid_indep_poly_multigraph_certify": ["matroid", "indep-poly",
+                                              "inputs/multigraph.json", "--certify"],
+    "matroid_mason_multigraph": ["matroid", "mason", "inputs/multigraph.json"],
+    "matroid_tutte_multigraph_xy": ["matroid", "tutte", "inputs/multigraph.json",
+                                    "--x", "2", "--y", "3"],
+    "matroid_tutte_section_multigraph": ["matroid", "tutte", "inputs/multigraph.json",
+                                         "--section-q", "1/2"],
+    "matroid_basis_poly_multigraph": ["matroid", "basis-poly", "inputs/multigraph.json"],
+    "matroid_validate_multigraph": ["matroid", "validate", "inputs/multigraph.json"],
+    # graphs a loader refuses, through a rank-table command and validate
+    "matroid_potts_graph_edge_out_of_range": ["matroid", "potts",
+                                              "inputs/graph_edge_out_of_range.json",
+                                              "--q", "1/2"],
+    "matroid_validate_graph_edge_out_of_range": ["matroid", "validate",
+                                                 "inputs/graph_edge_out_of_range.json"],
+    "matroid_potts_graph_negative_vertices": ["matroid", "potts",
+                                              "inputs/graph_negative_vertices.json",
+                                              "--q", "1/2"],
+    "matroid_validate_graph_negative_vertices": ["matroid", "validate",
+                                                 "inputs/graph_negative_vertices.json"],
     # M-matrices
     "mmatrix_charpoly": ["mmatrix", "charpoly", "inputs/m3.json"],
     "mmatrix_charpoly_certify": ["mmatrix", "charpoly", "inputs/m3.json", "--certify"],
