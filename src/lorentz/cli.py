@@ -123,10 +123,10 @@ def _load_object(path: str) -> dict:
     return obj
 
 
-def _load_matroid(path: str) -> matroids.Matroid:
+def _load_matroid(path: str, ranked: bool = False) -> matroids.Matroid:
     obj = _load_object(path)
     if "edges" in obj:
-        return graph_matroid_from_dict(obj)
+        return graph_matroid_from_dict(obj, ranked=ranked)
     return matroid_from_dict(obj)
 
 
@@ -224,7 +224,7 @@ def _validate(run: _Run, args) -> int:
 
 
 def _mason(run: _Run, args) -> int:
-    m = _load_matroid(args.input)
+    m = _load_matroid(args.input, ranked=True)
     counts = matroids.independence_counts(m)
     ok = first_ulc_failure(counts, m.n) is None
     run.report["result"]["independence_counts"] = counts
@@ -234,7 +234,7 @@ def _mason(run: _Run, args) -> int:
 
 
 def _tutte(run: _Run, args) -> int:
-    m = _load_matroid(args.input)
+    m = _load_matroid(args.input, ranked=True)
     if args.section_q is not None:
         section = matroids.tutte_section(m, args.section_q)
         # ultra log-concave, nonnegative, and without internal zeros
@@ -383,10 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     _leaf(ma, "validate", _validate, matroid)
     _construct(ma, "basis-poly", lambda a: matroids.basis_generating_poly(
                    _load_matroid(a.input)), matroid)
-    _construct(ma, "potts", lambda a: matroids.potts_poly(_load_matroid(a.input), a.q),
+    _construct(ma, "potts", lambda a: matroids.potts_poly(
+                   _load_matroid(a.input, ranked=True), a.q),
                matroid, _arg("--q", type=_fraction_arg, required=True))
     _construct(ma, "indep-poly", lambda a: matroids.independent_set_poly(
-                   _load_matroid(a.input)), matroid)
+                   _load_matroid(a.input, ranked=True)), matroid)
     _leaf(ma, "mason", _mason, matroid)
     _leaf(ma, "tutte", _tutte, matroid, _arg("--x", type=_fraction_arg),
           _arg("--y", type=_fraction_arg),

@@ -2,11 +2,11 @@
 zonotope volume polynomials.
 
 Ground set elements are 0-based indices 0..n-1; subsets are encoded as
-bitmasks internally.  The 2^n subset constructions read a rank table built
-once per call in O(2^n * n) steps: the independent sets are the downward
-closure of the bases, and a dependent set has the largest rank of its
-one-smaller subsets.  A single ``rank`` query scans the basis list.  Both
-suit the desk scale (n up to a dozen or so) this library targets.
+bitmasks internally.  The 2^n subset constructions read one rank table per
+matroid, kept once built: from the bases by greedy extension, O(1) per mask,
+or for a graph by a DP over its edge sets (``ranked_cycle_matroid``).  The
+independent sets are the masks whose rank is their size.  A single ``rank``
+query scans the basis list.  All suit the desk scale (n up to a dozen or so).
 """
 
 from __future__ import annotations
@@ -46,16 +46,17 @@ def _unmask(mask: int, n: int) -> tuple[int, ...]:
 
 
 class Matroid:
-    """Matroid on {0..n-1} given by its validated set of bases."""
+    """Matroid on {0..n-1} given by its validated bases; keeps its rank table."""
 
-    __slots__ = ("n", "bases", "rank_full")
+    __slots__ = ("n", "bases", "rank_full", "_ranks")
 
-    def __init__(self, n: int, basis_masks: Sequence[int]):
+    def __init__(self, n: int, basis_masks: Sequence[int], ranks: list[int] | None = None):
         if not basis_masks:
             raise ValueError("a matroid needs at least one basis")
         self.n = n
         self.bases = tuple(sorted(set(basis_masks)))
         self.rank_full = bin(self.bases[0]).count("1")
+        self._ranks = ranks
 
     def __eq__(self, other):
         if not isinstance(other, Matroid):
@@ -121,27 +122,23 @@ def _independent_flags(m: Matroid) -> bytearray:
 
 
 def _rank_table(m: Matroid) -> list[int]:
-    """rank[S] for every mask S: |S| when S is independent, and otherwise the
-    largest rank[S - i] over the elements i of S."""
-    flags = _independent_flags(m)
-    ranks = [0] * len(flags)
-    for mask in range(1, len(flags)):
-        if flags[mask]:
-            ranks[mask] = mask.bit_count()
-        else:
-            best, rest = 0, mask
-            while rest:
-                low = rest & -rest
-                r = ranks[mask ^ low]
-                if r > best:
-                    best = r
-                rest ^= low
-            ranks[mask] = best
-    return ranks
+    """rank[S] for every mask S, built once per matroid by greedy extension:
+    a maximal independent subset I of S - t, t the top element of S, is
+    maximal in S as I + t when that is independent, and as I otherwise."""
+    if m._ranks is None:
+        flags = _independent_flags(m)
+        sub, ranks = [0], [0]       # per mask: such an I, and its size
+        for t in range(m.n):
+            bit = 1 << t
+            grow = [flags[s | bit] for s in sub]
+            sub += [s | bit if g else s for s, g in zip(sub, grow)]
+            ranks += [r + g for r, g in zip(ranks, grow)]
+        m._ranks = ranks
+    return m._ranks
 
 
 def independent_set_masks(m: Matroid) -> list[int]:
-    return [mask for mask, flag in enumerate(_independent_flags(m)) if flag]
+    return [mask for mask, r in enumerate(_rank_table(m)) if r == mask.bit_count()]
 
 
 def independence_counts(m: Matroid) -> list[int]:
@@ -215,20 +212,26 @@ def tutte_section(m: Matroid, q: RationalLike) -> list[Fraction]:
     return out
 
 
-def cycle_matroid(num_vertices: int, edges: Sequence[Sequence[int]]) -> Matroid:
-    """Cycle matroid of a graph: bases are the maximal spanning forests.
-
-    Loops and parallel edges are allowed; elements are edge indices.
-    """
+def _edge_pairs(num_vertices: int, edges: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The edges as vertex pairs, each checked against the vertex count."""
     if num_vertices < 0:
         raise ValueError(f"vertices must be nonnegative, got {num_vertices}")
-    m = len(edges)
     pairs = []
     for e in edges:
         u, v = index(e[0]), index(e[1])
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise ValueError(f"edge {e} out of range")
         pairs.append((u, v))
+    return pairs
+
+
+def cycle_matroid(num_vertices: int, edges: Sequence[Sequence[int]]) -> Matroid:
+    """Cycle matroid of a graph: bases are the maximal spanning forests.
+
+    Loops and parallel edges are allowed; elements are edge indices.
+    """
+    pairs = _edge_pairs(num_vertices, edges)
+    m = len(pairs)
 
     def forest_rank(subset: Sequence[int]) -> int:
         parent = list(range(num_vertices))
@@ -254,6 +257,24 @@ def cycle_matroid(num_vertices: int, edges: Sequence[Sequence[int]]) -> Matroid:
         if forest_rank(subset) == full_rank:
             bases.append(_mask(subset, m))
     return Matroid(m, bases)
+
+
+def ranked_cycle_matroid(num_vertices: int, edges: Sequence[Sequence[int]]) -> Matroid:
+    """``cycle_matroid`` with its rank table, filled over all 2^m edge sets:
+    rank S = rank (S - e) + 1 when the top edge e of S joins two components of
+    S - e, whose labels are a bytes string over the vertices edges touch."""
+    pairs = _edge_pairs(num_vertices, edges)
+    code = {x: k for k, x in enumerate(sorted({x for e in pairs for x in e}))}
+    labels, ranks = [bytes(range(len(code)))], [0]
+    for u, v in pairs:
+        u, v = code[u], code[v]
+        joins = [lab[u] != lab[v] for lab in labels]
+        labels += [lab.replace(lab[u:u + 1], lab[v:v + 1]) if j else lab
+                   for lab, j in zip(labels, joins)]
+        ranks += [r + j for r, j in zip(ranks, joins)]
+    # the bases are the masks of full rank and size
+    return Matroid(len(pairs), [mask for mask, r in enumerate(ranks)
+                                if r == ranks[-1] == mask.bit_count()], ranks)
 
 
 def zonotope_volume_poly(vectors: Sequence[Sequence[RationalLike]]) -> HomogPoly:

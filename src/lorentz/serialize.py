@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from typing import Any, Optional
 
-from .matroids import Matroid, cycle_matroid, matroid_from_bases
+from .matroids import Matroid, cycle_matroid, matroid_from_bases, ranked_cycle_matroid
 from .mconvex import DiscreteFunction
 from .measures import Measure
 from .mmatrix import SquareMatrix
@@ -177,11 +177,13 @@ def matroid_from_dict(obj: dict, where: str = "matroid") -> Matroid:
     return _build(where, matroid_from_bases, *matroid_parts(obj, where))
 
 
-def graph_matroid_from_dict(obj: dict, where: str = "graph") -> Matroid:
+def graph_matroid_from_dict(obj: dict, where: str = "graph", ranked: bool = False) -> Matroid:
+    """The cycle matroid of a graph document, with its 2^m rank table when
+    ``ranked`` (for the commands that scan every edge set)."""
     v = _require(obj, "vertices", int, where)
     edges = [_int_tuple(e, f"{where}.edges[{k}]", length=2)
              for k, e in enumerate(_require(obj, "edges", list, where))]
-    return _build(where, cycle_matroid, v, edges)
+    return _build(where, ranked_cycle_matroid if ranked else cycle_matroid, v, edges)
 
 
 # -- matrices ----------------------------------------------------------------

@@ -15,7 +15,10 @@ is the per-exponent loop that ``poly.check_exponents`` must agree with,
 ``nuij_by_steps`` the step-by-step body of ``operators.nuij_transform``,
 ``lifts_by_groups`` and ``project_by_slices`` the group-by-group bodies of
 ``poly.multi_affine_lifts`` and ``operators.project``, and ``unit(n, i)`` the
-exponent of w_i.
+exponent of w_i.  ``lorentzian_by_definition`` and
+``strictly_lorentzian_by_definition`` follow Brändén-Huh's recursive
+definitions, with ``exchange_holds`` the exchange axiom on every pair and
+Faddeev-LeVerrier for the quadratics' inertias.
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 from unittest import mock
 
 from lorentz.certify import _RayleighScan
-from lorentz.inertia import SymMatrix
+from lorentz.inertia import Inertia, SymMatrix
 from lorentz.operators import _fraction_sum
-from lorentz.poly import Exponent, HomogPoly, RationalLike, _ones, as_fraction, factorial_of
+from lorentz.poly import (Exponent, HomogPoly, RationalLike, _ones, as_fraction,
+                          factorial_of, simplex)
+
+from faddeev_leverrier import char_poly_inertia
 
 
 def unit(n: int, i: int) -> Exponent:
@@ -309,3 +315,45 @@ def log_concavity_probe(f: HomogPoly, w: Sequence[RationalLike],
         if logs[k + 1] - 2 * logs[k] + logs[k - 1] > 1e-9 * max(1.0, abs(logs[k])):
             return False
     return True
+
+
+def moved(p: Sequence[int], i: int, j: int) -> tuple[int, ...]:
+    """p - e_i + e_j."""
+    return tuple(k - (m == i) + (m == j) for m, k in enumerate(p))
+
+
+def exchange_holds(points: Iterable[Sequence[int]]) -> bool:
+    """The exchange axiom of M-convex sets, tried on every pair: for alpha,
+    beta in the set and alpha_i > beta_i, some j with alpha_j < beta_j puts
+    alpha - e_i + e_j in the set."""
+    pts = {tuple(p) for p in points}
+    return all(any(a[j] < b[j] and moved(a, i, j) in pts for j in range(len(a)))
+               for a in pts for b in pts for i in range(len(a)) if a[i] > b[i])
+
+
+def lorentzian_by_definition(f: HomogPoly) -> bool:
+    """Nonnegative coefficients, and: degree <= 1; or a quadratic whose Hessian
+    has at most one positive eigenvalue; or an M-convex support and every
+    d_i f Lorentzian."""
+    if any(c < 0 for c in f.terms.values()):
+        return False
+    if f.degree <= 1:
+        return True
+    if f.degree == 2:
+        return char_poly_inertia(hessian(f)).n_plus <= 1
+    return exchange_holds(f.terms) and all(
+        lorentzian_by_definition(f.derive(unit(f.nvars, i))) for i in range(f.nvars))
+
+
+def strictly_lorentzian_by_definition(f: HomogPoly) -> bool:
+    """Every coefficient of degree d positive, and: degree <= 1; or a quadratic
+    whose Hessian is nonsingular with one positive eigenvalue; or every d_i f
+    strictly Lorentzian."""
+    n = f.nvars
+    if any(f.coeff(e) <= 0 for e in simplex(n, f.degree)):
+        return False
+    if f.degree <= 1:
+        return True
+    if f.degree == 2:
+        return char_poly_inertia(hessian(f)) == Inertia(1, n - 1, 0)
+    return all(strictly_lorentzian_by_definition(f.derive(unit(n, i))) for i in range(n))

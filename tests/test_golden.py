@@ -27,6 +27,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,9 +36,11 @@ import lorentz
 from lorentz.certify import INERTIA_VIOLATION
 from lorentz.cli import main
 from lorentz.inertia import Inertia
-from lorentz.serialize import function_from_dict, poly_from_dict
+from lorentz.measures import partition_homogenized
+from lorentz.serialize import function_from_dict, measure_from_dict, poly_from_dict
 
 from faddeev_leverrier import char_poly_inertia
+from poly_oracles import first_rayleigh_violation, hessian
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = GOLDEN / "reports"
@@ -284,6 +287,72 @@ def test_reported_inertias_match_char_poly(name):
     assert failures[0] == [cert["failing_alpha"], cert["detail"]["inertia"]]
     for alpha, sig in failures:
         assert Inertia(**sig) == char_poly_inertia(f.quadratic_hessian_after(tuple(alpha)))
+
+
+def _recorded_cases(command: str) -> list[str]:
+    """The cases of a command whose recorded report holds a result, for the
+    tests that re-check its figures; unrecorded cases are left out."""
+    return [name for name in sorted(CASES) if CASES[name][0] == command
+            and (REPORTS / f"{name}.json").exists()
+            and json.loads((REPORTS / f"{name}.json").read_text(encoding="utf-8")).get("result")]
+
+
+def _recorded_result(name: str) -> dict:
+    return json.loads((REPORTS / f"{name}.json").read_text(encoding="utf-8"))["result"]
+
+
+def _input(name: str, k: int = 1):
+    return json.loads((GOLDEN / CASES[name][k]).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", _recorded_cases("hodge-riemann"))
+def test_hodge_riemann_inertias_match_char_poly(name):
+    # each point's inertia, from the characteristic polynomial of the
+    # Fraction Hessian at that point
+    f = poly_from_dict(_input(name))
+    for entry in _recorded_result(name)["points"]:
+        point = [Fraction(x) for x in entry["point"]]
+        assert Inertia(**entry["inertia"]) == char_poly_inertia(hessian(f, point))
+
+
+def _rayleigh_witness_holds(f, c: Fraction, alpha, i: int, j: int, point, wit: dict) -> None:
+    """The witness is the Fraction reference's violation at its point, with
+    the sides it reports: d^alpha f * d^(alpha+e_i+e_j) f and
+    c * d^(alpha+e_i) f * d^(alpha+e_j) f."""
+    alpha, point = tuple(alpha), tuple(point)
+    assert first_rayleigh_violation(f, c, [point], [(alpha, i, j)]) == (alpha, i, j, point)
+
+    def at(*ks):
+        beta = tuple(a + ks.count(k) for k, a in enumerate(alpha))
+        return f.derive(beta).eval(point) if sum(beta) <= f.degree else 0
+
+    assert (Fraction(wit["lhs"]), Fraction(wit["rhs"])) == (at() * at(i, j), c * at(i) * at(j))
+
+
+@pytest.mark.parametrize("name", [name for name in _recorded_cases("rayleigh")
+                                  if "violation" in _recorded_result(name)])
+def test_rayleigh_witness_by_fraction_reference(name):
+    wit = _recorded_result(name)["violation"]
+    argv = CASES[name]
+    c = Fraction(argv[argv.index("--c") + 1])
+    _rayleigh_witness_holds(poly_from_dict(_input(name)), c, wit["alpha"], wit["i"], wit["j"],
+                            map(Fraction, wit["point"]), wit)
+
+
+@pytest.mark.parametrize("name", [name for name in _recorded_cases("measure")
+                                  if CASES[name][1] == "report"])
+def test_measure_report_witnesses_by_fraction_reference(name):
+    # a witness at w is the check (alpha = 0, i + 1, j + 1) of the
+    # homogenized Z at (1, w): at c over the positive orthant, at 1 signed
+    report = _recorded_result(name)["report"]
+    f = partition_homogenized(measure_from_dict(_input(name, 2)))
+    witnesses = [(report["c_rayleigh_witness"], Fraction(report["pairwise_c"])),
+                 (report["strongly_rayleigh_witness"], Fraction(1))]
+    assert any(wit for wit, _ in witnesses)
+    for wit, c in witnesses:
+        if wit is not None:
+            _rayleigh_witness_holds(f, c, (0,) * f.nvars, wit["i"] + 1, wit["j"] + 1,
+                                    [Fraction(1), *map(Fraction, wit["point"])], wit)
 
 
 def _exchange_witness(name: str):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz import (ExchangeError, HomogPoly, Matroid, PointSet,
-                     basis_generating_poly, cycle_matroid,
+from lorentz import (ExchangeError, HomogPoly, Matroid, PointSet, matroids,
+                     serialize, basis_generating_poly, cycle_matroid,
                      independence_counts, independent_set_poly,
                      is_lorentzian, is_m_convex_set, mason_check,
                      matroid_from_bases, potts_poly, rank, tutte,
                      tutte_section, uniform_matroid, zonotope_volume_poly)
 from lorentz.catalog import NAMES, load
-from lorentz.matroids import (_rank_mask, _rank_table, independent_set_masks,
-                              normalize_counts)
+from lorentz.cli import main
+from lorentz.matroids import (_independent_flags, _rank_mask, _rank_table,
+                              independent_set_masks, normalize_counts,
+                              ranked_cycle_matroid)
 from generators import random_small_matroid
 from poly_oracles import bivariate_restriction, substitute
 
@@ -242,19 +245,53 @@ def test_independent_set_poly_lorentzian():
         assert is_lorentzian(independent_set_poly(load(name))).verdict
 
 
-def _random_graph_matroids(count=50, seed=63):
-    """Cycle matroids of seeded random multigraphs, with loops, parallel edges
-    and rank-0 (all-loop) graphs among them."""
+def _random_graphs(count=50, seed=63):
+    """(vertices, edges) of seeded random multigraphs, with loops, parallel
+    edges and rank-0 (all-loop) graphs among them."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         v = rng.randint(1, 5)
-        edges = [[rng.randrange(v), rng.randrange(v)] for _ in range(rng.randint(1, 8))]
-        out.append((edges, cycle_matroid(v, edges)))
-    assert any(m.rank_full == 0 for _, m in out)
-    assert any(u == w for edges, _ in out for u, w in edges)
-    assert any(len({tuple(sorted(e)) for e in edges}) < len(edges) for edges, _ in out)
-    return [m for _, m in out]
+        out.append((v, [[rng.randrange(v), rng.randrange(v)]
+                        for _ in range(rng.randint(1, 8))]))
+    assert any(cycle_matroid(v, edges).rank_full == 0 for v, edges in out)
+    assert any(u == w for _, edges in out for u, w in edges)
+    assert any(len({tuple(sorted(e)) for e in edges}) < len(edges) for _, edges in out)
+    return out
+
+
+def _random_graph_matroids():
+    return [cycle_matroid(v, edges) for v, edges in _random_graphs()]
+
+
+# no edges, only loops, isolated vertices, and more vertices than a byte labels
+GRAPH_EDGE_CASES = [
+    (0, []), (3, []),
+    (2, [[0, 0], [1, 1], [1, 1]]),
+    (6, [[0, 1], [1, 2], [2, 0], [1, 2]]),
+    (300, [[299, 256], [256, 0], [0, 299], [150, 151], [151, 152], [152, 150],
+           [298, 298], [10, 20], [20, 255], [299, 150]]),
+]
+
+
+def _rank_table_by_subsets(m):
+    """The rank table the way it was built before the greedy extension: |S|
+    when S is independent, and otherwise the largest rank[S - i] over i in S."""
+    flags = _independent_flags(m)
+    ranks = [0] * len(flags)
+    for mask in range(1, len(flags)):
+        if flags[mask]:
+            ranks[mask] = mask.bit_count()
+        else:
+            best, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                r = ranks[mask ^ low]
+                if r > best:
+                    best = r
+                rest ^= low
+            ranks[mask] = best
+    return ranks
 
 
 def _table_matroids():
@@ -286,3 +323,68 @@ def test_rank_table_matches_basis_scan():
             for r, k in zip(ranks, sizes):
                 section[k] += q ** (rfull - r)
             assert tutte_section(m, q) == section
+
+
+def test_greedy_rank_table_matches_subset_reference():
+    for m in _table_matroids():
+        assert _rank_table(m) == _rank_table_by_subsets(m), m
+        assert _rank_table(m) is _rank_table(m)     # built once, then kept
+
+
+def test_graph_rank_table_matches_cycle_matroid():
+    # the subset DP against the basis enumeration, its greedy table, the
+    # reference table and the basis scan
+    for v, edges in _random_graphs() + GRAPH_EDGE_CASES:
+        ranked, plain = ranked_cycle_matroid(v, edges), cycle_matroid(v, edges)
+        assert ranked == plain and ranked.basis_sets() == plain.basis_sets()
+        assert repr(ranked) == repr(plain)
+        reference = [_rank_mask(plain, mask) for mask in range(1 << plain.n)]
+        assert _rank_table(ranked) == reference, (v, edges)
+        assert _rank_table(plain) == _rank_table_by_subsets(plain) == reference
+
+
+def test_graph_loaders_raise_the_same_errors():
+    for v, edges in ((-3, []), (-1, [[0, 1]]), (3, [[0, 3]]), (3, [(1, 2), (2, -1)]),
+                     (300, [[299, 300]]), (2, [[0.5, 1]]), (2, [[0]])):
+        errors = []
+        for make in (cycle_matroid, ranked_cycle_matroid):
+            with pytest.raises((ValueError, TypeError, IndexError)) as err:
+                make(v, edges)
+            errors.append((err.type, str(err.value)))
+        assert errors[0] == errors[1], (v, edges)
+
+
+def test_graph_rank_table_reads_no_basis_list(monkeypatch):
+    # the four 2^m scans read the DP's table: no downward closure of the bases
+    def refuse(m):
+        raise AssertionError("independent flags built")
+
+    monkeypatch.setattr(matroids, "_independent_flags", refuse)
+    m = ranked_cycle_matroid(4, [[0, 1], [1, 2], [2, 0], [2, 3], [3, 3]])
+    assert independence_counts(m) == [1, 4, 6, 3]
+    assert potts_poly(m, Fraction(1, 2)).terms
+    assert tutte(m, 1, 1) == len(m.bases) == 3
+    assert tutte_section(m, 1)[-1] == 1
+
+
+def test_only_rank_table_commands_skip_the_basis_enumeration(tmp_path, monkeypatch, capsys):
+    # potts, indep-poly, mason and tutte build a graph's matroid by the subset
+    # DP; validate, basis-poly and roundtrip still enumerate its bases
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return cycle_matroid(*args)
+
+    monkeypatch.setattr(serialize, "cycle_matroid", spy)
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2],
+                                                         [1, 3], [2, 3]]}))
+    for argv in (["potts", "--q", "1/2"], ["indep-poly"], ["mason"],
+                 ["tutte", "--x", "2", "--y", "3"], ["tutte", "--section-q", "1/2"]):
+        assert main(["matroid", argv[0], str(path), *argv[1:]]) == 0
+    assert calls == []
+    for argv in (["matroid", "validate"], ["matroid", "basis-poly"], ["roundtrip"]):
+        assert main([*argv, str(path)]) == 0
+    assert len(calls) == 3
+    capsys.readouterr()
