@@ -145,7 +145,7 @@ def independence_counts(m: Matroid) -> list[int]:
     """I_k = number of independent k-subsets, for k = 0..rank."""
     counts = [0] * (m.rank_full + 1)
     for mask in independent_set_masks(m):
-        counts[bin(mask).count("1")] += 1
+        counts[mask.bit_count()] += 1
     return counts
 
 
@@ -184,7 +184,7 @@ def mason_check(m: Matroid) -> bool:
 
 def _rank_size_counts(m: Matroid) -> Counter:
     """The number of subsets of each (rank, size)."""
-    return Counter((r, mask.bit_count()) for mask, r in enumerate(_rank_table(m)))
+    return Counter(zip(_rank_table(m), map(int.bit_count, range(1 << m.n))))
 
 
 def tutte(m: Matroid, x: RationalLike, y: RationalLike) -> Fraction:
@@ -268,13 +268,14 @@ def ranked_cycle_matroid(num_vertices: int, edges: Sequence[Sequence[int]]) -> M
     labels, ranks = [bytes(range(len(code)))], [0]
     for u, v in pairs:
         u, v = code[u], code[v]
-        joins = [lab[u] != lab[v] for lab in labels]
-        labels += [lab.replace(lab[u:u + 1], lab[v:v + 1]) if j else lab
-                   for lab, j in zip(labels, joins)]
-        ranks += [r + j for r, j in zip(ranks, joins)]
-    # the bases are the masks of full rank and size
+        half = len(labels)
+        labels += [lab.replace(lab[u:u + 1], lab[v:v + 1]) if lab[u] != lab[v] else lab
+                   for lab in labels]
+        # a merge makes a new bytes object; an edge that joins nothing keeps the old one
+        ranks += [r + (old is not new) for r, old, new in zip(ranks, labels, labels[half:])]
+    full = ranks[-1]        # the bases are the masks of full rank and size
     return Matroid(len(pairs), [mask for mask, r in enumerate(ranks)
-                                if r == ranks[-1] == mask.bit_count()], ranks)
+                                if r == full and mask.bit_count() == full], ranks)
 
 
 def zonotope_volume_poly(vectors: Sequence[Sequence[RationalLike]]) -> HomogPoly:
