@@ -122,9 +122,8 @@ def _independent_flags(m: Matroid) -> bytearray:
 
 
 def _rank_table(m: Matroid) -> list[int]:
-    """rank[S] for every mask S, built once per matroid by greedy extension:
-    a maximal independent subset I of S - t, t the top element of S, is
-    maximal in S as I + t when that is independent, and as I otherwise."""
+    """rank[S] for every mask S, built once by greedy extension: with I a maximal
+    independent subset of S - t (t = max S), I + t if independent, else I, is one of S."""
     if m._ranks is None:
         flags = _independent_flags(m)
         sub, ranks = [0], [0]       # per mask: such an I, and its size
@@ -212,8 +211,10 @@ def tutte_section(m: Matroid, q: RationalLike) -> list[Fraction]:
     return out
 
 
-def _edge_pairs(num_vertices: int, edges: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """The edges as vertex pairs, each checked against the vertex count."""
+def _edge_pairs(num_vertices: int, edges: Sequence[Sequence[int]]
+                ) -> tuple[int, list[tuple[int, int]]]:
+    """The number k of vertices that edges touch, and the edges as pairs of
+    their labels 0..k-1 in vertex order; each endpoint is checked first."""
     if num_vertices < 0:
         raise ValueError(f"vertices must be nonnegative, got {num_vertices}")
     pairs = []
@@ -222,7 +223,8 @@ def _edge_pairs(num_vertices: int, edges: Sequence[Sequence[int]]) -> list[tuple
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise ValueError(f"edge {e} out of range")
         pairs.append((u, v))
-    return pairs
+    code = {x: k for k, x in enumerate(sorted({x for e in pairs for x in e}))}
+    return len(code), [(code[u], code[v]) for u, v in pairs]
 
 
 def cycle_matroid(num_vertices: int, edges: Sequence[Sequence[int]]) -> Matroid:
@@ -230,11 +232,11 @@ def cycle_matroid(num_vertices: int, edges: Sequence[Sequence[int]]) -> Matroid:
 
     Loops and parallel edges are allowed; elements are edge indices.
     """
-    pairs = _edge_pairs(num_vertices, edges)
+    touched, pairs = _edge_pairs(num_vertices, edges)
     m = len(pairs)
 
     def forest_rank(subset: Sequence[int]) -> int:
-        parent = list(range(num_vertices))
+        parent = list(range(touched))
 
         def find(a):
             while parent[a] != a:
@@ -263,11 +265,9 @@ def ranked_cycle_matroid(num_vertices: int, edges: Sequence[Sequence[int]]) -> M
     """``cycle_matroid`` with its rank table, filled over all 2^m edge sets:
     rank S = rank (S - e) + 1 when the top edge e of S joins two components of
     S - e, whose labels are a bytes string over the vertices edges touch."""
-    pairs = _edge_pairs(num_vertices, edges)
-    code = {x: k for k, x in enumerate(sorted({x for e in pairs for x in e}))}
-    labels, ranks = [bytes(range(len(code)))], [0]
+    touched, pairs = _edge_pairs(num_vertices, edges)
+    labels, ranks = [bytes(range(touched))], [0]
     for u, v in pairs:
-        u, v = code[u], code[v]
         half = len(labels)
         labels += [lab.replace(lab[u:u + 1], lab[v:v + 1]) if lab[u] != lab[v] else lab
                    for lab in labels]

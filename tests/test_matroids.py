@@ -264,13 +264,15 @@ def _random_graph_matroids():
     return [cycle_matroid(v, edges) for v, edges in _random_graphs()]
 
 
-# no edges, only loops, isolated vertices, and more vertices than a byte labels
+# no edges, only loops, isolated vertices, more vertices than a byte labels,
+# and more than memory could hold one entry for: only touched vertices count
 GRAPH_EDGE_CASES = [
     (0, []), (3, []),
     (2, [[0, 0], [1, 1], [1, 1]]),
     (6, [[0, 1], [1, 2], [2, 0], [1, 2]]),
     (300, [[299, 256], [256, 0], [0, 299], [150, 151], [151, 152], [152, 150],
            [298, 298], [10, 20], [20, 255], [299, 150]]),
+    (10 ** 12, [[0, 10 ** 12 - 1], [10 ** 12 - 1, 5], [5, 0], [7, 7]]),
 ]
 
 
