@@ -40,7 +40,7 @@ from lorentz.measures import partition_homogenized
 from lorentz.serialize import function_from_dict, measure_from_dict, poly_from_dict
 
 from faddeev_leverrier import char_poly_inertia
-from poly_oracles import first_rayleigh_violation, hessian
+from poly_oracles import first_rayleigh_violation, hessian, moved
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = GOLDEN / "reports"
@@ -375,10 +375,6 @@ def _exchange_witness(name: str):
     return nu.values, tuple(map(tuple, wit))
 
 
-def _moved(p: tuple, i: int, j: int) -> tuple:
-    return tuple(k - (m == i) + (m == j) for m, k in enumerate(p))
-
-
 @pytest.mark.parametrize("name", ["check_support", "mconvex_set_not_m_convex",
                                   "matroid_validate_exchange", "mconvex_set_box_slice_hole",
                                   "check_support_box_slice_hole"])
@@ -386,7 +382,7 @@ def test_set_exchange_witness_by_brute_force(name):
     # alpha_i > beta_i, and no j with alpha_j < beta_j puts alpha - e_i + e_j in the set
     points, (alpha, beta, i) = _exchange_witness(name)
     assert alpha in points and beta in points and alpha[i] > beta[i]
-    assert not any(alpha[j] < beta[j] and _moved(alpha, i, j) in points
+    assert not any(alpha[j] < beta[j] and moved(alpha, i, j) in points
                    for j in range(len(alpha)))
 
 
@@ -399,9 +395,9 @@ def test_function_exchange_witness_by_brute_force(name):
     values, (alpha, beta) = _exchange_witness(name)
     assert alpha in values and beta in values
     n = len(alpha)
-    assert not any(_moved(alpha, i, j) in values and _moved(beta, j, i) in values and
+    assert not any(moved(alpha, i, j) in values and moved(beta, j, i) in values and
                    values[alpha] + values[beta] >=
-                   values[_moved(alpha, i, j)] + values[_moved(beta, j, i)]
+                   values[moved(alpha, i, j)] + values[moved(beta, j, i)]
                    for i in range(n) if alpha[i] > beta[i]
                    for j in range(n) if alpha[j] < beta[j])
 
