@@ -192,6 +192,13 @@ CASES = {
                                  "--seed", "2", "--trials", "20"],
     "rayleigh_searched": ["rayleigh", "inputs/cubic9.json", "--c", "4/3", "--seed", "1",
                           "--trials", "30", "--point", "1,2"],
+    # the Fano basis polynomial at c = 2, as the benchmark runs it: every
+    # quadratic derivative is Lorentzian
+    "rayleigh_fano_basis_searched": ["rayleigh", "inputs/fano_basis_poly.json", "--c", "2",
+                                     "--seed", "1", "--trials", "200"],
+    # refuted at c = 1 in alpha e_1, after the Lorentzian quadratics at e_2 and e_4
+    "rayleigh_sampled_refuted_c1": ["rayleigh", "inputs/zero_diag_cubic.json", "--c", "1",
+                                    "--seed", "1", "--trials", "20"],
     # c < 0 also checks the alphas with |alpha| = d-1: here alpha = 0 of x0 + x1
     "rayleigh_negative_c": ["rayleigh", "inputs/lin.json", "--c", "-1", "--seed", "1",
                             "--trials", "5", "--point", "1,1"],
