@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .inertia import Inertia, _inertia_rows
 from .mconvex import PointSet, is_m_convex_set
 from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, code_weights,
-                   integer_scaled, simplex)
+                   factorial_of, integer_scaled, simplex)
 
 NEGATIVE_COEFFICIENT = "negative_coefficient"
 SUPPORT_NOT_M_CONVEX = "support_not_m_convex"
@@ -233,8 +233,9 @@ def _int_terms(terms: Mapping) -> dict:
 # integer scan decides every check.  Polynomials check each alpha with
 # d^alpha f nonzero and i <= j, and |alpha| <= d-2 for c >= 0 (a larger
 # alpha has left side 0) or |alpha| <= d-1 for c < 0 (at |alpha| = d both
-# sides are 0); measures check alpha = 0 and 1 <= i < j <= n on the
-# homogenized partition function.
+# sides are 0).  For c >= 1 they skip an alpha whose quadratic q = d^alpha f has a
+# Hessian H of n_plus <= 1: q H_ij <= a_i a_j for a = Hx >= 0 (proof at _RayleighScan).
+# Measures check alpha = 0 and 1 <= i < j <= n on the homogenized partition function.
 #
 # The scan is compiled into one table of monomials and runs on a chunk of
 # integer points at once, in columns of one number per point.  Entry m holds
@@ -274,14 +275,21 @@ class _RayleighScan:
     values >= 0, so it cannot fail, and the first failing check is the same.
     For c < 0 it fails wherever d^(alpha+e_i) f and d^(alpha+e_j) f are
     positive, and at signed points the sides have no sign, so it is kept.
+
+    With ``skip_lorentzian`` (nonnegative terms and points, c >= 1) an alpha
+    whose q = d^alpha f is quadratic with Hessian H of n_plus <= 1 compiles no
+    checks, q H_ij <= c a_i a_j for a = Hx.  At x >= 0, a >= 0; if 2q = x.a > 0,
+    H has determinant <= 0 on span{x, y}: y = a_j e_i + a_i e_j gives q H_ij <=
+    a_i a_j, and if a_i = 0, y = s e_i + e_j with s -> oo forces H_ij = 0.
     """
 
     def __init__(self, terms: Mapping[Exponent, int], alphas: Sequence[Exponent],
-                 pairs: Sequence[tuple[int, int]], drop_zero: bool = False):
+                 pairs: Sequence[tuple[int, int]], drop_zero: bool = False,
+                 skip_lorentzian: bool = False):
         self._terms = terms
         self._alphas = alphas
         self._pairs = pairs
-        self._drop_zero = drop_zero
+        self._drop_zero, self._skip_lorentzian = drop_zero, skip_lorentzian
         one = (0,) * len(alphas[0]) if alphas else ()
         self._entry: dict[Exponent, int] = {one: 0}   # monomial -> table entry
         self._exps: list[Exponent] = [one]             # table entry -> monomial
@@ -345,8 +353,14 @@ class _RayleighScan:
                 self._slots[beta] = s
             return s
 
-        checks = []
-        for i, j in self._pairs:
+        checks, pairs = [], self._pairs
+        if self._skip_lorentzian and sum(alpha) + 2 == sum(next(iter(self._terms))):
+            n = range(len(alpha))       # H_ij = d^e f = a_e e! at e = alpha + e_i + e_j
+            es = [[tuple(a + (k == i) + (k == j) for k, a in enumerate(alpha)) for j in n]
+                  for i in n]
+            rows = [[self._terms.get(e, 0) * factorial_of(e) for e in row] for row in es]
+            pairs = () if _inertia_rows(rows, len(rows)).n_plus <= 1 else pairs
+        for i, j in pairs:
             aij = slot(i, j)
             if aij or not self._drop_zero:
                 checks.append((slot(i), slot(j), aij, (alpha, i, j)))
@@ -445,10 +459,9 @@ def _rayleigh_search(f: HomogPoly, c: RationalLike,
     if not f.has_nonnegative_coeffs():
         raise ValueError("f must have nonnegative coefficients")
     n = f.nvars
-    # the points are nonnegative, so for c >= 0 a check whose left side is
-    # identically zero cannot fail (see _RayleighScan)
     scan = _RayleighScan(_int_terms(f.terms), _rayleigh_alphas(f, f.degree - 1 - (cf >= 0)),
-                         [(i, j) for i in range(n) for j in range(i, n)], drop_zero=cf >= 0)
+                         [(i, j) for i in range(n) for j in range(i, n)], drop_zero=cf >= 0,
+                         skip_lorentzian=cf >= 1)
     if (hit := _first_hit(scan, cf, points)) is None:
         return None
     w, check = hit

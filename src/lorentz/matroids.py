@@ -266,6 +266,8 @@ def ranked_cycle_matroid(num_vertices: int, edges: Sequence[Sequence[int]]) -> M
     rank S = rank (S - e) + 1 when the top edge e of S joins two components of
     S - e, whose labels are a bytes string over the vertices edges touch."""
     touched, pairs = _edge_pairs(num_vertices, edges)
+    if touched > 256:           # a label is one byte; 2^m masks could not be held anyway
+        raise ValueError(f"{touched} vertices touched by {len(pairs)} edges, more than 256")
     labels, ranks = [bytes(range(touched))], [0]
     for u, v in pairs:
         half = len(labels)

@@ -159,3 +159,11 @@ def random_lorentzian_input(rng: random.Random) -> HomogPoly:
     nu = random_m_convex_function(rng, rng.randint(2, 3), rng.randint(1, 3))
     q = rng.choice([Fraction(1, 10), Fraction(1, 2), Fraction(1)])
     return generating_poly_f(nu, q)
+
+
+def with_one_scaled(rng: random.Random, f: HomogPoly, s: Fraction) -> HomogPoly:
+    """f with the coefficient of one of its exponents multiplied by s."""
+    if not f.terms:
+        return f
+    e = rng.choice(sorted(f.terms))
+    return HomogPoly(f.nvars, f.degree, {**f.terms, e: f.terms[e] * s})

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz import (HomogPoly, Inertia, PointSet, char_poly_multivariate,
+from lorentz import (HomogPoly, Inertia, Measure, PointSet, char_poly_multivariate,
                      hodge_riemann_many, independent_set_poly, is_lorentzian,
-                     is_m_convex_set, is_strictly_lorentzian, potts_poly, random_m_matrix,
-                     rayleigh_check_at, rayleigh_falsify)
-from lorentz import certify, mconvex
+                     is_m_convex_set, is_strictly_lorentzian, negative_dependence_report,
+                     potts_poly, random_m_matrix, rayleigh_check_at, rayleigh_falsify)
+from lorentz import certify, mconvex, measures
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              SUPPORT_NOT_M_CONVEX, Certificate, _RayleighScan,
                              _coefficient_certificate, _int_terms, _randints,
@@ -23,8 +23,10 @@ from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
 from lorentz.inertia import _inertia_rows, inertia
 from lorentz.poly import simplex
 from lorentz.serialize import graph_matroid_from_dict, matroid_from_dict, poly_from_dict
+from faddeev_leverrier import char_poly_inertia
 from generators import (random_homog, random_lorentzian_input, random_multiaffine,
-                        random_nonneg_matrix, random_positive_fraction, random_small_matroid)
+                        random_nonneg_matrix, random_positive_fraction, random_small_matroid,
+                        with_one_scaled)
 from poly_oracles import (directional_derive, first_rayleigh_violation, hessian,
                           linear_form, log_concavity_probe, pointwise, substitute,
                           support_alphas)
@@ -458,17 +460,22 @@ def _assert_matches_reference(wit, f, c, points):
 
 @settings(max_examples=100)
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 4),
-       st.sampled_from(["random", "lorentzian", "multiaffine"]),
-       st.sampled_from([Fraction(1, 2), Fraction(1), None, Fraction(0), Fraction(-1)]))
+       st.sampled_from(["random", "lorentzian", "scaled", "multiaffine"]),
+       st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), None,
+                        Fraction(0), Fraction(-1)]))
 def test_rayleigh_scan_matches_fraction_reference(rng, n, d, kind, c):
     # the integer scan against derive/eval on the seeded draws of rayleigh_falsify;
     # c None is the bound 2(1 - 1/d), which holds on Lorentzian inputs.  The
     # scan drops the checks with d^(alpha+e_i+e_j) f = 0 only for c >= 0: in
-    # a multi-affine f every i = j check is one, and at c = -1 those fail
+    # a multi-affine f every i = j check is one, and at c = -1 those fail.
+    # For c >= 1 it skips the alphas whose quadratic d^alpha f has a Hessian
+    # of n_plus <= 1; one coefficient scaled by 1/50-50 mixes skipped and kept ones
     if kind == "random":
         f = random_homog(rng, n, d, nonneg=True)
     elif kind == "lorentzian":
         f = random_lorentzian_input(rng)
+    elif kind == "scaled":
+        f = with_one_scaled(rng, random_lorentzian_input(rng), Fraction(rng.randint(1, 2500), 50))
     else:
         f = random_multiaffine(rng, max(n + 2, d), d)  # needs d <= variables
     if c is None:
@@ -476,6 +483,107 @@ def test_rayleigh_scan_matches_fraction_reference(rng, n, d, kind, c):
     seed = rng.randrange(1000)
     _assert_matches_reference(rayleigh_falsify(f, c, trials=12, seed=seed), f, c,
                               _drawn_points(f.nvars, 12, seed))
+
+
+def _compiled_scans(module, call):
+    """The ``_RayleighScan``s that call() builds in ``module``, each with every
+    alpha compiled."""
+    made = []
+
+    class Recorded(_RayleighScan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with mock.patch.object(module, "_RayleighScan", Recorded):
+        call()
+    for scan in made:
+        while len(scan._groups) < len(scan._alphas):
+            scan._compile()
+    return made
+
+
+def _skipped_alphas(f, c):
+    """The alphas of ``rayleigh_falsify``'s scan of f at c that compile no
+    check: every other alpha keeps one, as d^alpha f has degree >= 1."""
+    [scan] = _compiled_scans(certify, lambda: rayleigh_falsify(f, c, trials=0, seed=0))
+    return [alpha for alpha, group in zip(scan._alphas, scan._groups) if not group[3]]
+
+
+def _lorentzian_quadratics(f):
+    """The alphas with |alpha| = d-2 and d^alpha f nonzero whose Fraction
+    Hessian has n_plus <= 1, by Faddeev-LeVerrier."""
+    return [alpha for alpha in support_alphas(f)
+            if char_poly_inertia(hessian(f.derive(alpha))).n_plus <= 1]
+
+
+def _skip_inputs():
+    rng = random.Random(44)
+    out = [f for f in scan_inputs() if f.degree >= 2 and not f.is_zero()]
+    for _ in range(20):
+        f = random_homog(rng, rng.randint(1, 3), rng.randint(2, 4), nonneg=True)
+        if not f.is_zero():
+            out.append(f)
+        f = random_lorentzian_input(rng)
+        if f.degree >= 2:
+            out.append(with_one_scaled(rng, f, Fraction(rng.randint(1, 2500), 50)))
+    return out
+
+
+def test_rayleigh_skips_exactly_the_lorentzian_quadratics():
+    skipped = kept = 0
+    for f in _skip_inputs():
+        expected = _lorentzian_quadratics(f)
+        for c in (Fraction(1), Fraction(3, 2), Fraction(2)):
+            assert _skipped_alphas(f, c) == expected, (f, c)
+        skipped += len(expected)
+        kept += len(support_alphas(f)) - len(expected)
+    assert skipped >= 50 and kept >= 20, (skipped, kept)
+
+
+@pytest.mark.parametrize("c", [Fraction(99, 100), Fraction(1, 2), Fraction(0), Fraction(-1)])
+def test_rayleigh_skips_nothing_below_one(c):
+    for f in _skip_inputs():
+        assert _skipped_alphas(f, c) == [], (f, c)
+
+
+def test_measure_report_scans_skip_nothing():
+    # Z of the uniform measure on the subsets of {0, 1} homogenizes to the
+    # Lorentzian quadratic (w0 + w1)(w0 + w2) / 4; the report's one scan also
+    # serves signed points, where its checks can fail
+    mu = Measure(2, {mask: Fraction(1, 4) for mask in range(4)})
+    assert _lorentzian_quadratics(measures.partition_homogenized(mu)) == [(0, 0, 0)]
+    for c in (Fraction(1), Fraction(2)):
+        [scan] = _compiled_scans(measures, lambda: negative_dependence_report(mu, c, 5, 1))
+        assert [len(group[3]) for group in scan._groups] == [1]
+
+
+def test_rayleigh_first_group_refutation_computes_no_inertia():
+    # the tight example refutes at its first point in alpha 0, before any
+    # quadratic alpha is compiled; a point that passes first reaches them
+    f = tight_rayleigh_poly(3)
+    c = Fraction(4, 3) - Fraction(1, 100)
+    with mock.patch.object(certify, "_inertia_rows", wraps=_inertia_rows) as spy:
+        assert rayleigh_check_at(f, c, [[1, 0, 0]]).alpha == (0, 0, 0)
+        assert spy.call_count == 0
+        assert rayleigh_check_at(f, c, [[0, 1, 1], [1, 0, 0]]).alpha == (0, 0, 0)
+        assert spy.call_count == 3
+
+
+def test_rayleigh_lorentzian_quadratic_still_reads_every_point():
+    # every check of a Lorentzian quadratic is skipped at c >= 1, and each
+    # explicit point is still checked for sign and length when its turn comes
+    # (x0 + 2 x1)(x1 + x2)
+    q = HomogPoly(3, 2, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 2, 0): 2, (0, 1, 1): 2})
+    assert _lorentzian_quadratics(q) == [(0, 0, 0)]
+    for c in (1, Fraction(3, 2)):
+        assert _skipped_alphas(q, c) == [(0, 0, 0)]
+        assert rayleigh_check_at(q, c, [[1, 2, 3], [0, 0, 1]]) is None
+        with pytest.raises(ValueError, match="point must be nonnegative"):
+            rayleigh_check_at(q, c, [[1, 2, 3], [1, -1, 0], [1, 0]])
+        with pytest.raises(ValueError, match="point has length 2, expected 3"):
+            rayleigh_check_at(q, c, [[1, 2, 3], [1, 0], [1, -1, 0]])
+    assert _skipped_alphas(q, Fraction(1, 2)) == []
 
 
 @pytest.mark.parametrize("d", range(2, 7))

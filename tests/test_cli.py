@@ -537,6 +537,15 @@ def test_repeated_set_element_is_refused(tmp_path, capsys):
     assert code == 0 and rep["result"]["matroid"] == {"n": 2, "bases": [[1]]}
 
 
+def test_graph_touching_over_256_vertices_is_refused(tmp_path, capsys):
+    # the edge-set DP labels each touched vertex with one byte: 130 disjoint
+    # edges touch 260 vertices, and their 2^130 edge sets could not be held
+    doc = write(tmp_path, "g.json", {"vertices": 261,
+                                     "edges": [[2 * k, 2 * k + 1] for k in range(130)]})
+    code, rep = run(capsys, "matroid", "potts", doc, "--q", "2")
+    assert code == 2 and rep["error"] == "graph: 260 vertices touched by 130 edges, more than 256"
+
+
 @contextlib.contextmanager
 def _no_digit_limit():
     """No limit on the digits of an int <-> str conversion inside the block."""

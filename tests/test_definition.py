@@ -19,19 +19,12 @@ from lorentz import HomogPoly, Inertia, is_lorentzian, is_strictly_lorentzian
 from lorentz.certify import INERTIA_VIOLATION, NEGATIVE_COEFFICIENT, SUPPORT_NOT_M_CONVEX
 
 from faddeev_leverrier import char_poly_inertia
-from generators import random_homog, random_lorentzian_input, random_multiaffine
+from generators import (random_homog, random_lorentzian_input, random_multiaffine,
+                        with_one_scaled)
 from poly_oracles import (hessian, linear_form, lorentzian_by_definition, moved,
                           strictly_lorentzian_by_definition, unit)
 
 KINDS = ("lorentzian", "scaled", "dense", "sparse", "multiaffine", "strict")
-
-
-def _with_one_scaled(rng: random.Random, f: HomogPoly, s: Fraction) -> HomogPoly:
-    """f with the coefficient of one of its exponents multiplied by s."""
-    if not f.terms:
-        return f
-    e = rng.choice(sorted(f.terms))
-    return HomogPoly(f.nvars, f.degree, {**f.terms, e: f.terms[e] * s})
 
 
 def _near_strict(rng: random.Random, c: Fraction) -> HomogPoly:
@@ -48,14 +41,14 @@ def near_boundary_input(rng: random.Random, kind: str, s: Fraction) -> HomogPoly
     if kind == "lorentzian":
         return random_lorentzian_input(rng)
     if kind == "scaled":
-        return _with_one_scaled(rng, random_lorentzian_input(rng), s)
+        return with_one_scaled(rng, random_lorentzian_input(rng), s)
     if kind in ("dense", "sparse"):
         return random_homog(rng, rng.randint(2, 3), rng.randint(2, 4),
                             density=0.9 if kind == "dense" else 0.3, nonneg=True)
     if kind == "multiaffine":
         n = rng.randint(2, 4)
         return random_multiaffine(rng, n, rng.randint(1, n))
-    return _with_one_scaled(rng, _near_strict(rng, s / 25), s if rng.randrange(2) else 1)
+    return with_one_scaled(rng, _near_strict(rng, s / 25), s if rng.randrange(2) else 1)
 
 
 def check_refutation(f: HomogPoly, strict: bool) -> None:

@@ -40,7 +40,7 @@ from lorentz.measures import partition_homogenized
 from lorentz.serialize import function_from_dict, measure_from_dict, poly_from_dict
 
 from faddeev_leverrier import char_poly_inertia
-from poly_oracles import first_rayleigh_violation, hessian, moved
+from poly_oracles import first_rayleigh_violation, hessian, moved, support_alphas
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = GOLDEN / "reports"
@@ -344,6 +344,16 @@ def test_rayleigh_witness_by_fraction_reference(name):
     c = Fraction(argv[argv.index("--c") + 1])
     _rayleigh_witness_holds(poly_from_dict(_input(name)), c, wit["alpha"], wit["i"], wit["j"],
                             map(Fraction, wit["point"]), wit)
+
+
+def test_rayleigh_c1_witness_follows_a_skipped_alpha():
+    # at c >= 1 the scan skips the alphas whose quadratic d^alpha f has a
+    # Hessian of n_plus <= 1; this witness comes after such an alpha
+    name = "rayleigh_sampled_refuted_c1"
+    f = poly_from_dict(_input(name))
+    skipped = [alpha for alpha in support_alphas(f)
+               if char_poly_inertia(hessian(f.derive(alpha))).n_plus <= 1]
+    assert any(alpha < tuple(_recorded_result(name)["violation"]["alpha"]) for alpha in skipped)
 
 
 @pytest.mark.parametrize("name", [name for name in _recorded_cases("measure")
