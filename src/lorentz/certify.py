@@ -355,9 +355,9 @@ class _RayleighScan:
 
         checks, pairs = [], self._pairs
         if self._skip_lorentzian and sum(alpha) + 2 == sum(next(iter(self._terms))):
-            n = range(len(alpha))       # H_ij = d^e f = a_e e! at e = alpha + e_i + e_j
-            es = [[tuple(a + (k == i) + (k == j) for k, a in enumerate(alpha)) for j in n]
-                  for i in n]
+            idx = range(len(alpha))     # H_ij = d^e f = a_e e! at e = alpha + e_i + e_j
+            es = [[tuple(a + (k == i) + (k == j) for k, a in enumerate(alpha)) for j in idx]
+                  for i in idx]
             rows = [[self._terms.get(e, 0) * factorial_of(e) for e in row] for row in es]
             pairs = () if _inertia_rows(rows, len(rows)).n_plus <= 1 else pairs
         for i, j in pairs:
