@@ -211,6 +211,14 @@ CASES = {
     "mconvex_function_exchange_refuted": ["mconvex", "function",
                                           "inputs/nu_exchange_refuted.json"],
     "roundtrip_graph": ["roundtrip", "inputs/k4_graph.json"],
+    # roundtrip of every other document kind, through its writer
+    "roundtrip_poly": ["roundtrip", "inputs/cubic9.json"],
+    "roundtrip_function": ["roundtrip", "inputs/nu_half.json"],
+    "roundtrip_matroid": ["roundtrip", "inputs/u23.json"],
+    "roundtrip_matrix": ["roundtrip", "inputs/m3.json"],
+    "roundtrip_measure": ["roundtrip", "inputs/mu_u12.json"],
+    "roundtrip_operator": ["roundtrip", "inputs/table.json"],
+    "roundtrip_vectors": ["roundtrip", "inputs/vectors.json"],
     "hodge_riemann_sampled": ["hodge-riemann", "inputs/cubic10.json", "--points", "3",
                               "--seed", "1"],
     "hodge_riemann_sampled_no_seed": ["hodge-riemann", "inputs/cubic10.json",
