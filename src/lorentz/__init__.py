@@ -13,19 +13,16 @@ from .certify import (Certificate, RayleighWitness, hodge_riemann_many,
 from .inertia import Inertia, SymMatrix, inertia
 from .matroids import (ExchangeError, Matroid, basis_generating_poly,
                        cycle_matroid, independence_counts,
-                       independent_set_poly, mason_check, matroid_from_bases,
-                       potts_poly, rank, tutte, tutte_section,
-                       uniform_matroid, zonotope_volume_poly)
+                       independent_set_poly, matroid_from_bases, potts_poly,
+                       tutte, tutte_section, zonotope_volume_poly)
 from .mconvex import (DiscreteFunction, PointSet, generating_poly_f,
                       generating_poly_g, is_m_convex_function,
-                      is_m_convex_set, is_matroid_basis_family, polarize_fn,
-                      project_fn, regularize)
+                      is_m_convex_set, regularize)
 from .measures import (Measure, NegativeDependenceReport, exclusion_evolution,
                        external_field, is_lorentzian_measure,
-                       matroid_measures, negative_dependence_report,
-                       partition_homogenized)
+                       negative_dependence_report, partition_homogenized)
 from .mmatrix import (SquareMatrix, char_poly_multivariate, is_m_matrix,
-                      principal_minor, random_m_matrix)
+                      principal_minor)
 from .operators import (OperatorTable, apply_operator, coefficient_power,
                         exclusion_step, multi_affine_part, normalize,
                         nuij_transform, polarize, project, symbol)
@@ -43,12 +40,10 @@ __all__ = [
     "generating_poly_f", "generating_poly_g", "hodge_riemann_many",
     "independence_counts", "independent_set_poly", "inertia",
     "is_lorentzian", "is_lorentzian_measure", "is_m_convex_function",
-    "is_m_convex_set", "is_m_matrix", "is_matroid_basis_family",
-    "is_strictly_lorentzian", "mason_check", "matroid_from_bases",
-    "matroid_measures", "multi_affine_part", "negative_dependence_report",
+    "is_m_convex_set", "is_m_matrix", "is_strictly_lorentzian",
+    "matroid_from_bases", "multi_affine_part", "negative_dependence_report",
     "normalize", "nuij_transform", "partition_homogenized", "polarize",
-    "polarize_fn", "potts_poly", "principal_minor", "project",
-    "project_fn", "random_m_matrix", "rank", "rayleigh_check_at",
+    "potts_poly", "principal_minor", "project", "rayleigh_check_at",
     "rayleigh_falsify", "regularize", "simplex", "symbol", "tutte",
-    "tutte_section", "uniform_matroid", "zonotope_volume_poly",
+    "tutte_section", "zonotope_volume_poly",
 ]

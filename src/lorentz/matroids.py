@@ -5,8 +5,8 @@ Ground set elements are 0-based indices 0..n-1; subsets are encoded as
 bitmasks internally.  The 2^n subset constructions read one rank table per
 matroid, kept once built: from the bases by greedy extension, O(1) per mask,
 or for a graph by a DP over its edge sets (``ranked_cycle_matroid``).  The
-independent sets are the masks whose rank is their size.  A single ``rank``
-query scans the basis list.  All suit the desk scale (n up to a dozen or so).
+independent sets are the masks whose rank is their size.  All suit the desk
+scale (n up to a dozen or so).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from itertools import combinations
 from operator import index
 from typing import Iterable, Sequence
 
-from .mconvex import PointSet, is_matroid_basis_family
+from .mconvex import PointSet, is_m_convex_set
 from .mmatrix import bareiss_determinant
-from .poly import Exponent, HomogPoly, RationalLike, as_fraction, first_ulc_failure
+from .poly import Exponent, HomogPoly, RationalLike, as_fraction
 
 
 class ExchangeError(ValueError):
@@ -86,7 +86,7 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
         raise ExchangeError(f"bases have mixed cardinalities {sorted(sizes)}")
     points = PointSet(n, sizes.pop(),
                       [tuple(1 if m >> i & 1 else 0 for i in range(n)) for m in masks])
-    ok, wit = is_matroid_basis_family(points)
+    ok, wit = is_m_convex_set(points)
     if not ok:
         alpha, beta, i = wit
         a = tuple(k for k in range(n) if alpha[k])
@@ -94,15 +94,6 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
         raise ExchangeError(f"exchange fails for bases {a}, {b} at element {i}",
                             witness=(a, b, i))
     return Matroid(n, masks)
-
-
-def rank(m: Matroid, subset: Iterable[int]) -> int:
-    """rk(A) = max over bases B of |A and B|."""
-    return _rank_mask(m, _mask(subset, m.n))
-
-
-def _rank_mask(m: Matroid, mask: int) -> int:
-    return max(bin(mask & b).count("1") for b in m.bases)
 
 
 def _independent_flags(m: Matroid) -> bytearray:
@@ -173,12 +164,6 @@ def independent_set_poly(m: Matroid) -> HomogPoly:
 def normalize_counts(counts: Sequence[int], n: int) -> list[Fraction]:
     """counts[k] / C(n, k) for each k."""
     return [Fraction(c, math.comb(n, k)) for k, c in enumerate(counts)]
-
-
-def mason_check(m: Matroid) -> bool:
-    """Exact ultra log-concavity of the independence counts:
-    I_k^2 / C(n,k)^2 >= (I_{k+1}/C(n,k+1)) (I_{k-1}/C(n,k-1)) for 0 < k < rank."""
-    return first_ulc_failure(independence_counts(m), m.n) is None
 
 
 def _rank_size_counts(m: Matroid) -> Counter:
@@ -299,10 +284,3 @@ def zonotope_volume_poly(vectors: Sequence[Sequence[RationalLike]]) -> HomogPoly
                 e[i] = 1
             terms[tuple(e)] = abs(det)
     return HomogPoly._of(n, d, terms)
-
-
-def uniform_matroid(d: int, n: int) -> Matroid:
-    """U_{d,n}: every d-subset of [n] is a basis."""
-    if not 0 <= d <= n:
-        raise ValueError("need 0 <= d <= n")
-    return Matroid(n, [_mask(s, n) for s in combinations(range(n), d)])

@@ -25,7 +25,7 @@ from operator import index, mul, or_
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, check_exponents,
-                   code_weights, factorial_of, integer_scaled, multi_affine_lifts, simplex)
+                   code_weights, factorial_of, integer_scaled, simplex)
 
 SetWitness = tuple[Exponent, Exponent, int]
 FnWitness = tuple[Exponent, Exponent]
@@ -135,16 +135,6 @@ def is_m_convex_set(ps: PointSet) -> tuple[bool, Optional[SetWitness]]:
     return True, None
 
 
-def is_matroid_basis_family(ps: PointSet) -> tuple[bool, Optional[SetWitness]]:
-    """Nonempty 0/1 point set with the exchange property."""
-    for p in ps.points:
-        if any(k not in (0, 1) for k in p):
-            raise ValueError(f"point {p} is not a 0/1 vector")
-    if not ps.points:
-        return False, None
-    return is_m_convex_set(ps)
-
-
 def is_m_convex_function(nu: DiscreteFunction) -> tuple[bool, Optional[FnWitness]]:
     """M-convexity of a discrete function.
 
@@ -250,42 +240,6 @@ def generating_poly_g(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
     # one normalizing Fraction() costs less than int * Fraction
     return _generating_poly(nu, q, lambda p, c: Fraction(
         math.prod(map(comb_d, p)) * c.numerator, c.denominator))
-
-
-# -- polarization of discrete functions ------------------------------------
-#
-# Variables of the lift are pairs (i, j) with i in [n] and j in [d], flattened
-# as i*d + j; the grouping map phi sends e_(i,j) to e_i.  The lift is
-# supported on 0/1 points and takes the value nu(phi(.)) there; the
-# projection takes the minimum over each fiber of phi.
-
-
-def polarize_fn(nu: DiscreteFunction) -> DiscreteFunction:
-    """Multi-affine lift of nu to n*d variables; inverse of project_fn."""
-    n, d = nu.nvars, nu.degree
-    out: dict[Exponent, Fraction] = {}
-    for p, v in nu.values.items():
-        out.update(dict.fromkeys(multi_affine_lifts((d,) * n, p), v))
-    return DiscreteFunction(n * d, d, out)
-
-
-def project_fn(mu: DiscreteFunction, nvars: int | None = None) -> DiscreteFunction:
-    """Fiber-minimum of mu along the grouping of n*d variables into n groups."""
-    d = mu.degree
-    if nvars is None:
-        if d == 0:
-            raise ValueError("nvars required to project a degree-0 function")
-        nvars, rem = divmod(mu.nvars, d)
-        if rem:
-            raise ValueError(f"{mu.nvars} variables do not split into blocks of {d}")
-    if nvars * d != mu.nvars and not (d == 0 and mu.nvars == 0):
-        raise ValueError(f"cannot group {mu.nvars} variables into {nvars} blocks of {d}")
-    out: dict[Exponent, Fraction] = {}
-    for p, v in mu.values.items():
-        key = tuple(sum(p[i * d:(i + 1) * d]) for i in range(nvars))
-        if key not in out or v < out[key]:
-            out[key] = v
-    return DiscreteFunction(nvars, d, out)
 
 
 def regularize(nu: DiscreteFunction, k: int) -> DiscreteFunction:

@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 from .certify import (Certificate, _first_hit, _int_terms, _randints, _rayleigh_sides,
                       _RayleighScan, is_lorentzian)
-from .matroids import Matroid, _mask, _unmask, independent_set_masks
+from .matroids import _mask, _unmask
 from .operators import _exclusion_theta
 from .poly import HomogPoly, RationalLike, as_fraction, first_ulc_failure
 
@@ -94,14 +94,6 @@ def external_field(mu: Measure, x: Sequence[RationalLike]) -> Measure:
     if total == 0:
         raise ValueError("partition function vanished")
     return Measure(mu.n, {k: w / total for k, w in scaled.items()})
-
-
-def matroid_measures(m: Matroid) -> tuple[Measure, Measure]:
-    """(uniform on independent sets, uniform on bases)."""
-    ind = independent_set_masks(m)
-    mu = Measure(m.n, {mask: Fraction(1, len(ind)) for mask in ind})
-    nu = Measure(m.n, {mask: Fraction(1, len(m.bases)) for mask in m.bases})
-    return mu, nu
 
 
 def exclusion_evolution(mu: Measure, i: int, j: int, theta: RationalLike) -> Measure:

@@ -11,7 +11,6 @@ All 2^n minors come from one Bareiss walk over the subsets
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from operator import index
 from typing import Iterable, Sequence
@@ -137,16 +136,4 @@ def char_poly_multivariate(a: SquareMatrix) -> HomogPoly:
     Built from the 2^n principal minors; variable 0 is the homogenizing w_0.
     """
     return HomogPoly.homogenized(a.n, dict(enumerate(_principal_minors(a))))
-
-
-def random_m_matrix(n: int, seed: int, slack: RationalLike = 0) -> SquareMatrix:
-    """Seeded diagonally dominant M-matrix: A = (s + slack) I - B for a random
-    nonnegative B with s its maximum row sum; positive slack makes A
-    nonsingular (strictly diagonally dominant)."""
-    rng = random.Random(seed)
-    b = [[Fraction(rng.randint(0, 5), rng.randint(1, 5)) for _ in range(n)]
-         for _ in range(n)]
-    s = (max(sum(row) for row in b) if n else Fraction(0)) + as_fraction(slack)
-    return SquareMatrix([[(s if i == j else 0) - b[i][j] for j in range(n)]
-                         for i in range(n)])
 

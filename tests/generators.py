@@ -1,9 +1,13 @@
-"""Seeded random generators shared by the property and acceptance tests.
+"""Seeded random generators and fixture builders shared by the tests.
 
-Every generator takes an explicit random.Random so each test pins its seed.
-The M-convex generators build separable-convex values on a box slice of the
-simplex, or a linear function on the bases or homogenized independent sets of
-a small matroid (both provably M-convex), and re-verify through the checker.
+Every generator takes an explicit random.Random, or a seed, so each test
+pins its seed.  The M-convex generators build separable-convex values on a
+box slice of the simplex, or a linear function on the bases or homogenized
+independent sets of a small matroid (both provably M-convex), and re-verify
+through the checker.  ``uniform_matroid``, ``matroid_measures`` and
+``polarize_fn`` build fixed fixtures: U_{d,n}, the uniform measures on a
+matroid's independent sets and bases, and the multi-affine lift of a
+discrete function.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from lorentz import (DiscreteFunction, HomogPoly, Matroid, SquareMatrix,
-                     SymMatrix, basis_generating_poly, cycle_matroid,
-                     generating_poly_f, independent_set_poly,
-                     is_m_convex_function, uniform_matroid)
-from lorentz.poly import simplex
+from lorentz import (DiscreteFunction, HomogPoly, Matroid, Measure,
+                     SquareMatrix, SymMatrix, basis_generating_poly,
+                     cycle_matroid, generating_poly_f, independent_set_poly,
+                     is_m_convex_function)
+from lorentz.matroids import independent_set_masks
+from lorentz.poly import Exponent, RationalLike, as_fraction, multi_affine_lifts, simplex
 
 from poly_oracles import linear_form
 
@@ -119,6 +124,43 @@ def random_small_matroid(rng: random.Random, max_n: int = 4) -> Matroid:
     possible = list(combinations(range(v), 2))
     m = rng.randint(1, min(4, len(possible)))
     return cycle_matroid(v, rng.sample(possible, m))
+
+
+def uniform_matroid(d: int, n: int) -> Matroid:
+    """U_{d,n}: every d-subset of [n] is a basis."""
+    if not 0 <= d <= n:
+        raise ValueError("need 0 <= d <= n")
+    return Matroid(n, [sum(1 << i for i in s) for s in combinations(range(n), d)])
+
+
+def matroid_measures(m: Matroid) -> tuple[Measure, Measure]:
+    """(uniform on independent sets, uniform on bases)."""
+    ind = independent_set_masks(m)
+    mu = Measure(m.n, {mask: Fraction(1, len(ind)) for mask in ind})
+    nu = Measure(m.n, {mask: Fraction(1, len(m.bases)) for mask in m.bases})
+    return mu, nu
+
+
+def polarize_fn(nu: DiscreteFunction) -> DiscreteFunction:
+    """Multi-affine lift of nu to n*d variables (i, j), flattened as i*d + j:
+    the value nu(phi(x)) at each 0/1 point x, phi sending e_(i,j) to e_i."""
+    n, d = nu.nvars, nu.degree
+    out: dict[Exponent, Fraction] = {}
+    for p, v in nu.values.items():
+        out.update(dict.fromkeys(multi_affine_lifts((d,) * n, p), v))
+    return DiscreteFunction(n * d, d, out)
+
+
+def random_m_matrix(n: int, seed: int, slack: RationalLike = 0) -> SquareMatrix:
+    """Seeded diagonally dominant M-matrix: A = (s + slack) I - B for a random
+    nonnegative B with s its maximum row sum; positive slack makes A
+    nonsingular (strictly diagonally dominant)."""
+    rng = random.Random(seed)
+    b = [[Fraction(rng.randint(0, 5), rng.randint(1, 5)) for _ in range(n)]
+         for _ in range(n)]
+    s = (max(sum(row) for row in b) if n else Fraction(0)) + as_fraction(slack)
+    return SquareMatrix([[(s if i == j else 0) - b[i][j] for j in range(n)]
+                         for i in range(n)])
 
 
 def random_nonneg_matrix(rng: random.Random, rows: int, cols: int,

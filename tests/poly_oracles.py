@@ -18,7 +18,8 @@ is the per-exponent loop that ``poly.check_exponents`` must agree with,
 exponent of w_i.  ``lorentzian_by_definition`` and
 ``strictly_lorentzian_by_definition`` follow Brändén-Huh's recursive
 definitions, with ``exchange_holds`` the exchange axiom on every pair and
-Faddeev-LeVerrier for the quadratics' inertias.
+Faddeev-LeVerrier for the quadratics' inertias.  ``rank`` and ``rank_mask``
+scan a matroid's basis list, the reference for its rank table.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from unittest import mock
 
 from lorentz.certify import _RayleighScan
 from lorentz.inertia import Inertia, SymMatrix
+from lorentz.matroids import Matroid, _mask
 from lorentz.operators import _fraction_sum
 from lorentz.poly import (Exponent, HomogPoly, RationalLike, _ones, as_fraction,
                           factorial_of, simplex)
@@ -357,3 +359,12 @@ def strictly_lorentzian_by_definition(f: HomogPoly) -> bool:
     if f.degree == 2:
         return char_poly_inertia(hessian(f)) == Inertia(1, n - 1, 0)
     return all(strictly_lorentzian_by_definition(f.derive(unit(n, i))) for i in range(n))
+
+
+def rank(m: Matroid, subset: Iterable[int]) -> int:
+    """rk(A) = max over bases B of |A and B|."""
+    return rank_mask(m, _mask(subset, m.n))
+
+
+def rank_mask(m: Matroid, mask: int) -> int:
+    return max(bin(mask & b).count("1") for b in m.bases)

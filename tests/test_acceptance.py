@@ -17,18 +17,19 @@ import numpy as np
 from lorentz import (DiscreteFunction, HomogPoly, Measure, exclusion_step,
                      generating_poly_f, generating_poly_g, hodge_riemann_many,
                      independent_set_poly, inertia, is_lorentzian,
-                     matroid_measures, multi_affine_part, normalize, polarize,
-                     potts_poly, project, rayleigh_check_at, rayleigh_falsify,
-                     uniform_matroid, zonotope_volume_poly)
+                     multi_affine_part, normalize, polarize, potts_poly,
+                     project, rayleigh_check_at, rayleigh_falsify,
+                     zonotope_volume_poly)
 from lorentz import basis_generating_poly, char_poly_multivariate
 from lorentz.catalog import NAMES, load
 from lorentz.matroids import normalize_counts
 from lorentz.measures import pairwise_bound_failures
-from lorentz.mmatrix import random_m_matrix
+from lorentz.poly import first_ulc_failure
 
-from generators import (random_lorentzian_input, random_m_convex_function,
+from generators import (matroid_measures, random_lorentzian_input,
+                        random_m_convex_function, random_m_matrix,
                         random_nonneg_matrix, random_positive_fraction,
-                        random_symmetric)
+                        random_symmetric, uniform_matroid)
 from poly_oracles import (bivariate_restriction, directional_derive, linear_form,
                           normalized_coeff, substitute)
 from test_certify import bivariate_lorentzian_oracle
@@ -135,7 +136,7 @@ def _ulc_counts(n, counts):
 
 
 def test_criterion_3_mason():
-    from lorentz import cycle_matroid, independence_counts, mason_check
+    from lorentz import cycle_matroid, independence_counts
     with criterion(3, "Mason strongest inequality", 30.0):
         graphs = 0
         for v, edges in _connected_graphs(6):
@@ -144,7 +145,7 @@ def test_criterion_3_mason():
             if graphs % 500 == 0:  # tie the oracle to the library surface
                 m = cycle_matroid(v, edges)
                 assert independence_counts(m) == counts
-                assert mason_check(m)
+                assert first_ulc_failure(independence_counts(m), m.n) is None
             graphs += 1
         assert graphs > 20000  # enumeration really ran
         # M(K4), with equality detection on the uniform family

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from lorentz import (HomogPoly, Inertia, Measure, PointSet, char_poly_multivariate,
                      hodge_riemann_many, independent_set_poly, is_lorentzian,
                      is_m_convex_set, is_strictly_lorentzian, negative_dependence_report,
-                     potts_poly, random_m_matrix, rayleigh_check_at, rayleigh_falsify)
+                     potts_poly, rayleigh_check_at, rayleigh_falsify)
 from lorentz import certify, mconvex, measures
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              SUPPORT_NOT_M_CONVEX, Certificate, _RayleighScan,
@@ -24,9 +24,9 @@ from lorentz.inertia import _inertia_rows, inertia
 from lorentz.poly import simplex
 from lorentz.serialize import graph_matroid_from_dict, matroid_from_dict, poly_from_dict
 from faddeev_leverrier import char_poly_inertia
-from generators import (random_homog, random_lorentzian_input, random_multiaffine,
-                        random_nonneg_matrix, random_positive_fraction, random_small_matroid,
-                        with_one_scaled)
+from generators import (random_homog, random_lorentzian_input, random_m_matrix,
+                        random_multiaffine, random_nonneg_matrix, random_positive_fraction,
+                        random_small_matroid, with_one_scaled)
 from poly_oracles import (directional_derive, first_rayleigh_violation, hessian,
                           linear_form, log_concavity_probe, pointwise, substitute,
                           support_alphas)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lorentz import char_poly_multivariate, potts_poly, random_m_matrix
+from lorentz import char_poly_multivariate, potts_poly
 from lorentz.catalog import load
 from lorentz.inertia import Inertia, SymMatrix, _inertia_rows, inertia
 
 from faddeev_leverrier import char_poly, char_poly_inertia
-from generators import random_nonsingular, random_symmetric
+from generators import random_m_matrix, random_nonsingular, random_symmetric
 from poly_oracles import support_alphas
 
 

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz import (DiscreteFunction, HomogPoly, PointSet, generating_poly_f,
-                     generating_poly_g, is_lorentzian, is_m_convex_function,
-                     is_m_convex_set, is_matroid_basis_family, polarize_fn,
-                     project_fn, regularize)
+from lorentz import (DiscreteFunction, ExchangeError, HomogPoly, PointSet,
+                     generating_poly_f, generating_poly_g, is_lorentzian,
+                     is_m_convex_function, is_m_convex_set, matroid_from_bases,
+                     regularize)
 from lorentz.mconvex import _floor_nth_root, _slice_size, rational_power
 from lorentz.poly import simplex
 
-from generators import random_m_convex_function, random_matroid_m_convex_function
+from generators import (polarize_fn, random_m_convex_function,
+                        random_matroid_m_convex_function)
 from poly_oracles import linear_form, normalized_coeff
 
 
@@ -122,18 +123,18 @@ def test_empty_sets_match_pairwise_reference():
 
 
 def test_matroid_basis_family():
+    # matroid_from_bases checks its bases as 0/1 points with is_m_convex_set
+    # and reports that check's witness as sets of elements
     from itertools import combinations
     pts = [tuple(1 if i in s else 0 for i in range(4))
            for s in combinations(range(4), 2)]
-    ok, _ = is_matroid_basis_family(PointSet(4, 2, pts))
-    assert ok
-    bad = PointSet(4, 2, [(1, 1, 0, 0), (0, 0, 1, 1)])
-    ok, wit = is_matroid_basis_family(bad)
-    assert not ok and wit is not None
-    ok, _ = is_matroid_basis_family(PointSet(3, 2, []))
-    assert not ok  # matroids are nonempty
-    with pytest.raises(ValueError):
-        is_matroid_basis_family(PointSet(2, 2, [(2, 0)]))
+    assert is_m_convex_set(PointSet(4, 2, pts)) == (True, None)
+    ok, (alpha, beta, i) = is_m_convex_set(PointSet(4, 2, [(1, 1, 0, 0), (0, 0, 1, 1)]))
+    assert not ok
+    with pytest.raises(ExchangeError) as err:
+        matroid_from_bases(4, [[0, 1], [2, 3]])
+    assert err.value.witness == (tuple(k for k in range(4) if alpha[k]),
+                                 tuple(k for k in range(4) if beta[k]), i)
 
 
 def test_function_examples():
@@ -340,13 +341,6 @@ def test_floor_nth_root_of_a_huge_index():
     # an index above the bit length gives the root 1, with no float of the index
     assert _floor_nth_root(2, 10 ** 4400) == 1
     assert _floor_nth_root(2 ** 64 - 1, 64) == 1 and _floor_nth_root(2 ** 64, 64) == 2
-
-
-def test_polarize_project_roundtrip():
-    rng = random.Random(21)
-    for _ in range(10):
-        nu = random_m_convex_function(rng, rng.randint(2, 3), rng.randint(1, 3))
-        assert project_fn(polarize_fn(nu), nu.nvars) == nu
 
 
 def test_polarize_example():

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentz import (HomogPoly, Measure, exclusion_evolution, external_field,
-                     is_lorentzian_measure, matroid_measures,
-                     negative_dependence_report, partition_homogenized)
+                     is_lorentzian_measure, negative_dependence_report,
+                     partition_homogenized)
 from lorentz.catalog import NAMES, load
 from lorentz.measures import is_ulc, marginal, pair_marginal, rank_sequence
 
-from generators import random_positive_fraction
+from generators import (matroid_measures, random_m_matrix, random_positive_fraction,
+                        uniform_matroid)
 from poly_oracles import first_rayleigh_violation, linear_form, pointwise
 
 
@@ -113,7 +114,6 @@ def test_matroid_measure_atoms():
     mu, nu = matroid_measures(load("u12"))
     assert dict(mu.weights) == {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
     assert dict(nu.weights) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
-    from lorentz import uniform_matroid
     free2 = uniform_matroid(2, 2)
     mu2, _ = matroid_measures(free2)
     assert mu2.weights == {mask: Fraction(1, 4) for mask in range(4)}
@@ -206,7 +206,7 @@ def test_strongly_rayleigh_fixtures_are_lorentzian():
 
 def test_measure_from_m_matrix_minors_is_lorentzian():
     # weights proportional to principal minors of an M-matrix
-    from lorentz.mmatrix import principal_minor, random_m_matrix
+    from lorentz.mmatrix import principal_minor
     a = random_m_matrix(3, seed=21, slack=1)
     weights = {}
     for mask in range(8):

@@ -11,9 +11,9 @@ from lorentz import (HomogPoly, SquareMatrix, char_poly_multivariate,
                      is_lorentzian, is_m_matrix, mmatrix, principal_minor)
 from lorentz.inertia import SymMatrix, inertia
 from lorentz.mconvex import PointSet, is_m_convex_set
-from lorentz.mmatrix import _principal_minors, bareiss_determinant, random_m_matrix
+from lorentz.mmatrix import _principal_minors, bareiss_determinant
 
-from generators import random_doubly_substochastic, random_fraction
+from generators import random_doubly_substochastic, random_fraction, random_m_matrix
 from poly_oracles import bivariate_restriction, linear_form, substitute
 
 

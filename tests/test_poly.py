@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz.matroids import cycle_matroid, rank, uniform_matroid
+from lorentz.matroids import cycle_matroid, matroid_from_bases
 from lorentz.mconvex import DiscreteFunction, PointSet
 from lorentz.measures import Measure
 from lorentz.mmatrix import SquareMatrix, principal_minor
@@ -60,13 +60,13 @@ def test_constructor_rejects_bad_terms():
     lambda: PointSet(2, 2, [(2.5, -0.5)]),
     lambda: DiscreteFunction(2, 2, {(1.7, 1.2): 3}),
     lambda: HomogPoly(2, 2, {(1, 1): 1}).derive((0.9, 0)),
-    lambda: rank(uniform_matroid(2, 3), [0.9, 1.2]),
+    lambda: matroid_from_bases(3, [[0.9, 1.2]]),
     lambda: cycle_matroid(3, [(0.4, 1.6), (1, 2)]),
     lambda: principal_minor(SquareMatrix([[1, 2], [3, 4]]), [1.7]),
     lambda: Measure(2, {frozenset([1.5]): 1}),
     lambda: OperatorTable((1.5, 1), 0, {(0, 0): HomogPoly(2, 0, {(0, 0): 1})}),
     lambda: HomogPoly(2.0, 2, {(1, 1): 1}),
-], ids=["poly_exponent", "point", "function_point", "derive_alpha", "rank_subset",
+], ids=["poly_exponent", "point", "function_point", "derive_alpha", "basis_element",
         "graph_edge", "minor_subset", "measure_atom", "operator_kappa", "poly_nvars"])
 def test_non_integers_are_refused_not_truncated(make):
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
