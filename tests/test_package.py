@@ -1,11 +1,57 @@
-"""Guards on the package as a whole: its export list and its source files."""
+"""Guards on the package as a whole: its export list, its source files and
+the README's account of both."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import lorentz
+from lorentz.cli import build_parser
 
 SOURCES = sorted(Path(lorentz.__file__).resolve().parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _library_api() -> dict[str, set[str]]:
+    """module -> the names its line of README's "Library API" section gives
+    in backticks (an item and its indented continuation lines)."""
+    api = {}
+    for item in re.findall(r"^- `\w+`:.*(?:\n  .*)*", _readme_section("Library API"), re.M):
+        module, *names = re.findall(r"`(\w+)", item)
+        api[module] = set(names)
+    return api
+
+
+def _referenced() -> set[tuple[str, str]]:
+    """(module, name) of each definition that a function of the library reads,
+    other than the definition itself: by its bare name in its own module or
+    in one that imports it by name, or as ``module.name``."""
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        origin = {alias.asname or alias.name: node.module or alias.name
+                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                  for alias in node.names}
+        for top in tree.body:
+            reads = set()
+            for fn in ast.walk(top):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Name):
+                        reads.add((origin.get(node.id, path.stem), node.id))
+                    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                        if origin.get(node.value.id) == node.value.id:     # a module
+                            reads.add((node.value.id, node.attr))
+            reads.discard((path.stem, getattr(top, "name", None)))
+            found |= reads
+    return found
 
 
 def test_exports_resolve_are_unique_and_sorted():
@@ -14,6 +60,51 @@ def test_exports_resolve_are_unique_and_sorted():
         assert hasattr(lorentz, name), name
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+def test_every_public_definition_is_called_or_documented():
+    # a public def or class no library function reads is API that README's
+    # "Library API" section names on its module's line, or it does not belong
+    api, referenced = _library_api(), _referenced()
+    unaccounted = [f"{path.stem}.{node.name}"
+                   for path in SOURCES
+                   for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")
+                   and (path.stem, node.name) not in referenced
+                   and node.name not in api.get(path.stem, ())]
+    assert unaccounted == [], unaccounted
+
+
+def test_every_export_is_documented_on_its_module_line():
+    api = _library_api()
+    missing = [name for name in lorentz.__all__
+               if name not in api.get(getattr(lorentz, name).__module__.rsplit(".", 1)[1], ())]
+    assert missing == [], missing
+
+
+def _leaf_commands(parser: argparse.ArgumentParser, prefix=()) -> list[tuple[str, ...]]:
+    """Every command word sequence that ends at a parser with no subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [leaf for name, sub in subs[0].choices.items()
+            for leaf in _leaf_commands(sub, prefix + (name,))]
+
+
+def test_readme_synopsis_names_every_cli_command():
+    # the synopsis block: lines from one "lorentz <command>" to the next
+    block = re.search(r"```\n(lorentz check.*?)```", _readme_section("CLI"), re.S).group(1)
+    words: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("lorentz "):
+            command = line.split()[1]
+        words.setdefault(command, set()).update(re.split(r"[\s|]+", line))
+    leaves = _leaf_commands(build_parser())
+    assert len(leaves) > 20
+    missing = [" ".join(leaf) for leaf in leaves
+               if leaf[0] not in words or not set(leaf[1:]) <= words[leaf[0]]]
+    assert missing == [], missing
 
 
 def test_no_assert_statements_in_the_library():
