@@ -42,7 +42,11 @@ def _fraction_from_parts(obj: dict, where: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _fraction_from_string(s: str, where: str) -> Fraction:
+def _fraction_from_string(s: Any, where: str) -> Fraction:
+    """A rational string or an integer; a JSON float was already rounded when read."""
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise LoadError(f"{where}: expected a rational string or an integer, "
+                        f"got {json.dumps(s)}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -197,7 +201,7 @@ def matrix_from_dict(obj: dict, where: str = "matrix") -> SquareMatrix:
     rows = _require(obj, "rows", list, where)
     if len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise LoadError(f"{where}: expected {n} rows of {n} rational strings")
-    ent = [[_fraction_from_string(str(x), f"{where}.rows[{i}][{j}]")
+    ent = [[_fraction_from_string(x, f"{where}.rows[{i}][{j}]")
             for j, x in enumerate(row)] for i, row in enumerate(rows)]
     return SquareMatrix(ent)
 
@@ -253,7 +257,8 @@ def vectors_from_dict(obj: dict, where: str = "vectors") -> list[list[Fraction]]
     for k, v in enumerate(vecs):
         if not isinstance(v, list) or len(v) != dim:
             raise LoadError(f"{where}.vectors[{k}]: expected a list of {dim} entries")
-        out.append([_fraction_from_string(str(x), f"{where}.vectors[{k}]") for x in v])
+        out.append([_fraction_from_string(x, f"{where}.vectors[{k}][{j}]")
+                    for j, x in enumerate(v)])
     return out
 
 

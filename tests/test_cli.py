@@ -286,6 +286,16 @@ def test_mmatrix_commands(tmp_path, capsys):
     assert code == 0 and rep["result"]["poly"]["d"] == 2
 
 
+def test_matrix_float_entries_are_input_errors(tmp_path, capsys):
+    # 1e-400 would be read as 0 and the large float rounded, so neither is accepted
+    doc = '{"n": 2, "rows": [[1e-400, -1], [-1, 123456789012345678901234567890.0]]}'
+    path = tmp_path / "a.json"
+    path.write_text(doc)
+    code, rep = run(capsys, "mmatrix", "charpoly", str(path))
+    assert code == 2
+    assert rep["error"].startswith("matrix.rows[0][0]: expected a rational string or an integer")
+
+
 def test_measure_commands(tmp_path, capsys):
     mu = write(tmp_path, "mu.json", MU_U12)
     code, rep = run(capsys, "measure", "lorentzian", mu)

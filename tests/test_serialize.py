@@ -20,7 +20,8 @@ from lorentz.serialize import (LoadError, dumps_canonical, function_from_dict,
                                matroid_from_dict, matroid_to_dict,
                                measure_from_dict, measure_to_dict,
                                operator_from_dict, operator_to_dict,
-                               poly_from_dict, poly_to_dict, roundtrip)
+                               poly_from_dict, poly_to_dict, roundtrip,
+                               vectors_from_dict)
 
 
 def test_poly_roundtrip():
@@ -183,6 +184,29 @@ def test_matrix_roundtrip():
         matrix_from_dict({"n": 2, "rows": [["1", "2"]]})
     with pytest.raises(LoadError):
         matrix_from_dict({"n": 1, "rows": [["1/0"]]})
+
+
+@pytest.mark.parametrize("text", ["0.5", "2.0", "1e-400", "1.2345678901234567890123e29",
+                                  "true", "null", '["1"]', '{"num": "1"}'],
+                         ids=["float", "integral_float", "underflow", "rounded", "bool",
+                              "null", "list", "object"])
+def test_matrix_and_vector_entries_must_be_strings_or_integers(text):
+    # JSON reading has already rounded a float: 1e-400 arrives as 0.0
+    entry = json.loads(text)
+    expected = f"expected a rational string or an integer, got {json.dumps(entry)}"
+    with pytest.raises(LoadError) as err:
+        matrix_from_dict({"n": 2, "rows": [["1", "2"], ["3", entry]]})
+    assert str(err.value) == f"matrix.rows[1][1]: {expected}"
+    with pytest.raises(LoadError) as err:
+        vectors_from_dict({"dim": 2, "vectors": [["1", "0"], [entry, "1"]]})
+    assert str(err.value) == f"vectors.vectors[1][0]: {expected}"
+
+
+def test_matrix_and_vector_entries_read_integers_exactly():
+    big = 123456789012345678901234567890
+    assert matrix_from_dict({"n": 2, "rows": [[big, "-1/3"], [-1, "7"]]}) == \
+        SquareMatrix([[big, Fraction(-1, 3)], [-1, 7]])
+    assert vectors_from_dict({"dim": 2, "vectors": [[big, "1/2"]]}) == [[big, Fraction(1, 2)]]
 
 
 def test_measure_roundtrip():
