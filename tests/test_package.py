@@ -1,13 +1,14 @@
 """Guards on the package as a whole: its export list, its source files and
 the README's account of both."""
 
-import argparse
 import ast
 import re
 from pathlib import Path
 
 import lorentz
 from lorentz.cli import build_parser
+
+from test_cli import _leaves
 
 SOURCES = sorted(Path(lorentz.__file__).resolve().parent.glob("*.py"))
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -83,15 +84,6 @@ def test_every_export_is_documented_on_its_module_line():
     assert missing == [], missing
 
 
-def _leaf_commands(parser: argparse.ArgumentParser, prefix=()) -> list[tuple[str, ...]]:
-    """Every command word sequence that ends at a parser with no subcommands."""
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        return [prefix]
-    return [leaf for name, sub in subs[0].choices.items()
-            for leaf in _leaf_commands(sub, prefix + (name,))]
-
-
 def test_readme_synopsis_names_every_cli_command():
     # the synopsis block: lines from one "lorentz <command>" to the next
     block = re.search(r"```\n(lorentz check.*?)```", _readme_section("CLI"), re.S).group(1)
@@ -100,7 +92,7 @@ def test_readme_synopsis_names_every_cli_command():
         if line.startswith("lorentz "):
             command = line.split()[1]
         words.setdefault(command, set()).update(re.split(r"[\s|]+", line))
-    leaves = _leaf_commands(build_parser())
+    leaves = [words for words, _ in _leaves(build_parser())]
     assert len(leaves) > 20
     missing = [" ".join(leaf) for leaf in leaves
                if leaf[0] not in words or not set(leaf[1:]) <= words[leaf[0]]]
