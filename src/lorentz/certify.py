@@ -299,6 +299,7 @@ class _RayleighScan:
         self._nslots = 1
         # per compiled alpha: (table length, new values, slot of d^alpha f, checks)
         self._groups: list = []
+        self._checked = False           # whether any compiled alpha has a check
 
     # _mono and _deriv loop down to a built entry, then up: a degree may pass the recursion limit
     def _mono(self, e: Exponent) -> int:
@@ -366,6 +367,11 @@ class _RayleighScan:
                 checks.append((slot(i), slot(j), aij, (alpha, i, j)))
         a = slot() if checks else 0     # d^alpha f, shared by the alpha's checks
         self._groups.append((len(self._steps), new, a, checks))
+        self._checked = self._checked or bool(checks)
+
+    def idle(self) -> bool:
+        """Whether every alpha is compiled and none has a check: no point can fail."""
+        return len(self._groups) == len(self._alphas) and not self._checked
 
     def first_violation(self, c: Fraction, us: Sequence[Sequence[int]]
                         ) -> Optional[tuple[int, tuple[Exponent, int, int]]]:
@@ -425,12 +431,15 @@ def _chunks(points: Iterable) -> Iterator[list]:
 def _first_hit(scan: _RayleighScan, c: Fraction, points: Iterable[tuple[list[int], list[int]]]
                ) -> Optional[tuple[tuple[Fraction, ...], tuple[Exponent, int, int]]]:
     """The first of ``points`` (numerators, denominators) at which a check of
-    ``scan`` fails, in Fractions, with the first check failing there; or None."""
+    ``scan`` fails, in Fractions, with the first check failing there; or None.
+    Reading stops after the first chunk when the scan turns out to be idle."""
     for chunk in _chunks(points):
         hit = scan.first_violation(c, [_scaled(*p) for p in chunk])
         if hit is not None:
             x, check = hit
             return tuple(map(Fraction, *chunk[x])), check
+        if scan.idle():
+            break
     return None
 
 
@@ -448,7 +457,12 @@ def rayleigh_check_at(f: HomogPoly, c: RationalLike,
             if any(x < 0 for x in nums):
                 raise ValueError("point must be nonnegative")
             yield nums, dens
-    return _rayleigh_search(f, c, integer_points())
+    pts = integer_points()
+    wit = _rayleigh_search(f, c, pts)
+    if wit is None:
+        for _ in pts:           # an idle scan stops early: check the rest in turn
+            pass
+    return wit
 
 
 def _rayleigh_search(f: HomogPoly, c: RationalLike,

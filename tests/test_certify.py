@@ -20,9 +20,11 @@ from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              _coefficient_certificate, _int_terms, _randints,
                              _rayleigh_alphas, _sampled_points, _support_certificate,
                              _support_inertias)
+from lorentz.cli import main
 from lorentz.inertia import _inertia_rows, inertia
 from lorentz.poly import simplex
-from lorentz.serialize import graph_matroid_from_dict, matroid_from_dict, poly_from_dict
+from lorentz.serialize import (graph_matroid_from_dict, matroid_from_dict, poly_from_dict,
+                               poly_to_dict)
 from faddeev_leverrier import char_poly_inertia
 from generators import (random_homog, random_lorentzian_input, random_m_matrix,
                         random_multiaffine, random_nonneg_matrix, random_positive_fraction,
@@ -584,6 +586,35 @@ def test_rayleigh_lorentzian_quadratic_still_reads_every_point():
         with pytest.raises(ValueError, match="point has length 2, expected 3"):
             rayleigh_check_at(q, c, [[1, 2, 3], [1, 0], [1, -1, 0]])
     assert _skipped_alphas(q, Fraction(1, 2)) == []
+
+
+def test_rayleigh_idle_scan_stops_drawing(monkeypatch, capsys, tmp_path):
+    # at c = 1 the only alpha of (x0 + 2 x1)(x1 + x2) is skipped, so no point
+    # can fail: the seeded draws stop after the first chunk, and the report is
+    # the one a search through every trial gives
+    q = HomogPoly(3, 2, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 2, 0): 2, (0, 1, 1): 2})
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(poly_to_dict(q)))
+    sampled, drawn = certify._sampled_points, []
+
+    def counted(*args):
+        for point in sampled(*args):
+            drawn.append(point)
+            yield point
+
+    def report():
+        drawn.clear()
+        code = main(["rayleigh", str(path), "--c", "1", "--seed", "1", "--trials", "2000"])
+        out = json.loads(capsys.readouterr().out)
+        del out["elapsed_ms"]
+        return code, out
+
+    monkeypatch.setattr(certify, "_sampled_points", counted)
+    stopped = report()
+    assert 1 <= len(drawn) <= certify._CHUNK
+    assert stopped[0] == 0 and stopped[1]["result"] == {"searched_trials": 2000}
+    monkeypatch.setattr(certify._RayleighScan, "idle", lambda scan: False)
+    assert report() == stopped and len(drawn) == 2000
 
 
 @pytest.mark.parametrize("d", range(2, 7))
