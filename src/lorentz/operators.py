@@ -204,6 +204,12 @@ class OperatorTable:
         self.images = clean
         self.nvars_out = m
 
+    def __eq__(self, other):
+        if not isinstance(other, OperatorTable):
+            return NotImplemented
+        return (self.kappa, self.ell, self.nvars_out, self.images) == \
+               (other.kappa, other.ell, other.nvars_out, other.images)
+
 
 def symbol(table: OperatorTable) -> HomogPoly:
     """sym_T(w, u) = sum over a <= kappa of C(kappa, a) T(w^a) u^(kappa - a).

@@ -220,8 +220,8 @@ def test_measure_roundtrip():
 def test_operator_roundtrip():
     t = OperatorTable((2,), 0, {(1,): HomogPoly(1, 1, {(1,): Fraction(2, 3)}),
                                 (2,): HomogPoly(1, 2, {(2,): 1})})
-    back = operator_from_dict(operator_to_dict(t))
-    assert back.kappa == t.kappa and back.ell == t.ell and back.images == t.images
+    assert operator_from_dict(operator_to_dict(t)) == t
+    assert t != OperatorTable((2,), 1, {(1,): HomogPoly(1, 2, {(2,): 1})})
 
 
 def test_load_document_and_roundtrip(tmp_path):
@@ -232,6 +232,7 @@ def test_load_document_and_roundtrip(tmp_path):
         "a.json": matrix_to_dict(SquareMatrix([["2", "-1"], ["-1", "2"]])),
         "mu.json": measure_to_dict(Measure(1, {0: Fraction(1, 2), 1: Fraction(1, 2)})),
         "v.json": {"dim": 2, "vectors": [["1", "0"], ["0", "1"]]},
+        "t.json": operator_to_dict(OperatorTable((1,), 0, {(1,): HomogPoly(1, 1, {(1,): 2})})),
     }
     for name, doc in docs.items():
         path = tmp_path / name
