@@ -299,7 +299,6 @@ class _RayleighScan:
         self._nslots = 1
         # per compiled alpha: (table length, new values, slot of d^alpha f, checks)
         self._groups: list = []
-        self._checked = False           # whether any compiled alpha has a check
 
     # _mono and _deriv loop down to a built entry, then up: a degree may pass the recursion limit
     def _mono(self, e: Exponent) -> int:
@@ -367,11 +366,10 @@ class _RayleighScan:
                 checks.append((slot(i), slot(j), aij, (alpha, i, j)))
         a = slot() if checks else 0     # d^alpha f, shared by the alpha's checks
         self._groups.append((len(self._steps), new, a, checks))
-        self._checked = self._checked or bool(checks)
 
     def idle(self) -> bool:
         """Whether every alpha is compiled and none has a check: no point can fail."""
-        return len(self._groups) == len(self._alphas) and not self._checked
+        return len(self._groups) == len(self._alphas) and not any(g[3] for g in self._groups)
 
     def first_violation(self, c: Fraction, us: Sequence[Sequence[int]]
                         ) -> Optional[tuple[int, tuple[Exponent, int, int]]]:
