@@ -92,7 +92,7 @@ def test_readme_synopsis_names_every_cli_command():
         if line.startswith("lorentz "):
             command = line.split()[1]
         words.setdefault(command, set()).update(re.split(r"[\s|]+", line))
-    leaves = [words for words, _ in _leaves(build_parser())]
+    leaves = [leaf for leaf, _ in _leaves(build_parser())]
     assert len(leaves) > 20
     missing = [" ".join(leaf) for leaf in leaves
                if leaf[0] not in words or not set(leaf[1:]) <= words[leaf[0]]]
