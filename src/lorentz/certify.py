@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from math import lcm, prod
 from operator import gt, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .inertia import Inertia, _inertia_rows
 from .mconvex import PointSet, is_m_convex_set
 from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, code_weights,
-                   factorial_of, integer_scaled, simplex)
+                   integer_scaled, simplex)
 
 NEGATIVE_COEFFICIENT = "negative_coefficient"
 SUPPORT_NOT_M_CONVEX = "support_not_m_convex"
@@ -70,17 +70,6 @@ def _coefficient_certificate(f: HomogPoly) -> Optional[Certificate]:
     e = min(e for e, c in f.terms.items() if c.numerator < 0)
     return Certificate(False, failing_alpha=e, failing_kind=NEGATIVE_COEFFICIENT,
                        detail={"coefficient": f.terms[e]})
-
-
-def _rayleigh_alphas(f: HomogPoly, top: int) -> list[Exponent]:
-    """The alphas with |alpha| <= top and d^alpha f nonzero, sorted: those
-    below the exponents of f."""
-    layer, below = set(f.terms), set()
-    for size in reversed(range(f.degree)):
-        layer = {e[:k] + (e[k] - 1,) + e[k + 1:] for e in layer for k, x in enumerate(e) if x}
-        if size <= top:
-            below |= layer
-    return sorted(below)
 
 
 def _support_hessians(f: HomogPoly) -> list[tuple[Exponent, dict[tuple[int, int], int]]]:
@@ -230,12 +219,9 @@ def _int_terms(terms: Mapping) -> dict:
 # * d^(alpha+e_j) f at one point.  Both sides are homogeneous of the same
 # degree in the point and quadratic in the coefficients of f, so scaling both
 # to integers multiplies the two sides by the same positive number and one
-# integer scan decides every check.  Polynomials check each alpha with
-# d^alpha f nonzero and i <= j, and |alpha| <= d-2 for c >= 0 (a larger
-# alpha has left side 0) or |alpha| <= d-1 for c < 0 (at |alpha| = d both
-# sides are 0).  For c >= 1 they skip an alpha whose quadratic q = d^alpha f has a
-# Hessian H of n_plus <= 1: q H_ij <= a_i a_j for a = Hx >= 0 (proof at _RayleighScan).
-# Measures check alpha = 0 and 1 <= i < j <= n on the homogenized partition function.
+# integer scan decides every check.  ``_rayleigh_plan`` gives the checks a
+# polynomial needs, with the reasons for those it leaves out.  Measures check
+# alpha = 0 and 1 <= i < j <= n on the homogenized partition function.
 #
 # The scan is compiled into one table of monomials and runs on a chunk of
 # integer points at once, in columns of one number per point.  Entry m holds
@@ -264,33 +250,60 @@ def _below(e: Exponent, built: Mapping[Exponent, object]) -> tuple[Exponent, int
     return lower[at], ks[at]
 
 
-class _RayleighScan:
-    """The checks (alpha, i, j), for each alpha in order and each (i, j) of
-    ``pairs`` in order, on integer terms, tried in that order at integer
-    points and compiled into one monomial table.
+def _rayleigh_plan(f: HomogPoly, c: Fraction
+                  ) -> Iterator[tuple[Exponent, list[tuple[int, int]]]]:
+    """Each alpha, in order, with a c-Rayleigh check of f that can fail at
+    a nonnegative point, and the pairs (i, j), i <= j, of those checks.
 
-    With ``drop_zero`` a check whose d^(alpha+e_i+e_j) f is identically zero
-    is not compiled.  That is sound only for nonnegative terms, points and c:
-    the left side of such a check is 0 and its right side is c times two
-    values >= 0, so it cannot fail, and the first failing check is the same.
-    For c < 0 it fails wherever d^(alpha+e_i) f and d^(alpha+e_j) f are
-    positive, and at signed points the sides have no sign, so it is kept.
+    The alphas are those under the support (d^alpha f nonzero) with
+    |alpha| <= d-2 for c >= 0, a larger alpha having left side 0, or
+    |alpha| <= d-1 for c < 0, at |alpha| = d both sides being 0.  One walk
+    down the support gives them and ``below``, the exponents under it by degree.
 
-    With ``skip_lorentzian`` (nonnegative terms and points, c >= 1) an alpha
-    whose q = d^alpha f is quadratic with Hessian H of n_plus <= 1 compiles no
-    checks, q H_ij <= c a_i a_j for a = Hx.  At x >= 0, a >= 0; if 2q = x.a > 0,
-    H has determinant <= 0 on span{x, y}: y = a_j e_i + a_i e_j gives q H_ij <=
-    a_i a_j, and if a_i = 0, y = s e_i + e_j with s -> oo forces H_ij = 0.
+    For c >= 0 a pair is kept only when alpha + e_i + e_j is under the support:
+    otherwise d^(alpha+e_i+e_j) f is identically zero and the check, 0 <= c
+    times two values >= 0, cannot fail.  For c < 0 such a check fails wherever
+    d^(alpha+e_i) f and d^(alpha+e_j) f are positive, so every pair is kept.
+
+    For c >= 1 an alpha whose q = d^alpha f is quadratic with Hessian H of
+    n_plus <= 1 is skipped, q H_ij <= c a_i a_j for a = Hx.  At x >= 0, a >= 0;
+    if 2q = x.a > 0, H has determinant <= 0 on span{x, y}: y = a_j e_i + a_i e_j
+    gives q H_ij <= a_i a_j, and if a_i = 0, y = s e_i + e_j with s -> oo
+    forces H_ij = 0.  The inertias of positive multiples of these H are
+    ``_support_inertias``', read in step with the quadratic alphas: none is
+    computed before the first of them is reached.
     """
+    n, d = f.nvars, f.degree
+    signed, skip = c < 0, c >= 1
+    below = [set(f.terms)]          # below[k]: the exponents of degree d - k under the support
+    for _ in range(d):
+        below.append({e[:k] + (e[k] - 1,) + e[k + 1:]
+                      for e in below[-1] for k, x in enumerate(e) if x})
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    inertias = _support_inertias(f)
+    for alpha in sorted(chain(*below[2 - signed:])):     # |alpha| <= d-2, or d-1 if signed
+        size = sum(alpha)
+        if skip and size == d - 2 and next(inertias)[1].n_plus <= 1:
+            continue
+        if signed:
+            yield alpha, pairs
+            continue
+        up = [alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:] for k in range(n)]
+        above = below[d - size - 2]
+        yield alpha, [(i, j) for i, j in pairs if up[i][:j] + (up[i][j] + 1,) + up[i][j + 1:] in above]
 
-    def __init__(self, terms: Mapping[Exponent, int], alphas: Sequence[Exponent],
-                 pairs: Sequence[tuple[int, int]], drop_zero: bool = False,
-                 skip_lorentzian: bool = False):
+
+class _RayleighScan:
+    """The checks of ``plan``, (alpha, pairs) for each alpha in order with
+    each (i, j) of its pairs in order, on integer terms, tried in that order
+    at integer points and compiled into one monomial table.  The plan is
+    read lazily, one alpha when a chunk first reaches it."""
+
+    def __init__(self, terms: Mapping[Exponent, int],
+                 plan: Iterable[tuple[Exponent, Sequence[tuple[int, int]]]]):
         self._terms = terms
-        self._alphas = alphas
-        self._pairs = pairs
-        self._drop_zero, self._skip_lorentzian = drop_zero, skip_lorentzian
-        one = (0,) * len(alphas[0]) if alphas else ()
+        self._plan = iter(plan)
+        one = (0,) * len(next(iter(terms), ()))
         self._entry: dict[Exponent, int] = {one: 0}   # monomial -> table entry
         self._exps: list[Exponent] = [one]             # table entry -> monomial
         self._steps = [(0, 0)]          # entry -> (parent entry, k); entry 0 is u^0 = 1
@@ -331,10 +344,13 @@ class _RayleighScan:
             d = self._derivs[beta] = tuple(coefs), tuple(entries)
         return d
 
-    def _compile(self) -> None:
-        """Compile the next alpha: its checks over value slots, the
-        derivatives whose slots it adds, and the table length they read."""
-        alpha = self._alphas[len(self._groups)]
+    def _compile(self) -> bool:
+        """Compile the next alpha of the plan: its checks over value slots,
+        the derivatives whose slots it adds, and the table length they read.
+        False when the plan is exhausted."""
+        if (step := next(self._plan, None)) is None:
+            return False
+        alpha, pairs = step
         new = []
 
         def slot(*ks: int) -> int:
@@ -353,23 +369,15 @@ class _RayleighScan:
                 self._slots[beta] = s
             return s
 
-        checks, pairs = [], self._pairs
-        if self._skip_lorentzian and sum(alpha) + 2 == sum(next(iter(self._terms))):
-            idx = range(len(alpha))     # H_ij = d^e f = a_e e! at e = alpha + e_i + e_j
-            es = [[tuple(a + (k == i) + (k == j) for k, a in enumerate(alpha)) for j in idx]
-                  for i in idx]
-            rows = [[self._terms.get(e, 0) * factorial_of(e) for e in row] for row in es]
-            pairs = () if _inertia_rows(rows, len(rows)).n_plus <= 1 else pairs
-        for i, j in pairs:
-            aij = slot(i, j)
-            if aij or not self._drop_zero:
-                checks.append((slot(i), slot(j), aij, (alpha, i, j)))
-        a = slot() if checks else 0     # d^alpha f, shared by the alpha's checks
+        checks = [(slot(i), slot(j), slot(i, j), (alpha, i, j)) for i, j in pairs]
+        a = slot()                      # d^alpha f, shared by the alpha's checks
         self._groups.append((len(self._steps), new, a, checks))
+        return True
 
     def idle(self) -> bool:
-        """Whether every alpha is compiled and none has a check: no point can fail."""
-        return len(self._groups) == len(self._alphas) and not any(g[3] for g in self._groups)
+        """After ``first_violation``, which reads the plan until a point fails
+        or it is exhausted: whether it gave no check, so no point can fail."""
+        return not self._groups
 
     def first_violation(self, c: Fraction, us: Sequence[Sequence[int]]
                         ) -> Optional[tuple[int, tuple[Exponent, int, int]]]:
@@ -379,9 +387,9 @@ class _RayleighScan:
         cols = list(zip(*us))
         table, values = [[1] * len(us)], [[0] * len(us)]
         hit = None
-        for g in range(len(self._alphas)):
-            if g == len(self._groups):
-                self._compile()
+        for g in count():
+            if g == len(self._groups) and not self._compile():
+                break
             size, new, a, checks = self._groups[g]
             for p, k in self._steps[len(table):size]:
                 table.append(list(map(mul, table[p], cols[k])))
@@ -470,10 +478,7 @@ def _rayleigh_search(f: HomogPoly, c: RationalLike,
     cf = as_fraction(c)
     if not f.has_nonnegative_coeffs():
         raise ValueError("f must have nonnegative coefficients")
-    n = f.nvars
-    scan = _RayleighScan(_int_terms(f.terms), _rayleigh_alphas(f, f.degree - 1 - (cf >= 0)),
-                         [(i, j) for i in range(n) for j in range(i, n)], drop_zero=cf >= 0,
-                         skip_lorentzian=cf >= 1)
+    scan = _RayleighScan(_int_terms(f.terms), _rayleigh_plan(f, cf))
     if (hit := _first_hit(scan, cf, points)) is None:
         return None
     w, check = hit

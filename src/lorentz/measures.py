@@ -129,12 +129,6 @@ def rank_sequence(mu: Measure) -> list[Fraction]:
     return out
 
 
-def is_ulc(mu: Measure) -> tuple[bool, Optional[int]]:
-    """Exact ultra log-concavity of the rank sequence over binomials."""
-    k = first_ulc_failure(rank_sequence(mu), mu.n)
-    return k is None, k
-
-
 def pairwise_bound_failures(mu: Measure, c: RationalLike) -> list[tuple[int, int]]:
     """Pairs (i, j) with Pr(i and j) > c Pr(i) Pr(j), decided exactly."""
     cf = as_fraction(c)
@@ -198,16 +192,16 @@ def negative_dependence_report(mu: Measure, c: RationalLike = 2,
     cf = as_fraction(c)
     pnc_fail = tuple(pairwise_bound_failures(mu, 1))
     pair_fail = tuple(pairwise_bound_failures(mu, cf))
-    ulc_ok, ulc_k = is_ulc(mu)
+    ulc_k = first_ulc_failure(rank_sequence(mu), mu.n)
     f = partition_homogenized(mu)
     n = mu.n
-    scan = _RayleighScan(_int_terms(f.terms), [(0,) * (n + 1)],
-                         [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    scan = _RayleighScan(_int_terms(f.terms), [((0,) * (n + 1), pairs)] if pairs else [])
     cr = _rayleigh_scan(f, scan, cf, trials, seed, signed=False)
     sr = _rayleigh_scan(f, scan, Fraction(1), trials, seed + 1, signed=True)
     return NegativeDependenceReport(
         pnc_holds=not pnc_fail, pnc_failures=pnc_fail,
         pairwise_c=cf, pairwise_holds=not pair_fail, pairwise_failures=pair_fail,
-        ulc_holds=ulc_ok, ulc_failing_k=ulc_k,
+        ulc_holds=ulc_k is None, ulc_failing_k=ulc_k,
         c_rayleigh_witness=cr, strongly_rayleigh_witness=sr,
         trials=trials, seed=seed)

@@ -1,0 +1,120 @@
+"""Mutation check of the exact core: one-token mutants of ``certify``,
+``inertia`` and ``mconvex``, each run against the tier-1 tests.
+
+    python tests/mutants.py SCRATCH_DIR [NAME ...]
+
+The checkout (without ``.git``) is copied to SCRATCH_DIR, which must lie
+outside it.  For each mutant, or for each NAME given, the copy gets that one
+edit, the tier-1 tests run there (``python -m pytest -x -q`` with the copy's
+``src`` on the path) and the file is restored.  A mutant is killed when the
+tests fail or time out; one that survives is a missing test.  The report is
+one line per mutant and the exit code is 1 when any survives.
+
+pytest does not collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str         # under src/lorentz
+    old: str            # must occur exactly once in the module
+    new: str
+
+
+MUTANTS = [
+    # the c-Rayleigh plan: which alphas and pairs are checked
+    Mutant("plan_skip_from_c0", "certify.py", "c < 0, c >= 1", "c < 0, c >= 0"),
+    Mutant("plan_skip_n_plus_2", "certify.py", "[1].n_plus <= 1", "[1].n_plus <= 2"),
+    Mutant("plan_keep_zero_pairs", "certify.py", "+ 1,) + up[i][j + 1:] in above",
+           "+ 1,) + up[i][j + 1:] not in above"),
+    Mutant("plan_signed_at_c0", "certify.py", "signed, skip = c < 0", "signed, skip = c <= 0"),
+    Mutant("plan_one_degree_more", "certify.py", "below[2 - signed:]", "below[1 - signed:]"),
+    Mutant("plan_skip_no_quadratic", "certify.py", "size == d - 2 and", "size == d - 1 and"),
+    # the Lorentzian scan and the support Hessians
+    Mutant("lorentzian_n_plus_2", "certify.py", "if sig.n_plus > 1:", "if sig.n_plus > 2:"),
+    Mutant("strict_one_zero", "certify.py", "or sig.n_zero != 0:", "or sig.n_zero > 1:"),
+    Mutant("hessian_diagonal", "certify.py", "e[j] - (i == j)", "e[j] + (i == j)"),
+    # the integer c-Rayleigh scan
+    Mutant("scan_lhs_times_c", "certify.py", "map(mul, values[a], den)", "map(mul, values[a], num)"),
+    Mutant("scan_early_return_at_1", "certify.py", "if x == 0:\n", "if x == 1:\n"),
+    Mutant("scan_keeps_hit_point", "certify.py", "del col[x:]", "del col[x + 1:]"),
+    Mutant("sides_top_derivative", "certify.py", "if sum(beta) <= f.degree", "if sum(beta) < f.degree"),
+    Mutant("chunks_triple", "certify.py", "min(2 * size, _CHUNK)", "min(3 * size, _CHUNK)"),
+    # exact inertia
+    Mutant("inertia_sign_swap", "inertia.py", "(piv > 0) != (prev > 0)", "(piv > 0) == (prev > 0)"),
+    Mutant("inertia_live_all", "inertia.py", "enumerate(a) if any(row)", "enumerate(a) if all(row)"),
+    Mutant("inertia_no_prev", "inertia.py", "prev = piv", "prev = 1"),
+    Mutant("inertia_zero_diagonal", "inertia.py", "a[i][p] += a[i][q]", "a[i][p] -= a[i][q]"),
+    # M-convex sets and functions
+    Mutant("slice_guard_off", "mconvex.py", ") == len(ps.points):", ") >= len(ps.points):"),
+    Mutant("slice_count", "mconvex.py", "run[max(0, k - cap)]", "run[max(0, k - cap + 1)]"),
+    Mutant("exchange_repair", "mconvex.py", "b &= cap", "b |= cap"),
+    Mutant("exchange_last_beta", "mconvex.py", "((b & -b).bit_length() - 1", "(b.bit_length() - 1"),
+    Mutant("function_strict_exchange", "mconvex.py", "<= val[a] + val[b]", "< val[a] + val[b]"),
+]
+
+
+def run_tests(copy: Path) -> tuple[bool, float]:
+    """Whether the tier-1 tests pass in ``copy``, and the seconds they took."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    t0 = time.perf_counter()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               "--continue-on-collection-errors"], cwd=copy, env=env,
+                              capture_output=True, timeout=TIMEOUT_S)
+        passed = proc.returncode == 0
+    except subprocess.TimeoutExpired:
+        passed = False
+    return passed, time.perf_counter() - t0
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__)
+        return 2
+    copy = Path(argv[0]).resolve() / "lorentz"
+    if copy.is_relative_to(ROOT):
+        raise SystemExit("SCRATCH_DIR must lie outside the checkout")
+    chosen = [m for m in MUTANTS if not argv[1:] or m.name in argv[1:]]
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out"))
+    for m in chosen:
+        text = (copy / "src" / "lorentz" / m.module).read_text()
+        if text.count(m.old) != 1:
+            raise SystemExit(f"{m.name}: {m.old!r} occurs {text.count(m.old)} times in {m.module}")
+    passed, secs = run_tests(copy)
+    if not passed:
+        raise SystemExit("the unmutated copy fails its tests")
+    print(f"unmutated: pass in {secs:.0f} s", flush=True)
+    survivors = []
+    for m in chosen:
+        path = copy / "src" / "lorentz" / m.module
+        text = path.read_text()
+        path.write_text(text.replace(m.old, m.new))
+        try:
+            passed, secs = run_tests(copy)
+        finally:
+            path.write_text(text)
+        print(f"{m.name}: {'SURVIVED' if passed else 'killed'} in {secs:.0f} s", flush=True)
+        if passed:
+            survivors.append(m.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed; survivors: {survivors}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

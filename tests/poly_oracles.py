@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 from unittest import mock
@@ -134,9 +134,9 @@ def pointwise_first_violation(scan, c: Fraction, us: Sequence[Sequence[int]]
     num, den = c.numerator, c.denominator
     for x, u in enumerate(us):
         table, values = [1], [0]
-        for g in range(len(scan._alphas)):
-            if g == len(scan._groups):
-                scan._compile()
+        for g in count():
+            if g == len(scan._groups) and not scan._compile():
+                break
             size, new, a, checks = scan._groups[g]
             for p, k in scan._steps[len(table):size]:
                 table.append(table[p] * u[k])

@@ -18,7 +18,7 @@ from lorentz import certify, mconvex, measures
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              SUPPORT_NOT_M_CONVEX, Certificate, _RayleighScan,
                              _coefficient_certificate, _int_terms, _randints,
-                             _rayleigh_alphas, _sampled_points, _support_certificate,
+                             _rayleigh_plan, _sampled_points, _support_certificate,
                              _support_inertias)
 from lorentz.cli import main
 from lorentz.inertia import _inertia_rows, inertia
@@ -263,15 +263,42 @@ def test_random_multiaffine_refuses_degree_above_variables():
     assert random_multiaffine(random.Random(0), 3, 3).terms.keys() == {(1, 1, 1)}
 
 
+def _sub_exponents(f, top):
+    """Every sub-exponent of every term of f with |alpha| <= top, sorted."""
+    return sorted({a for e in f.terms for a in product(*(range(k + 1) for k in e))
+                   if sum(a) <= top})
+
+
+def _planned_alphas(f, c):
+    return [alpha for alpha, _ in _rayleigh_plan(f, c)]
+
+
 def test_support_alphas_match_sub_exponent_enumeration():
-    # Reference: every sub-exponent of every term, kept when |alpha| <= d-1.
+    # below 0 every alpha with |alpha| <= d-1 is planned, from 0 to 1 those
+    # with |alpha| <= d-2, and the quadratic ones are the support Hessians'
     for f in scan_inputs():
         top = f.degree - 2
-        below = sorted({a for e in f.terms for a in product(*(range(k + 1) for k in e))
-                        if sum(a) <= top + 1})
-        assert _rayleigh_alphas(f, top + 1) == below
-        assert _rayleigh_alphas(f, top) == [a for a in below if sum(a) <= top]
+        below = _sub_exponents(f, top + 1)
+        assert _planned_alphas(f, -1) == below
+        assert _planned_alphas(f, 0) == [a for a in below if sum(a) <= top]
         assert [alpha for alpha, _ in _support_inertias(f)] == [a for a in below if sum(a) == top]
+
+
+@pytest.mark.parametrize("c", [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)])
+def test_rayleigh_plan_keeps_the_pairs_with_nonzero_second_derivative(c):
+    # for c >= 0 a check whose d^(alpha+e_i+e_j) f is identically zero cannot
+    # fail and is left out; below 0 every pair is kept
+    kept = dropped = 0
+    for f in _skip_inputs() + [random_multiaffine(random.Random(k), 5, 3) for k in range(5)]:
+        n = f.nvars
+        every = [(i, j) for i in range(n) for j in range(i, n)]
+        for alpha, pairs in _rayleigh_plan(f, c):
+            expected = every if c < 0 else [(i, j) for i, j in every if not f.derive(
+                [a + (k == i) + (k == j) for k, a in enumerate(alpha)]).is_zero()]
+            assert pairs == expected, (f, c, alpha)
+            kept += len(expected)
+            dropped += len(every) - len(expected)
+    assert kept >= 100 and (c < 0 or dropped >= 100), (kept, dropped)
 
 
 def test_strictly_lorentzian():
@@ -487,29 +514,14 @@ def test_rayleigh_scan_matches_fraction_reference(rng, n, d, kind, c):
                               _drawn_points(f.nvars, 12, seed))
 
 
-def _compiled_scans(module, call):
-    """The ``_RayleighScan``s that call() builds in ``module``, each with every
-    alpha compiled."""
-    made = []
-
-    class Recorded(_RayleighScan):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    with mock.patch.object(module, "_RayleighScan", Recorded):
-        call()
-    for scan in made:
-        while len(scan._groups) < len(scan._alphas):
-            scan._compile()
-    return made
-
-
 def _skipped_alphas(f, c):
-    """The alphas of ``rayleigh_falsify``'s scan of f at c that compile no
-    check: every other alpha keeps one, as d^alpha f has degree >= 1."""
-    [scan] = _compiled_scans(certify, lambda: rayleigh_falsify(f, c, trials=0, seed=0))
-    return [alpha for alpha, group in zip(scan._alphas, scan._groups) if not group[3]]
+    """The alphas under f's support that ``_rayleigh_plan(f, c)`` gives no
+    check, the planned ones kept in order."""
+    below = _sub_exponents(f, f.degree - 1 - (c >= 0))
+    planned = _planned_alphas(f, c)
+    skipped = [alpha for alpha in below if alpha not in planned]
+    assert planned == [alpha for alpha in below if alpha not in skipped]
+    return skipped
 
 
 def _lorentzian_quadratics(f):
@@ -556,20 +568,23 @@ def test_measure_report_scans_skip_nothing():
     mu = Measure(2, {mask: Fraction(1, 4) for mask in range(4)})
     assert _lorentzian_quadratics(measures.partition_homogenized(mu)) == [(0, 0, 0)]
     for c in (Fraction(1), Fraction(2)):
-        [scan] = _compiled_scans(measures, lambda: negative_dependence_report(mu, c, 5, 1))
-        assert [len(group[3]) for group in scan._groups] == [1]
+        with mock.patch.object(measures, "_RayleighScan", wraps=_RayleighScan) as made:
+            negative_dependence_report(mu, c, 5, 1)
+        [(_, plan)] = [call.args for call in made.call_args_list]
+        assert list(plan) == [((0, 0, 0), [(1, 2)])]
 
 
 def test_rayleigh_first_group_refutation_computes_no_inertia():
     # the tight example refutes at its first point in alpha 0, before any
-    # quadratic alpha is compiled; a point that passes first reaches them
+    # quadratic alpha is planned; a point that passes first reaches its three,
+    # whose Hessians are two distinct ones: one inertia each
     f = tight_rayleigh_poly(3)
     c = Fraction(4, 3) - Fraction(1, 100)
     with mock.patch.object(certify, "_inertia_rows", wraps=_inertia_rows) as spy:
         assert rayleigh_check_at(f, c, [[1, 0, 0]]).alpha == (0, 0, 0)
         assert spy.call_count == 0
         assert rayleigh_check_at(f, c, [[0, 1, 1], [1, 0, 0]]).alpha == (0, 0, 0)
-        assert spy.call_count == 3
+        assert spy.call_count == 2
 
 
 def test_rayleigh_lorentzian_quadratic_still_reads_every_point():

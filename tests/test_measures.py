@@ -9,7 +9,8 @@ from lorentz import (HomogPoly, Measure, exclusion_evolution, external_field,
                      is_lorentzian_measure, negative_dependence_report,
                      partition_homogenized)
 from lorentz.catalog import NAMES, load
-from lorentz.measures import is_ulc, marginal, pair_marginal, rank_sequence
+from lorentz.measures import marginal, pair_marginal, rank_sequence
+from lorentz.poly import first_ulc_failure
 
 from generators import (matroid_measures, random_m_matrix, random_positive_fraction,
                         uniform_matroid)
@@ -78,11 +79,10 @@ def test_lorentzian_closed_under_external_field():
 def test_ulc_under_external_field():
     rng = random.Random(81)
     mu, _ = matroid_measures(load("mk4"))
-    assert is_ulc(mu)[0]
+    assert first_ulc_failure(rank_sequence(mu), mu.n) is None
     for _ in range(5):
         x = [random_positive_fraction(rng) for _ in range(mu.n)]
-        ok, _ = is_ulc(external_field(mu, x))
-        assert ok
+        assert first_ulc_failure(rank_sequence(external_field(mu, x)), mu.n) is None
 
 
 def test_exclusion_evolution():
