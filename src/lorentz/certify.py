@@ -21,8 +21,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .inertia import Inertia, _inertia_rows
 from .mconvex import PointSet, is_m_convex_set
-from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, code_weights,
-                   integer_scaled, simplex)
+from .poly import Exponent, HomogPoly, RationalLike, as_fraction, code_weights, simplex
 
 NEGATIVE_COEFFICIENT = "negative_coefficient"
 SUPPORT_NOT_M_CONVEX = "support_not_m_convex"
@@ -67,21 +66,21 @@ def _support_certificate(f: HomogPoly) -> Optional[Certificate]:
 def _coefficient_certificate(f: HomogPoly) -> Optional[Certificate]:
     if f.has_nonnegative_coeffs():
         return None
-    e = min(e for e, c in f.terms.items() if c.numerator < 0)
+    e = min(e for e, c in f.nums.items() if c < 0)
     return Certificate(False, failing_alpha=e, failing_kind=NEGATIVE_COEFFICIENT,
-                       detail={"coefficient": f.terms[e]})
+                       detail={"coefficient": f.coeff(e)})
 
 
 def _support_hessians(f: HomogPoly) -> list[tuple[Exponent, dict[tuple[int, int], int]]]:
     """Each alpha with |alpha| = d-2 and d^alpha f nonzero (the e - e_i - e_j
     for the exponents e of f), in order, with the entries (i, j), i <= j, of
-    the Hessian of d^alpha f over alpha!, f scaled to integers: a_e e_i
-    (e_j - [i = j]) for e = alpha + e_i + e_j.  One pass over the terms fills
-    them all, keyed by the integer code of e (``code_weights``), which sorts
-    as the exponents do and gives alpha the code code(e) - w_i - w_j."""
+    the Hessian of d^alpha f times den / alpha!: a_e e_i (e_j - [i = j]) for
+    e = alpha + e_i + e_j, a_e the numerators of f.  One pass over the terms
+    fills them all, keyed by the integer code of e (``code_weights``), which
+    sorts as the exponents do and gives alpha the code code(e) - w_i - w_j."""
     w = code_weights(f.nvars, f.degree)
     hessians: dict[int, tuple[Exponent, dict[tuple[int, int], int]]] = {}
-    for e, a in _int_terms(f.terms).items():
+    for e, a in f.nums.items():
         code = sum(map(mul, e, w))
         nonzero = [i for i, k in enumerate(e) if k]
         for x, i in enumerate(nonzero):
@@ -152,7 +151,7 @@ def is_strictly_lorentzian(f: HomogPoly) -> Certificate:
         return Certificate(False, failing_kind=NEGATIVE_COEFFICIENT,
                            detail={"reason": "zero polynomial"})
     for e in simplex(f.nvars, f.degree):
-        if f.coeff(e) <= 0:
+        if f.nums.get(e, 0) <= 0:
             return Certificate(False, failing_alpha=e, failing_kind=NEGATIVE_COEFFICIENT,
                                detail={"coefficient": f.coeff(e)})
     if f.degree <= 1:
@@ -206,11 +205,6 @@ def _scaled(nums: Sequence[int], dens: Sequence[int]) -> list[int]:
     """den * w for w_k = nums[k] / dens[k] and den the lcm of the dens."""
     den = lcm(*dens)
     return [x * (den // y) for x, y in zip(nums, dens)]
-
-
-def _int_terms(terms: Mapping) -> dict:
-    """The coefficients times the lcm of their denominators."""
-    return dict(zip(terms, integer_scaled(terms.values())[1]))
 
 
 # -- c-Rayleigh scans ---------------------------------------------------------
@@ -275,7 +269,7 @@ def _rayleigh_plan(f: HomogPoly, c: Fraction
     """
     n, d = f.nvars, f.degree
     signed, skip = c < 0, c >= 1
-    below = [set(f.terms)]          # below[k]: the exponents of degree d - k under the support
+    below = [set(f.nums)]           # below[k]: the exponents of degree d - k under the support
     for _ in range(d):
         below.append({e[:k] + (e[k] - 1,) + e[k + 1:]
                       for e in below[-1] for k, x in enumerate(e) if x})
@@ -478,7 +472,7 @@ def _rayleigh_search(f: HomogPoly, c: RationalLike,
     cf = as_fraction(c)
     if not f.has_nonnegative_coeffs():
         raise ValueError("f must have nonnegative coefficients")
-    scan = _RayleighScan(_int_terms(f.terms), _rayleigh_plan(f, cf))
+    scan = _RayleighScan(f.nums, _rayleigh_plan(f, cf))
     if (hit := _first_hit(scan, cf, points)) is None:
         return None
     w, check = hit

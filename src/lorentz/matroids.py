@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .mconvex import PointSet, is_m_convex_set
 from .mmatrix import bareiss_determinant
-from .poly import Exponent, HomogPoly, RationalLike, as_fraction
+from .poly import HomogPoly, RationalLike, as_fraction, integer_scaled
 
 
 class ExchangeError(ValueError):
@@ -142,7 +142,7 @@ def independence_counts(m: Matroid) -> list[int]:
 def basis_generating_poly(m: Matroid) -> HomogPoly:
     """Multi-affine sum of w^B over the bases."""
     return HomogPoly._of(m.n, m.rank_full, dict.fromkeys(
-        (tuple(1 if b >> i & 1 else 0 for i in range(m.n)) for b in m.bases), Fraction(1)))
+        (tuple(1 if b >> i & 1 else 0 for i in range(m.n)) for b in m.bases), 1))
 
 
 def potts_poly(m: Matroid, q: RationalLike) -> HomogPoly:
@@ -151,14 +151,14 @@ def potts_poly(m: Matroid, q: RationalLike) -> HomogPoly:
     qf = as_fraction(q)
     if qf <= 0:
         raise ValueError("q must be positive")
-    weights = [qf ** -r for r in range(m.rank_full + 1)]
+    den, weights = integer_scaled([qf ** -r for r in range(m.rank_full + 1)])
     return HomogPoly.homogenized(
-        m.n, {mask: weights[r] for mask, r in enumerate(_rank_table(m))})
+        m.n, {mask: weights[r] for mask, r in enumerate(_rank_table(m))}, den)
 
 
 def independent_set_poly(m: Matroid) -> HomogPoly:
     """sum over independent A of w^A w_0^(n-|A|); degree n in n+1 variables."""
-    return HomogPoly.homogenized(m.n, dict.fromkeys(independent_set_masks(m), Fraction(1)))
+    return HomogPoly.homogenized(m.n, dict.fromkeys(independent_set_masks(m), 1), 1)
 
 
 def normalize_counts(counts: Sequence[int], n: int) -> list[Fraction]:
@@ -275,12 +275,12 @@ def zonotope_volume_poly(vectors: Sequence[Sequence[RationalLike]]) -> HomogPoly
     if any(len(v) != d for v in vecs):
         raise ValueError("vectors have mixed dimensions")
     n = len(vecs)
-    terms: dict[Exponent, Fraction] = {}
+    parts = []
     for subset in combinations(range(n), d):
         det = bareiss_determinant([vecs[i] for i in subset])
         if det != 0:
             e = [0] * n
             for i in subset:
                 e[i] = 1
-            terms[tuple(e)] = abs(det)
-    return HomogPoly._of(n, d, terms)
+            parts.append((tuple(e), abs(det.numerator), det.denominator))
+    return HomogPoly._summed(n, d, parts)

@@ -213,15 +213,15 @@ def rational_power(q: Fraction, e: Fraction) -> Fraction:
 
 
 def _generating_poly(nu: DiscreteFunction, q: RationalLike, weight) -> HomogPoly:
-    """sum over dom(nu) of weight(a, q^nu(a)) w^a, exact."""
+    """sum over dom(nu) of num / den w^a, exact, for (num, den) = weight(a, q^nu(a))."""
     qf = as_fraction(q)
     if qf <= 0:
         raise ValueError("q must be positive")
     bits = max(qf.numerator, qf.denominator).bit_length() - 1
     if any(abs(v.numerator) * bits > 300_000 * v.denominator for v in nu.values.values()):
         raise ValueError("a power q**nu(a) would take more than 300000 bits")
-    return HomogPoly._of(nu.nvars, nu.degree, {p: weight(p, rational_power(qf, v))
-                                               for p, v in nu.values.items()})
+    return HomogPoly._summed(nu.nvars, nu.degree, [(p, *weight(p, rational_power(qf, v)))
+                                                   for p, v in nu.values.items()])
 
 
 def generating_poly_f(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
@@ -231,14 +231,13 @@ def generating_poly_f(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
     the lcm of the value denominators; otherwise q^nu(a) is irrational and
     a ValueError is raised.
     """
-    return _generating_poly(nu, q, lambda p, c: c / factorial_of(p))
+    return _generating_poly(nu, q, lambda p, c: (c.numerator, c.denominator * factorial_of(p)))
 
 
 def generating_poly_g(nu: DiscreteFunction, q: RationalLike) -> HomogPoly:
     """g^nu_q = sum over dom(nu) of prod_i C(d, a_i) q^nu(a) w^a, exact."""
     comb_d = [math.comb(nu.degree, k) for k in range(nu.degree + 1)].__getitem__
-    # one normalizing Fraction() costs less than int * Fraction
-    return _generating_poly(nu, q, lambda p, c: Fraction(
+    return _generating_poly(nu, q, lambda p, c: (
         math.prod(map(comb_d, p)) * c.numerator, c.denominator))
 
 

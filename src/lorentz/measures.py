@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .certify import (Certificate, _first_hit, _int_terms, _randints, _rayleigh_sides,
-                      _RayleighScan, is_lorentzian)
+from .certify import (Certificate, _first_hit, _randints, _rayleigh_sides, _RayleighScan,
+                      is_lorentzian)
 from .matroids import _mask, _unmask
 from .operators import _exclusion_theta
-from .poly import HomogPoly, RationalLike, as_fraction, first_ulc_failure
+from .poly import HomogPoly, RationalLike, as_fraction, first_ulc_failure, integer_scaled
 
 
 class Measure:
@@ -69,7 +69,8 @@ class Measure:
 
 def partition_homogenized(mu: Measure) -> HomogPoly:
     """w_0^n Z(w_1/w_0, ..., w_n/w_0): degree n in n+1 variables."""
-    return HomogPoly.homogenized(mu.n, mu.weights)
+    den, nums = integer_scaled(mu.weights.values())
+    return HomogPoly.homogenized(mu.n, dict(zip(mu.weights, nums)), den)
 
 
 def is_lorentzian_measure(mu: Measure) -> Certificate:
@@ -196,7 +197,7 @@ def negative_dependence_report(mu: Measure, c: RationalLike = 2,
     f = partition_homogenized(mu)
     n = mu.n
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    scan = _RayleighScan(_int_terms(f.terms), [((0,) * (n + 1), pairs)] if pairs else [])
+    scan = _RayleighScan(f.nums, [((0,) * (n + 1), pairs)] if pairs else [])
     cr = _rayleigh_scan(f, scan, cf, trials, seed, signed=False)
     sr = _rayleigh_scan(f, scan, Fraction(1), trials, seed + 1, signed=True)
     return NegativeDependenceReport(

@@ -135,5 +135,6 @@ def char_poly_multivariate(a: SquareMatrix) -> HomogPoly:
 
     Built from the 2^n principal minors; variable 0 is the homogenizing w_0.
     """
-    return HomogPoly.homogenized(a.n, dict(enumerate(_principal_minors(a))))
+    den, nums = integer_scaled(_principal_minors(a))
+    return HomogPoly.homogenized(a.n, dict(enumerate(nums)), den)
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress
 from operator import index
 from typing import Mapping, Optional, Sequence
 
 from .mconvex import _floor_nth_root, rational_power
 from .poly import (Exponent, HomogPoly, RationalLike, as_fraction, code_weights,
-                   factorial_of, integer_scaled, multi_affine_lifts)
+                   factorial_of, multi_affine_lifts)
 
 
 def _check_caps(f: HomogPoly, kappa: Sequence[int]) -> None:
@@ -35,12 +35,12 @@ def polarize(f: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
     polynomial of each group, divided by C(kappa, a)."""
     kappa = tuple(map(index, kappa))
     _check_caps(f, kappa)
-    out: dict[Exponent, Fraction] = {}
-    for e, c in f.terms.items():
-        # the lifts of distinct monomials are distinct: each key is new
+    parts = []
+    for e, c in f.nums.items():
         lifts = multi_affine_lifts(kappa, e)
-        out.update(dict.fromkeys(lifts, c / len(lifts)))
-    return HomogPoly._of(sum(kappa), f.degree, out)
+        den = f.den * len(lifts)
+        parts += [(lift, c, den) for lift in lifts]
+    return HomogPoly._summed(sum(kappa), f.degree, parts)
 
 
 def project(g: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
@@ -55,32 +55,25 @@ def project(g: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
     # a lifted variable weighs its group's code weight, so a 0/1 term's code is its image's
     weights, base = code_weights(len(kappa), g.degree), g.degree + 1
     lifted = [w for w, k in zip(weights, kappa) for _ in range(k)]
-    merged: dict[int, list[Fraction]] = {}
-    for e, c in g.terms.items():
-        merged.setdefault(sum(compress(lifted, e)), []).append(c)
+    merged: dict[int, int] = {}
+    for e, c in g.nums.items():
+        code = sum(compress(lifted, e))
+        merged[code] = merged.get(code, 0) + c
     return HomogPoly._of(len(kappa), g.degree,
-                         {tuple([code // w % base for w in weights]): _fraction_sum(cs)
-                          for code, cs in merged.items()})
-
-
-def _fraction_sum(xs: list[Fraction]) -> Fraction:
-    """The exact sum, added in integers over the lcm of the denominators."""
-    if len(xs) == 1:
-        return xs[0]
-    den, nums = integer_scaled(xs)
-    return Fraction(sum(nums), den)
+                         {tuple([code // w % base for w in weights]): c
+                          for code, c in merged.items()}, g.den)
 
 
 def normalize(f: HomogPoly) -> HomogPoly:
     """N(w^a) = w^a / a!, extended linearly."""
-    return HomogPoly._of(f.nvars, f.degree,
-                         {e: c / factorial_of(e) for e, c in f.terms.items()})
+    return HomogPoly._summed(f.nvars, f.degree,
+                             [(e, c, f.den * factorial_of(e)) for e, c in f.nums.items()])
 
 
 def multi_affine_part(f: HomogPoly) -> HomogPoly:
     """Restrict to square-free monomials."""
     return HomogPoly._of(f.nvars, f.degree,
-                         {e: c for e, c in f.terms.items() if all(k <= 1 for k in e)})
+                         {e: c for e, c in f.nums.items() if all(k <= 1 for k in e)}, f.den)
 
 
 def coefficient_power(f: HomogPoly, p: RationalLike) -> tuple[HomogPoly, bool]:
@@ -93,8 +86,7 @@ def coefficient_power(f: HomogPoly, p: RationalLike) -> tuple[HomogPoly, bool]:
     pf = as_fraction(p)
     if not 0 <= pf <= 1:
         raise ValueError("p must lie in [0, 1]")
-    terms: dict[Exponent, Fraction] = {}
-    exact = True
+    parts, exact = [], True
     for e, c in f.terms.items():
         cn = c * factorial_of(e)
         if cn < 0:
@@ -104,8 +96,8 @@ def coefficient_power(f: HomogPoly, p: RationalLike) -> tuple[HomogPoly, bool]:
         except ValueError:
             exact = False
             powered = _approx_power(cn, pf)
-        terms[e] = powered / factorial_of(e)
-    return HomogPoly._of(f.nvars, f.degree, terms), exact
+        parts.append((e, powered.numerator, powered.denominator * factorial_of(e)))
+    return HomogPoly._summed(f.nvars, f.degree, parts), exact
 
 
 def _approx_power(c: Fraction, p: Fraction) -> Fraction:
@@ -139,8 +131,8 @@ def exclusion_step(f: HomogPoly, i: int, j: int, theta: RationalLike) -> HomogPo
         raise ValueError("exclusion step needs a multi-affine polynomial")
     swap = list(range(f.nvars))
     swap[i], swap[j] = j, i
-    swapped = {tuple([e[k] for k in swap]): c for e, c in f.terms.items()}
-    return (1 - th) * f + th * HomogPoly._of(f.nvars, f.degree, swapped)
+    swapped = {tuple([e[k] for k in swap]): c for e, c in f.nums.items()}
+    return (1 - th) * f + th * HomogPoly._of(f.nvars, f.degree, swapped, f.den)
 
 
 def nuij_transform(f: HomogPoly, theta: RationalLike) -> HomogPoly:
@@ -163,7 +155,7 @@ def nuij_transform(f: HomogPoly, theta: RationalLike) -> HomogPoly:
                     b = e[:i] + (e[i] + 1,) + e[i + 1:last] + (k - 1,)
                     out[b] = out.get(b, 0) + th * k * c
             terms = {e: c for e, c in out.items() if c}
-    return HomogPoly._of(n, d, terms)
+    return HomogPoly._summed(n, d, [(e, c.numerator, c.denominator) for e, c in terms.items()])
 
 
 class OperatorTable:
@@ -219,22 +211,12 @@ def symbol(table: OperatorTable) -> HomogPoly:
     operator preserves Lorentzian polynomials (a sufficient condition only).
     """
     kappa = table.kappa
-    n = len(kappa)
-    m = table.nvars_out
-    total_deg = sum(kappa) + table.ell
-    out: dict[Exponent, Fraction] = {}
-    for alpha in product(*(range(k + 1) for k in kappa)):
-        g = table.images.get(alpha)
-        if g is None:
-            continue
-        binom = 1
-        for k, a in zip(kappa, alpha):
-            binom *= math.comb(k, a)
+    parts = []
+    for alpha, g in table.images.items():
+        binom = math.prod(map(math.comb, kappa, alpha))
         u_part = tuple(k - a for k, a in zip(kappa, alpha))
-        for e, c in g.terms.items():
-            # distinct (alpha, e) give distinct keys e + (kappa - alpha)
-            out[e + u_part] = binom * c
-    return HomogPoly._of(m + n, total_deg, out)
+        parts += [(e + u_part, binom * c, g.den) for e, c in g.nums.items()]
+    return HomogPoly._summed(table.nvars_out + len(kappa), sum(kappa) + table.ell, parts)
 
 
 def apply_operator(table: OperatorTable, f: HomogPoly) -> HomogPoly:
@@ -243,10 +225,9 @@ def apply_operator(table: OperatorTable, f: HomogPoly) -> HomogPoly:
     out_deg = f.degree + table.ell
     if out_deg < 0:
         return HomogPoly.zero(table.nvars_out, 0)
-    out: dict[Exponent, Fraction] = {}
-    for e, c in f.terms.items():
-        g = table.images.get(e)
-        if g is not None:
-            for x, v in g.terms.items():
-                out[x] = out.get(x, 0) + c * v
-    return HomogPoly._of(table.nvars_out, out_deg, out)
+    parts = []
+    for e, c in f.nums.items():
+        if (g := table.images.get(e)) is not None:
+            den = f.den * g.den
+            parts += [(x, c * v, den) for x, v in g.nums.items()]
+    return HomogPoly._summed(table.nvars_out, out_deg, parts)

@@ -1,9 +1,10 @@
 """Exact sparse homogeneous polynomials over the rationals.
 
-A polynomial of degree d in n variables is a dict mapping exponent tuples
-(length n, entries summing to d) to nonzero Fractions.  The zero polynomial
-is the empty dict with declared (nvars, degree).  All arithmetic is exact;
-no floats enter anywhere.
+A polynomial of degree d in n variables keeps a dict ``nums`` from exponent
+tuples (length n, entries summing to d) to nonzero integer numerators over
+one positive ``den``, with gcd(den, every numerator) = 1, so that equal
+polynomials store equal (den, nums); ``terms`` is its ``Fraction`` view.
+All arithmetic is exact; no floats enter anywhere.
 
 Two coefficient conventions coexist:
 
@@ -22,6 +23,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
 from operator import index
+from types import MappingProxyType
 from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
@@ -125,12 +127,12 @@ def first_ulc_failure(seq: Sequence, n: int) -> Optional[int]:
 
 
 class HomogPoly:
-    """Homogeneous polynomial with exact rational coefficients.
+    """Homogeneous polynomial with exact rational coefficients, nums[e] / den.
 
-    Immutable by convention: never mutate ``terms`` after construction.
+    Immutable by convention: never mutate ``nums`` after construction.
     """
 
-    __slots__ = ("nvars", "degree", "terms")
+    __slots__ = ("nvars", "degree", "den", "nums", "_terms")
 
     def __init__(self, nvars: int, degree: int,
                  terms: Mapping[Sequence[int], RationalLike] | None = None):
@@ -139,70 +141,95 @@ class HomogPoly:
             raise ValueError("nvars and degree must be nonnegative")
         exps = [tuple(map(index, e)) for e in terms]
         check_exponents(exps, nvars, degree)
-        self.nvars = nvars
-        self.degree = degree
-        self.terms = {e: c for e, c in zip(exps, map(as_fraction, terms.values())) if c}
+        # reduced Fractions scaled by the lcm of their denominators share no factor with it
+        den, nums = integer_scaled([as_fraction(c) for c in terms.values()])
+        self.nvars, self.degree, self.den, self._terms = nvars, degree, den, None
+        self.nums = {e: c for e, c in zip(exps, nums) if c}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _of(cls, nvars: int, degree: int, terms: Mapping[Exponent, Fraction]) -> "HomogPoly":
-        """The polynomial of valid terms (int-tuple exponents of length nvars and sum
-        degree, ``Fraction`` values) that library code built: drops zeros, checks nothing."""
+    def _of(cls, nvars: int, degree: int, nums: Mapping[Exponent, int],
+            den: int = 1) -> "HomogPoly":
+        """The polynomial nums / den that library code built (a new dict of valid exponents
+        and int numerators, den > 0): drops zeros, divides out gcd(den, nums), checks nothing."""
         p = object.__new__(cls)
-        p.nvars = nvars
-        p.degree = degree
-        p.terms = {e: c for e, c in terms.items() if c}
+        if 0 in nums.values():          # a copy costs a hash of every exponent
+            nums = {e: c for e, c in nums.items() if c}
+        # gcd(den, sum of nums) is a multiple of gcd(den, nums), found with one long gcd
+        if den > 1 and (g := math.gcd(math.gcd(den, sum(nums.values())), *nums.values())) > 1:
+            den //= g
+            nums = {e: c // g for e, c in nums.items()}
+        p.nvars, p.degree, p.den, p.nums, p._terms = nvars, degree, den, nums, None
         return p
+
+    @classmethod
+    def _summed(cls, nvars: int, degree: int,
+                parts: list[tuple[Exponent, int, int]]) -> "HomogPoly":
+        """The sum of num / den w^exp over the (exp, num, den) parts, of valid
+        exponents and nonzero dens, added in integers over the lcm of the dens."""
+        den = math.lcm(*{d for _, _, d in parts})
+        nums = {e: c * (den // d) for e, c, d in parts}
+        if len(nums) < len(parts):      # an exponent repeats: add its parts
+            nums = dict.fromkeys(nums, 0)
+            for e, c, d in parts:
+                nums[e] += c * (den // d)
+        return cls._of(nvars, degree, nums, den)
 
     @classmethod
     def zero(cls, nvars: int, degree: int) -> "HomogPoly":
         return cls(nvars, degree, {})
 
     @classmethod
-    def homogenized(cls, n: int, weights: Mapping[int, RationalLike]) -> "HomogPoly":
-        """sum over subset masks S of weight(S) w^S w_0^(n-|S|): the
+    def homogenized(cls, n: int, nums: Mapping[int, int], den: int) -> "HomogPoly":
+        """sum over subset masks S of nums[S] / den w^S w_0^(n-|S|): the
         homogenization of a multi-affine polynomial in w_1..w_n; degree n in
         n+1 variables, variable 0 being w_0."""
-        if weights and not (0 <= min(weights) and max(weights) < 1 << n):
+        if nums and not (0 <= min(nums) and max(nums) < 1 << n):
             raise ValueError(f"subset masks must lie in [0, 2^{n})")
         # the bits of a mask, lowest first, are those of its low half, then of its high half
         half, low_mask = n // 2, (1 << n // 2) - 1
         low, high = ([e[::-1] for e in product((0, 1), repeat=k)] for k in (half, n - half))
-        terms = {(n - mask.bit_count(),) + low[mask & low_mask] + high[mask >> half]:
-                 w if type(w) is Fraction else Fraction(w) for mask, w in weights.items()}
-        return cls._of(n + 1, n, terms)
+        return cls._of(n + 1, n, {(n - mask.bit_count(),) + low[mask & low_mask]
+                                  + high[mask >> half]: c for mask, c in nums.items()}, den)
 
     # -- basic queries ------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """The coefficients as Fractions, {e: nums[e] / den}, built on first use."""
+        if self._terms is None:
+            self._terms = MappingProxyType({e: Fraction(c, self.den) for e, c in self.nums.items()})
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coeff(self, e: Sequence[int]) -> Fraction:
         """Raw coefficient of w^e."""
-        return self.terms.get(tuple(e), Fraction(0))
+        return Fraction(self.nums.get(tuple(e), 0), self.den)
 
     def support(self) -> set[Exponent]:
-        return set(self.terms)
+        return set(self.nums)
 
     def has_nonnegative_coeffs(self) -> bool:
-        return not any(c.numerator < 0 for c in self.terms.values())
+        return min(self.nums.values(), default=0) >= 0
 
     def is_multi_affine(self) -> bool:
-        return max(chain.from_iterable(self.terms), default=0) <= 1
+        return max(chain.from_iterable(self.nums), default=0) <= 1
 
     def var_degree_caps(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over the support."""
-        return tuple(map(max, zip(*self.terms))) if self.terms else (0,) * self.nvars
+        return tuple(map(max, zip(*self.nums))) if self.nums else (0,) * self.nvars
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogPoly):
             return NotImplemented
         return (self.nvars == other.nvars and self.degree == other.degree
-                and self.terms == other.terms)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.nvars, self.degree, frozenset(self.terms.items())))
+        return hash((self.nvars, self.degree, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
         if self.is_zero():
@@ -217,38 +244,38 @@ class HomogPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
+        if not isinstance(other, HomogPoly):
+            return NotImplemented
         if self.nvars != other.nvars or self.degree != other.degree:
             raise ValueError("can only add polynomials of equal nvars and degree")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            old = out.get(e)
-            out[e] = c if old is None else old + c
-        return HomogPoly._of(self.nvars, self.degree, out)
+        return HomogPoly._summed(self.nvars, self.degree,
+                                 [(e, c, p.den) for p in (self, other) for e, c in p.nums.items()])
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        return self + (-1) * other
+        return self + (-1) * other if isinstance(other, HomogPoly) else NotImplemented
 
     def __rmul__(self, scalar: RationalLike) -> "HomogPoly":
         s = as_fraction(scalar)
         return HomogPoly._of(self.nvars, self.degree,
-                             {e: s * c for e, c in self.terms.items()})
+                             {e: s.numerator * c for e, c in self.nums.items()},
+                             s.denominator * self.den)
 
     def __mul__(self, other: "HomogPoly | RationalLike") -> "HomogPoly":
         if not isinstance(other, HomogPoly):
             return self.__rmul__(other)
         if self.nvars != other.nvars:
             raise ValueError("can only multiply polynomials in the same variables")
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        out: dict[Exponent, int] = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return HomogPoly._of(self.nvars, self.degree + other.degree, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return HomogPoly._of(self.nvars, self.degree + other.degree, out, self.den * other.den)
 
     def __pow__(self, k: int) -> "HomogPoly":
         if k < 0:
             raise ValueError("negative power")
-        out = HomogPoly._of(self.nvars, 0, {(0,) * self.nvars: Fraction(1)})
+        out = HomogPoly._of(self.nvars, 0, {(0,) * self.nvars: 1})
         for _ in range(k):
             out = out * self
         return out
@@ -259,15 +286,10 @@ class HomogPoly:
         """Exact value at a rational point."""
         if len(w) != self.nvars:
             raise ValueError(f"point has length {len(w)}, expected {self.nvars}")
-        wf = [as_fraction(x) for x in w]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for x, k in zip(wf, e):
-                if k:
-                    term *= x ** k
-            total += term
-        return total
+        # with u = scale * w in integers, f(w) = f(u) / scale^d
+        scale, u = integer_scaled([as_fraction(x) for x in w])
+        total = sum(c * math.prod(map(pow, u, e)) for e, c in self.nums.items())
+        return Fraction(total, self.den * scale ** self.degree)
 
     def derive(self, alpha: Sequence[int]) -> "HomogPoly":
         """Iterated partial derivative d^alpha.
@@ -281,7 +303,7 @@ class HomogPoly:
             raise ValueError(f"|alpha|={a} exceeds degree {self.degree}")
         need = [(i, k) for i, k in enumerate(alpha) if k]
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.nums.items():
             mult = 1
             for i, k in need:
                 # the falling factorial e_i (e_i - 1) ... (e_i - k + 1), 0 when e_i < k
@@ -293,7 +315,7 @@ class HomogPoly:
                 for i, k in need:
                     b[i] -= k
                 out[tuple(b)] = c * mult
-        return HomogPoly._of(self.nvars, self.degree - a, out)
+        return HomogPoly._of(self.nvars, self.degree - a, out, self.den)
 
     def quadratic_hessian_after(self, alpha: Exponent):
         """Hessian of d^alpha f when |alpha| = degree - 2, without building d^alpha f.

@@ -12,6 +12,7 @@ indices throughout.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -20,7 +21,7 @@ from .mconvex import DiscreteFunction
 from .measures import Measure
 from .mmatrix import SquareMatrix
 from .operators import OperatorTable
-from .poly import HomogPoly, check_exponents
+from .poly import HomogPoly, check_exponents, integer_scaled
 
 
 class LoadError(ValueError):
@@ -95,23 +96,23 @@ def _int_set(val: Any, where: str) -> tuple[int, ...]:
     return elems
 
 
-def _exp_rows(table: dict[tuple[int, ...], Fraction]) -> list[dict]:
-    """The {exp, num, den} rows of a map from exponents to rationals, sorted.
-    A row whose coefficient is the previous row's object reuses its strings."""
-    rows, last = [], None
-    for e in sorted(table):
-        c = table[e]
-        if c is not last:
-            num, den = c.as_integer_ratio()
-            last, num, den = c, str(num), str(den)
-        rows.append({"exp": list(e), "num": num, "den": den})
+def _exp_rows(den: int, nums: dict[tuple[int, ...], int]) -> list[dict]:
+    """The {exp, num, den} rows of the rationals nums[e] / den, sorted by
+    exponent, each reduced by one gcd.  Equal numerators share their strings."""
+    rows, strs = [], {}
+    for e in sorted(nums):
+        c = nums[e]
+        if (pair := strs.get(c)) is None:
+            g = math.gcd(c, den)
+            pair = strs[c] = str(c // g), str(den // g)
+        rows.append({"exp": list(e), "num": pair[0], "den": pair[1]})
     return rows
 
 
 # -- polynomials ------------------------------------------------------------
 
 def poly_to_dict(p: HomogPoly) -> dict:
-    return {"n": p.nvars, "d": p.degree, "terms": _exp_rows(p.terms)}
+    return {"n": p.nvars, "d": p.degree, "terms": _exp_rows(p.den, p.nums)}
 
 
 def poly_from_dict(obj: dict, where: str = "polynomial") -> HomogPoly:
@@ -119,33 +120,34 @@ def poly_from_dict(obj: dict, where: str = "polynomial") -> HomogPoly:
     n = _require(obj, "n", int, where)
     d = _require(obj, "d", int, where)
     items = _require(obj, "terms", list, where)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    seen: dict[tuple[str, str], Fraction] = {}     # one Fraction per (num, den) pair
+    parts: list[tuple[tuple[int, ...], int, int]] = []
+    seen: dict[tuple[str, str], tuple[int, int]] = {}   # the ints of each (num, den) pair
     for k, t in enumerate(items):
         try:    # integer exponents and decimal strings are read directly, the rest named
             exp, num, den = t["exp"], t["num"], t["den"]
             if not (type(exp) is list and type(num) is str and type(den) is str
                     and _INT.issuperset(map(type, exp))):
                 raise TypeError
-            if (c := seen.get((num, den))) is None:
-                c = seen[num, den] = Fraction(int(num), int(den))
-            exp = tuple(exp)
+            if (pair := seen.get((num, den))) is None:
+                pair = seen[num, den] = int(num), int(den)
+            if not pair[1]:
+                raise ZeroDivisionError
+            parts.append((tuple(exp), *pair))
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             at = f"{where}.terms[{k}]"
             exp = _int_tuple(_require(t, "exp", list, at), f"{at}.exp")
-            c = _fraction_from_parts(t, at)
-        old = terms.get(exp)
-        terms[exp] = c if old is None else old + c
+            parts.append((exp, *_fraction_from_parts(t, at).as_integer_ratio()))
     if n < 0 or d < 0:
         raise LoadError(f"{where}: nvars and degree must be nonnegative")
-    _build(where, check_exponents, terms, n, d)
-    return HomogPoly._of(n, d, terms)
+    _build(where, check_exponents, [e for e, _, _ in parts], n, d)
+    return HomogPoly._summed(n, d, parts)
 
 
 # -- discrete functions ------------------------------------------------------
 
 def function_to_dict(nu: DiscreteFunction) -> dict:
-    return {"n": nu.nvars, "d": nu.degree, "values": _exp_rows(nu.values)}
+    den, nums = integer_scaled(nu.values.values())
+    return {"n": nu.nvars, "d": nu.degree, "values": _exp_rows(den, dict(zip(nu.values, nums)))}
 
 
 def function_from_dict(obj: dict, where: str = "function") -> DiscreteFunction:

@@ -1,5 +1,6 @@
 """Mutation check of the exact core: one-token mutants of ``certify``,
-``inertia`` and ``mconvex``, each run against the tier-1 tests.
+``inertia``, ``mconvex``, ``poly`` and ``serialize``, each run against the
+tier-1 tests.
 
     python tests/mutants.py SCRATCH_DIR [NAME ...]
 
@@ -64,6 +65,12 @@ MUTANTS = [
     Mutant("exchange_repair", "mconvex.py", "b &= cap", "b |= cap"),
     Mutant("exchange_last_beta", "mconvex.py", "((b & -b).bit_length() - 1", "(b.bit_length() - 1"),
     Mutant("function_strict_exchange", "mconvex.py", "<= val[a] + val[b]", "< val[a] + val[b]"),
+    # the integer-numerator polynomial: reduction, summing, evaluation and the writer
+    Mutant("of_skips_gcd_2", "poly.py", ") > 1:\n", ") > 2:\n"),
+    Mutant("summed_scale_inverted", "poly.py", "{e: c * (den // d)", "{e: c * (d // den)"),
+    Mutant("summed_repeats_overwrite", "poly.py", "nums[e] += c", "nums[e] = c"),
+    Mutant("eval_scale_once", "poly.py", "self.den * scale ** self.degree", "self.den * scale"),
+    Mutant("writer_no_gcd", "serialize.py", "g = math.gcd(c, den)", "g = math.gcd(c, 1)"),
 ]
 
 

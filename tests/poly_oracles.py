@@ -15,7 +15,10 @@ is the per-exponent loop that ``poly.check_exponents`` must agree with,
 ``nuij_by_steps`` the step-by-step body of ``operators.nuij_transform``,
 ``lifts_by_groups`` and ``project_by_slices`` the group-by-group bodies of
 ``poly.multi_affine_lifts`` and ``operators.project``, and ``unit(n, i)`` the
-exponent of w_i.  ``lorentzian_by_definition`` and
+exponent of w_i.  ``add``, ``multiply``, ``derive``, ``evaluate``,
+``polarize``, ``normalize``, ``symbol`` and ``apply_operator`` are the
+``Fraction`` bodies those operations had before ``HomogPoly`` kept integer
+numerators over one denominator, the references for the integer ones.  ``lorentzian_by_definition`` and
 ``strictly_lorentzian_by_definition`` follow Brändén-Huh's recursive
 definitions, with ``exchange_holds`` the exchange axiom on every pair and
 Faddeev-LeVerrier for the quadratics' inertias.  ``rank`` and ``rank_mask``
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, product, repeat
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 from unittest import mock
@@ -34,9 +37,9 @@ from unittest import mock
 from lorentz.certify import _RayleighScan
 from lorentz.inertia import Inertia, SymMatrix
 from lorentz.matroids import Matroid, _mask
-from lorentz.operators import _fraction_sum
+from lorentz.operators import OperatorTable, _check_caps
 from lorentz.poly import (Exponent, HomogPoly, RationalLike, _ones, as_fraction,
-                          factorial_of, simplex)
+                          factorial_of, multi_affine_lifts, simplex)
 
 from faddeev_leverrier import char_poly_inertia
 
@@ -238,11 +241,11 @@ def project_by_slices(g: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
     if not g.is_multi_affine():
         raise ValueError("projection input must be multi-affine")
     groups = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
-    merged: dict[Exponent, list[Fraction]] = {}
+    merged: dict[Exponent, Fraction] = {}
     for e, c in g.terms.items():
-        merged.setdefault(tuple([sum(e[s]) for s in groups]), []).append(c)
-    return HomogPoly._of(len(kappa), g.degree,
-                         {key: _fraction_sum(cs) for key, cs in merged.items()})
+        key = tuple([sum(e[s]) for s in groups])
+        merged[key] = merged.get(key, 0) + c
+    return HomogPoly(len(kappa), g.degree, merged)
 
 
 def linear_form(coeffs: Sequence[RationalLike]) -> HomogPoly:
@@ -368,3 +371,91 @@ def rank(m: Matroid, subset: Iterable[int]) -> int:
 
 def rank_mask(m: Matroid, mask: int) -> int:
     return max(bin(mask & b).count("1") for b in m.bases)
+
+
+# -- Fraction references for the integer-numerator operations -----------------
+
+def add(f: HomogPoly, g: HomogPoly) -> HomogPoly:
+    """f + g, one Fraction sum per shared exponent."""
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        out[e] = out.get(e, 0) + c
+    return HomogPoly(f.nvars, f.degree, out)
+
+
+def multiply(f: HomogPoly, g: HomogPoly) -> HomogPoly:
+    """f * g, one Fraction product per pair of terms."""
+    out: dict[Exponent, Fraction] = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return HomogPoly(f.nvars, f.degree + g.degree, out)
+
+
+def derive(f: HomogPoly, alpha: Sequence[int]) -> HomogPoly:
+    """d^alpha f, each term times its falling factorials."""
+    out = {}
+    for e, c in f.terms.items():
+        mult = math.prod(math.perm(k, a) for k, a in zip(e, alpha))
+        if mult:
+            out[tuple(k - a for k, a in zip(e, alpha))] = c * mult
+    return HomogPoly(f.nvars, f.degree - sum(alpha), out)
+
+
+def evaluate(f: HomogPoly, w: Sequence[RationalLike]) -> Fraction:
+    """f(w), term by term in Fractions."""
+    wf = [as_fraction(x) for x in w]
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        term = c
+        for x, k in zip(wf, e):
+            if k:
+                term *= x ** k
+        total += term
+    return total
+
+
+def polarize(f: HomogPoly, kappa: Sequence[int]) -> HomogPoly:
+    """Each term's coefficient shared equally by its multi-affine lifts."""
+    _check_caps(f, kappa)
+    out: dict[Exponent, Fraction] = {}
+    for e, c in f.terms.items():
+        lifts = multi_affine_lifts(kappa, e)
+        out.update(dict.fromkeys(lifts, c / len(lifts)))
+    return HomogPoly(sum(kappa), f.degree, out)
+
+
+def normalize(f: HomogPoly) -> HomogPoly:
+    """w^a / a! for each term w^a."""
+    return HomogPoly(f.nvars, f.degree, {e: c / factorial_of(e) for e, c in f.terms.items()})
+
+
+def symbol(table: OperatorTable) -> HomogPoly:
+    """sum over a <= kappa of C(kappa, a) T(w^a) u^(kappa - a), in Fractions."""
+    kappa = table.kappa
+    out: dict[Exponent, Fraction] = {}
+    for alpha in product(*(range(k + 1) for k in kappa)):
+        g = table.images.get(alpha)
+        if g is None:
+            continue
+        binom = math.prod(math.comb(k, a) for k, a in zip(kappa, alpha))
+        u_part = tuple(k - a for k, a in zip(kappa, alpha))
+        for e, c in g.terms.items():
+            out[e + u_part] = binom * c
+    return HomogPoly(table.nvars_out + len(kappa), sum(kappa) + table.ell, out)
+
+
+def apply_operator(table: OperatorTable, f: HomogPoly) -> HomogPoly:
+    """sum over the terms c w^e of f of c T(w^e), in Fractions."""
+    _check_caps(f, table.kappa)
+    out_deg = f.degree + table.ell
+    if out_deg < 0:
+        return HomogPoly.zero(table.nvars_out, 0)
+    out: dict[Exponent, Fraction] = {}
+    for e, c in f.terms.items():
+        g = table.images.get(e)
+        if g is not None:
+            for x, v in g.terms.items():
+                out[x] = out.get(x, 0) + c * v
+    return HomogPoly(table.nvars_out, out_deg, out)

@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import count, product
-from math import comb, lcm
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +17,7 @@ from lorentz import (HomogPoly, Inertia, Measure, PointSet, char_poly_multivaria
 from lorentz import certify, mconvex, measures
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              SUPPORT_NOT_M_CONVEX, Certificate, _RayleighScan,
-                             _coefficient_certificate, _int_terms, _randints,
+                             _coefficient_certificate, _randints,
                              _rayleigh_plan, _sampled_points, _support_certificate,
                              _support_inertias)
 from lorentz.cli import main
@@ -243,17 +243,6 @@ def test_symmetric_refutations_match_fraction_reference():
     strict = is_strictly_lorentzian(g)
     assert not strict.verdict and strict.failing_kind == INERTIA_VIOLATION
     assert (strict.failing_alpha, strict.detail["inertia"]) == first
-
-
-def test_int_terms_match_fraction_products():
-    rng = random.Random(45)
-    for _ in range(200):
-        terms = {(k,): Fraction(rng.randint(-10 ** 60, 10 ** 60),
-                                rng.choice([1, rng.randint(1, 10 ** 6),
-                                            rng.randint(10 ** 50, 10 ** 70)]))
-                 for k in range(rng.randint(1, 6))}
-        scale = lcm(*(c.denominator for c in terms.values()))
-        assert _int_terms(terms) == {e: int(c * scale) for e, c in terms.items()}
 
 
 def test_random_multiaffine_refuses_degree_above_variables():

@@ -1,18 +1,21 @@
 """Every library construction that writes its terms without the public
 constructor's checks still produces a valid polynomial: the one the public
-constructor builds from the same terms, with no zero coefficient, only
-``Fraction`` values, and int-tuple exponents of length n and sum d."""
+constructor builds from the same terms, with an equal hash, a positive
+denominator sharing no factor with every numerator, no zero numerator,
+``Fraction`` values in its ``terms`` view, and int-tuple exponents of length
+n and sum d."""
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz import (HomogPoly, Measure, OperatorTable, SquareMatrix,
-                     basis_generating_poly, char_poly_multivariate,
+from lorentz import (HomogPoly, Measure, OperatorTable, SquareMatrix, apply_operator,
+                     basis_generating_poly, char_poly_multivariate, coefficient_power,
                      exclusion_step, generating_poly_f, generating_poly_g,
-                     independent_set_poly, multi_affine_part, normalize,
+                     independent_set_poly, multi_affine_part, normalize, nuij_transform,
                      partition_homogenized, polarize, potts_poly, project,
                      symbol, zonotope_volume_poly)
 
@@ -22,9 +25,13 @@ from generators import (random_fraction, random_homog, random_m_convex_function,
 
 
 def _assert_valid(p: HomogPoly) -> None:
-    assert p == HomogPoly(p.nvars, p.degree, p.terms)
-    for e, c in p.terms.items():
-        assert type(c) is Fraction and c != 0
+    assert type(p.den) is int and p.den > 0 and math.gcd(p.den, *p.nums.values()) == 1
+    public = HomogPoly(p.nvars, p.degree, p.terms)
+    assert p == public and hash(p) == hash(public)
+    assert (p.den, p.nums) == (public.den, public.nums)
+    assert all(type(c) is Fraction for c in p.terms.values())
+    for e, c in p.nums.items():
+        assert type(c) is int and c != 0
         assert type(e) is tuple and all(type(k) is int and k >= 0 for k in e)
         assert len(e) == p.nvars and sum(e) == p.degree
 
@@ -36,6 +43,7 @@ def _constructions(rng: random.Random):
     f = random_homog(rng, n, d)
     g = random_homog(rng, n, d)
     yield "add", f + g
+    yield "multiply", f * g
     yield "subtract", f - f
     yield "scalar", random_fraction(rng) * f
     yield "zero_scalar", 0 * f
@@ -54,12 +62,17 @@ def _constructions(rng: random.Random):
         i, j = rng.sample(range(m), 2)
         yield "exclusion_step", exclusion_step(h, i, j, rng.choice([0, Fraction(1, 3), 1]))
     images = {e: random_homog(rng, 2, sum(e) + 1) for e in [(0,), (1,), (2,)]}
-    yield "symbol", symbol(OperatorTable((2,), 1, images, nvars_out=2))
+    table = OperatorTable((2,), 1, images, nvars_out=2)
+    yield "symbol", symbol(table)
+    yield "apply_operator", apply_operator(table, random_homog(rng, 1, rng.randint(0, 2)))
+    yield "nuij_transform", nuij_transform(f, random_positive_fraction(rng))
+    yield "coefficient_power", coefficient_power(
+        random_homog(rng, n, d, nonneg=True), rng.choice([0, Fraction(1, 2), 1]))[0]
 
     k = rng.randint(0, 4)
-    weights = {mask: rng.choice([0, 1, random_fraction(rng)])
-               for mask in rng.sample(range(1 << k), rng.randint(0, 1 << k))}
-    yield "homogenized", HomogPoly.homogenized(k, weights)
+    nums = {mask: rng.choice([0, 1, rng.randint(-12, 12)])
+            for mask in rng.sample(range(1 << k), rng.randint(0, 1 << k))}
+    yield "homogenized", HomogPoly.homogenized(k, nums, rng.choice([1, 6, 12, 10 ** 50 + 2]))
     matroid = random_small_matroid(rng)
     yield "basis_generating_poly", basis_generating_poly(matroid)
     yield "potts_poly", potts_poly(matroid, random_positive_fraction(rng))

@@ -158,9 +158,10 @@ def test_floats_only_where_the_library_allows_them():
 
 
 # the only places that scale rationals to integers by the lcm of their
-# denominators: the shared helper, and the point scaling that works on raw
-# (numerator, denominator) pairs without building Fractions
-LCM_SITES = {"poly.integer_scaled", "certify._scaled"}
+# denominators: the shared helper, the point scaling that works on raw
+# (numerator, denominator) pairs without building Fractions, and the
+# polynomial constructor that sums (exp, num, den) parts (HomogPoly._summed)
+LCM_SITES = {"poly.integer_scaled", "certify._scaled", "poly.HomogPoly"}
 
 
 def _calls_lcm(node: ast.AST) -> bool:

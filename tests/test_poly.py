@@ -10,10 +10,11 @@ from lorentz.matroids import cycle_matroid, matroid_from_bases
 from lorentz.mconvex import DiscreteFunction, PointSet
 from lorentz.measures import Measure
 from lorentz.mmatrix import SquareMatrix, principal_minor
-from lorentz.operators import OperatorTable
+from lorentz.operators import OperatorTable, apply_operator, normalize, polarize, symbol
 from lorentz.poly import (HomogPoly, check_exponents, first_ulc_failure, integer_scaled,
                           multi_affine_lifts, simplex)
 
+import poly_oracles as ref
 from generators import random_fraction, random_homog, random_nonneg_matrix
 from poly_oracles import (bivariate_restriction, directional_derive, euler_pairing,
                           first_bad_exponent, hessian, lifts_by_groups, linear_form,
@@ -43,6 +44,59 @@ def test_integer_scaled_matches_fraction_products():
         got = integer_scaled(xs)
         assert got == (den, scaled) and {type(x) for x in got[1]} <= {int}
         assert integer_scaled(dict(enumerate(xs)).values()) == got
+
+
+def _wide_fraction(rng):
+    """A rational with a denominator of 1, a small one or one of 10^50 and
+    more, written with either sign, or zero."""
+    den = rng.choice([1, rng.randint(1, 12), rng.randint(10 ** 50, 10 ** 70)])
+    return Fraction(rng.choice([0, rng.randint(-9, 9), rng.randint(-10 ** 60, 10 ** 60)]),
+                    rng.choice([-1, 1]) * den)
+
+
+def _wide_poly(rng, n, d):
+    return HomogPoly(n, d, {e: _wide_fraction(rng) for e in simplex(n, d) if rng.random() < 0.7})
+
+
+def test_den_nums_match_fraction_products():
+    rng = random.Random(45)
+    for _ in range(200):
+        terms = {(k, 5 - k): _wide_fraction(rng) for k in range(rng.randint(0, 6))}
+        f = HomogPoly(2, 5, terms)
+        scale = lcm(*(c.denominator for c in terms.values() if c))
+        assert (f.den, f.nums) == (scale, {e: int(c * scale) for e, c in terms.items() if c})
+        assert f.terms == {e: c for e, c in terms.items() if c}
+
+
+def test_operations_match_fraction_references():
+    rng = random.Random(47)
+    for _ in range(150):
+        n, d = rng.randint(1, 3), rng.randint(0, 3)
+        f, g = _wide_poly(rng, n, d), _wide_poly(rng, n, d)
+        assert f + g == ref.add(f, g) and f - f == HomogPoly.zero(n, d)
+        assert f * g == ref.multiply(f, g)
+        alpha = tuple(rng.randint(0, k) for k in f.var_degree_caps())
+        if sum(alpha) <= d:
+            assert f.derive(alpha) == ref.derive(f, alpha)
+        w = [_wide_fraction(rng) for _ in range(n)]
+        assert f.eval(w) == ref.evaluate(f, w)
+        kappa = [k + rng.randint(0, 1) for k in f.var_degree_caps()]
+        assert polarize(f, kappa) == ref.polarize(f, kappa)
+        assert normalize(f) == ref.normalize(f)
+        images = {e: _wide_poly(rng, 2, sum(e) + 1) for e in simplex(1, 0) if rng.random() < 0.9}
+        images.update({(k,): _wide_poly(rng, 2, k + 1) for k in (1, 2) if rng.random() < 0.9})
+        table = OperatorTable((2,), 1, images, nvars_out=2)
+        assert symbol(table) == ref.symbol(table)
+        h = _wide_poly(rng, 1, rng.randint(0, 2))
+        assert apply_operator(table, h) == ref.apply_operator(table, h)
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), "1", None])
+def test_add_and_subtract_refuse_non_polynomials(other):
+    f = HomogPoly(2, 1, {(1, 0): 1})
+    for op in (lambda: f + other, lambda: other + f, lambda: f - other, lambda: other - f):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_constructor_rejects_bad_terms():
@@ -266,9 +320,10 @@ def test_first_ulc_failure_examples():
 
 def test_homogenized():
     # masks are subsets of {1..n}; variable 0 takes the missing degree
-    f = HomogPoly.homogenized(3, {0b000: 1, 0b101: Fraction(1, 2), 0b111: 0})
+    f = HomogPoly.homogenized(3, {0b000: 4, 0b101: 2, 0b111: 0}, 4)
     assert f == HomogPoly(4, 3, {(3, 0, 0, 0): 1, (1, 1, 0, 1): Fraction(1, 2)})
-    assert HomogPoly.homogenized(0, {0: 5}) == HomogPoly(1, 0, {(0,): 5})
+    assert (f.den, f.nums) == (2, {(3, 0, 0, 0): 2, (1, 1, 0, 1): 1})
+    assert HomogPoly.homogenized(0, {0: 5}, 1) == HomogPoly(1, 0, {(0,): 5})
 
 
 def test_multi_affine_lifts_match_group_by_group_reference():

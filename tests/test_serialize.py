@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lorentz import HomogPoly, serialize
+from lorentz import HomogPoly, poly, serialize
 from lorentz.catalog import load
 from lorentz.matroids import potts_poly
 from lorentz.mconvex import DiscreteFunction
@@ -124,7 +124,7 @@ def test_poly_loader_names_a_bad_pair_at_its_own_term(terms, message):
     assert str(err.value) == message
 
 
-def test_poly_loader_builds_one_fraction_per_distinct_pair():
+def test_poly_loader_fast_path_builds_no_fraction():
     # the lifted Fano Potts polynomial: 3,432 terms, one value per Potts term's lift
     f = potts_poly(load("fano"), Fraction(3, 7))
     doc = poly_to_dict(polarize(f, f.var_degree_caps()))
@@ -136,29 +136,32 @@ def test_poly_loader_builds_one_fraction_per_distinct_pair():
         built.append(args)
         return Fraction(*args)
 
-    with mock.patch.object(serialize, "Fraction", counting):
+    with mock.patch.object(serialize, "Fraction", counting), \
+            mock.patch.object(poly, "Fraction", counting):
         g = poly_from_dict(doc)
-    assert len(built) == len(pairs)
+    assert built == []
     assert g.terms == _reference_terms(doc)
 
 
-def _reference_rows(table):
-    return [{"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
-            for e, c in sorted(table.items())]
+def _reference_rows(den, nums):
+    return [{"exp": list(e), "num": str(Fraction(c, den).numerator),
+             "den": str(Fraction(c, den).denominator)} for e, c in sorted(nums.items())]
 
 
-@pytest.mark.parametrize("values", [
-    [Fraction(2, 3)] * 4,                                    # one shared object
-    [Fraction(2, 3), Fraction(2, 3), Fraction(4, 6), Fraction(-2, 3)],   # equal, distinct
-    [Fraction(-7, 5), Fraction(7, 5), Fraction(-1), Fraction(10 ** 30, 3)],
+@pytest.mark.parametrize("den, nums", [
+    (3, [2] * 4),                       # one numerator: its strings are shared
+    (6, [4, 4, 3, -4]),                 # equal rows, and rows that reduce differently
+    (15 * 10 ** 30, [-21, 21, -15 * 10 ** 30, 5 * 10 ** 60]),
 ], ids=["shared", "equal_distinct", "signed"])
-def test_exp_rows_match_reference(values):
-    shared = Fraction(-7, 5)
-    exps = [(0, 2, 1), (3, 0, 0), (1, 1, 1), (0, 0, 3), (2, 1, 0), (1, 0, 2)]
-    table = dict(zip(exps, values + [shared, shared]))
-    assert serialize._exp_rows(table) == _reference_rows(table)
-    f = HomogPoly(3, 3, table)
-    assert poly_to_dict(f) == {"n": 3, "d": 3, "terms": _reference_rows(f.terms)}
+def test_exp_rows_match_reference(den, nums):
+    exps = [(0, 2, 1), (3, 0, 0), (1, 1, 1), (0, 0, 3), (2, 1, 0), (1, 0, 2), (0, 3, 0)]
+    # a discrete function's value may be 0
+    table = dict(zip(exps, nums + [-7, -7, 0]))
+    assert serialize._exp_rows(den, table) == _reference_rows(den, table)
+    f = HomogPoly(3, 3, {e: Fraction(c, den) for e, c in table.items()})
+    assert poly_to_dict(f) == {"n": 3, "d": 3, "terms": _reference_rows(f.den, f.nums)}
+    assert poly_to_dict(f)["terms"] == [row for row in _reference_rows(den, table)
+                                        if row["num"] != "0"]
 
 
 def test_function_roundtrip():
