@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, count, repeat
 from math import lcm, prod
-from operator import gt, mul
+from operator import ge, gt, mul, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .inertia import Inertia, _inertia_rows
@@ -214,8 +214,9 @@ def _scaled(nums: Sequence[int], dens: Sequence[int]) -> list[int]:
 # degree in the point and quadratic in the coefficients of f, so scaling both
 # to integers multiplies the two sides by the same positive number and one
 # integer scan decides every check.  ``_rayleigh_plan`` gives the checks a
-# polynomial needs, with the reasons for those it leaves out.  Measures check
-# alpha = 0 and 1 <= i < j <= n on the homogenized partition function.
+# polynomial needs, with the reasons for those it leaves out, Brändén-Huh's
+# Rayleigh bound among them.  Measures check alpha = 0 and 1 <= i < j <= n on
+# the homogenized partition function, none where that bound covers it.
 #
 # The scan is compiled into one table of monomials and runs on a chunk of
 # integer points at once, in columns of one number per point.  Entry m holds
@@ -259,25 +260,39 @@ def _rayleigh_plan(f: HomogPoly, c: Fraction
     times two values >= 0, cannot fail.  For c < 0 such a check fails wherever
     d^(alpha+e_i) f and d^(alpha+e_j) f are positive, so every pair is kept.
 
-    For c >= 1 an alpha whose q = d^alpha f is quadratic with Hessian H of
-    n_plus <= 1 is skipped, q H_ij <= c a_i a_j for a = Hx.  At x >= 0, a >= 0;
-    if 2q = x.a > 0, H has determinant <= 0 on span{x, y}: y = a_j e_i + a_i e_j
-    gives q H_ij <= a_i a_j, and if a_i = 0, y = s e_i + e_j with s -> oo
-    forces H_ij = 0.  The inertias of positive multiples of these H are
-    ``_support_inertias``', read in step with the quadratic alphas: none is
-    computed before the first of them is reached.
+    An alpha is skipped when c >= 2(1 - 1/d'), d' = d - |alpha| (never for
+    c < 0), and d^alpha f is Lorentzian, so 2(1 - 1/d')-Rayleigh on the
+    nonnegative orthant (Brändén-Huh, arXiv:1902.03719).  With nonnegative
+    coefficients it is iff its support {e - alpha : e >= alpha} is M-convex
+    and no quadratic beta >= alpha has n_plus > 1 in ``_support_inertias``;
+    or, as d_k preserves the class, when some alpha - e_k, earlier in the
+    order, was skipped.  The inertias come in one pass when a bound first holds.
     """
     n, d = f.nvars, f.degree
-    signed, skip = c < 0, c >= 1
+    signed = c < 0
     below = [set(f.nums)]           # below[k]: the exponents of degree d - k under the support
     for _ in range(d):
         below.append({e[:k] + (e[k] - 1,) + e[k + 1:]
                       for e in below[-1] for k, x in enumerate(e) if x})
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    inertias = _support_inertias(f)
+    bad = None                      # the quadratic betas with n_plus > 1, once needed
+    skipped = set()
+
+    def lorentzian(alpha: Exponent) -> bool:
+        nonlocal bad
+        if any(alpha[:k] + (x - 1,) + alpha[k + 1:] in skipped for k, x in enumerate(alpha) if x):
+            return True
+        if bad is None:
+            bad = [beta for beta, sig in _support_inertias(f) if sig.n_plus > 1]
+        if any(all(map(ge, beta, alpha)) for beta in bad):
+            return False
+        support = [tuple(map(sub, e, alpha)) for e in f.nums if all(map(ge, e, alpha))]
+        return is_m_convex_set(PointSet(n, d - sum(alpha), support))[0]
+
     for alpha in sorted(chain(*below[2 - signed:])):     # |alpha| <= d-2, or d-1 if signed
         size = sum(alpha)
-        if skip and size == d - 2 and next(inertias)[1].n_plus <= 1:
+        if c >= 2 - Fraction(2, d - size) and lorentzian(alpha):
+            skipped.add(alpha)
             continue
         if signed:
             yield alpha, pairs

@@ -113,15 +113,6 @@ def exclusion_evolution(mu: Measure, i: int, j: int, theta: RationalLike) -> Mea
     return Measure(mu.n, out)
 
 
-def marginal(mu: Measure, i: int) -> Fraction:
-    return sum((w for mask, w in mu.weights.items() if mask >> i & 1), Fraction(0))
-
-
-def pair_marginal(mu: Measure, i: int, j: int) -> Fraction:
-    want = (1 << i) | (1 << j)
-    return sum((w for mask, w in mu.weights.items() if mask & want == want), Fraction(0))
-
-
 def rank_sequence(mu: Measure) -> list[Fraction]:
     """mu(|S| = k) for k = 0..n."""
     out = [Fraction(0)] * (mu.n + 1)
@@ -132,10 +123,25 @@ def rank_sequence(mu: Measure) -> list[Fraction]:
 
 def pairwise_bound_failures(mu: Measure, c: RationalLike) -> list[tuple[int, int]]:
     """Pairs (i, j) with Pr(i and j) > c Pr(i) Pr(j), decided exactly."""
-    cf = as_fraction(c)
-    singles = [marginal(mu, i) for i in range(mu.n)]
-    return [(i, j) for i in range(mu.n) for j in range(i + 1, mu.n)
-            if pair_marginal(mu, i, j) > cf * singles[i] * singles[j]]
+    return _pair_failures(mu, [as_fraction(c)])[0]
+
+
+def _pair_failures(mu: Measure, cs: Sequence[Fraction]) -> list[list[tuple[int, int]]]:
+    """``pairwise_bound_failures`` at each c of ``cs``, from one pass over the
+    atoms in integers: s_i = den Pr(i) and p_ij = den Pr(i and j) for the
+    weights over one denominator den, and the bound fails iff p_ij den > c s_i s_j."""
+    n = mu.n
+    den, nums = integer_scaled(mu.weights.values())
+    singles, joint = [0] * n, [[0] * n for _ in range(n)]
+    for mask, a in zip(mu.weights, nums):
+        bits = [i for i in range(n) if mask >> i & 1]
+        for x, i in enumerate(bits):
+            singles[i] += a
+            for j in bits[x + 1:]:
+                joint[i][j] += a
+    return [[(i, j) for i in range(n) for j in range(i + 1, n)
+             if joint[i][j] * den * c.denominator > c.numerator * singles[i] * singles[j]]
+            for c in cs]
 
 
 @dataclass(frozen=True)
@@ -185,20 +191,21 @@ def negative_dependence_report(mu: Measure, c: RationalLike = 2,
     PNC and the pairwise c-bound are decided exactly from marginals; ULC is
     decided exactly from the rank sequence.  One scan of the homogenized Z
     serves two samplings: at c over the positive orthant (c-Rayleigh) and at
-    1 over signed points (strongly Rayleigh).  A None witness falsifies
-    nothing.
+    1 over signed points (strongly Rayleigh).  A Lorentzian Z of degree n >= 2
+    is 2(1 - 1/n)-Rayleigh (Brändén-Huh, arXiv:1902.03719), so at c >= 2(1 -
+    1/n) it draws no point.  A None witness falsifies nothing.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     cf = as_fraction(c)
-    pnc_fail = tuple(pairwise_bound_failures(mu, 1))
-    pair_fail = tuple(pairwise_bound_failures(mu, cf))
+    pnc_fail, pair_fail = map(tuple, _pair_failures(mu, [Fraction(1), cf]))
     ulc_k = first_ulc_failure(rank_sequence(mu), mu.n)
     f = partition_homogenized(mu)
     n = mu.n
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     scan = _RayleighScan(f.nums, [((0,) * (n + 1), pairs)] if pairs else [])
-    cr = _rayleigh_scan(f, scan, cf, trials, seed, signed=False)
+    covered = n >= 2 and cf >= 2 - Fraction(2, n) and is_lorentzian(f)
+    cr = None if covered else _rayleigh_scan(f, scan, cf, trials, seed, signed=False)
     sr = _rayleigh_scan(f, scan, Fraction(1), trials, seed + 1, signed=True)
     return NegativeDependenceReport(
         pnc_holds=not pnc_fail, pnc_failures=pnc_fail,

@@ -1,6 +1,6 @@
 """Mutation check of the exact core: one-token mutants of ``certify``,
-``inertia``, ``mconvex``, ``poly`` and ``serialize``, each run against the
-tier-1 tests.
+``inertia``, ``mconvex``, ``measures``, ``poly`` and ``serialize``, each run
+against the tier-1 tests.
 
     python tests/mutants.py SCRATCH_DIR [NAME ...]
 
@@ -37,13 +37,17 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     # the c-Rayleigh plan: which alphas and pairs are checked
-    Mutant("plan_skip_from_c0", "certify.py", "c < 0, c >= 1", "c < 0, c >= 0"),
-    Mutant("plan_skip_n_plus_2", "certify.py", "[1].n_plus <= 1", "[1].n_plus <= 2"),
     Mutant("plan_keep_zero_pairs", "certify.py", "+ 1,) + up[i][j + 1:] in above",
            "+ 1,) + up[i][j + 1:] not in above"),
-    Mutant("plan_signed_at_c0", "certify.py", "signed, skip = c < 0", "signed, skip = c <= 0"),
+    Mutant("plan_signed_at_c0", "certify.py", "signed = c < 0", "signed = c <= 0"),
     Mutant("plan_one_degree_more", "certify.py", "below[2 - signed:]", "below[1 - signed:]"),
-    Mutant("plan_skip_no_quadratic", "certify.py", "size == d - 2 and", "size == d - 1 and"),
+    # the paper's Rayleigh bound: which alphas it leaves out
+    Mutant("bound_strict", "certify.py", "c >= 2 - Fraction(2, d - size)",
+           "c > 2 - Fraction(2, d - size)"),
+    Mutant("bound_total_degree", "certify.py", "Fraction(2, d - size)", "Fraction(2, d)"),
+    Mutant("bound_beta_above_strictly", "certify.py", "map(ge, beta, alpha)", "map(gt, beta, alpha)"),
+    Mutant("bound_support_inverted", "certify.py", "support))[0]", "support))[1]"),
+    Mutant("measure_bound_strict", "measures.py", "cf >= 2 - Fraction(2, n)", "cf > 2 - Fraction(2, n)"),
     # the Lorentzian scan and the support Hessians
     Mutant("lorentzian_n_plus_2", "certify.py", "if sig.n_plus > 1:", "if sig.n_plus > 2:"),
     Mutant("strict_one_zero", "certify.py", "or sig.n_zero != 0:", "or sig.n_zero > 1:"),

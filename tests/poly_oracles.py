@@ -22,7 +22,9 @@ numerators over one denominator, the references for the integer ones.  ``lorentz
 ``strictly_lorentzian_by_definition`` follow Brändén-Huh's recursive
 definitions, with ``exchange_holds`` the exchange axiom on every pair and
 Faddeev-LeVerrier for the quadratics' inertias.  ``rank`` and ``rank_mask``
-scan a matroid's basis list, the reference for its rank table.
+scan a matroid's basis list, the reference for its rank table, and
+``marginal`` and ``pair_marginal`` sum a measure's atoms pair by pair, the
+reference for the one pass of ``measures.pairwise_bound_failures``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from unittest import mock
 from lorentz.certify import _RayleighScan
 from lorentz.inertia import Inertia, SymMatrix
 from lorentz.matroids import Matroid, _mask
+from lorentz.measures import Measure
 from lorentz.operators import OperatorTable, _check_caps
 from lorentz.poly import (Exponent, HomogPoly, RationalLike, _ones, as_fraction,
                           factorial_of, multi_affine_lifts, simplex)
@@ -371,6 +374,17 @@ def rank(m: Matroid, subset: Iterable[int]) -> int:
 
 def rank_mask(m: Matroid, mask: int) -> int:
     return max(bin(mask & b).count("1") for b in m.bases)
+
+
+def marginal(mu: Measure, i: int) -> Fraction:
+    """Pr(i), one Fraction sum over the atoms."""
+    return sum((w for mask, w in mu.weights.items() if mask >> i & 1), Fraction(0))
+
+
+def pair_marginal(mu: Measure, i: int, j: int) -> Fraction:
+    """Pr(i and j), one Fraction sum over the atoms."""
+    want = (1 << i) | (1 << j)
+    return sum((w for mask, w in mu.weights.items() if mask & want == want), Fraction(0))
 
 
 # -- Fraction references for the integer-numerator operations -----------------

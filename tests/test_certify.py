@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import count, product
 from math import comb
@@ -30,8 +31,8 @@ from generators import (random_homog, random_lorentzian_input, random_m_matrix,
                         random_multiaffine, random_nonneg_matrix, random_positive_fraction,
                         random_small_matroid, with_one_scaled)
 from poly_oracles import (directional_derive, first_rayleigh_violation, hessian,
-                          linear_form, log_concavity_probe, pointwise, substitute,
-                          support_alphas)
+                          linear_form, log_concavity_probe, lorentzian_by_definition,
+                          pointwise, substitute, support_alphas)
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 MANY_FAIL = INPUTS / "many_fail.json"
@@ -486,8 +487,8 @@ def test_rayleigh_scan_matches_fraction_reference(rng, n, d, kind, c):
     # c None is the bound 2(1 - 1/d), which holds on Lorentzian inputs.  The
     # scan drops the checks with d^(alpha+e_i+e_j) f = 0 only for c >= 0: in
     # a multi-affine f every i = j check is one, and at c = -1 those fail.
-    # For c >= 1 it skips the alphas whose quadratic d^alpha f has a Hessian
-    # of n_plus <= 1; one coefficient scaled by 1/50-50 mixes skipped and kept ones
+    # It skips the alphas with c >= 2(1 - 1/d'), d' = d - |alpha|, and d^alpha f
+    # Lorentzian; one coefficient scaled by 1/50-50 mixes skipped and kept ones
     if kind == "random":
         f = random_homog(rng, n, d, nonneg=True)
     elif kind == "lorentzian":
@@ -533,15 +534,41 @@ def _skip_inputs():
     return out
 
 
-def test_rayleigh_skips_exactly_the_lorentzian_quadratics():
-    skipped = kept = 0
+def _lorentzian_in_the_bound(f, c, lorentzian):
+    """The alphas with |alpha| <= d-2 under f's support, sorted, with c >=
+    2(1 - 1/d'), d' = d - |alpha|, and d^alpha f Lorentzian by Brändén-Huh's
+    definition; ``lorentzian`` caches that verdict by alpha."""
+    out = []
+    for alpha in _sub_exponents(f, f.degree - 2):
+        if c >= 2 * (1 - Fraction(1, f.degree - sum(alpha))):
+            if alpha not in lorentzian:
+                lorentzian[alpha] = lorentzian_by_definition(f.derive(alpha))
+            if lorentzian[alpha]:
+                out.append(alpha)
+    return out
+
+
+def test_rayleigh_skips_exactly_the_lorentzian_derivatives_in_the_bound():
+    # a Lorentzian d^alpha f of degree d' >= 2 is 2(1 - 1/d')-Rayleigh, so the
+    # plan leaves out exactly the alphas where c reaches that bound and
+    # d^alpha f is Lorentzian: at d' = 2 from c = 1, at d' = 3 from c = 4/3
+    skipped = kept = deeper = 0
     for f in _skip_inputs():
-        expected = _lorentzian_quadratics(f)
-        for c in (Fraction(1), Fraction(3, 2), Fraction(2)):
+        lorentzian = {}
+        for c in (Fraction(1), Fraction(4, 3) - Fraction(1, 100), Fraction(4, 3),
+                  Fraction(3, 2), Fraction(2)):
+            expected = _lorentzian_in_the_bound(f, c, lorentzian)
             assert _skipped_alphas(f, c) == expected, (f, c)
-        skipped += len(expected)
-        kept += len(support_alphas(f)) - len(expected)
-    assert skipped >= 50 and kept >= 20, (skipped, kept)
+            skipped += len(expected)
+            kept += len(_sub_exponents(f, f.degree - 2)) - len(expected)
+            deeper += sum(sum(alpha) < f.degree - 2 for alpha in expected)
+    assert skipped >= 600 and kept >= 400 and deeper >= 100, (skipped, kept, deeper)
+    # a Lorentzian cubic: every alpha from c = 4/3 on, only the quadratic ones below
+    f = HomogPoly(2, 3, {(0, 3): 9, (1, 2): 18, (2, 1): 12, (3, 0): 2})
+    assert is_lorentzian(f)
+    assert _skipped_alphas(f, Fraction(3, 2)) == _skipped_alphas(f, Fraction(4, 3)) \
+        == [(0, 0), (0, 1), (1, 0)]
+    assert _skipped_alphas(f, Fraction(4, 3) - Fraction(1, 100)) == [(0, 1), (1, 0)]
 
 
 @pytest.mark.parametrize("c", [Fraction(99, 100), Fraction(1, 2), Fraction(0), Fraction(-1)])
@@ -550,17 +577,22 @@ def test_rayleigh_skips_nothing_below_one(c):
         assert _skipped_alphas(f, c) == [], (f, c)
 
 
-def test_measure_report_scans_skip_nothing():
+def test_measure_report_skips_the_c_scan_of_a_lorentzian_z():
     # Z of the uniform measure on the subsets of {0, 1} homogenizes to the
-    # Lorentzian quadratic (w0 + w1)(w0 + w2) / 4; the report's one scan also
-    # serves signed points, where its checks can fail
+    # Lorentzian quadratic (w0 + w1)(w0 + w2) / 4, 2(1 - 1/2)-Rayleigh: from
+    # c = 1 on the c-scan draws no point.  Just below, Z * d_12 Z = Z > c *
+    # d_1 Z * d_2 Z at every point.  The report's one scan keeps its full
+    # plan for the signed points, where its checks can fail
     mu = Measure(2, {mask: Fraction(1, 4) for mask in range(4)})
-    assert _lorentzian_quadratics(measures.partition_homogenized(mu)) == [(0, 0, 0)]
-    for c in (Fraction(1), Fraction(2)):
-        with mock.patch.object(measures, "_RayleighScan", wraps=_RayleighScan) as made:
-            negative_dependence_report(mu, c, 5, 1)
+    assert is_lorentzian(measures.partition_homogenized(mu))
+    for c, scanned in ((Fraction(1), False), (Fraction(2), False), (Fraction(99, 100), True)):
+        with mock.patch.object(measures, "_RayleighScan", wraps=_RayleighScan) as made, \
+                mock.patch.object(measures, "_first_hit", wraps=certify._first_hit) as hit:
+            report = negative_dependence_report(mu, c, 5, 1)
         [(_, plan)] = [call.args for call in made.call_args_list]
         assert list(plan) == [((0, 0, 0), [(1, 2)])]
+        assert [call.args[1] for call in hit.call_args_list] == [c] * scanned + [1]
+        assert (report.c_rayleigh_witness is not None) == scanned
 
 
 def test_rayleigh_first_group_refutation_computes_no_inertia():
@@ -630,6 +662,48 @@ def test_rayleigh_scan_matches_fraction_reference_at_the_tight_bound(d):
         _assert_matches_reference(rayleigh_falsify(f, c, trials=40, seed=d), f, c,
                                   _drawn_points(3, 40, d))
         _assert_matches_reference(rayleigh_check_at(f, c, points), f, c, points)
+
+
+def test_rayleigh_scan_matches_full_reference_across_the_bounds():
+    # the plan against every check with no skip, at each bound 2(1 - 1/d') of
+    # the input and just below it, on Lorentzian inputs and on inputs with one
+    # coefficient scaled, many of which are not Lorentzian while some d^alpha f is
+    rng = random.Random(46)
+    inputs = [tight_rayleigh_poly(3), tight_rayleigh_poly(4)]
+    while len(inputs) < 36:
+        f = random_lorentzian_input(rng)
+        if f.degree >= 3 and len(f.nums) >= 3:
+            inputs += [f, with_one_scaled(rng, f, Fraction(rng.randint(1, 2500), 50))]
+    straddled, found = 0, Counter()
+    for f in inputs:
+        d = f.degree
+        straddled += not lorentzian_by_definition(f) and any(
+            lorentzian_by_definition(f.derive(alpha)) for alpha in _sub_exponents(f, d - 2))
+        for k in range(2, d + 1):
+            for c in (2 - Fraction(2, k), 2 - Fraction(2, k) - Fraction(1, 100)):
+                seed = rng.randrange(1000)
+                wit = rayleigh_falsify(f, c, trials=30, seed=seed)
+                _assert_matches_reference(wit, f, c, _drawn_points(f.nvars, 30, seed))
+                found[wit is None] += 1
+    assert straddled >= 8 and found[False] >= 40 and found[True] >= 40, (straddled, found)
+
+
+def test_rayleigh_unbounded_trials_covered_by_the_bound(monkeypatch, capsys, tmp_path):
+    # w0^5 is Lorentzian of degree 5, so 2-Rayleigh: every alpha is left out,
+    # and 10^8 trials draw one chunk at most
+    path = tmp_path / "w0_5.json"
+    path.write_text(json.dumps(poly_to_dict(HomogPoly(2, 5, {(5, 0): 1}))))
+    sampled, drawn = certify._sampled_points, []
+
+    def counted(*args):
+        for point in sampled(*args):
+            drawn.append(point)
+            yield point
+    monkeypatch.setattr(certify, "_sampled_points", counted)
+    code = main(["rayleigh", str(path), "--c", "2", "--seed", "1", "--trials", "100000000"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"searched_trials": 100000000}
+    assert 1 <= len(drawn) <= certify._CHUNK
 
 
 @settings(max_examples=60)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,13 @@ from lorentz import (HomogPoly, Measure, exclusion_evolution, external_field,
                      is_lorentzian_measure, negative_dependence_report,
                      partition_homogenized)
 from lorentz.catalog import NAMES, load
-from lorentz.measures import marginal, pair_marginal, rank_sequence
+from lorentz.measures import pairwise_bound_failures, rank_sequence
 from lorentz.poly import first_ulc_failure
 
 from generators import (matroid_measures, random_m_matrix, random_positive_fraction,
                         uniform_matroid)
-from poly_oracles import first_rayleigh_violation, linear_form, pointwise
+from poly_oracles import (first_rayleigh_violation, linear_form, marginal, pair_marginal,
+                          pointwise)
 
 
 def bernoulli_product(n):
@@ -129,6 +131,28 @@ def test_marginals():
     assert rank_sequence(mu) == [Fraction(1, 3), Fraction(2, 3), 0]
 
 
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False), st.integers(0, 5), st.booleans(),
+       st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(0),
+                        Fraction(-1)]))
+def test_pairwise_failures_match_fraction_marginals(rng, n, product, c):
+    # the one integer pass against a Fraction sum per marginal; a product
+    # measure has Pr(i and j) = Pr(i) Pr(j), on the bound at c = 1
+    if product:
+        p = [random_positive_fraction(rng, 3) / 4 for _ in range(n)]
+        mu = Measure(n, {mask: prod(p[i] if mask >> i & 1 else 1 - p[i] for i in range(n))
+                         for mask in range(1 << n)})
+    else:
+        masks = rng.sample(range(1 << n), rng.randint(1, 1 << n))
+        mu = Measure(n, {m: random_positive_fraction(rng) for m in masks}, normalize=True)
+    assert pairwise_bound_failures(mu, c) == [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if pair_marginal(mu, i, j) > c * marginal(mu, i) * marginal(mu, j)]
+    if product and n >= 2:
+        assert pairwise_bound_failures(mu, 1) == []
+        assert len(pairwise_bound_failures(mu, Fraction(99, 100))) == n * (n - 1) // 2
+
+
 def test_report_bernoulli_product():
     rep = negative_dependence_report(bernoulli_product(3), c=1, trials=50, seed=7)
     # independence: PNC holds with equality and the 1-Rayleigh scan is silent
@@ -226,12 +250,16 @@ def _report_draws(n, trials, seed, signed, max_den=10):
 
 
 @settings(max_examples=40)
-@given(st.randoms(use_true_random=False), st.integers(1, 4), st.sampled_from([1, 2]))
+@given(st.randoms(use_true_random=False), st.integers(1, 4),
+       st.sampled_from([1, 2, "bound", "below"]))
 def test_report_scans_match_fraction_reference(rng, n, c):
     # the integer scan against derive/eval of the homogenized Z at (1, w),
-    # on the seeded positive points and the seeded signed points
+    # on the seeded positive points and the seeded signed points; "bound" is
+    # 2(1 - 1/n), from which a Lorentzian Z leaves the c-scan out
     masks = rng.sample(range(1 << n), rng.randint(1, 1 << n))
     mu = Measure(n, {m: random_positive_fraction(rng) for m in masks}, normalize=True)
+    if c in ("bound", "below"):
+        c = 2 - Fraction(2, n) - Fraction(1, 100) * (c == "below")
     seed = rng.randrange(1000)
     rep = negative_dependence_report(mu, c=c, trials=15, seed=seed)
     f = partition_homogenized(mu)
