@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, count, repeat
-from math import lcm, prod
-from operator import ge, gt, mul, sub
+from math import lcm
+from operator import add, ge, gt, mul, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .inertia import Inertia, _inertia_rows
@@ -167,29 +167,45 @@ def hodge_riemann_many(f: HomogPoly,
                        points: Sequence[Sequence[RationalLike]]) -> list[Inertia]:
     """Exact inertia of the Hessian of f at each strictly positive point.
 
-    Entry (i, j) of the Hessian at w is sum_e a_e e_i (e_j - [i = j])
-    w^(e - e_i - e_j), so the Hessian is the sum of the support Hessians
-    H_alpha (``_support_hessians``) weighted by w^alpha.  With f and w scaled
-    to integers (u = den * w), the sum of u^alpha H_alpha is a positive
-    multiple of it: the same inertia.
+    With f and w scaled to integers (a_e the numerators of f, u = den * w)
+    and D = diag(u), entry (i, j) of D H D is sum_e k a_e u^e for the weight
+    k = e_i (e_j - [i = j]).  D is invertible, so by Sylvester's law D H D,
+    congruent to a positive multiple of the Hessian at w, has its inertia.
+    Chunks of _CHUNK points run in columns over one ``_Monomials`` table.
     """
     if f.degree < 2:
         raise ValueError("Hessian test needs degree >= 2")
     n = f.nvars
-    hessians = _support_hessians(f)
+    monomials, terms = _Monomials(n), []                   # terms: (entry of u^e, a_e)
+    weights: dict[tuple[int, int, int], list[int]] = {}    # (i, j, k) -> the entries
+    for e, a in f.nums.items():
+        terms.append((m := monomials.add(e), a))
+        nonzero = [i for i, x in enumerate(e) if x]
+        for x, i in enumerate(nonzero):
+            for j in nonzero[x:]:
+                if k := (e[i] - (i == j)) * e[j]:
+                    weights.setdefault((i, j, k), []).append(m)
     out = []
-    for w in points:
-        u = _scaled(*_integer_point(w, n))
-        if any(x <= 0 for x in u):
-            raise ValueError("point must be strictly positive")
-        rows = [[0] * n for _ in range(n)]
-        for alpha, entries in hessians:
-            ua = prod(map(pow, u, alpha))
-            for (i, j), v in entries.items():
-                rows[i][j] += ua * v
-        for i in range(1, n):       # the lower triangle from the upper
-            rows[i][:i] = [r[i] for r in rows[:i]]
-        out.append(_inertia_rows(rows, n))
+    for start in range(0, len(points), _CHUNK):
+        us = []
+        for w in points[start:start + _CHUNK]:
+            us.append(_scaled(*_integer_point(w, n)))
+            if any(x <= 0 for x in us[-1]):
+                raise ValueError("point must be strictly positive")
+        table = [[1] * len(us)]
+        monomials.fill(table, list(zip(*us)), len(monomials.steps))
+        for m, a in terms:      # a_e u^e in place: no entry of degree d is a parent
+            table[m] = list(map(mul, table[m], repeat(a)))
+        entries = {}
+        for (i, j, k), ms in weights.items():
+            col = map(sum, zip(*map(table.__getitem__, ms)))
+            if k != 1:
+                col = map(mul, col, repeat(k))
+            entries[i, j] = entries[j, i] = list(
+                map(add, entries[i, j], col) if (i, j) in entries else col)
+        flat = [entries.get((i, j), [0] * len(us)) for i in range(n) for j in range(n)]
+        out += [_inertia_rows([list(row[i:i + n]) for i in range(0, n * n, n)], n)
+                for row in zip(*flat)]
     return out
 
 
@@ -221,19 +237,50 @@ def _scaled(nums: Sequence[int], dens: Sequence[int]) -> list[int]:
 # The scan is compiled into one table of monomials and runs on a chunk of
 # integer points at once, in columns of one number per point.  Entry m holds
 # u^m, filled as u^parent * u_k from an earlier entry: one C-level product
-# per entry.  A derivative d^beta f is a tuple of integer coefficients and a
-# tuple of table entries, derived from a derivative one order below it, so
-# its values are one sum over entry columns.  The checks compare value
-# columns read from a plain list, in which slot 0 holds the zeros of every
-# identically zero derivative.  An alpha's checks, the derivatives they
-# first need and the monomials those add are compiled when a chunk first
-# reaches that alpha.  After a hit at point x only the points before x can
-# give an earlier witness, so every column is cut to them.  Chunks grow 1,
-# 2, 4, ... up to _CHUNK points (``_chunks``), so an early refutation draws
-# and evaluates little more than it reads.  Points come as integer
-# numerators and denominators; ``_rayleigh_sides`` recomputes each witness.
+# per entry.  The table (``_Monomials``) serves ``hodge_riemann_many`` too.
+# A derivative d^beta f is a tuple of integer coefficients and a tuple of
+# table entries, derived from a derivative one order below it, so its values
+# are one sum over entry columns.  The checks compare value columns read from
+# a plain list, in which slot 0 holds the zeros of every identically zero
+# derivative.  An alpha's checks, the derivatives they first need and the
+# monomials those add are compiled when a chunk first reaches that alpha.
+# After a hit at point x only the points before x can give an earlier
+# witness, so every column is cut to them.  Chunks grow 1, 2, 4, ... up to
+# _CHUNK points (``_chunks``), so an early refutation draws and evaluates
+# little more than it reads.  Points come as integer numerators and
+# denominators; ``_rayleigh_sides`` recomputes each witness.
 
 _CHUNK = 64
+
+
+class _Monomials:
+    """The monomial table of n variables, compiled once and filled per chunk."""
+
+    def __init__(self, n: int):
+        one = (0,) * n
+        self.entry: dict[Exponent, int] = {one: 0}     # monomial -> table entry
+        self.exps: list[Exponent] = [one]               # table entry -> monomial
+        self.steps = [(0, 0)]           # entry -> (parent entry, k); entry 0 is u^0 = 1
+
+    def add(self, e: Exponent) -> int:
+        """The entry of u^e, added with the missing monomials under it."""
+        # down by the last nonzero k, then up: a degree may pass the recursion limit
+        down, k = [], len(e) - 1
+        while (m := self.entry.get(e)) is None:
+            while not e[k]:
+                k -= 1
+            down.append((e, k))
+            e = e[:k] + (e[k] - 1,) + e[k + 1:]
+        for e, k in reversed(down):
+            self.steps.append((m, k))
+            m = self.entry[e] = len(self.exps)
+            self.exps.append(e)
+        return m
+
+    def fill(self, table: list[list[int]], cols: Sequence[Sequence[int]], size: int) -> None:
+        """Extend ``table``, the first entries at the points of columns ``cols``, to ``size``."""
+        for p, k in self.steps[len(table):size]:
+            table.append(list(map(mul, table[p], cols[k])))
 
 
 def _below(e: Exponent, built: Mapping[Exponent, object]) -> tuple[Exponent, int]:
@@ -312,44 +359,30 @@ class _RayleighScan:
                  plan: Iterable[tuple[Exponent, Sequence[tuple[int, int]]]]):
         self._terms = terms
         self._plan = iter(plan)
-        one = (0,) * len(next(iter(terms), ()))
-        self._entry: dict[Exponent, int] = {one: 0}   # monomial -> table entry
-        self._exps: list[Exponent] = [one]             # table entry -> monomial
-        self._steps = [(0, 0)]          # entry -> (parent entry, k); entry 0 is u^0 = 1
+        self._table = _Monomials(len(next(iter(terms), ())))
         self._derivs: dict[Exponent, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._slots: dict[Exponent, int] = {}          # beta -> value slot of d^beta f
         self._nslots = 1
         # per compiled alpha: (table length, new values, slot of d^alpha f, checks)
         self._groups: list = []
 
-    # _mono and _deriv loop down to a built entry, then up: a degree may pass the recursion limit
-    def _mono(self, e: Exponent) -> int:
-        down = []                       # (e, e - e_k, k) to build, the highest first
-        while (m := self._entry.get(e)) is None:
-            down.append((e, *_below(e, self._entry)))
-            e = down[-1][1]
-        for e, _, k in reversed(down):
-            self._steps.append((m, k))
-            m = self._entry[e] = len(self._exps)
-            self._exps.append(e)
-        return m
-
     def _deriv(self, beta: Exponent) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """d^beta f as its coefficients and the table entries of its monomials."""
+        # a loop down to a derived beta, then up: a degree may pass the recursion limit
         down = []                       # (beta, beta - e_k, k) to derive, the highest first
         while (d := self._derivs.get(beta)) is None and any(beta):
             down.append((beta, *_below(beta, self._derivs)))
             beta = down[-1][1]
         if d is None:
             d = self._derivs[beta] = (tuple(self._terms.values()),
-                                      tuple(map(self._mono, self._terms)))
+                                      tuple(map(self._table.add, self._terms)))
         for beta, _, k in reversed(down):
             coefs, entries = [], []
             for v, m in zip(*d):
-                e = self._exps[m]
+                e = self._table.exps[m]
                 if e[k]:
                     coefs.append(v * e[k])
-                    entries.append(self._mono(e[:k] + (e[k] - 1,) + e[k + 1:]))
+                    entries.append(self._table.add(e[:k] + (e[k] - 1,) + e[k + 1:]))
             d = self._derivs[beta] = tuple(coefs), tuple(entries)
         return d
 
@@ -380,7 +413,7 @@ class _RayleighScan:
 
         checks = [(slot(i), slot(j), slot(i, j), (alpha, i, j)) for i, j in pairs]
         a = slot()                      # d^alpha f, shared by the alpha's checks
-        self._groups.append((len(self._steps), new, a, checks))
+        self._groups.append((len(self._table.steps), new, a, checks))
         return True
 
     def idle(self) -> bool:
@@ -400,8 +433,7 @@ class _RayleighScan:
             if g == len(self._groups) and not self._compile():
                 break
             size, new, a, checks = self._groups[g]
-            for p, k in self._steps[len(table):size]:
-                table.append(list(map(mul, table[p], cols[k])))
+            self._table.fill(table, cols, size)
             for coefs, entries in new:
                 if coefs is None and len(entries) == 1:     # one monomial: share its column
                     values.append(table[entries[0]])

@@ -58,6 +58,14 @@ MUTANTS = [
     Mutant("scan_keeps_hit_point", "certify.py", "del col[x:]", "del col[x + 1:]"),
     Mutant("sides_top_derivative", "certify.py", "if sum(beta) <= f.degree", "if sum(beta) < f.degree"),
     Mutant("chunks_triple", "certify.py", "min(2 * size, _CHUNK)", "min(3 * size, _CHUNK)"),
+    # Hodge-Riemann in columns and the shared monomial table
+    Mutant("hodge_diagonal_weight", "certify.py", "(e[i] - (i == j)) * e[j]", "(e[i] + (i == j)) * e[j]"),
+    Mutant("hodge_zero_coordinate", "certify.py", "if any(x <= 0 for x in us[-1]):",
+           "if any(x < 0 for x in us[-1]):"),
+    Mutant("hodge_chunk_slice", "certify.py", "points[start:start + _CHUNK]",
+           "points[start:start + _CHUNK - 1]"),
+    Mutant("hodge_weight_one", "certify.py", "if k != 1:", "if k > 2:"),
+    Mutant("table_parent_one", "certify.py", "self.steps.append((m, k))", "self.steps.append((0, k))"),
     # exact inertia
     Mutant("inertia_sign_swap", "inertia.py", "(piv > 0) != (prev > 0)", "(piv > 0) == (prev > 0)"),
     Mutant("inertia_live_all", "inertia.py", "enumerate(a) if any(row)", "enumerate(a) if all(row)"),

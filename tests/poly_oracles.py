@@ -144,7 +144,7 @@ def pointwise_first_violation(scan, c: Fraction, us: Sequence[Sequence[int]]
             if g == len(scan._groups) and not scan._compile():
                 break
             size, new, a, checks = scan._groups[g]
-            for p, k in scan._steps[len(table):size]:
+            for p, k in scan._table.steps[len(table):size]:
                 table.append(table[p] * u[k])
             values += [sum(map(mul, coefs or repeat(1), map(table.__getitem__, entries)))
                        for coefs, entries in new]

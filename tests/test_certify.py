@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import count, product
-from math import comb
+from math import comb, prod
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +15,7 @@ from lorentz import (HomogPoly, Inertia, Measure, PointSet, char_poly_multivaria
                      hodge_riemann_many, independent_set_poly, is_lorentzian,
                      is_m_convex_set, is_strictly_lorentzian, negative_dependence_report,
                      potts_poly, rayleigh_check_at, rayleigh_falsify)
-from lorentz import certify, mconvex, measures
+from lorentz import catalog, certify, mconvex, measures
 from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              SUPPORT_NOT_M_CONVEX, Certificate, _RayleighScan,
                              _coefficient_certificate, _randints,
@@ -23,6 +23,7 @@ from lorentz.certify import (INERTIA_VIOLATION, NEGATIVE_COEFFICIENT,
                              _support_inertias)
 from lorentz.cli import main
 from lorentz.inertia import _inertia_rows, inertia
+from lorentz.matroids import independent_set_masks
 from lorentz.poly import simplex
 from lorentz.serialize import (graph_matroid_from_dict, matroid_from_dict, poly_from_dict,
                                poly_to_dict)
@@ -421,6 +422,37 @@ def test_lorentzian_hessians_have_one_positive_eigenvalue(rng, n, d, generated):
     assert [sig.n_plus for sig in sigs] == [1] * 3
 
 
+def test_hodge_riemann_columns_cross_a_chunk():
+    # 2 * _CHUNK + 3 points: two full chunks and a short one, on a signed
+    # form, a Potts polynomial and a power with large diagonal weights
+    rng = random.Random(37)
+    for f in (random_homog(rng, 3, 4), potts_poly(catalog.load("mk4"), Fraction(3, 2)),
+              linear_form([1, 2, 3]) ** 6):
+        points = _positive_points(rng, f.nvars, count=2 * certify._CHUNK + 3)
+        assert hodge_riemann_many(f, points) == [inertia(hessian(f, at=w)) for w in points]
+
+
+def test_hodge_riemann_errors_in_a_later_chunk():
+    # the first bad point raises, as when the points went one at a time
+    good = _positive_points(random.Random(38), 2, count=certify._CHUNK + 2)
+    sq = linear_form([1, 1]) ** 2
+    for bad, message in (([1, 0], "point must be strictly positive"),
+                         ([1, 1, 1], "point has length 3, expected 2")):
+        with pytest.raises(ValueError, match=message):
+            hodge_riemann_many(sq, good + [bad, [1, -1], [1, 1, 1]])
+        with pytest.raises(ValueError, match=message):
+            hodge_riemann_many(sq, good + [bad] + good)
+
+
+def test_hodge_riemann_zero_empty_and_deep():
+    points = [[1, 2, 3], [Fraction(1, 7), 5, Fraction(2, 3)]]
+    assert hodge_riemann_many(HomogPoly(3, 4, {}), points) == [Inertia(0, 0, 3)] * 2
+    assert hodge_riemann_many(linear_form([1, 1]) ** 2, []) == []
+    # a degree above the recursion limit: the table is built by a loop
+    deep = HomogPoly(2, 1500, {(1500, 0): 1, (0, 1500): 1})
+    assert hodge_riemann_many(deep, [[1, 1], [Fraction(1, 2), 3]]) == [Inertia(2, 0, 0)] * 2
+
+
 def tight_rayleigh_poly(d):
     return HomogPoly(3, d, {(d, 0, 0): 2 * (1 - Fraction(1, d)),
                             (d - 1, 1, 0): 1, (d - 1, 0, 1): 1,
@@ -797,6 +829,51 @@ def test_rayleigh_draws_stay_lazy(k):
         assert rayleigh_check_at(SQUARE_TIMES, 0, points()).point == (1, 1)
     assert k < pulled <= max(2 * k + 1, k + 64)
     assert sizes == [min(2 ** x, 64) for x in range(len(sizes))] and sum(sizes) == pulled
+
+
+def test_monomial_table_columns_are_powers():
+    # every entry's column against prod(u^e) at random integer points, zeros
+    # and negatives included, filled in two parts as a scan fills it
+    rng = random.Random(39)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        table = certify._Monomials(n)
+        exps = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+        for e in exps[:len(exps) // 2]:
+            assert table.exps[table.add(e)] == e
+        half = len(table.steps)
+        for e in exps[len(exps) // 2:]:
+            assert table.exps[table.add(e)] == e
+        us = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        cols = [[1] * len(us)]
+        table.fill(cols, list(zip(*us)), half)
+        table.fill(cols, list(zip(*us)), len(table.steps))
+        assert len(cols) == len(table.exps) == len(table.steps) == len(set(table.exps))
+        for col, e in zip(cols, table.exps):
+            assert col == [prod(map(pow, u, e)) for u in us]
+
+
+def _table_sizes(module, call):
+    scans = []
+
+    class Kept(_RayleighScan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            scans.append(self)
+    with mock.patch.object(module, "_RayleighScan", Kept):
+        call()
+    return [len(scan._table.steps) for scan in scans]
+
+
+def test_monomial_table_sizes():
+    # pinned, so that a change to the table's compile cannot grow them unseen:
+    # the planted violation of degree 5 at (1, 0, 0), and the Fano measure
+    # report, whose one scan compiles its one alpha
+    f, c = tight_rayleigh_poly(5), Fraction(8, 5) - Fraction(1, 50)
+    assert _table_sizes(certify, lambda: rayleigh_check_at(f, c, [[1, 0, 0]])) == [16]
+    masks = independent_set_masks(catalog.load("fano"))
+    mu = Measure(7, {mask: Fraction(1, len(masks)) for mask in masks})
+    assert _table_sizes(measures, lambda: negative_dependence_report(mu, 2, 5, 1)) == [99]
 
 
 @pytest.mark.parametrize("width", [1, 2, 10, 21, 2 ** 5, 2 ** 5 + 1, 2 ** 31, 2 ** 31 + 1,
