@@ -167,11 +167,14 @@ def hodge_riemann_many(f: HomogPoly,
                        points: Sequence[Sequence[RationalLike]]) -> list[Inertia]:
     """Exact inertia of the Hessian of f at each strictly positive point.
 
-    With f and w scaled to integers (a_e the numerators of f, u = den * w)
-    and D = diag(u), entry (i, j) of D H D is sum_e k a_e u^e for the weight
-    k = e_i (e_j - [i = j]).  D is invertible, so by Sylvester's law D H D,
-    congruent to a positive multiple of the Hessian at w, has its inertia.
-    Chunks of _CHUNK points run in columns over one ``_Monomials`` table.
+    With f and w scaled to integers (a_e the numerators of f, u = L * w for L
+    the lcm of w's denominators), entry (i, j) of D H D, D = diag(u), is
+    sum_e k a_e u^e for the weight k = e_i (e_j - [i = j]).  Each entry is
+    divided exactly by u_i u_j (k != 0 forces e_i >= 1 + [i = j] and
+    e_j >= 1), which leaves H(u) = den_f L^(d-2) H_f(w), a positive multiple
+    of the Hessian at w with its inertia.  H(u) is often strictly diagonally
+    dominant after one pivot, where ``_inertia_rows`` stops.  Chunks of
+    _CHUNK points run in columns over one ``_Monomials`` table.
     """
     if f.degree < 2:
         raise ValueError("Hessian test needs degree >= 2")
@@ -192,8 +195,8 @@ def hodge_riemann_many(f: HomogPoly,
             us.append(_scaled(*_integer_point(w, n)))
             if any(x <= 0 for x in us[-1]):
                 raise ValueError("point must be strictly positive")
-        table = [[1] * len(us)]
-        monomials.fill(table, list(zip(*us)), len(monomials.steps))
+        table, cols = [[1] * len(us)], list(zip(*us))
+        monomials.fill(table, cols, len(monomials.steps))
         for m, a in terms:      # a_e u^e in place: no entry of degree d is a parent
             table[m] = list(map(mul, table[m], repeat(a)))
         entries = {}
@@ -203,6 +206,11 @@ def hodge_riemann_many(f: HomogPoly,
                 col = map(mul, col, repeat(k))
             entries[i, j] = entries[j, i] = list(
                 map(add, entries[i, j], col) if (i, j) in entries else col)
+        for (i, j), col in entries.items():
+            if i <= j:      # (j, i) holds the same list
+                col[:], rem = zip(*map(divmod, col, map(mul, cols[i], cols[j])))
+                if any(rem):
+                    raise ArithmeticError(f"inexact division by u_{i} u_{j}")
         flat = [entries.get((i, j), [0] * len(us)) for i in range(n) for j in range(n)]
         out += [_inertia_rows([list(row[i:i + n]) for i in range(0, n * n, n)], n)
                 for row in zip(*flat)]

@@ -7,8 +7,11 @@ one positive or one negative eigenvalue by its sign relative to the previous
 pivot, and leaves the Schur complement times that pivot, still in integers.
 Zero rows and columns count as zero eigenvalues and are dropped.  When the
 whole remaining diagonal is zero, the congruence "row and column p += row
-and column q" turns a nonzero a_pq into the pivot 2 a_pq.  O(n^3) integer
-operations in all.
+and column q" turns a nonzero a_pq into the pivot 2 a_pq.  Before each pivot,
+a strictly diagonally dominant live block B ends the elimination.  B is the
+previous pivot times the Schur complement, and diag(B) + t (B - diag(B))
+stays strictly dominant, hence nonsingular (Levy-Desplanques), for t in
+[0, 1], so B has the signs of its diagonal.  O(n^3) integer operations in all.
 """
 
 from __future__ import annotations
@@ -73,15 +76,25 @@ def inertia(m: SymMatrix) -> Inertia:
 
 def _inertia_rows(a: list[list[int]], n: int) -> Inertia:
     """Sign counts of the symmetric integer matrix whose first len(a) rows
-    are the square ``a``, eliminated in place, and whose other n - len(a)
-    rows and columns are zero."""
+    are the square ``a``, eliminated in place until the live block is strictly
+    diagonally dominant, and whose other n - len(a) rows and columns are zero."""
     # the rows and columns not yet eliminated; a zero row and column only
     # adds a zero eigenvalue
     live = [i for i, row in enumerate(a) if any(row)]
     counts = [0, 0, n - len(live)]     # n_plus, n_minus, n_zero
     prev = 1
     while live:
-        p = next((i for i in live if a[i][i]), None)
+        # a strictly dominant block has the signs of its diagonal, relative to
+        # prev; a zero diagonal fails before its row is summed
+        for i in live:
+            row = a[i]
+            if not row[i] or 2 * abs(row[i]) <= sum(map(abs, map(row.__getitem__, live))):
+                break
+        else:
+            for i in live:
+                counts[(a[i][i] > 0) != (prev > 0)] += 1
+            break
+        p = live[0] if a[live[0]][live[0]] else next((i for i in live if a[i][i]), None)
         if p is None:
             # zero diagonal: row and column p += row and column q make a_pp = 2 a_pq
             p = live[0]
@@ -93,16 +106,19 @@ def _inertia_rows(a: list[list[int]], n: int) -> Inertia:
         piv = a[p][p]
         counts[(piv > 0) != (prev > 0)] += 1    # the sign of piv / prev
         # Bareiss step on the Schur complement of a_pp: each entry is a minor of
-        # the integer matrix (Sylvester's identity), so the division is exact
+        # the integer matrix (Sylvester's identity), so the division is exact,
+        # and skipped when prev = 1, as in the first step
         live.remove(p)
         ap = a[p]
         nonzero = [False] * len(a)      # the rows given a nonzero entry
         for r, i in enumerate(live):
             ri, rp = a[i], ap[i]
             for j in live[r:]:
-                x, rem = divmod(piv * ri[j] - rp * ap[j], prev)
-                if rem:
-                    raise ArithmeticError(f"inexact Bareiss division by {prev}")
+                x = piv * ri[j] - rp * ap[j]
+                if prev != 1:
+                    x, rem = divmod(x, prev)
+                    if rem:
+                        raise ArithmeticError(f"inexact Bareiss division by {prev}")
                 if x:
                     nonzero[i] = nonzero[j] = True
                 ri[j] = a[j][i] = x

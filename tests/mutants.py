@@ -66,11 +66,16 @@ MUTANTS = [
            "points[start:start + _CHUNK - 1]"),
     Mutant("hodge_weight_one", "certify.py", "if k != 1:", "if k > 2:"),
     Mutant("table_parent_one", "certify.py", "self.steps.append((m, k))", "self.steps.append((0, k))"),
+    Mutant("hodge_no_division", "certify.py", "if i <= j:", "if i < 0:"),
     # exact inertia
     Mutant("inertia_sign_swap", "inertia.py", "(piv > 0) != (prev > 0)", "(piv > 0) == (prev > 0)"),
     Mutant("inertia_live_all", "inertia.py", "enumerate(a) if any(row)", "enumerate(a) if all(row)"),
     Mutant("inertia_no_prev", "inertia.py", "prev = piv", "prev = 1"),
     Mutant("inertia_zero_diagonal", "inertia.py", "a[i][p] += a[i][q]", "a[i][p] -= a[i][q]"),
+    Mutant("dominance_weak", "inertia.py", "2 * abs(row[i]) <= sum", "2 * abs(row[i]) < sum"),
+    Mutant("dominance_sign_no_prev", "inertia.py", "counts[(a[i][i] > 0) != (prev > 0)]",
+           "counts[a[i][i] < 0]"),
+    Mutant("dominance_stop_off", "inertia.py", "if not row[i] or", "if True or"),
     # M-convex sets and functions
     Mutant("slice_guard_off", "mconvex.py", ") == len(ps.points):", ") >= len(ps.points):"),
     Mutant("slice_count", "mconvex.py", "run[max(0, k - cap)]", "run[max(0, k - cap + 1)]"),

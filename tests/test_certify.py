@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import count, product
-from math import comb, prod
+from math import comb, lcm, prod
 from pathlib import Path
 from unittest import mock
 
@@ -451,6 +451,38 @@ def test_hodge_riemann_zero_empty_and_deep():
     # a degree above the recursion limit: the table is built by a loop
     deep = HomogPoly(2, 1500, {(1500, 0): 1, (0, 1500): 1})
     assert hodge_riemann_many(deep, [[1, 1], [Fraction(1, 2), 3]]) == [Inertia(2, 0, 0)] * 2
+
+
+@pytest.mark.parametrize("make, points, expected", [
+    (lambda: fano_potts(Fraction(1, 2)), _positive_points(random.Random(39), 8, count=5), None),
+    (lambda: random_homog(random.Random(40), 3, 4), _positive_points(random.Random(41), 3), None),
+    # singular: the Hessian 6 (w0 + w1 + w2) J has rank 1, so the elimination
+    # pivots once and drops the zero rows it leaves
+    (lambda: linear_form([1, 1, 1]) ** 3, [[1, Fraction(2, 3), Fraction(5, 2)], [2, 1, 1]],
+     Inertia(1, 0, 2)),
+    # not Lorentzian: the Hessian diag(6 w0, 6 w1) has two positive eigenvalues
+    (lambda: HomogPoly(2, 3, {(3, 0): 1, (0, 3): Fraction(1, 2)}), [[Fraction(1, 2), 3]],
+     Inertia(2, 0, 0)),
+], ids=["fano_potts", "signed_quartic", "cube_of_linear_form", "two_positive"])
+def test_hodge_riemann_hands_inertia_the_scaled_hessian(make, points, expected):
+    # every matrix is H(u) = den_f L^(d-2) H_f(w) for L the lcm of w's
+    # denominators; D H D, before the division by u_i u_j, has the same
+    # inertias, so only the rows themselves can tell the two apart
+    f, received = make(), []
+
+    def spy(a, n):
+        received.append([row[:] for row in a])
+        return _inertia_rows(a, n)
+
+    with mock.patch.object(certify, "_inertia_rows", side_effect=spy):
+        sigs = hodge_riemann_many(f, points)
+    assert len(received) == len(points)
+    for rows, w in zip(received, points):
+        scale = f.den * lcm(*(Fraction(x).denominator for x in w)) ** (f.degree - 2)
+        assert rows == [[scale * x for x in row] for row in hessian(f, at=w).entries]
+    assert sigs == [inertia(hessian(f, at=w)) for w in points]
+    if expected is not None:
+        assert sigs == [expected] * len(points)
 
 
 def tight_rayleigh_poly(d):

@@ -210,6 +210,68 @@ def test_large_denominators():
         _check_against_oracles(SymMatrix(rows))
 
 
+def test_strictly_dominant_rows_stop_before_any_pivot():
+    # 2|a_ii| > sum_j |a_ij| on every row: the diagonal has the signs, and no
+    # pivot runs, so the rows come back as they went in
+    rng = random.Random(9)
+    for sign in (1, -1, None):
+        for _ in range(20):
+            n = rng.randint(1, 7)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = rng.randint(-5, 5)
+            for i in range(n):
+                s = sign or rng.choice([1, -1])
+                rows[i][i] = s * (sum(map(abs, rows[i])) + rng.randint(1, 3))
+            kept = [row[:] for row in rows]
+            sig = _inertia_rows(rows, n)
+            assert rows == kept
+            assert sig == _check_against_oracles(SymMatrix(kept))
+            assert (sig.n_plus, sig.n_minus) == (sum(r[i] > 0 for i, r in enumerate(kept)),
+                                                 sum(r[i] < 0 for i, r in enumerate(kept)))
+
+
+def _laplacian(n, edges):
+    rows = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        rows[i][j] -= 1
+        rows[j][i] -= 1
+        rows[i][i] += 1
+        rows[j][j] += 1
+    return rows
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[1, 1], [1, 1]], Inertia(1, 0, 1)),
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], Inertia(2, 0, 1)),
+    ([[-2, 1, 1], [1, -2, 1], [1, 1, -2]], Inertia(0, 2, 1)),
+    # a connected graph's Laplacian: one zero eigenvalue, the rest positive;
+    # two components give two zeros
+    (_laplacian(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]), Inertia(5, 0, 1)),
+    (_laplacian(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]), Inertia(5, 0, 2)),
+], ids=["ones", "j3_laplacian", "negated", "graph_laplacian", "two_components"])
+def test_weakly_dominant_singular_keep_their_zeros(rows, expected):
+    # 2|a_ii| = sum_j |a_ij| on every row is not a stop: these are singular
+    assert _check_against_oracles(SymMatrix(rows)) == expected
+    assert _inertia_rows([row[:] for row in rows], len(rows)) == expected
+
+
+def test_dominant_after_a_negative_pivot():
+    # the first pivot -1 leaves prev = -1 times the Schur complement,
+    # [[-5, -4], [-4, -5]], strictly dominant with a negative diagonal: the
+    # complement itself is positive definite
+    rows = [[-1, 2, 2], [2, 1, 0], [2, 0, 1]]
+    assert _check_against_oracles(SymMatrix(rows)) == Inertia(2, 1, 0)
+    a = [row[:] for row in rows]
+    assert _inertia_rows(a, 3) == Inertia(2, 1, 0)
+    assert [a[1][1:], a[2][1:]] == [[-5, -4], [-4, -5]]
+    # negated and scaled copies, so that the pivots take either sign
+    for m in (rows, [[-x for x in row] for row in rows]):
+        for scale in (1, 3, -7):
+            _check_against_oracles(SymMatrix([[scale * x for x in row] for row in m]))
+
+
 def _quadratic_hessians(f):
     return [f.quadratic_hessian_after(a) for a in support_alphas(f)]
 
@@ -238,13 +300,17 @@ def _symmetric(draw):
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = draw(st.one_of(st.just(Fraction(0)), _entries))
+    if draw(st.booleans()):
+        # a dominant diagonal, strictly or not, of either sign on each row
+        for i in range(n):
+            off = sum(abs(x) for j, x in enumerate(rows[i]) if j != i)
+            rows[i][i] = draw(st.sampled_from([1, -1])) * (off + draw(st.sampled_from([0, 1, 2])))
     return SymMatrix(rows)
 
 
 @given(_symmetric())
 def test_inertia_property_against_char_poly(m):
-    sig = inertia(m)
-    assert sig == char_poly_inertia(m)
+    sig = _check_against_oracles(m)
     assert sig.n == m.n
 
 
