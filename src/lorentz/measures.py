@@ -13,6 +13,7 @@ sampled points run through the polynomial certifier's integer scan.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +27,10 @@ from .poly import HomogPoly, RationalLike, as_fraction, first_ulc_failure, integ
 
 
 class Measure:
-    """Probability measure on subsets of {0..n-1} with exact rational weights."""
+    """Probability measure on subsets of {0..n-1}: positive integer numerators
+    ``nums`` ({mask: int}, gcd 1) over their sum ``den``; ``weights`` is the Fraction view."""
 
-    __slots__ = ("n", "weights")
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, weights: Mapping[int, RationalLike] | Mapping[frozenset, RationalLike],
                  normalize: bool = False):
@@ -44,33 +46,37 @@ class Measure:
                 raise ValueError("weights must be nonnegative")
             if w > 0:
                 clean[mask] = clean.get(mask, Fraction(0)) + w
-        total = sum(clean.values())
-        if normalize:
-            if total == 0:
-                raise ValueError("cannot normalize the zero measure")
-            clean = {k: w / total for k, w in clean.items()}
-        elif total != 1:
-            raise ValueError(f"weights sum to {total}, not 1 (pass normalize=True?)")
+        scale, nums = integer_scaled(clean.values())
+        total = sum(nums)
+        if normalize and total == 0:
+            raise ValueError("cannot normalize the zero measure")
+        if not normalize and total != scale:
+            raise ValueError(f"weights sum to {Fraction(total, scale)}, not 1 (pass normalize=True?)")
+        g = math.gcd(*nums)
         self.n = n
-        self.weights = clean
+        self.den = total // g
+        self.nums = {mask: c // g for mask, c in zip(clean, nums)}
+
+    @property
+    def weights(self) -> dict[int, Fraction]:
+        return {mask: Fraction(c, self.den) for mask, c in self.nums.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Measure):
             return NotImplemented
-        return (self.n, self.weights) == (other.n, other.weights)
+        return (self.n, self.nums) == (other.n, other.nums)
 
     def __repr__(self):
         pretty = {s: str(w) for s, w in self.atoms()}
         return f"Measure({self.n}, {pretty})"
 
     def atoms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return [(_unmask(k, self.n), w) for k, w in sorted(self.weights.items())]
+        return [(_unmask(k, self.n), Fraction(c, self.den)) for k, c in sorted(self.nums.items())]
 
 
 def partition_homogenized(mu: Measure) -> HomogPoly:
     """w_0^n Z(w_1/w_0, ..., w_n/w_0): degree n in n+1 variables."""
-    den, nums = integer_scaled(mu.weights.values())
-    return HomogPoly.homogenized(mu.n, dict(zip(mu.weights, nums)), den)
+    return HomogPoly.homogenized(mu.n, mu.nums, mu.den)
 
 
 def is_lorentzian_measure(mu: Measure) -> Certificate:
@@ -84,41 +90,33 @@ def external_field(mu: Measure, x: Sequence[RationalLike]) -> Measure:
         raise ValueError("field has wrong length")
     if any(v <= 0 for v in xf):
         raise ValueError("external field must be strictly positive")
-    scaled = {}
-    for mask, w in mu.weights.items():
-        factor = Fraction(1)
-        for i in range(mu.n):
-            if mask >> i & 1:
-                factor *= xf[i]
-        scaled[mask] = w * factor
-    total = sum(scaled.values())
-    if total == 0:
-        raise ValueError("partition function vanished")
-    return Measure(mu.n, {k: w / total for k, w in scaled.items()})
+    scaled = {mask: c * math.prod(xf[i] for i in _unmask(mask, mu.n))
+              for mask, c in mu.nums.items()}
+    return Measure(mu.n, scaled, normalize=True)
 
 
 def exclusion_evolution(mu: Measure, i: int, j: int, theta: RationalLike) -> Measure:
     """Measure whose partition function is (1-theta) Z + theta (Z with i, j swapped)."""
-    th = _exclusion_theta(mu.n, i, j, theta)
-    out: dict[int, Fraction] = {}
-    for mask, w in mu.weights.items():
+    p, q = _exclusion_theta(mu.n, i, j, theta).as_integer_ratio()
+    out: dict[int, int] = {}
+    for mask, c in mu.nums.items():
         bit_i, bit_j = mask >> i & 1, mask >> j & 1
         swapped = mask & ~((1 << i) | (1 << j))
         if bit_i:
             swapped |= 1 << j
         if bit_j:
             swapped |= 1 << i
-        out[mask] = out.get(mask, Fraction(0)) + (1 - th) * w
-        out[swapped] = out.get(swapped, Fraction(0)) + th * w
-    return Measure(mu.n, out)
+        out[mask] = out.get(mask, 0) + (q - p) * c
+        out[swapped] = out.get(swapped, 0) + p * c
+    return Measure(mu.n, out, normalize=True)
 
 
 def rank_sequence(mu: Measure) -> list[Fraction]:
     """mu(|S| = k) for k = 0..n."""
-    out = [Fraction(0)] * (mu.n + 1)
-    for mask, w in mu.weights.items():
-        out[bin(mask).count("1")] += w
-    return out
+    out = [0] * (mu.n + 1)
+    for mask, c in mu.nums.items():
+        out[mask.bit_count()] += c
+    return [Fraction(c, mu.den) for c in out]
 
 
 def pairwise_bound_failures(mu: Measure, c: RationalLike) -> list[tuple[int, int]]:
@@ -129,18 +127,17 @@ def pairwise_bound_failures(mu: Measure, c: RationalLike) -> list[tuple[int, int
 def _pair_failures(mu: Measure, cs: Sequence[Fraction]) -> list[list[tuple[int, int]]]:
     """``pairwise_bound_failures`` at each c of ``cs``, from one pass over the
     atoms in integers: s_i = den Pr(i) and p_ij = den Pr(i and j) for the
-    weights over one denominator den, and the bound fails iff p_ij den > c s_i s_j."""
+    numerators over den, and the bound fails iff p_ij den > c s_i s_j."""
     n = mu.n
-    den, nums = integer_scaled(mu.weights.values())
     singles, joint = [0] * n, [[0] * n for _ in range(n)]
-    for mask, a in zip(mu.weights, nums):
+    for mask, a in mu.nums.items():
         bits = [i for i in range(n) if mask >> i & 1]
         for x, i in enumerate(bits):
             singles[i] += a
             for j in bits[x + 1:]:
                 joint[i][j] += a
     return [[(i, j) for i in range(n) for j in range(i + 1, n)
-             if joint[i][j] * den * c.denominator > c.numerator * singles[i] * singles[j]]
+             if joint[i][j] * mu.den * c.denominator > c.numerator * singles[i] * singles[j]]
             for c in cs]
 
 

@@ -87,12 +87,12 @@ def coefficient_power(f: HomogPoly, p: RationalLike) -> tuple[HomogPoly, bool]:
     if not 0 <= pf <= 1:
         raise ValueError("p must lie in [0, 1]")
     parts, exact = [], True
-    for e, c in f.terms.items():
-        cn = c * factorial_of(e)
-        if cn < 0:
+    for e, a in f.nums.items():
+        if a < 0:
             raise ValueError("coefficient power needs nonnegative coefficients")
+        cn = Fraction(a * factorial_of(e), f.den)
         try:
-            powered = rational_power(cn, pf) if cn != 0 else Fraction(0)
+            powered = rational_power(cn, pf)
         except ValueError:
             exact = False
             powered = _approx_power(cn, pf)
@@ -141,21 +141,22 @@ def nuij_transform(f: HomogPoly, theta: RationalLike) -> HomogPoly:
     Sends Lorentzian polynomials with positive coefficients into the strict
     cone for every theta > 0.
     """
-    th = as_fraction(theta)
-    if th <= 0:
+    p, q = as_fraction(theta).as_integer_ratio()
+    if p <= 0:
         raise ValueError("theta must be positive")
     n, d = f.nvars, f.degree
-    last, terms = n - 1, f.terms
+    last, nums, den = n - 1, f.nums, f.den
     for i in range(last):
         for _ in range(d):
-            # one step adds theta w_i d_n: w^e gains theta e_n w^(e + e_i - e_n)
-            out = dict(terms)
-            for e, c in terms.items():
+            # one step adds theta w_i d_n: w^e gains theta e_n w^(e + e_i - e_n), over q den
+            out = {e: q * c for e, c in nums.items()}
+            for e, c in nums.items():
                 if k := e[last]:
                     b = e[:i] + (e[i] + 1,) + e[i + 1:last] + (k - 1,)
-                    out[b] = out.get(b, 0) + th * k * c
-            terms = {e: c for e, c in out.items() if c}
-    return HomogPoly._summed(n, d, [(e, c.numerator, c.denominator) for e, c in terms.items()])
+                    out[b] = out.get(b, 0) + p * k * c
+            nums = {e: c for e, c in out.items() if c}
+            den *= q
+    return HomogPoly._of(n, d, nums, den)
 
 
 class OperatorTable:

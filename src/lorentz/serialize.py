@@ -246,6 +246,8 @@ def operator_from_dict(obj: dict, where: str = "operator") -> OperatorTable:
     for k, entry in enumerate(items):
         at = f"{where}.images[{k}]"
         exp = _int_tuple(_require(entry, "exp", list, at), f"{at}.exp")
+        if exp in images:
+            raise LoadError(f"{at}: duplicate image {list(exp)}")
         images[exp] = poly_from_dict(_require(entry, "poly", dict, at), f"{at}.poly")
     return _build(where, OperatorTable, kappa, ell, images)
 
@@ -305,6 +307,8 @@ def load_json(path: str) -> Any:
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path}: invalid JSON at line {exc.lineno}, "
                         f"column {exc.colno} (char {exc.pos}): {exc.msg}") from None
+    except RecursionError:      # the decoder recurses once per level of nesting
+        raise LoadError(f"{path}: the document is nested too deeply") from None
 
 
 def load_document(path: str):

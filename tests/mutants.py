@@ -1,6 +1,6 @@
 """Mutation check of the exact core: one-token mutants of ``certify``,
-``inertia``, ``mconvex``, ``measures``, ``poly`` and ``serialize``, each run
-against the tier-1 tests.
+``inertia``, ``mconvex``, ``measures``, ``operators``, ``poly`` and
+``serialize``, each run against the tier-1 tests.
 
     python tests/mutants.py SCRATCH_DIR [NAME ...]
 
@@ -88,6 +88,17 @@ MUTANTS = [
     Mutant("summed_repeats_overwrite", "poly.py", "nums[e] += c", "nums[e] = c"),
     Mutant("eval_scale_once", "poly.py", "self.den * scale ** self.degree", "self.den * scale"),
     Mutant("writer_no_gcd", "serialize.py", "g = math.gcd(c, den)", "g = math.gcd(c, 1)"),
+    # measures as integer numerators over their sum, and the operators that step in integers
+    Mutant("measure_no_gcd", "measures.py", "g = math.gcd(*nums)", "g = 1"),
+    Mutant("pair_no_den", "measures.py", "joint[i][j] * mu.den * c", "joint[i][j] * c"),
+    Mutant("field_not_normalized", "measures.py", "scaled, normalize=True)", "scaled, normalize=False)"),
+    Mutant("exclusion_moves_all", "measures.py", "out.get(swapped, 0) + p * c",
+           "out.get(swapped, 0) + q * c"),
+    Mutant("rank_over_one", "measures.py", "Fraction(c, mu.den)", "Fraction(c, 1)"),
+    Mutant("nuij_no_den", "operators.py", "den *= q", "den *= 1"),
+    Mutant("nuij_no_rescale", "operators.py", "{e: q * c for", "{e: c for"),
+    Mutant("power_raw_coefficient", "operators.py", "Fraction(a * factorial_of(e), f.den)",
+           "Fraction(a, f.den)"),
 ]
 
 

@@ -25,6 +25,9 @@ Faddeev-LeVerrier for the quadratics' inertias.  ``rank`` and ``rank_mask``
 scan a matroid's basis list, the reference for its rank table, and
 ``marginal`` and ``pair_marginal`` sum a measure's atoms pair by pair, the
 reference for the one pass of ``measures.pairwise_bound_failures``.
+``external_field``, ``exclusion_evolution`` and ``rank_sequence`` are the
+``Fraction`` bodies those had before ``Measure`` kept integer numerators
+over their sum, the references for the integer ones.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from lorentz.certify import _RayleighScan
 from lorentz.inertia import Inertia, SymMatrix
 from lorentz.matroids import Matroid, _mask
 from lorentz.measures import Measure
-from lorentz.operators import OperatorTable, _check_caps
+from lorentz.operators import OperatorTable, _check_caps, _exclusion_theta
 from lorentz.poly import (Exponent, HomogPoly, RationalLike, _ones, as_fraction,
                           factorial_of, multi_affine_lifts, simplex)
 
@@ -385,6 +388,50 @@ def pair_marginal(mu: Measure, i: int, j: int) -> Fraction:
     """Pr(i and j), one Fraction sum over the atoms."""
     want = (1 << i) | (1 << j)
     return sum((w for mask, w in mu.weights.items() if mask & want == want), Fraction(0))
+
+
+def external_field(mu: Measure, x: Sequence[RationalLike]) -> Measure:
+    """Each weight times x^S, then all divided by their total, in Fractions."""
+    xf = [as_fraction(v) for v in x]
+    if len(xf) != mu.n:
+        raise ValueError("field has wrong length")
+    if any(v <= 0 for v in xf):
+        raise ValueError("external field must be strictly positive")
+    scaled = {}
+    for mask, w in mu.weights.items():
+        factor = Fraction(1)
+        for i in range(mu.n):
+            if mask >> i & 1:
+                factor *= xf[i]
+        scaled[mask] = w * factor
+    total = sum(scaled.values())
+    if total == 0:
+        raise ValueError("partition function vanished")
+    return Measure(mu.n, {k: w / total for k, w in scaled.items()})
+
+
+def exclusion_evolution(mu: Measure, i: int, j: int, theta: RationalLike) -> Measure:
+    """(1 - theta) of each weight kept, theta of it moved to the set with i and j swapped."""
+    th = _exclusion_theta(mu.n, i, j, theta)
+    out: dict[int, Fraction] = {}
+    for mask, w in mu.weights.items():
+        bit_i, bit_j = mask >> i & 1, mask >> j & 1
+        swapped = mask & ~((1 << i) | (1 << j))
+        if bit_i:
+            swapped |= 1 << j
+        if bit_j:
+            swapped |= 1 << i
+        out[mask] = out.get(mask, Fraction(0)) + (1 - th) * w
+        out[swapped] = out.get(swapped, Fraction(0)) + th * w
+    return Measure(mu.n, out)
+
+
+def rank_sequence(mu: Measure) -> list[Fraction]:
+    """mu(|S| = k) for k = 0..n, one Fraction sum per atom."""
+    out = [Fraction(0)] * (mu.n + 1)
+    for mask, w in mu.weights.items():
+        out[bin(mask).count("1")] += w
+    return out
 
 
 # -- Fraction references for the integer-numerator operations -----------------

@@ -504,6 +504,20 @@ def test_rayleigh_tight_example():
     assert rayleigh_falsify(f, c_tight - Fraction(1, 100), trials=300, seed=5) is not None
 
 
+def test_rayleigh_falsify_checks_its_arguments():
+    # the checks run on the first draw, after the check of f's coefficients
+    f = tight_rayleigh_poly(3)
+    with pytest.raises(ValueError, match="^trials must be nonnegative$"):
+        rayleigh_falsify(f, 1, trials=-1, seed=0)
+    with pytest.raises(ValueError, match="^max_den must be positive$"):
+        rayleigh_falsify(f, 1, trials=5, seed=0, max_den=0)
+    negative = f - HomogPoly(3, 3, {(3, 0, 0): 2})
+    for trials, max_den in ((-1, 10), (5, 0), (-1, 0)):
+        with pytest.raises(ValueError, match="^f must have nonnegative coefficients$"):
+            rayleigh_falsify(negative, 1, trials=trials, seed=0, max_den=max_den)
+    assert rayleigh_falsify(f, 1, trials=0, seed=0, max_den=1) is None
+
+
 def test_rayleigh_check_at_takes_points_in_order():
     f = tight_rayleigh_poly(3)
     c = Fraction(4, 3) - Fraction(1, 100)

@@ -3,7 +3,8 @@ exit code 0, 1 or 2, exactly one JSON object on stdout, written as one line
 of canonical JSON, nothing on stderr, and no traceback.
 
 Each example starts from small golden inputs, applies a few mutations (a
-node replaced, a list entry repeated, a key dropped, the text cut short) and
+node replaced, a list entry repeated, a key dropped, a node nested 5,000
+lists deep, the text cut short) and
 draws every flag from a short list of good and bad values.  Integers of more
 than 4,300 digits go into coefficients, discrete-function values, weights,
 matrix and vector entries, rational flags, seeds and ``--max-den``.  Sizes,
@@ -52,6 +53,10 @@ SMALL_INTS = ["0", "1", "2", "-1", "9", "x"]
 SMALL = st.one_of(st.integers(-2, 4),
                   st.sampled_from([0.5, True, None, "1", "x", "1/2", "", [], {}, [0]]))
 HUGE = st.sampled_from([BIG, -BIG, BIG_TEXT, "-" + BIG_TEXT])
+# a node nested deeper than the JSON decoder recurses, 10 KB of text; json.dumps
+# cannot write it either, so the document holds NEST until its text is made
+NEST = "\x00nest"
+DEEP = "[" * 5000 + "]" * 5000
 
 
 def _sites(doc, path=()):
@@ -68,7 +73,7 @@ def _huge_ok(path: tuple) -> bool:
 
 
 def _mutate(draw, doc):
-    """``doc`` with one node replaced, one list entry repeated or one key dropped."""
+    """``doc`` with one node replaced, nested deeply, or dropped, or one list entry repeated."""
     path = draw(st.sampled_from(list(_sites(doc))))
     if not path:
         return copy.deepcopy(draw(SMALL))
@@ -76,11 +81,13 @@ def _mutate(draw, doc):
     for key in path[:-1]:
         parent = parent[key]
     node = parent[path[-1]]
-    how = draw(st.sampled_from(["replace", "repeat", "drop"]))
+    how = draw(st.sampled_from(["replace", "repeat", "drop", "nest"]))
     if how == "repeat" and isinstance(node, list) and node:
         node.append(copy.deepcopy(draw(st.sampled_from(node))))
     elif how == "drop" and isinstance(parent, dict):
         del parent[path[-1]]
+    elif how == "nest":
+        parent[path[-1]] = NEST
     else:
         value = draw(st.one_of(SMALL, HUGE) if _huge_ok(path) else SMALL)
         parent[path[-1]] = copy.deepcopy(value)     # the strategy's lists stay as they are
@@ -92,7 +99,7 @@ def _document_text(draw, names) -> str:
     for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
         doc = _mutate(draw, doc)
     with _no_digit_limit():     # the document may hold a huge JSON integer
-        text = json.dumps(doc)
+        text = json.dumps(doc).replace(json.dumps(NEST), DEEP)
     if draw(st.integers(0, 9)) == 0:
         text = text[:draw(st.integers(0, len(text)))]
     return text

@@ -223,9 +223,12 @@ CASES = {
                               "--seed", "1"],
     "hodge_riemann_sampled_no_seed": ["hodge-riemann", "inputs/cubic10.json",
                                       "--points", "3"],
-    # input errors: a missing file, invalid JSON, a missing second file
+    # input errors: a missing file, invalid JSON, a missing second file, JSON
+    # nested deeper than the decoder recurses, an operator image given twice
     "check_missing_file": ["check", "inputs/missing.json"],
     "check_invalid_json": ["check", "inputs/invalid.json"],
+    "check_deep_nesting": ["check", "inputs/deep_terms.json"],
+    "roundtrip_operator_duplicate_image": ["roundtrip", "inputs/table_duplicate_image.json"],
     "operator_apply_missing_poly": ["operator", "apply", "inputs/table.json",
                                     "inputs/missing.json"],
 }

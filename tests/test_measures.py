@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import prod
@@ -15,6 +16,7 @@ from lorentz.poly import first_ulc_failure
 
 from generators import (matroid_measures, random_m_matrix, random_positive_fraction,
                         uniform_matroid)
+import poly_oracles
 from poly_oracles import (first_rayleigh_violation, linear_form, marginal, pair_marginal,
                           pointwise)
 
@@ -42,6 +44,52 @@ def test_measure_validation():
         Measure(1, {0: Fraction(3, 2), 1: Fraction(-1, 2)})
     with pytest.raises(ValueError, match="n must be nonnegative"):
         Measure(-1, {frozenset(): 1})
+
+
+def _random_weights(rng, n):
+    """Positive weights on a random set of atoms, not summing to 1: small, mixed
+    and large denominators, some atoms keyed by int and some by frozenset."""
+    dens = rng.choice([[1], [2, 3, 5, 7], [10 ** 6 + 3, 10 ** 9 + 7, 2 ** 40]])
+    masks = rng.sample(range(1 << n), rng.randint(1, 1 << n))
+    return {(m if rng.random() < 0.5 else frozenset(i for i in range(n) if m >> i & 1)):
+            Fraction(rng.randint(1, 10 ** rng.choice([1, 3, 15])), rng.choice(dens))
+            for m in masks}
+
+
+def test_integer_measures_match_fraction_references():
+    rng = random.Random(36)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        raw = _random_weights(rng, n)
+        mu = Measure(n, raw, normalize=True)
+        # canonical: positive numerators with gcd 1 over their sum, whatever the scale
+        total = sum(raw.values())
+        want = {(k if isinstance(k, int) else sum(1 << i for i in k)): w / total
+                for k, w in raw.items()}
+        assert mu.weights == want and Measure(n, want) == mu
+        assert min(mu.nums.values()) > 0 and math.gcd(*mu.nums.values()) == 1
+        assert mu.den == sum(mu.nums.values())
+        scale = Fraction(rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12))
+        assert Measure(n, {k: scale * w for k, w in raw.items()}, normalize=True) == mu
+        # the integer bodies against their Fraction references, atom order included
+        x = [Fraction(rng.randint(1, 10 ** 6), rng.choice([1, 3, 10 ** 6 + 3])) for _ in range(n)]
+        pairs = [(external_field(mu, x), poly_oracles.external_field(mu, x))]
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            theta = rng.choice([0, 1, Fraction(1, 2), Fraction(rng.randint(0, 10 ** 9), 10 ** 9 + 7)])
+            pairs.append((exclusion_evolution(mu, i, j, theta),
+                          poly_oracles.exclusion_evolution(mu, i, j, theta)))
+        for out, ref in pairs:
+            assert out == ref and list(out.weights.items()) == list(ref.weights.items())
+            assert out.den == sum(out.nums.values()) and math.gcd(*out.nums.values()) == 1
+        assert rank_sequence(mu) == poly_oracles.rank_sequence(mu)
+
+
+def test_measure_reduces_a_common_factor():
+    # integer weights 2 and 4 share the factor 2, which the numerators do not keep
+    mu = Measure(2, {1: 2, frozenset({1}): 4}, normalize=True)
+    assert (mu.nums, mu.den) == ({1: 1, 2: 2}, 3)
+    assert mu == Measure(2, {1: Fraction(1, 3), 2: Fraction(2, 3)})
 
 
 def test_lorentzian_measures():

@@ -223,7 +223,7 @@ def test_nuij_strictifies():
         assert is_strictly_lorentzian(out).verdict
 
 
-@pytest.mark.parametrize("theta", [Fraction(1, 3), 1, 2])
+@pytest.mark.parametrize("theta", [Fraction(1, 3), 1, 2, Fraction(1, 10 ** 6)])
 def test_nuij_matches_step_by_step_reference(theta):
     rng = random.Random(31)
     for _ in range(12):

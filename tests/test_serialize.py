@@ -227,6 +227,17 @@ def test_operator_roundtrip():
     assert t != OperatorTable((2,), 1, {(1,): HomogPoly(1, 2, {(2,): 1})})
 
 
+def test_operator_loader_refuses_a_repeated_image():
+    # the second image of [1, 0] would replace the first without a word
+    lin = [{"n": 2, "d": 1, "terms": [{"exp": e, "num": "1", "den": "1"}]} for e in ([0, 1], [1, 0])]
+    doc = {"kappa": [1, 1], "ell": 0,
+           "images": [{"exp": [1, 0], "poly": lin[0]}, {"exp": [1, 0], "poly": lin[1]}]}
+    with pytest.raises(LoadError, match=r"^operator\.images\[1\]: duplicate image \[1, 0\]$"):
+        operator_from_dict(doc)
+    doc["images"][1]["exp"] = [0, 1]
+    assert operator_from_dict(doc).images[(0, 1)] == poly_from_dict(lin[1])
+
+
 def test_load_document_and_roundtrip(tmp_path):
     docs = {
         "p.json": poly_to_dict(HomogPoly(2, 2, {(1, 1): Fraction(1, 2)})),
@@ -254,6 +265,18 @@ def test_load_document_errors(tmp_path):
     unknown.write_text('{"x": 1}')
     with pytest.raises(LoadError, match="kind"):
         load_document(str(unknown))
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 1, "d": 1, "terms": ' + "[" * 5000 + "]" * 5000 + "}",
+    '{"n": 1, "d": 1, "terms": [{"exp": ' + "[" * 3000 + "]" * 3000 + ', "num": "1", "den": "1"}]}',
+    '{"a": ' * 3000 + "1" + "}" * 3000], ids=["terms", "exp", "objects"])
+def test_load_json_refuses_deep_nesting(tmp_path, text):
+    # the decoder recurses once per level, so a small document can exhaust the stack
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    with pytest.raises(LoadError, match="deep.json: the document is nested too deeply$"):
+        serialize.load_json(str(deep))
 
 
 def test_dumps_canonical_is_stable():
