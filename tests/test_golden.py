@@ -154,6 +154,8 @@ CASES = {
     "measure_lorentzian_refuted": ["measure", "lorentzian", "inputs/mu_gap.json"],
     "measure_report": ["measure", "report", "inputs/mu_u24.json", "--trials", "40",
                        "--seed", "3"],
+    "measure_report_float": ["measure", "report", "inputs/mu_u24.json", "--trials", "40",
+                             "--seed", "3", "--float"],
     "measure_report_not_ulc": ["measure", "report", "inputs/mu_gap.json", "--trials", "40",
                                "--seed", "1"],
     "measure_field": ["measure", "field", "inputs/mu_u12.json", "--x", "1,2"],
@@ -190,6 +192,8 @@ CASES = {
                                "--seed", "1", "--point", "0,0,1,0,1,1"],
     "rayleigh_sampled_refuted": ["rayleigh", "inputs/fano_potts.json", "--c", "1/2",
                                  "--seed", "2", "--trials", "20"],
+    "rayleigh_sampled_refuted_float": ["rayleigh", "inputs/fano_potts.json", "--c", "1/2",
+                                       "--seed", "2", "--trials", "20", "--float"],
     "rayleigh_searched": ["rayleigh", "inputs/cubic9.json", "--c", "4/3", "--seed", "1",
                           "--trials", "30", "--point", "1,2"],
     # the Fano basis polynomial at c = 2, as the benchmark runs it: every
@@ -221,6 +225,8 @@ CASES = {
     "roundtrip_vectors": ["roundtrip", "inputs/vectors.json"],
     "hodge_riemann_sampled": ["hodge-riemann", "inputs/cubic10.json", "--points", "3",
                               "--seed", "1"],
+    "hodge_riemann_sampled_float": ["hodge-riemann", "inputs/cubic10.json", "--points", "3",
+                                    "--seed", "1", "--float"],
     "hodge_riemann_sampled_no_seed": ["hodge-riemann", "inputs/cubic10.json",
                                       "--points", "3"],
     # input errors: a missing file, invalid JSON, a missing second file, JSON
@@ -323,13 +329,23 @@ def _input(name: str, k: int = 1):
     return json.loads((GOLDEN / CASES[name][k]).read_text(encoding="utf-8"))
 
 
+def _rat(x) -> Fraction:
+    """A rational of a recorded report: its exact string, or under --float
+    the {"rat", "float"} pair, whose float is the nearest one to the rational."""
+    if isinstance(x, str):
+        return Fraction(x)
+    r = Fraction(x["rat"])
+    assert x == {"rat": x["rat"], "float": float(r)}
+    return r
+
+
 @pytest.mark.parametrize("name", _recorded_cases("hodge-riemann"))
 def test_hodge_riemann_inertias_match_char_poly(name):
     # each point's inertia, from the characteristic polynomial of the
     # Fraction Hessian at that point
     f = poly_from_dict(_input(name))
     for entry in _recorded_result(name)["points"]:
-        point = [Fraction(x) for x in entry["point"]]
+        point = [_rat(x) for x in entry["point"]]
         assert Inertia(**entry["inertia"]) == char_poly_inertia(hessian(f, point))
 
 
@@ -344,7 +360,7 @@ def _rayleigh_witness_holds(f, c: Fraction, alpha, i: int, j: int, point, wit: d
         beta = tuple(a + ks.count(k) for k, a in enumerate(alpha))
         return f.derive(beta).eval(point) if sum(beta) <= f.degree else 0
 
-    assert (Fraction(wit["lhs"]), Fraction(wit["rhs"])) == (at() * at(i, j), c * at(i) * at(j))
+    assert (_rat(wit["lhs"]), _rat(wit["rhs"])) == (at() * at(i, j), c * at(i) * at(j))
 
 
 @pytest.mark.parametrize("name", [name for name in _recorded_cases("rayleigh")
@@ -354,7 +370,7 @@ def test_rayleigh_witness_by_fraction_reference(name):
     argv = CASES[name]
     c = Fraction(argv[argv.index("--c") + 1])
     _rayleigh_witness_holds(poly_from_dict(_input(name)), c, wit["alpha"], wit["i"], wit["j"],
-                            map(Fraction, wit["point"]), wit)
+                            map(_rat, wit["point"]), wit)
 
 
 def test_rayleigh_c1_witness_follows_a_skipped_alpha():
@@ -374,13 +390,13 @@ def test_measure_report_witnesses_by_fraction_reference(name):
     # homogenized Z at (1, w): at c over the positive orthant, at 1 signed
     report = _recorded_result(name)["report"]
     f = partition_homogenized(measure_from_dict(_input(name, 2)))
-    witnesses = [(report["c_rayleigh_witness"], Fraction(report["pairwise_c"])),
+    witnesses = [(report["c_rayleigh_witness"], _rat(report["pairwise_c"])),
                  (report["strongly_rayleigh_witness"], Fraction(1))]
     assert any(wit for wit, _ in witnesses)
     for wit, c in witnesses:
         if wit is not None:
             _rayleigh_witness_holds(f, c, (0,) * f.nvars, wit["i"] + 1, wit["j"] + 1,
-                                    [Fraction(1), *map(Fraction, wit["point"])], wit)
+                                    [Fraction(1), *map(_rat, wit["point"])], wit)
 
 
 def _exchange_witness(name: str):
