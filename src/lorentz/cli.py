@@ -7,13 +7,15 @@ deterministic given (input, seed, flags) except for the elapsed_ms field.
 
 Sampling commands require --seed; --trials defaults to 10000.  All numbers
 in reports are exact rational strings; --float adds decimal approximations
-for human readers.
+for human readers.  Handlers put library values into a report as they are,
+and the standard JSON encoder writes it in one pass: one hook,
+``_json_default``, converts the Fractions and result records it has no type
+for.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import random
@@ -59,24 +61,22 @@ def _int_list_arg(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def _jsonify(x: Any, float_mode: bool) -> Any:
+def _json_default(x: Any, float_mode: bool = False) -> Any:
+    """The encoder's hook for the library values JSON has no type for: a
+    Fraction is its string, or {"rat", "float"} under --float; a result
+    record is the dict of its declared fields.  Anything else is a bug."""
     if isinstance(x, Fraction):
         if not float_mode:
             return str(x)
         return {"rat": str(x), "float": float(x) if abs(x) <= sys.float_info.max else None}
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _jsonify(getattr(x, f.name), float_mode) for f in dataclasses.fields(x)}
-    if isinstance(x, dict):
-        return {str(k): _jsonify(v, float_mode) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonify(v, float_mode) for v in x]
-    if isinstance(x, (bool, int, float, str)) or x is None:
-        return x
-    return str(x)
+    fields = getattr(type(x), "__dataclass_fields__", None)
+    if fields is None:
+        raise TypeError(f"a report cannot hold a {type(x).__name__}")
+    return {name: getattr(x, name) for name in fields}
 
 
-def _emit(report: dict, code: int) -> int:
-    sys.stdout.write(dumps_canonical(report))
+def _emit(report: dict, code: int, float_mode: bool = False) -> int:
+    sys.stdout.write(dumps_canonical(report, lambda x: _json_default(x, float_mode)))
     return code
 
 
@@ -98,17 +98,15 @@ class _Run:
 
     def finish(self, code: int) -> int:
         self.report["elapsed_ms"] = round((time.perf_counter() - self.t0) * 1000, 3)
-        return _emit(self.report, code)
+        return _emit(self.report, code, self.float_mode)
 
     def verdict(self, ok: bool, witness: Any = None) -> int:
         self.report["verdict"] = bool(ok)
-        if witness is not None:
-            self.report["witness"] = _jsonify(witness, self.float_mode)
+        self.report["witness"] = witness
         return self.finish(EXIT_OK if ok else EXIT_REFUTED)
 
     def constructed(self, **result) -> int:
-        self.report["result"].update(
-            {k: _jsonify(v, self.float_mode) for k, v in result.items()})
+        self.report["result"].update(result)
         return self.finish(EXIT_OK)
 
 
@@ -133,9 +131,8 @@ def _load_matroid(path: str, ranked: bool = False) -> matroids.Matroid:
 def _certificate_verdict(run: _Run, cert: certify.Certificate, witness: bool = False) -> int:
     """Report the certificate and its verdict; a failing certificate is also
     the witness when ``witness`` is set."""
-    payload = _jsonify(cert, run.float_mode)
-    run.report["result"]["certificate"] = payload
-    return run.verdict(cert.verdict, payload if witness and not cert.verdict else None)
+    run.report["result"]["certificate"] = cert
+    return run.verdict(cert.verdict, cert if witness and not cert.verdict else None)
 
 
 def _constructed_poly(run: _Run, f: HomogPoly, certify_it: bool, key: str = "poly") -> int:
@@ -171,7 +168,7 @@ def _hodge_riemann(run: _Run, args) -> int:
     outcomes = []
     bad = None
     for p, sig in zip(points, certify.hodge_riemann_many(f, points)):
-        outcomes.append({"point": _jsonify(p, run.float_mode), "inertia": _jsonify(sig, run.float_mode)})
+        outcomes.append({"point": p, "inertia": sig})
         if sig.n_plus != 1 and bad is None:
             bad = outcomes[-1]
     run.report["result"]["points"] = outcomes
@@ -190,7 +187,7 @@ def _rayleigh(run: _Run, args) -> int:
         wit = certify.rayleigh_falsify(f, args.c, trials=args.trials, seed=args.seed,
                                        max_den=args.max_den)
     if wit is not None:
-        run.report["result"]["violation"] = _jsonify(wit, run.float_mode)
+        run.report["result"]["violation"] = wit
         return run.verdict(False, wit)
     run.report["result"]["searched_trials"] = args.trials
     return run.verdict(True)
@@ -228,8 +225,7 @@ def _mason(run: _Run, args) -> int:
     counts = matroids.independence_counts(m)
     ok = first_ulc_failure(counts, m.n) is None
     run.report["result"]["independence_counts"] = counts
-    run.report["result"]["normalized"] = _jsonify(
-        matroids.normalize_counts(counts, m.n), run.float_mode)
+    run.report["result"]["normalized"] = matroids.normalize_counts(counts, m.n)
     return run.verdict(ok, None if ok else {"counts": counts})
 
 
@@ -241,7 +237,7 @@ def _tutte(run: _Run, args) -> int:
         nonzero = [k for k, c in enumerate(section) if c]
         seq_ok = (first_ulc_failure(section, m.n) is None and min(section) >= 0
                   and nonzero[-1] - nonzero[0] + 1 == len(nonzero))
-        run.report["result"]["section"] = _jsonify(section, run.float_mode)
+        run.report["result"]["section"] = section
         run.report["result"]["ultra_log_concave"] = seq_ok
         return run.constructed()
     if args.x is None or args.y is None:
@@ -256,7 +252,7 @@ def _load_measure(args) -> measures.Measure:
 def _measure_report(run: _Run, args) -> int:
     rep = measures.negative_dependence_report(_load_measure(args), c=args.c,
                                               trials=args.trials, seed=args.seed)
-    run.report["result"]["report"] = _jsonify(rep, run.float_mode)
+    run.report["result"]["report"] = rep
     exact_ok = rep.pairwise_holds and rep.ulc_holds
     witness = None
     if not exact_ok:

@@ -318,11 +318,11 @@ def load_document(path: str):
     return kind, _KINDS[kind][1](obj)
 
 
-def dumps_canonical(obj: dict) -> str:
-    """One line of canonical JSON: ``json.dumps(obj, sort_keys=True) + "\\n"``,
-    with the default separators and ASCII escapes.  Pipe a report through
-    ``python -m json.tool`` to read it indented."""
-    return json.dumps(obj, sort_keys=True) + "\n"
+def dumps_canonical(obj: dict, default=None) -> str:
+    """One line of canonical JSON: ``json.dumps(obj, sort_keys=True,
+    default=default) + "\\n"``, with the default separators and ASCII escapes.
+    Pipe a report through ``python -m json.tool`` to read it indented."""
+    return json.dumps(obj, sort_keys=True, default=default) + "\n"
 
 
 def roundtrip(path: str) -> bool:

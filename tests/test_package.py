@@ -111,7 +111,7 @@ def test_no_assert_statements_in_the_library():
 
 # the only places where a float may appear: the opt-in --float view and the
 # float start of the integer Newton root
-FLOAT_SITES = {"cli._jsonify", "mconvex._floor_nth_root"}
+FLOAT_SITES = {"cli._json_default", "mconvex._floor_nth_root"}
 FLOAT_CALLS = {"float", "log", "log2", "log10", "log1p", "sqrt", "exp"}
 FLOAT_CONSTANTS = {"inf", "nan", "pi", "e", "tau"}
 
