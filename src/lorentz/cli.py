@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from . import certify, matroids, mconvex, measures, mmatrix, operators
-from .poly import HomogPoly, first_ulc_failure
+from .poly import HomogPoly, as_fraction, first_ulc_failure
 from .serialize import (LoadError, dumps_canonical, function_from_dict,
                         graph_matroid_from_dict, load_json, matrix_from_dict,
                         matroid_from_dict, matroid_parts, matroid_to_dict,
@@ -48,7 +48,7 @@ def _sha256(path: str) -> str:
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 

@@ -19,6 +19,7 @@ needs it.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
@@ -31,10 +32,19 @@ Exponent = tuple[int, ...]
 RationalLike = Fraction | int | str
 
 
+# a decimal exponent of five or more digits after its leading zeros
+_BIG_EXPONENT = re.compile(r"e[-+]?[0_]*(?!0)\d(?:_?\d){4}", re.IGNORECASE)
+
+
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce ints, strings like '3/7', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/7', '0.5' or '1e3', and Fractions to
+    Fraction.  A decimal exponent k with |k| >= 10,000 is refused: the
+    Fraction would hold a 10^|k| integer, built in time that grows about
+    48-fold per decade of k."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and _BIG_EXPONENT.search(x):
+        raise ValueError("a decimal exponent must lie in [-9999, 9999]")
     return Fraction(x)
 
 

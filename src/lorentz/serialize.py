@@ -21,7 +21,7 @@ from .mconvex import DiscreteFunction
 from .measures import Measure
 from .mmatrix import SquareMatrix
 from .operators import OperatorTable
-from .poly import HomogPoly, check_exponents, integer_scaled
+from .poly import HomogPoly, as_fraction, check_exponents, integer_scaled
 
 
 class LoadError(ValueError):
@@ -49,7 +49,7 @@ def _fraction_from_string(s: Any, where: str) -> Fraction:
         raise LoadError(f"{where}: expected a rational string or an integer, "
                         f"got {json.dumps(s)}")
     try:
-        return Fraction(s)
+        return as_fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise LoadError(f"{where}: bad rational {s!r}: {exc}") from None
 

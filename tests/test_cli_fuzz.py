@@ -4,13 +4,14 @@ of canonical JSON, nothing on stderr, and no traceback.
 
 Each example starts from small golden inputs, applies a few mutations (a
 node replaced, a list entry repeated, a key dropped, a node nested 5,000
-lists deep, the text cut short) and
-draws every flag from a short list of good and bad values.  Integers of more
-than 4,300 digits go into coefficients, discrete-function values, weights,
-matrix and vector entries, rational flags, seeds and ``--max-den``.  Sizes,
-exponents, indices, counts and the denominators of rational flags stay
-small: the work they set is not budgeted yet (``operator power --p a/b``
-takes b-th roots).
+lists deep, the text cut short) and draws every flag from a short list of
+good and bad values.  Integers of more than 4,300 digits go into
+coefficients, discrete-function values, weights, matrix and vector entries,
+rational flags, seeds and ``--max-den``.  The rational flags and points also
+get ``1e300000`` and ``1e-300000``, whose decimal exponents are refused as
+input errors.  Sizes, exponents, indices, counts and the denominators of
+rational flags stay small: the work they set is not budgeted yet
+(``operator power --p a/b`` takes b-th roots).
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ DOCS = {"poly": ["cubic9", "q2", "lin2", "squares"], "function": ["nu_half"],
 ALL_DOCS = sorted({name for names in DOCS.values() for name in names})
 
 # flag values: good ones, then bad ones
-FRACTIONS = ["1", "1/2", "1/4", "2", "3/7", BIG_TEXT, "0", "-1", "x", "1/0", "-" + BIG_TEXT]
-POINTS = ["1,1", "1/2,3", "2,1/3", "0,1", BIG_TEXT + ",1", "-1,1", "1", "1,1,1", "a,b"]
+FRACTIONS = ["1", "1/2", "1/4", "2", "3/7", BIG_TEXT, "0", "-1", "x", "1/0", "-" + BIG_TEXT,
+             "1e300000", "1e-300000"]
+POINTS = ["1,1", "1/2,3", "2,1/3", "0,1", BIG_TEXT + ",1", "-1,1", "1", "1,1,1", "a,b",
+          "1e300000,1", "1,1e-300000"]
 KAPPAS = ["1,1", "2,1", "2,2", "3,3", "0", "-1,1", "1,x", "1,1,1"]
 INTS = {"seed": ["0", "7", "-3", BIG_TEXT], "max_den": ["3", "1", BIG_TEXT, "0"],
         "trials": ["3", "0", "-1"], "points": ["2", "0", "-1"]}

@@ -237,6 +237,12 @@ CASES = {
     "roundtrip_operator_duplicate_image": ["roundtrip", "inputs/table_duplicate_image.json"],
     "operator_apply_missing_poly": ["operator", "apply", "inputs/table.json",
                                     "inputs/missing.json"],
+    # a decimal exponent of five digits or more, in a rational flag and in a
+    # matrix entry: Fraction would build a 300,000-digit integer
+    "rayleigh_huge_exponent_c": ["rayleigh", "inputs/cubic9.json", "--c", "1e300000",
+                                 "--seed", "1", "--trials", "5"],
+    "mmatrix_recognize_huge_exponent": ["mmatrix", "recognize",
+                                        "inputs/huge_exponent_matrix.json"],
 }
 
 
@@ -247,7 +253,10 @@ def run_case(argv: list[str]) -> tuple[int, str]:
     os.chdir(GOLDEN)
     try:
         with contextlib.redirect_stdout(buf):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # a usage error, reported by the parser
+                code = exc.code
     finally:
         os.chdir(cwd)
     return code, ELAPSED.sub("", buf.getvalue())

@@ -11,14 +11,31 @@ from lorentz.mconvex import DiscreteFunction, PointSet
 from lorentz.measures import Measure
 from lorentz.mmatrix import SquareMatrix, principal_minor
 from lorentz.operators import OperatorTable, apply_operator, normalize, polarize, symbol
-from lorentz.poly import (HomogPoly, check_exponents, first_ulc_failure, integer_scaled,
-                          multi_affine_lifts, simplex)
+from lorentz.poly import (HomogPoly, as_fraction, check_exponents, first_ulc_failure,
+                          integer_scaled, multi_affine_lifts, simplex)
 
 import poly_oracles as ref
 from generators import random_fraction, random_homog, random_nonneg_matrix
 from poly_oracles import (bivariate_restriction, directional_derive, euler_pairing,
                           first_bad_exponent, hessian, lifts_by_groups, linear_form,
                           normalized_coeff, substitute, unit)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0.5", Fraction(1, 2)), ("3/7", Fraction(3, 7)), ("1e3", Fraction(1000)),
+    ("-2.5E-3", Fraction(-1, 400)), ("1e00009", Fraction(10 ** 9)),
+    ("1e9999", Fraction(10 ** 9999)), ("1e-09_999", Fraction(1, 10 ** 9999))])
+def test_as_fraction_reads_decimal_exponents_up_to_four_digits(text, value):
+    assert as_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e10000", "1e-10000", "1E+0010000", "2.5e1_0000",
+                                  "1e300000", "1e-300000", "1e\u0661\u0660\u0660\u0660\u0660"])
+def test_as_fraction_refuses_a_decimal_exponent_of_five_digits(text):
+    # Fraction(text) would build an integer of |k| digits, in time growing
+    # about 48-fold per decade of k
+    with pytest.raises(ValueError, match=r"decimal exponent must lie in \[-9999, 9999\]"):
+        as_fraction(text)
 
 
 def test_simplex_size():
