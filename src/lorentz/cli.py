@@ -61,7 +61,7 @@ def _int_list_arg(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def _json_default(x: Any, float_mode: bool = False) -> Any:
+def _json_default(x: Any, float_mode: bool) -> Any:
     """The encoder's hook for the library values JSON has no type for: a
     Fraction is its string, or {"rat", "float"} under --float; a result
     record is the dict of its declared fields.  Anything else is a bug."""
@@ -256,7 +256,7 @@ def _measure_report(run: _Run, args) -> int:
     exact_ok = rep.pairwise_holds and rep.ulc_holds
     witness = None
     if not exact_ok:
-        witness = {"pairwise_failures": list(rep.pairwise_failures),
+        witness = {"pairwise_failures": rep.pairwise_failures,
                    "ulc_failing_k": rep.ulc_failing_k}
     return run.verdict(exact_ok, witness)
 

@@ -1,6 +1,6 @@
-"""Mutation check of the exact core: one-token mutants of ``certify``,
-``inertia``, ``mconvex``, ``measures``, ``operators``, ``poly`` and
-``serialize``, each run against the tier-1 tests.
+"""Mutation check of the exact core and the report writer: one-token
+mutants of ``certify``, ``cli``, ``inertia``, ``mconvex``, ``measures``,
+``operators``, ``poly`` and ``serialize``, each run against the tier-1 tests.
 
     python tests/mutants.py SCRATCH_DIR [NAME ...]
 
@@ -99,6 +99,14 @@ MUTANTS = [
     Mutant("nuij_no_rescale", "operators.py", "{e: q * c for", "{e: c for"),
     Mutant("power_raw_coefficient", "operators.py", "Fraction(a * factorial_of(e), f.den)",
            "Fraction(a, f.den)"),
+    # the report writer's hook: Fractions under --float, and result records
+    Mutant("hook_float_inverted", "cli.py", "if not float_mode:", "if float_mode:"),
+    Mutant("hook_float_range", "cli.py", "abs(x) <= sys.float_info.max",
+           "abs(x) >= sys.float_info.max"),
+    Mutant("hook_fields_of_instance", "cli.py", "getattr(type(x), \"__dataclass_fields__\"",
+           "getattr(x, \"__dataclass_fields__\""),
+    Mutant("hook_refuses_records", "cli.py", "if fields is None:", "if fields is not None:"),
+    Mutant("hook_class_values", "cli.py", "getattr(x, name) for", "getattr(type(x), name) for"),
 ]
 
 

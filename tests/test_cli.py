@@ -10,8 +10,12 @@ from pathlib import Path
 import pytest
 
 import lorentz
-from lorentz import matroids
+from lorentz import cli, matroids
+from lorentz.certify import INERTIA_VIOLATION, Certificate, RayleighWitness
 from lorentz.cli import build_parser, main
+from lorentz.inertia import Inertia
+from lorentz.measures import MeasureRayleighWitness, NegativeDependenceReport
+from lorentz.poly import HomogPoly
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 CUBIC9 = {"n": 2, "d": 3, "terms": [
@@ -354,6 +358,68 @@ def test_float_flag_beyond_float_range(tmp_path, capsys):
     assert code == 1 and err == ""
     rep = json.loads(out)   # exactly one object
     assert rep["witness"]["detail"]["coefficient"] == {"rat": big, "float": None}
+
+
+def _emitted(capsys, value, float_mode: bool):
+    """``value`` as the report writer prints it."""
+    assert cli._emit({"value": value}, 0, float_mode) == 0
+    return json.loads(capsys.readouterr().out)["value"]
+
+
+def _rational(x: Fraction, float_mode: bool):
+    return {"rat": str(x), "float": float(x)} if float_mode else str(x)
+
+
+@pytest.mark.parametrize("float_mode", [False, True])
+def test_records_encode_to_exactly_their_fields(capsys, float_mode):
+    def r(num, den=1):
+        return _rational(Fraction(num, den), float_mode)
+
+    sig = Inertia(2, 1, 0)
+    cert = Certificate(False, (1, 0, 1), INERTIA_VIOLATION,
+                       {"inertia": sig, "all_failures": [[(1, 0, 1), sig], [(0, 2, 0), sig]]})
+    sig_json = {"n_plus": 2, "n_minus": 1, "n_zero": 0}
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    measure_wit = MeasureRayleighWitness(0, 2, (half, Fraction(3)), Fraction(5, 4), third)
+    measure_wit_json = {"i": 0, "j": 2, "point": [r(1, 2), r(3)], "lhs": r(5, 4),
+                        "rhs": r(-1, 3)}
+    cases = [
+        (sig, sig_json),
+        (cert, {"verdict": False, "failing_alpha": [1, 0, 1],
+                "failing_kind": INERTIA_VIOLATION, "is_zero": False,
+                "detail": {"inertia": sig_json,
+                           "all_failures": [[[1, 0, 1], sig_json], [[0, 2, 0], sig_json]]}}),
+        (Certificate(True), {"verdict": True, "failing_alpha": None, "failing_kind": None,
+                             "detail": {}, "is_zero": False}),
+        (RayleighWitness((0, 1), 0, 1, (half, Fraction(7)), Fraction(9, 2), third),
+         {"alpha": [0, 1], "i": 0, "j": 1, "point": [r(1, 2), r(7)], "lhs": r(9, 2),
+          "rhs": r(-1, 3)}),
+        (measure_wit, measure_wit_json),
+        (NegativeDependenceReport(False, ((0, 1),), Fraction(2), True, (), False, 3,
+                                  measure_wit, None, 40, 7),
+         {"pnc_holds": False, "pnc_failures": [[0, 1]], "pairwise_c": r(2),
+          "pairwise_holds": True, "pairwise_failures": [], "ulc_holds": False,
+          "ulc_failing_k": 3, "c_rayleigh_witness": measure_wit_json,
+          "strongly_rayleigh_witness": None, "trials": 40, "seed": 7}),
+    ]
+    for record, expected in cases:
+        assert _emitted(capsys, record, float_mode) == expected, record
+
+
+def test_a_fraction_beyond_the_float_range_has_no_float(capsys):
+    big = Fraction(-10 ** 400, 3)
+    assert _emitted(capsys, [big], True) == [{"rat": str(big), "float": None}]
+    assert _emitted(capsys, [big], False) == [str(big)]
+
+
+@pytest.mark.parametrize("value", [{1, 2}, HomogPoly(1, 1, {(1,): 1}), Inertia, 1j],
+                         ids=["set", "poly", "record_class", "complex"])
+@pytest.mark.parametrize("float_mode", [False, True])
+def test_other_values_are_not_written(capsys, value, float_mode):
+    # a value the report has no encoding for is a bug, not a repr in the report
+    with pytest.raises(TypeError):
+        cli._emit({"value": value}, 0, float_mode)
+    assert capsys.readouterr().out == ""
 
 
 def rep_value(rep):
