@@ -366,14 +366,11 @@ def _emitted(capsys, value, float_mode: bool):
     return json.loads(capsys.readouterr().out)["value"]
 
 
-def _rational(x: Fraction, float_mode: bool):
-    return {"rat": str(x), "float": float(x)} if float_mode else str(x)
-
-
 @pytest.mark.parametrize("float_mode", [False, True])
 def test_records_encode_to_exactly_their_fields(capsys, float_mode):
     def r(num, den=1):
-        return _rational(Fraction(num, den), float_mode)
+        x = Fraction(num, den)
+        return {"rat": str(x), "float": float(x)} if float_mode else str(x)
 
     sig = Inertia(2, 1, 0)
     cert = Certificate(False, (1, 0, 1), INERTIA_VIOLATION,
