@@ -55,7 +55,7 @@ class RayleighWitness:
 
 
 def _support_certificate(f: HomogPoly) -> Optional[Certificate]:
-    ok, wit = is_m_convex_set(PointSet(f.nvars, f.degree, f.support()))
+    ok, wit = is_m_convex_set(PointSet._of(f.nvars, f.degree, list(f.support())))
     if ok:
         return None
     alpha, beta, i = wit
@@ -322,13 +322,11 @@ def _rayleigh_plan(f: HomogPoly, c: Fraction
     and no quadratic beta >= alpha has n_plus > 1 in ``_support_inertias``;
     or, as d_k preserves the class, when some alpha - e_k, earlier in the
     order, was skipped.  The inertias come in one pass when a bound first holds.
+    So alpha = 0, the first, is decided first: as 2(1 - 1/d') grows with d',
+    when it is skipped so is every alpha, and the plan is empty.
     """
     n, d = f.nvars, f.degree
     signed = c < 0
-    below = [set(f.nums)]           # below[k]: the exponents of degree d - k under the support
-    for _ in range(d):
-        below.append({e[:k] + (e[k] - 1,) + e[k + 1:]
-                      for e in below[-1] for k, x in enumerate(e) if x})
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     bad = None                      # the quadratic betas with n_plus > 1, once needed
     skipped = set()
@@ -342,11 +340,17 @@ def _rayleigh_plan(f: HomogPoly, c: Fraction
         if any(all(map(ge, beta, alpha)) for beta in bad):
             return False
         support = [tuple(map(sub, e, alpha)) for e in f.nums if all(map(ge, e, alpha))]
-        return is_m_convex_set(PointSet(n, d - sum(alpha), support))[0]
+        return is_m_convex_set(PointSet._of(n, d - sum(alpha), support))[0]
 
+    if d > 1 and f.nums and c >= 2 - Fraction(2, d) and lorentzian((0,) * n):
+        return
+    below = [set(f.nums)]           # below[k]: the exponents of degree d - k under the support
+    for _ in range(d):
+        below.append({e[:k] + (e[k] - 1,) + e[k + 1:]
+                      for e in below[-1] for k, x in enumerate(e) if x})
     for alpha in sorted(chain(*below[2 - signed:])):     # |alpha| <= d-2, or d-1 if signed
         size = sum(alpha)
-        if c >= 2 - Fraction(2, d - size) and lorentzian(alpha):
+        if size and c >= 2 - Fraction(2, d - size) and lorentzian(alpha):
             skipped.add(alpha)
             continue
         if signed:

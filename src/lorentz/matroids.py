@@ -84,8 +84,8 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
     sizes = {bin(m).count("1") for m in masks}
     if len(sizes) != 1:
         raise ExchangeError(f"bases have mixed cardinalities {sorted(sizes)}")
-    points = PointSet(n, sizes.pop(),
-                      [tuple(1 if m >> i & 1 else 0 for i in range(n)) for m in masks])
+    points = PointSet._of(n, sizes.pop(),
+                          [tuple(1 if m >> i & 1 else 0 for i in range(n)) for m in masks])
     ok, wit = is_m_convex_set(points)
     if not ok:
         alpha, beta, i = wit

@@ -41,6 +41,8 @@ MUTANTS = [
            "+ 1,) + up[i][j + 1:] not in above"),
     Mutant("plan_signed_at_c0", "certify.py", "signed = c < 0", "signed = c <= 0"),
     Mutant("plan_one_degree_more", "certify.py", "below[2 - signed:]", "below[1 - signed:]"),
+    Mutant("plan_zero_at_degree_one", "certify.py", "if d > 1 and f.nums", "if d > 0 and f.nums"),
+    Mutant("plan_zero_checked_twice", "certify.py", "if size and c >=", "if c >="),
     # the paper's Rayleigh bound: which alphas it leaves out
     Mutant("bound_strict", "certify.py", "c >= 2 - Fraction(2, d - size)",
            "c > 2 - Fraction(2, d - size)"),
@@ -79,7 +81,12 @@ MUTANTS = [
     # M-convex sets and functions
     Mutant("slice_guard_off", "mconvex.py", ") == len(ps.points):", ") >= len(ps.points):"),
     Mutant("slice_count", "mconvex.py", "run[max(0, k - cap)]", "run[max(0, k - cap + 1)]"),
-    Mutant("exchange_repair", "mconvex.py", "b &= cap", "b |= cap"),
+    Mutant("shadow_or", "mconvex.py", "any(reduce(and_, r)", "any(reduce(or_, r)"),
+    # alpha - e_i with alpha_i = 0 has no shadow in rows (dropping the guard where rows are
+    # collected only adds codes of no real shadow, whose rows are 0), so drop it at the rebuild
+    Mutant("shadow_guard_off", "mconvex.py", "if a else 0", "if True else 0"),
+    Mutant("shadow_decision_inverted", "mconvex.py", "if not any(reduce", "if any(reduce"),
+    Mutant("of_from_a_set", "mconvex.py", "degree, frozenset(points)", "degree, frozenset(set(points))"),
     Mutant("exchange_last_beta", "mconvex.py", "((b & -b).bit_length() - 1", "(b.bit_length() - 1"),
     Mutant("function_strict_exchange", "mconvex.py", "<= val[a] + val[b]", "< val[a] + val[b]"),
     # the integer-numerator polynomial: reduction, summing, evaluation and the writer

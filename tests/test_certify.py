@@ -655,6 +655,25 @@ def test_rayleigh_skips_nothing_below_one(c):
         assert _skipped_alphas(f, c) == [], (f, c)
 
 
+def test_rayleigh_plan_decides_alpha_zero_first():
+    # a skipped alpha = 0 skips every alpha, so the plan is empty after one
+    # support check; an alpha = 0 that is not skipped is checked once
+    calls = []
+    real = certify.is_m_convex_set
+    with mock.patch.object(certify, "is_m_convex_set", lambda ps: calls.append(ps.degree) or real(ps)):
+        assert _planned_alphas(fano_potts(Fraction(1, 2)), Fraction(2)) == [] and calls == [7]
+        cubes = HomogPoly(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+        calls.clear()
+        assert _planned_alphas(cubes, Fraction(2)) == [(0, 0, 0)] and calls == [3, 2, 2, 2]
+        # d <= 1, c < 0 and the zero polynomial plan every alpha, checking nothing
+        calls.clear()
+        for f, c in [(f, c) for f in (HomogPoly(2, 0, {(0, 0): 1}), HomogPoly(3, 2, {}),
+                                      HomogPoly(2, 1, {(1, 0): 1, (0, 1): 2}))
+                     for c in (Fraction(-1), Fraction(2))] + [(cubes, Fraction(-1))]:
+            assert _planned_alphas(f, c) == _sub_exponents(f, f.degree - 1 - (c >= 0)), (f, c)
+        assert calls == []
+
+
 def test_measure_report_skips_the_c_scan_of_a_lorentzian_z():
     # Z of the uniform measure on the subsets of {0, 1} homogenizes to the
     # Lorentzian quadratic (w0 + w1)(w0 + w2) / 4, 2(1 - 1/2)-Rayleigh: from

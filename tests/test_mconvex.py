@@ -1,20 +1,23 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz import (DiscreteFunction, ExchangeError, HomogPoly, PointSet,
+from lorentz import (DiscreteFunction, ExchangeError, HomogPoly, PointSet, cycle_matroid,
                      generating_poly_f, generating_poly_g, is_lorentzian,
                      is_m_convex_function, is_m_convex_set, matroid_from_bases,
                      regularize)
+from lorentz.certify import _rayleigh_plan, _support_certificate
+from lorentz.matroids import independent_set_masks
 from lorentz.mconvex import _floor_nth_root, _slice_size, rational_power
 from lorentz.poly import simplex
 
-from generators import (polarize_fn, random_m_convex_function,
+from generators import (polarize_fn, random_homog, random_m_convex_function,
                         random_matroid_m_convex_function)
 from poly_oracles import linear_form, normalized_coeff
 
@@ -69,9 +72,70 @@ def _point_sets(draw):
     return PointSet(n, d, draw(st.lists(st.sampled_from(pts), max_size=len(pts))))
 
 
-@given(_point_sets())
+def _zero_one(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(mask >> i & 1 for i in range(n))
+
+
+@st.composite
+def _zero_one_families(draw):
+    """Families of r-subsets of n <= 7 elements as 0/1 points: basis families and others."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(0, n))
+    pts = [_zero_one(sum(1 << i for i in s), n) for s in combinations(range(n), r)]
+    return PointSet(n, r, draw(st.lists(st.sampled_from(pts), max_size=len(pts))))
+
+
+def _homogenized(n: int, masks) -> PointSet:
+    """The support {(n - |S|, 1_S)} of the homogenized multi-affine polynomial
+    in n variables with a term at each subset mask S."""
+    return PointSet(n + 1, n, [(n - m.bit_count(),) + _zero_one(m, n) for m in masks])
+
+
+@st.composite
+def _multi_affine_supports(draw):
+    n = draw(st.integers(1, 5))
+    return _homogenized(n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=1 << n)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_point_sets(), _zero_one_families(), _multi_affine_supports()))
 def test_exchange_check_property(ps):
     assert is_m_convex_set(ps) == _pairwise_exchange(ps)
+
+
+def _graphic_matroid(rng: random.Random):
+    """The cycle matroid of a random graph on 4 or 5 vertices and 3 to 7 edges."""
+    v = rng.randint(4, 5)
+    possible = list(combinations(range(v), 2))
+    return cycle_matroid(v, rng.sample(possible, rng.randint(3, min(7, len(possible)))))
+
+
+def _with_one_changed(rng: random.Random, pts: list, universe: list) -> list[list]:
+    """pts, pts without one of its points and pts with one more point of universe."""
+    others = [p for p in universe if p not in pts]
+    return [pts, rng.sample(pts, len(pts) - 1), pts + rng.sample(others, min(1, len(others)))]
+
+
+def test_exchange_check_matches_pairwise_reference_on_matroid_supports():
+    # the bases of graphic matroids on n <= 7 elements, and their independent
+    # sets homogenized (the support of the independence polynomial), are
+    # M-convex; with one point dropped or added they often are not, and the
+    # witness is the one the pairwise reference meets first
+    rng = random.Random(37)
+    refuted = 0
+    for _ in range(100):
+        m = _graphic_matroid(rng)
+        n, r = m.n, m.rank_full
+        bases = [_zero_one(b, n) for b in m.bases]
+        subsets = [_zero_one(sum(1 << i for i in s), n) for s in combinations(range(n), r)]
+        independent = independent_set_masks(m)
+        for ps in [PointSet(n, r, family) for family in _with_one_changed(rng, bases, subsets)] + \
+                  [_homogenized(n, family) for family in
+                   _with_one_changed(rng, independent, list(range(1 << n)))]:
+            expected = _pairwise_exchange(ps)
+            assert is_m_convex_set(ps) == expected, ps
+            refuted += not expected[0]
+    assert refuted > 150
 
 
 def _box_slice(caps, d):
@@ -114,6 +178,49 @@ def test_box_slices_match_pairwise_reference():
             assert is_m_convex_set(rest) == expected, rest
             refuted += not expected[0]
     assert refuted > 80
+
+
+def test_unchecked_point_sets_iterate_as_checked_ones():
+    # each caller of PointSet._of hands it exponents the library built, and gets
+    # the points, in the same order, and so the witness, that the checked
+    # constructor gives on its input; many of the sets are not M-convex
+    agree, real_of = [], PointSet._of
+
+    def of(cls, nvars, degree, points):
+        ps, checked = real_of(nvars, degree, points), PointSet(nvars, degree, points)
+        agree.append((list(ps.points), is_m_convex_set(ps))
+                     == (list(checked.points), is_m_convex_set(checked)))
+        return ps
+
+    rng = random.Random(41)
+    refuted = 0
+    with mock.patch.object(PointSet, "_of", classmethod(of)):
+        for _ in range(40):
+            f = random_homog(rng, rng.randint(2, 4), rng.randint(2, 4), nonneg=True)
+            ok, wit = is_m_convex_set(PointSet(f.nvars, f.degree, f.support()))
+            cert = _support_certificate(f)
+            assert cert is None if ok else cert.detail == {"pair": wit[:2], "index": wit[2]}
+            refuted += not ok
+            list(_rayleigh_plan(f, Fraction(2)))
+            nu = DiscreteFunction(f.nvars, f.degree, {p: rng.randint(-3, 3) for p in f.terms})
+            checked = PointSet(nu.nvars, nu.degree, nu.values.keys())
+            assert list(nu.domain().points) == list(checked.points)
+            ok, wit = is_m_convex_set(checked)
+            assert ok or is_m_convex_function(nu) == (False, wit[:2])
+            n = rng.randint(2, 7)
+            subsets = list(combinations(range(n), rng.randint(1, min(3, n - 1))))
+            family = rng.sample(subsets, rng.randint(1, min(8, len(subsets))))
+            ok, wit = is_m_convex_set(PointSet(n, len(family[0]), [
+                tuple(int(k in b) for k in range(n)) for b in family]))
+            if ok:
+                matroid_from_bases(n, family)
+            else:
+                with pytest.raises(ExchangeError) as err:
+                    matroid_from_bases(n, family)
+                alpha, beta, i = wit
+                assert err.value.witness == (tuple(k for k in range(n) if alpha[k]),
+                                             tuple(k for k in range(n) if beta[k]), i)
+    assert all(agree) and len(agree) > 150 and refuted > 10, (len(agree), refuted)
 
 
 def test_empty_sets_match_pairwise_reference():
