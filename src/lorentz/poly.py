@@ -40,12 +40,15 @@ def as_fraction(x: RationalLike) -> Fraction:
     """Coerce ints, strings like '3/7', '0.5' or '1e3', and Fractions to
     Fraction.  A decimal exponent k with |k| >= 10,000 is refused: the
     Fraction would hold a 10^|k| integer, built in time that grows about
-    48-fold per decade of k."""
+    48-fold per decade of k.  Each refusal is ``ValueError("bad rational ...")``."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str) and _BIG_EXPONENT.search(x):
-        raise ValueError("a decimal exponent must lie in [-9999, 9999]")
-    return Fraction(x)
+    try:
+        if isinstance(x, str) and _BIG_EXPONENT.search(x):
+            raise ValueError("a decimal exponent must lie in [-9999, 9999]")
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {x!r}: {exc}") from None
 
 
 def integer_scaled(xs: Collection[Fraction | int]) -> tuple[int, list[int]]:

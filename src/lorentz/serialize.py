@@ -48,10 +48,7 @@ def _fraction_from_string(s: Any, where: str) -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise LoadError(f"{where}: expected a rational string or an integer, "
                         f"got {json.dumps(s)}")
-    try:
-        return as_fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise LoadError(f"{where}: bad rational {s!r}: {exc}") from None
+    return _build(where, as_fraction, s)
 
 
 def _require(obj: Any, key: str, kind: type, where: str):
@@ -64,11 +61,11 @@ def _require(obj: Any, key: str, kind: type, where: str):
 
 
 def _build(where: str, make, *args, **kw):
-    """``make(*args, **kw)``, with a ValueError it raises reported at ``where``."""
+    """``make(*args, **kw)``; a ValueError it raises causes a LoadError at ``where``."""
     try:
         return make(*args, **kw)
     except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from None
+        raise LoadError(f"{where}: {exc}") from exc
 
 
 _INT = {int}
@@ -170,17 +167,13 @@ def matroid_to_dict(m: Matroid) -> dict:
     return {"n": m.n, "bases": [list(b) for b in m.basis_sets()]}
 
 
-def matroid_parts(obj: dict, where: str = "matroid") -> tuple[int, list[tuple[int, ...]]]:
-    """The ground set size and the bases of a matroid document, unchecked
-    as a family: ``matroid validate`` reports an exchange failure itself."""
+def matroid_from_dict(obj: dict, where: str = "matroid") -> Matroid:
+    """The matroid of a basis-list document.  A family that fails the
+    exchange property is refused with a LoadError caused by its ExchangeError."""
     n = _require(obj, "n", int, where)
     bases = [_int_set(b, f"{where}.bases[{k}]")
              for k, b in enumerate(_require(obj, "bases", list, where))]
-    return n, bases
-
-
-def matroid_from_dict(obj: dict, where: str = "matroid") -> Matroid:
-    return _build(where, matroid_from_bases, *matroid_parts(obj, where))
+    return _build(where, matroid_from_bases, n, bases)
 
 
 def graph_matroid_from_dict(obj: dict, where: str = "graph", ranked: bool = False) -> Matroid:
@@ -309,6 +302,18 @@ def load_json(path: str) -> Any:
                         f"column {exc.colno} (char {exc.pos}): {exc.msg}") from None
     except RecursionError:      # the decoder recurses once per level of nesting
         raise LoadError(f"{path}: the document is nested too deeply") from None
+
+
+def load_matroid(path: str, ranked: bool = False) -> Matroid:
+    """The matroid of the document at ``path``: a basis list when it has ``bases``
+    (with or without ``edges``, as in ``detect_kind``), else a graph's cycle matroid,
+    with its 2^m rank table when ``ranked``."""
+    obj = load_json(path)
+    if not isinstance(obj, dict):
+        raise LoadError(f"{path}: document root must be a JSON object")
+    if "edges" in obj and "bases" not in obj:
+        return graph_matroid_from_dict(obj, ranked=ranked)
+    return matroid_from_dict(obj)
 
 
 def load_document(path: str):

@@ -106,6 +106,14 @@ MUTANTS = [
     Mutant("nuij_no_rescale", "operators.py", "{e: q * c for", "{e: c for"),
     Mutant("power_raw_coefficient", "operators.py", "Fraction(a * factorial_of(e), f.den)",
            "Fraction(a, f.den)"),
+    # the input rules the CLI leaves to the library: which matroid documents are
+    # graphs, validate's refutation by the loader's cause, and one rational wording
+    Mutant("load_edges_win", "serialize.py", 'if "edges" in obj and "bases" not in obj:',
+           'if "edges" in obj:'),
+    Mutant("validate_cause_inverted", "cli.py", "if not isinstance(cause,", "if isinstance(cause,"),
+    Mutant("build_from_none", "serialize.py", '{exc}") from exc', '{exc}") from None'),
+    Mutant("rational_zero_division_escapes", "poly.py", "except (ValueError, ZeroDivisionError)",
+           "except (ValueError,)"),
     # the report writer's hook: Fractions under --float, and result records
     Mutant("hook_float_inverted", "cli.py", "if not float_mode:", "if float_mode:"),
     Mutant("hook_float_range", "cli.py", "abs(x) <= sys.float_info.max",

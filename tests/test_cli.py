@@ -108,6 +108,8 @@ def test_hodge_riemann(tmp_path, capsys):
     assert code == 0 and len(rep["result"]["points"]) == 5
     code, rep = run(capsys, "hodge-riemann", path, "--points", "5")
     assert code == 2  # sampling without a seed
+    code, rep = run(capsys, "hodge-riemann", path)
+    assert code == 2 and rep["error"] == "give at least one --point or a --points count"
 
 
 def test_rayleigh_violation(tmp_path, capsys):

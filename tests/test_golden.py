@@ -37,7 +37,9 @@ from lorentz.certify import INERTIA_VIOLATION
 from lorentz.cli import main
 from lorentz.inertia import Inertia
 from lorentz.measures import partition_homogenized
-from lorentz.serialize import function_from_dict, measure_from_dict, poly_from_dict
+from lorentz.matroids import independence_counts
+from lorentz.serialize import (function_from_dict, load_document, load_matroid,
+                               matroid_to_dict, measure_from_dict, poly_from_dict)
 
 from faddeev_leverrier import char_poly_inertia
 from poly_oracles import first_rayleigh_violation, hessian, moved, support_alphas
@@ -137,6 +139,9 @@ CASES = {
                                               "--q", "1/2"],
     "matroid_validate_graph_negative_vertices": ["matroid", "validate",
                                                  "inputs/graph_negative_vertices.json"],
+    # a document with both bases and edges is its basis list in every command
+    "matroid_validate_mixed_document": ["matroid", "validate", "inputs/mixed_bases_edges.json"],
+    "matroid_mason_mixed_document": ["matroid", "mason", "inputs/mixed_bases_edges.json"],
     # M-matrices
     "mmatrix_charpoly": ["mmatrix", "charpoly", "inputs/m3.json"],
     "mmatrix_charpoly_certify": ["mmatrix", "charpoly", "inputs/m3.json", "--certify"],
@@ -426,6 +431,21 @@ def _exchange_witness(name: str):
     if len(wit) == 3:           # mconvex set: (alpha, beta, i) of the domain
         return set(nu.values), (tuple(wit[0]), tuple(wit[1]), wit[2])
     return nu.values, tuple(map(tuple, wit))
+
+
+def test_mixed_document_is_the_same_basis_list_in_every_command():
+    # bases and edges in one document: validate, mason and roundtrip (through
+    # detect_kind) all read the 3-element basis list, not the 2-edge graph
+    path = str(GOLDEN / CASES["matroid_validate_mixed_document"][2])
+    kind, m = load_document(path)
+    assert kind == "matroid" and m == load_matroid(path) == load_matroid(path, ranked=True)
+    assert matroid_to_dict(m) == {"n": 3, "bases": [[0], [1]]}
+    code, report = run_case(CASES["matroid_validate_mixed_document"])
+    assert code == 0 and json.loads(report)["result"]["matroid"] == matroid_to_dict(m)
+    code, report = run_case(CASES["matroid_mason_mixed_document"])
+    assert json.loads(report)["result"]["independence_counts"] == independence_counts(m)
+    code, report = run_case(["roundtrip", CASES["matroid_validate_mixed_document"][2]])
+    assert code == 0 and json.loads(report)["verdict"] is True
 
 
 @pytest.mark.parametrize("name", ["check_support", "mconvex_set_not_m_convex",

@@ -45,6 +45,8 @@ def test_is_psd():
 def test_rejects_asymmetric():
     with pytest.raises(ValueError):
         SymMatrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="matrix is not square"):
+        SymMatrix([[1, 2]])
 
 
 def test_int_entries_stay_ints():

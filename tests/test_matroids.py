@@ -28,6 +28,8 @@ def test_catalog_loads():
     assert set(mats) == set(NAMES)
     assert len(load("fano").bases) == 28
     assert len(load("mk4").bases) == 16
+    with pytest.raises(KeyError, match="unknown catalog matroid 'k5'"):
+        load("k5")
 
 
 def test_matroid_from_bases():
@@ -216,6 +218,8 @@ def test_zonotope():
     assert is_lorentzian(z).verdict
     with pytest.raises(ValueError):
         zonotope_volume_poly([[1, 0], [1]])
+    with pytest.raises(ValueError, match="need at least one vector"):
+        zonotope_volume_poly([])
     rng = random.Random(62)
     for _ in range(10):
         d = rng.randint(1, 3)

@@ -35,6 +35,14 @@ def test_set_examples():
     assert ok  # the empty set is M-convex
 
 
+def test_point_set_equality():
+    ps = PointSet(2, 2, [(2, 0), (1, 1)])
+    assert ps == PointSet(2, 2, [(1, 1), (2, 0)])
+    assert ps != PointSet(2, 2, [(2, 0)])
+    assert PointSet(2, 2, []) != PointSet(3, 2, []) != PointSet(3, 1, [])
+    assert ps != [(2, 0), (1, 1)]    # not a PointSet: NotImplemented, then identity
+
+
 def _pairwise_exchange(ps: PointSet):
     """The exchange property by the definition: for each ordered pair and each
     i with alpha_i > beta_i, try every j with alpha_j < beta_j."""
@@ -408,6 +416,9 @@ def test_rational_power():
     assert rational_power(Fraction(8), Fraction(-2, 3)) == Fraction(1, 4)
     with pytest.raises(ValueError):
         rational_power(Fraction(2), Fraction(1, 2))
+    for q in (Fraction(0), Fraction(-4)):
+        with pytest.raises(ValueError, match="base must be positive"):
+            rational_power(q, Fraction(1, 2))
 
 
 def test_rational_power_beyond_float_range():

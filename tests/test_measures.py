@@ -44,6 +44,12 @@ def test_measure_validation():
         Measure(1, {0: Fraction(3, 2), 1: Fraction(-1, 2)})
     with pytest.raises(ValueError, match="n must be nonnegative"):
         Measure(-1, {frozenset(): 1})
+    for key in (0b100, -1):
+        with pytest.raises(ValueError, match="out of range for n=2"):
+            Measure(2, {0: Fraction(1, 2), key: Fraction(1, 2)})
+    for weights in ({}, {0: 0, 3: 0}):
+        with pytest.raises(ValueError, match="cannot normalize the zero measure"):
+            Measure(2, weights, normalize=True)
 
 
 def _random_weights(rng, n):

@@ -31,6 +31,10 @@ def test_principal_minor():
     assert principal_minor(a, [0, 1]) == 3
     with pytest.raises(ValueError):
         principal_minor(a, [5])
+    with pytest.raises(ValueError, match="matrix is not square"):
+        SquareMatrix([[1, 2]])
+    with pytest.raises(ValueError, match="matrix is not square"):
+        bareiss_determinant([[1, 2], [3]])
 
 
 def permutation_det(rows):

@@ -65,6 +65,8 @@ def test_polarize_rejects_cap_violation():
         polarize(HomogPoly(1, 2, {(2,): 1}), (1,))
     with pytest.raises(ValueError):
         project(HomogPoly(1, 2, {(2,): 1}), (2,))  # not multi-affine
+    with pytest.raises(ValueError, match="kappa has length 1, expected 2"):
+        polarize(HomogPoly(2, 1, {(1, 0): 1}), (1,))
 
 
 def test_polarize_preserves_lorentzian():
@@ -135,6 +137,8 @@ def test_coefficient_power():
     assert r0 == supp
     with pytest.raises(ValueError):
         coefficient_power(f, Fraction(3, 2))
+    with pytest.raises(ValueError, match="needs nonnegative coefficients"):
+        coefficient_power(HomogPoly(2, 1, {(1, 0): 1, (0, 1): -1}), Fraction(1, 2))
 
 
 def test_coefficient_power_numeric_mode():
@@ -178,6 +182,8 @@ def test_exclusion_step():
         exclusion_step(HomogPoly(1, 2, {(2,): 1}), 0, 0, 0)
     with pytest.raises(ValueError):
         exclusion_step(f, 0, 1, 2)
+    with pytest.raises(ValueError, match="needs a multi-affine polynomial"):
+        exclusion_step(HomogPoly(2, 2, {(2, 0): 1}), 0, 1, Fraction(1, 2))
 
 
 def test_exclusion_preserves_lorentzian():
@@ -281,6 +287,9 @@ def test_apply_operator():
         HomogPoly(1, 2, {(2,): Fraction(1, 2)})
     with pytest.raises(ValueError):
         apply_operator(identity_table((1,)), HomogPoly(1, 2, {(2,): 1}))
+    # degree + ell < 0: every image would have negative degree
+    lower = OperatorTable((1, 1), -2, {}, nvars_out=3)
+    assert apply_operator(lower, HomogPoly(2, 1, {(1, 0): 1})) == HomogPoly.zero(3, 0)
 
 
 def apply_by_terms(table, f):
@@ -322,6 +331,11 @@ def test_operator_table_validation():
         OperatorTable((1,), 0, {(2,): HomogPoly(1, 2, {(2,): 1})})  # above cap
     with pytest.raises(ValueError):
         OperatorTable((1,), 0, {})  # no image, no explicit width
+    with pytest.raises(ValueError, match="kappa entries must be nonnegative"):
+        OperatorTable((1, -1), 0, {}, nvars_out=1)
+    with pytest.raises(ValueError, match="different numbers of variables"):
+        OperatorTable((1, 1), 0, {(1, 0): HomogPoly(1, 1, {(1,): 1}),
+                                  (0, 1): HomogPoly(2, 1, {(0, 1): 1})})
     t = OperatorTable((1,), 0, {}, nvars_out=2)
     assert apply_operator(t, HomogPoly(1, 1, {(1,): 1})).is_zero()
 

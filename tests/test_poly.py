@@ -38,6 +38,16 @@ def test_as_fraction_refuses_a_decimal_exponent_of_five_digits(text):
         as_fraction(text)
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("1/0", "Fraction(1, 0)"), ("x", "Invalid literal for Fraction: 'x'"),
+    ("1e10000", "a decimal exponent must lie in [-9999, 9999]")])
+def test_as_fraction_words_every_refusal(text, reason):
+    # one wording for the CLI flags and the loaders, a zero denominator included
+    with pytest.raises(ValueError) as err:
+        as_fraction(text)
+    assert type(err.value) is ValueError and str(err.value) == f"bad rational {text!r}: {reason}"
+
+
 def test_simplex_size():
     assert len(list(simplex(3, 2))) == 6
     assert list(simplex(2, 1)) == [(0, 1), (1, 0)]
@@ -123,6 +133,27 @@ def test_constructor_rejects_bad_terms():
         HomogPoly(2, 2, {(2, 0, 0): 1})
     with pytest.raises(ValueError):
         HomogPoly(2, 2, {(3, -1): 1})
+    for n, d in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="nvars and degree must be nonnegative"):
+            HomogPoly(n, d)
+
+
+def test_arithmetic_refuses_mismatched_sizes():
+    f = HomogPoly(2, 1, {(1, 0): 1})
+    for g in (HomogPoly(3, 1, {(1, 0, 0): 1}), HomogPoly(2, 2, {(2, 0): 1})):
+        with pytest.raises(ValueError, match="equal nvars and degree"):
+            f + g
+    with pytest.raises(ValueError, match="in the same variables"):
+        f * HomogPoly(3, 1, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="negative power"):
+        f ** -1
+
+
+def test_repr():
+    assert repr(HomogPoly(2, 2, {(2, 0): 1, (1, 1): Fraction(-1, 2)})) == \
+        "HomogPoly(2, 2, -1/2*w0*w1 + 1*w0^2)"
+    assert repr(HomogPoly(2, 0, {(0, 0): 3})) == "HomogPoly(2, 0, 3)"
+    assert repr(HomogPoly.zero(2, 1)) == "HomogPoly(2, 1, 0)"
 
 
 # every one of these was once truncated by int() and accepted
@@ -265,6 +296,9 @@ def test_quadratic_hessian_after_matches_full_derivative():
     f = random_homog(rng, 3, 4)
     for alpha in simplex(3, 2):
         assert f.quadratic_hessian_after(alpha) == hessian(f.derive(alpha))
+    for alpha in ((1, 0, 0), (1, 1, 1)):
+        with pytest.raises(ValueError, match=r"need \|alpha\| = degree - 2"):
+            f.quadratic_hessian_after(alpha)
 
 
 def test_euler_identity():
@@ -341,6 +375,9 @@ def test_homogenized():
     assert f == HomogPoly(4, 3, {(3, 0, 0, 0): 1, (1, 1, 0, 1): Fraction(1, 2)})
     assert (f.den, f.nums) == (2, {(3, 0, 0, 0): 2, (1, 1, 0, 1): 1})
     assert HomogPoly.homogenized(0, {0: 5}, 1) == HomogPoly(1, 0, {(0,): 5})
+    for mask in (-1, 0b1000):
+        with pytest.raises(ValueError, match=r"subset masks must lie in \[0, 2\^3\)"):
+            HomogPoly.homogenized(3, {0: 1, mask: 1}, 1)
 
 
 def test_multi_affine_lifts_match_group_by_group_reference():

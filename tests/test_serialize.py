@@ -15,13 +15,14 @@ from lorentz.measures import Measure
 from lorentz.mmatrix import SquareMatrix
 from lorentz.operators import OperatorTable, polarize
 from lorentz.serialize import (LoadError, dumps_canonical, function_from_dict,
-                               function_to_dict, load_document,
+                               function_to_dict, load_document, load_matroid,
                                matrix_from_dict, matrix_to_dict,
                                matroid_from_dict, matroid_to_dict,
                                measure_from_dict, measure_to_dict,
                                operator_from_dict, operator_to_dict,
                                poly_from_dict, poly_to_dict, roundtrip,
-                               vectors_from_dict)
+                               vectors_from_dict, vectors_to_dict)
+from lorentz.matroids import ExchangeError
 
 
 def test_poly_roundtrip():
@@ -180,6 +181,31 @@ def test_matroid_roundtrip():
         matroid_from_dict({"n": 4, "bases": [[0, 1], [2, 3]]})
 
 
+@pytest.mark.parametrize("bases, cause", [
+    ([[0, 1], [2, 3]], ExchangeError), ([], ExchangeError), ([[0], [0, 1]], ExchangeError),
+    ([[4]], ValueError)])
+def test_matroid_refusal_keeps_its_cause(bases, cause):
+    # matroid validate tells a refuted family from a malformed one by the cause
+    with pytest.raises(LoadError) as err:
+        matroid_from_dict({"n": 4, "bases": bases})
+    assert type(err.value.__cause__) is cause
+    assert str(err.value) == f"matroid: {err.value.__cause__}"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "doc.json: document root must be a JSON object"),
+    ({"n": 3}, "matroid: missing key 'bases'"),
+    ({"vertices": 3}, "matroid: missing key 'n'"),
+    ({"vertices": 3, "edges": [[0, 3]]}, "graph: edge (0, 3) out of range"),
+])
+def test_load_matroid_refusals(tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LoadError) as err:
+        load_matroid(str(path))
+    assert str(err.value).endswith(message)
+
+
 def test_matrix_roundtrip():
     a = SquareMatrix([["1/2", "-3"], ["0", "7/5"]])
     assert matrix_from_dict(matrix_to_dict(a)) == a
@@ -210,6 +236,19 @@ def test_matrix_and_vector_entries_read_integers_exactly():
     assert matrix_from_dict({"n": 2, "rows": [[big, "-1/3"], [-1, "7"]]}) == \
         SquareMatrix([[big, Fraction(-1, 3)], [-1, 7]])
     assert vectors_from_dict({"dim": 2, "vectors": [[big, "1/2"]]}) == [[big, Fraction(1, 2)]]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1/0", "Fraction(1, 0)"), ("1/x", "Invalid literal for Fraction: '1/x'")])
+def test_bad_rational_entry_is_worded_by_as_fraction(text, reason):
+    with pytest.raises(LoadError) as err:
+        matrix_from_dict({"n": 1, "rows": [[text]]})
+    assert str(err.value) == f"matrix.rows[0][0]: bad rational {text!r}: {reason}"
+
+
+def test_vectors_to_dict_refuses_an_empty_configuration():
+    with pytest.raises(LoadError, match="^vectors: empty configuration$"):
+        vectors_to_dict([])
 
 
 def test_measure_roundtrip():
@@ -265,6 +304,12 @@ def test_load_document_errors(tmp_path):
     unknown.write_text('{"x": 1}')
     with pytest.raises(LoadError, match="kind"):
         load_document(str(unknown))
+    with pytest.raises(LoadError, match="missing.json: no such file$"):
+        load_document(str(tmp_path / "missing.json"))
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    with pytest.raises(LoadError, match="^document root must be a JSON object$"):
+        roundtrip(str(listed))
 
 
 @pytest.mark.parametrize("text", [
