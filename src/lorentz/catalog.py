@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .matroids import Matroid, matroid_from_bases
+from .matroids import Matroid
+from .serialize import matroid_from_dict
 
 NAMES = ("u12", "u23", "u24", "free3", "loop_u12", "mk4", "fano")
 
@@ -20,6 +21,5 @@ def load(name: str) -> Matroid:
     if name not in NAMES:
         raise KeyError(f"unknown catalog matroid {name!r}; available: {', '.join(NAMES)}")
     text = resources.files("lorentz.data").joinpath(f"{name}.json").read_text()
-    obj = json.loads(text)
-    return matroid_from_bases(obj["n"], obj["bases"])
+    return matroid_from_dict(json.loads(text), f"{name}.json")
 

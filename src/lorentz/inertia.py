@@ -19,39 +19,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .poly import RationalLike, as_fraction, integer_scaled
+from .mmatrix import SquareMatrix
+from .poly import RationalLike, integer_scaled
 
 
-class SymMatrix:
+class SymMatrix(SquareMatrix):
     """Immutable n x n rational symmetric matrix."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence[RationalLike]]):
-        n = len(rows)
-        # an int stays an int: it compares and hashes like its Fraction
-        ent = tuple(tuple(x if type(x) is int else as_fraction(x) for x in row) for row in rows)
-        for row in ent:
-            if len(row) != n:
-                raise ValueError("matrix is not square")
+        super().__init__(rows)
+        ent = self.entries
         # tuple equality skips entries shared by (i, j) and (j, i)
         if ent != tuple(zip(*ent)):
-            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+            i, j = next((i, j) for i in range(self.n) for j in range(i + 1, self.n)
                         if ent[i][j] != ent[j][i])
             raise ValueError(f"asymmetric at ({i},{j}): {ent[i][j]} != {ent[j][i]}")
-        self.n = n
-        self.entries = ent
-
-    def __eq__(self, other):
-        if not isinstance(other, SymMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"SymMatrix({[list(map(str, row)) for row in self.entries]})"
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ class SquareMatrix:
 
     def __init__(self, rows: Sequence[Sequence[RationalLike]]):
         n = len(rows)
-        ent = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+        # an int stays an int: it compares and hashes like its Fraction
+        ent = tuple(tuple(x if type(x) is int else as_fraction(x) for x in row) for row in rows)
         for row in ent:
             if len(row) != n:
                 raise ValueError("matrix is not square")
@@ -37,8 +38,11 @@ class SquareMatrix:
             return NotImplemented
         return self.entries == other.entries
 
+    def __hash__(self):
+        return hash(self.entries)
+
     def __repr__(self):
-        return f"SquareMatrix({[list(map(str, row)) for row in self.entries]})"
+        return f"{type(self).__name__}({[list(map(str, row)) for row in self.entries]})"
 
 
 def bareiss_determinant(rows: Sequence[Sequence[RationalLike]]) -> Fraction:

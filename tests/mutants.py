@@ -1,6 +1,7 @@
 """Mutation check of the exact core and the report writer: one-token
-mutants of ``certify``, ``cli``, ``inertia``, ``mconvex``, ``measures``,
-``operators``, ``poly`` and ``serialize``, each run against the tier-1 tests.
+mutants of ``certify``, ``cli``, ``inertia``, ``matroids``, ``mconvex``,
+``measures``, ``mmatrix``, ``operators``, ``poly`` and ``serialize``, each run
+against the tier-1 tests.
 
     python tests/mutants.py SCRATCH_DIR [NAME ...]
 
@@ -78,6 +79,14 @@ MUTANTS = [
     Mutant("dominance_sign_no_prev", "inertia.py", "counts[(a[i][i] > 0) != (prev > 0)]",
            "counts[a[i][i] < 0]"),
     Mutant("dominance_stop_off", "inertia.py", "if not row[i] or", "if True or"),
+    # the exact matrix type and the M-matrix minors
+    Mutant("entry_bool_stays", "mmatrix.py", "x if type(x) is int else", "x if isinstance(x, int) else"),
+    Mutant("symmetry_unchecked", "inertia.py", "if ent != tuple(zip(*ent)):", "if ent != ent:"),
+    Mutant("minor_child_unscaled", "mmatrix.py", "scale * scaled[p][0]", "scale"),
+    Mutant("m_matrix_zero_off_diagonal", "mmatrix.py", "a.entries[i][j] > 0", "a.entries[i][j] >= 0"),
+    # the matroid rank tables: greedy extension and the graph's component labels
+    Mutant("rank_table_or", "matroids.py", "[r + g for r, g", "[r | g for r, g"),
+    Mutant("graph_merge_inverted", "matroids.py", "(old is not new)", "(old is new)"),
     # M-convex sets and functions
     Mutant("slice_guard_off", "mconvex.py", ") == len(ps.points):", ") >= len(ps.points):"),
     Mutant("slice_count", "mconvex.py", "run[max(0, k - cap)]", "run[max(0, k - cap + 1)]"),

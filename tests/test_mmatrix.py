@@ -37,6 +37,21 @@ def test_principal_minor():
         bareiss_determinant([[1, 2], [3]])
 
 
+def test_sym_matrix_is_the_symmetric_square_matrix():
+    assert issubclass(SymMatrix, SquareMatrix)
+    rows = [[2, True], [True, "3/2"]]
+    sym, square = SymMatrix(rows), SquareMatrix(rows)
+    for a in (sym, square):
+        # an int stays an int; a bool, like any other entry, becomes a Fraction
+        assert [list(map(type, row)) for row in a.entries] == [[int, Fraction], [Fraction, Fraction]]
+        assert a.n == 2 and a.entries == ((2, 1), (1, Fraction(3, 2)))
+    assert sym == square and hash(sym) == hash(square)
+    assert sym != SquareMatrix([[2, 1], [0, "3/2"]])
+    assert repr(sym).startswith("SymMatrix(") and repr(square).startswith("SquareMatrix(")
+    with pytest.raises(ValueError, match=r"^asymmetric at \(0,1\): 1 != 0$"):
+        SymMatrix([[2, 1], [0, "3/2"]])
+
+
 def permutation_det(rows):
     """The determinant by expansion over permutations, in Fractions: an
     oracle independent of elimination."""

@@ -1,13 +1,19 @@
-"""Guards on the package as a whole: its export list, its source files and
-the README's account of both."""
+"""Guards on the package as a whole: its export list, its source files, the
+README's account of both, the mutants' tokens, and the equality and repr of
+its value types."""
 
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import lorentz
+from lorentz import (DiscreteFunction, HomogPoly, Measure, OperatorTable, PointSet,
+                     SquareMatrix, SymMatrix, matroid_from_bases)
 from lorentz.cli import build_parser
 
+from mutants import MUTANTS
 from test_cli import _leaves
 
 SOURCES = sorted(Path(lorentz.__file__).resolve().parent.glob("*.py"))
@@ -190,3 +196,39 @@ def _calls_int(node: ast.AST) -> bool:
 
 def test_int_only_converts_text_or_bools():
     assert _library_sites(_calls_int) == INT_SITES
+
+
+def test_every_mutant_token_occurs_once_in_its_module():
+    # tests/mutants.py checks this only when it runs; a refactor that moves
+    # the code under a mutant shows here
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    stale = [m.name for m in MUTANTS if sources[m.module].count(m.old) != 1 or m.old == m.new]
+    assert stale == [], stale
+
+
+_X = HomogPoly(1, 1, {(1,): 1})
+VALUES = [_X, matroid_from_bases(1, [[0]]), DiscreteFunction(1, 1, {(1,): 0}),
+          Measure(1, {1: 1}), SquareMatrix([[1]]), SymMatrix([[1]]),
+          OperatorTable((1,), 0, {(1,): _X})]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_equality_with_a_foreign_object_is_not_implemented(value):
+    # so Python falls back to identity
+    assert value.__eq__(object()) is NotImplemented
+    assert value != object()
+
+
+REPRS = [
+    (PointSet(2, 2, [(2, 0), (1, 1)]), "PointSet(2, 2, [(1, 1), (2, 0)])"),
+    (DiscreteFunction(2, 1, {(1, 0): 0, (0, 1): "1/2"}),
+     "DiscreteFunction(2, 1, {(1, 0): Fraction(0, 1), (0, 1): Fraction(1, 2)})"),
+    (Measure(2, {0: "1/3", 3: "2/3"}), "Measure(2, {(): '1/3', (0, 1): '2/3'})"),
+    (SquareMatrix([[1, "1/2"], [0, 2]]), "SquareMatrix([['1', '1/2'], ['0', '2']])"),
+    (SymMatrix([[1, "1/2"], ["1/2", 2]]), "SymMatrix([['1', '1/2'], ['1/2', '2']])"),
+]
+
+
+@pytest.mark.parametrize("value, text", REPRS, ids=[type(v).__name__ for v, _ in REPRS])
+def test_repr(value, text):
+    assert repr(value) == text

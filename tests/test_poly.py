@@ -53,6 +53,7 @@ def test_simplex_size():
     assert list(simplex(2, 1)) == [(0, 1), (1, 0)]
     assert list(simplex(1, 4)) == [(4,)]
     assert list(simplex(3, 0)) == [(0, 0, 0)]
+    assert list(simplex(0, 0)) == [()] and list(simplex(0, 1)) == []
 
 
 def test_integer_scaled_matches_fraction_products():
